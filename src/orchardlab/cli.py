@@ -30,6 +30,7 @@ from .constructions import (
 from .field import FieldCtx, FieldError
 from .groups import (
     AffElem,
+    GroupError,
     StdThreePlaneFrame,
     aff_act,
     aff_centralizer_member,
@@ -161,9 +162,9 @@ def cmd_orchard_threeplanes(args) -> int:
     ctx1, X1 = load_point_set(args.x1, args.allow_dup)
     ctx2, X2 = load_point_set(args.x2, args.allow_dup)
     ctx3, X3 = load_point_set(args.x3, args.allow_dup)
-    if not (ctx1 == ctx2 == ctx3):
+    if not (ctx1 is ctx2 is ctx3):
         raise UsageError("point sets live over different fields")
-    if args.field and FieldCtx.from_descriptor(args.field) != ctx1:
+    if args.field and FieldCtx.from_descriptor(args.field) is not ctx1:
         raise UsageError("field flag does not match the point files")
     count = count_collinear_triples(X1, X2, X3, kernel=args.kernel)
     frame = StdThreePlaneFrame(ctx1)
@@ -198,7 +199,7 @@ def cmd_orchard_threeplanes(args) -> int:
 def cmd_orchard_quadric(args) -> int:
     ctx_x, X = load_point_set(args.x, args.allow_dup)
     ctx_s, S = load_point_set(args.s, args.allow_dup)
-    if ctx_x != ctx_s:
+    if ctx_x is not ctx_s:
         raise UsageError("point sets live over different fields")
     Q = (
         QuadricForm.identity(ctx_x)
@@ -233,6 +234,11 @@ def cmd_orchard_quadric(args) -> int:
     return 0
 
 
+def _affine_group_order(ctx) -> int:
+    q = ctx.order
+    return q * q * (q - 1)
+
+
 def _random_affine_elements(ctx, rng, count):
     elems = set()
     nonzero = [e for e in ctx.elements_sorted() if not e.is_zero()]
@@ -250,6 +256,12 @@ def cmd_flatten(args) -> int:
     if args.group != "affine":
         raise UsageError("only the affine group is wired to the runner")
     ctx = FieldCtx.from_descriptor(args.field)
+    order = _affine_group_order(ctx)
+    if not 1 <= args.gen_count <= order - 1:
+        raise UsageError(
+            f"--gen-count must be in 1..{order - 1}: the affine group over "
+            f"{ctx} has {order - 1} non-identity elements"
+        )
     rng = random.Random(args.seed)
     gens = _random_affine_elements(ctx, rng, args.gen_count)
     mu = uniform(AffineGroupOps(ctx), gens)
@@ -278,6 +290,12 @@ def cmd_flatten(args) -> int:
 
 def cmd_bsg_verify(args) -> int:
     ctx = FieldCtx.from_descriptor(args.field)
+    order = _affine_group_order(ctx)
+    if not 1 <= args.max_support <= order:
+        raise UsageError(
+            f"--max-support must be in 1..{order}: the affine group over "
+            f"{ctx} has {order} elements"
+        )
     group = AffineGroupOps(ctx)
     rng = random.Random(args.seed)
     K = parse_fraction(args.K)
@@ -543,7 +561,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (UsageError, DegenerateParameters, PointSetFormatError, FieldError,
-            GeometryError, MeasureError, OSError) as exc:
+            GeometryError, GroupError, MeasureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -442,7 +442,7 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     records whether the determinant test certifies the special part.
     For a verified element an OTHER outcome is impossible and raises.
     """
-    if g.ctx != ctx:
+    if g.ctx is not ctx:
         raise GroupError("mixed contexts")
     if g.is_identity():
         raise IdentityElement("fixed points of the identity are everything")

@@ -4,15 +4,29 @@ Elements are coefficient vectors over F_p reduced modulo a monic
 irreducible polynomial (absent for prime fields).  Everything is kept
 at desk scale: n <= 4 and p^n <= 10**6, which lets irreducibility,
 square roots and generator searches be settled by direct enumeration.
+
+Each field has exactly one `FieldCtx`: the constructor interns contexts
+by their normalized (p, n, modulus), so elements of the same field share
+one context and fields compare by identity.  Prime fields multiply and
+invert with integer arithmetic mod p.  F_{p^n} with n > 1 multiplies
+and inverts through exp/log tables of its multiplicative group (the
+table method of galois and of Givaro's log fields), built once per field
+on its first product or inverse: exp[i] = g^i for a primitive element g,
+and log maps the coefficient tuple of each nonzero element back to i.
+Addition stays coefficientwise mod p.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 DESK_ORDER_CAP = 10**6
 SQRT_TABLE_CAP = 10**4
+
+# the one context of each field, by normalized (p, n, modulus)
+_INTERNED: Dict[tuple, "FieldCtx"] = {}
 
 
 class FieldError(Exception):
@@ -74,6 +88,38 @@ def _poly_mulmod(a, b, m, p):
     return _poly_mod(out, m, p)
 
 
+def _poly_powmod(a, e: int, m, p):
+    result = [1] + [0] * (len(m) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, m, p)
+        a = _poly_mulmod(a, a, m, p)
+        e >>= 1
+    return result
+
+
+def _digits(code: int, p: int, count: int) -> list:
+    """The base-p digits of code, least significant first."""
+    out = []
+    for _ in range(count):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _prime_factors(m: int) -> set:
+    factors = set()
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            factors.add(d)
+            m //= d
+        d += 1
+    if m > 1:
+        factors.add(m)
+    return factors
+
+
 def _poly_eval(c, x, p):
     acc = 0
     for coef in reversed(c):
@@ -84,14 +130,8 @@ def _poly_eval(c, x, p):
 def _monic_polys(degree: int, p: int) -> Iterator[list]:
     """All monic polynomials of exact degree, ordered lexicographically
     on coefficients read from the leading term down."""
-    total = p**degree
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        yield coeffs + [1]
+    for code in range(p**degree):
+        yield _digits(code, p, degree) + [1]
 
 
 def _is_irreducible(m, p) -> bool:
@@ -126,40 +166,51 @@ class FieldCtx:
 
     For n > 1 the modulus is a monic irreducible polynomial over F_p,
     given as a low-degree-first coefficient tuple of length n + 1.
+
+    Contexts are interned: every call with the same p, n and modulus
+    (after reduction mod p, and with the least irreducible filling in a
+    missing modulus) returns the same object, so `==` is identity.  A
+    construction that raises is not remembered.
     """
 
-    def __init__(self, p: int, n: int = 1, modulus=None):
+    def __new__(cls, p: int, n: int = 1, modulus=None):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if n < 1 or n > 4:
             raise FieldError("extension degree must be in 1..4")
         if p**n > DESK_ORDER_CAP:
             raise FieldError(f"field order {p}^{n} exceeds desk cap")
-        self.p = p
-        self.n = n
         if n == 1:
             if modulus is not None:
                 raise FieldError("prime fields carry no modulus")
-            self.modulus = None
         else:
             if modulus is None:
                 modulus = _least_irreducible(p, n)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree n")
-            if not _is_irreducible(list(modulus), p):
+        key = (p, n, modulus)
+        ctx = _INTERNED.get(key)
+        if ctx is None:
+            if n > 1 and not _is_irreducible(list(modulus), p):
                 raise CompositeModulus(f"{modulus} is reducible over F_{p}")
-            self.modulus = modulus
-        self.order = p**n
-        self._sqrt_table: Optional[dict] = None
+            ctx = super().__new__(cls)
+            ctx.p = p
+            ctx.n = n
+            ctx.modulus = modulus
+            ctx.order = p**n
+            ctx._sqrt_table = None
+            ctx._exp = None
+            ctx._log = None
+            _INTERNED[key] = ctx
+        return ctx
+
+    def __reduce__(self):
+        # copies and unpickled contexts resolve to the interned instance
+        return FieldCtx, (self.p, self.n, self.modulus)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and self.p == other.p
-            and self.n == other.n
-            and self.modulus == other.modulus
-        )
+        return self is other
 
     def __hash__(self):
         return hash((self.p, self.n, self.modulus))
@@ -174,7 +225,7 @@ class FieldCtx:
     def elem(self, value) -> "FieldElem":
         """Build an element from an int, a coefficient list, or an elem."""
         if isinstance(value, FieldElem):
-            if value.ctx != self:
+            if value.ctx is not self:
                 raise FieldError("element from a different field")
             return value
         if isinstance(value, int):
@@ -195,16 +246,52 @@ class FieldCtx:
     def elements(self) -> Iterator["FieldElem"]:
         """All field elements, ascending lexicographic coefficient order."""
         for code in range(self.order):
-            coeffs = []
-            c = code
-            for _ in range(self.n):
-                coeffs.append(c % self.p)
-                c //= self.p
             # lexicographic on the tuple itself, not on the mixed-radix code
-            yield FieldElem(self, tuple(coeffs))
+            yield FieldElem(self, tuple(_digits(code, self.p, self.n)))
 
     def elements_sorted(self):
         return sorted(self.elements(), key=lambda e: e.coeffs)
+
+    # -- multiplicative tables (n > 1) ----------------------------------
+
+    def _primitive_element(self) -> list:
+        """The first generator of F_q^* in elements() order, by the
+        prime-factor test on q - 1."""
+        p, q, m = self.p, self.order, list(self.modulus)
+        one = [1] + [0] * (self.n - 1)
+        exponents = [(q - 1) // f for f in _prime_factors(q - 1)]
+        # codes below p are the constants, whose order divides p - 1 < q - 1
+        candidates = (_digits(code, p, self.n) for code in range(p, q))
+        return next(
+            g for g in candidates
+            if all(_poly_powmod(g, e, m, p) != one for e in exponents)
+        )
+
+    def _tables(self) -> Tuple[List["FieldElem"], Dict[tuple, int]]:
+        """(exp, log) of the multiplicative group, built on first use.
+
+        exp[i] = g^i for 0 <= i < 2(q - 1), long enough that the sum of
+        two logs indexes it unreduced; log maps the coefficient tuple of
+        each nonzero element to its exponent in [0, q - 1).
+        """
+        if self._log is None:
+            p, n, m = self.p, self.n, list(self.modulus)
+            g = self._primitive_element()
+            # multiplying by g is F_p-linear: row k gives coefficient k of
+            # the product from the coefficients of the factor
+            cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
+            rows = [[col[k] for col in cols] for k in range(n)]
+            exp: List[FieldElem] = []
+            log: Dict[tuple, int] = {}
+            cur = (1,) + (0,) * (n - 1)
+            for i in range(self.order - 1):
+                exp.append(FieldElem(self, cur))
+                log[cur] = i
+                cur = tuple(sum(map(operator.mul, cur, row)) % p for row in rows)
+            exp *= 2
+            self._exp = exp
+            self._log = log
+        return self._exp, self._log
 
     # -- square roots ---------------------------------------------------
 
@@ -223,7 +310,7 @@ class FieldCtx:
         Exhaustive table lookup up to order 10**4, generic
         Tonelli-Shanks above that; raises NonResidue when no root exists.
         """
-        if a.ctx != self:
+        if a.ctx is not self:
             raise FieldError("element from a different field")
         if self.p == 2:
             # Frobenius is bijective in characteristic 2
@@ -280,7 +367,7 @@ class FieldElem:
 
     def _lift(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx:
                 raise FieldError("mixed field contexts")
             return other
         if isinstance(other, int):
@@ -321,8 +408,14 @@ class FieldElem:
         ctx = self.ctx
         if ctx.n == 1:
             return FieldElem(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        prod = _poly_mulmod(list(self.coeffs), list(o.coeffs), list(ctx.modulus), ctx.p)
-        return FieldElem(ctx, tuple(prod))
+        exp, log = ctx._tables()
+        la = log.get(self.coeffs)
+        if la is None:
+            return self
+        lb = log.get(o.coeffs)
+        if lb is None:
+            return o
+        return exp[la + lb]
 
     __rmul__ = __mul__
 
@@ -352,7 +445,7 @@ class FieldElem:
             other = self.ctx.elem(other)
         return (
             isinstance(other, FieldElem)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.coeffs == other.coeffs
         )
 
@@ -360,10 +453,10 @@ class FieldElem:
         return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __repr__(self):
         return self.text()
@@ -385,8 +478,8 @@ def inv(a: FieldElem) -> FieldElem:
     ctx = a.ctx
     if ctx.n == 1:
         return FieldElem(ctx, (pow(a.coeffs[0], ctx.p - 2, ctx.p),))
-    # Fermat in F_{p^n}: a^(q-2) = a^-1
-    return a ** (ctx.order - 2)
+    exp, log = ctx._tables()
+    return exp[ctx.order - 1 - log[a.coeffs]]
 
 
 def sqrt(a: FieldElem) -> FieldElem:
@@ -429,7 +522,7 @@ def adjoin_sqrt(ctx: FieldCtx, d: FieldElem):
     into new_ctx and root * root == embed(d).  When d is already a
     square the context is returned unchanged with the canonical root.
     """
-    if d.ctx != ctx:
+    if d.ctx is not ctx:
         raise FieldError("element from a different field")
     existing = ctx.try_sqrt(d)
     if existing is not None:
@@ -469,16 +562,7 @@ def least_primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of F_p."""
     if p == 2:
         return 1
-    factors = set()
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g

@@ -91,7 +91,7 @@ class AffElem:
     def __eq__(self, other):
         return (
             isinstance(other, AffElem)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.key == other.key
         )
 
@@ -125,7 +125,7 @@ def aff_compose(g: AffElem, h: AffElem) -> AffElem:
     The law is fixed by requiring aff_act(aff_compose(g, h), p) ==
     aff_act(g, aff_act(h, p)) for all p; a test pins exactly that.
     """
-    if g.ctx != h.ctx:
+    if g.ctx is not h.ctx:
         raise GroupError("mixed contexts")
     return AffElem(
         g.ctx, h.a + g.a * h.c, h.b + g.b * h.c, g.c * h.c
@@ -146,7 +146,7 @@ def aff_commutator(g: AffElem, h: AffElem) -> AffElem:
 
 def aff_act(g: AffElem, p: ProjPoint) -> ProjPoint:
     """The star action on the plane {x0 = 0}."""
-    if p.ctx != g.ctx:
+    if p.ctx is not g.ctx:
         raise GroupError("mixed contexts")
     if not p.coords[0].is_zero():
         raise PointOffPlane(f"{p} is not on x0 = 0")
@@ -159,7 +159,7 @@ def aff_act(g: AffElem, p: ProjPoint) -> ProjPoint:
 def aff_centralizer_member(h: AffElem, g: AffElem) -> bool:
     """Whether h = (x, y, z) centralizes g = (a, b, m), m != 1, via the
     closed form x = a(z-1)/(m-1), y = b(z-1)/(m-1)."""
-    if h.ctx != g.ctx:
+    if h.ctx is not g.ctx:
         raise GroupError("mixed contexts")
     if g.c.is_one():
         raise NotApplicable("closed form needs third component != 1")
@@ -251,7 +251,7 @@ class PGLElem:
     def __eq__(self, other):
         return (
             isinstance(other, PGLElem)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.key == other.key
         )
 
@@ -269,7 +269,7 @@ class PGLElem:
         )
 
     def __mul__(self, other: "PGLElem") -> "PGLElem":
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise GroupError("mixed contexts")
         zero = self.ctx.zero()
         rows = [
@@ -331,7 +331,7 @@ def is_orthogonal_mod_scalar(
     M: PGLElem, Q: QuadricForm
 ) -> Tuple[bool, Optional[FieldElem]]:
     """Test M^T B M = lambda * B; returns the witness lambda when true."""
-    if M.ctx != Q.ctx:
+    if M.ctx is not Q.ctx:
         raise GroupError("mixed contexts")
     ctx = M.ctx
     zero = ctx.zero()
@@ -369,7 +369,7 @@ def reflection_matrix(x: ProjPoint, Q: QuadricForm):
     ctx = x.ctx
     if ctx.p == 2:
         raise CharTwo("reflections need characteristic != 2")
-    if Q.ctx != ctx:
+    if Q.ctx is not ctx:
         raise GroupError("mixed contexts")
     vx = x.coords
     qx = Q.bilinear(vx, vx)
@@ -416,7 +416,7 @@ def gamma_x(x: ProjPoint, y: ProjPoint, Q: QuadricForm) -> ProjPoint:
 
 def segre(u: ProjPoint, w: ProjPoint) -> ProjPoint:
     """([x:y], [w:z]) -> [xw : xz : yw : yz], landing on x1*x4 = x2*x3."""
-    if u.ctx != w.ctx:
+    if u.ctx is not w.ctx:
         raise GroupError("mixed contexts")
     if u.dim != 1 or w.dim != 1:
         raise GroupError("both factors must be points of P^1")

@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from .field import FieldCtx
 from .groups import AffElem, aff_act
 from .projgeom import (
+    EqualPoints,
     MixedContexts,
     ProjLine,
     ProjPlane,
@@ -39,7 +40,7 @@ def _common_ctx(sets: Sequence[Sequence[ProjPoint]]) -> FieldCtx:
         for p in points:
             if ctx is None:
                 ctx = p.ctx
-            elif p.ctx != ctx:
+            elif p.ctx is not ctx:
                 raise MixedContexts("point sets over different fields")
     return ctx
 
@@ -370,13 +371,16 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     """Exact max of |X intersect line| over lines spanned by pairs of X.
 
     A line meeting X in at most one point never beats a spanned line once
-    |X| >= 2, so the spanned lines suffice; singletons report 1.
+    |X| >= 2, so the spanned lines suffice; singletons report 1.  Raises
+    EqualPoints when X repeats a point.
     """
     if not X:
         return ConcentrationReport(0)
     if len(X) == 1:
         return ConcentrationReport(1)
     ctx = _common_ctx([X])
+    if len(set(X)) != len(X):
+        raise EqualPoints("point set repeats a point")
     counts: Dict[tuple, int] = {}
     rep: Dict[tuple, tuple] = {}
     if ctx.n == 1:

@@ -73,7 +73,7 @@ class ProjPoint:
     def __eq__(self, other):
         return (
             isinstance(other, ProjPoint)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.key == other.key
         )
 
@@ -155,7 +155,7 @@ class ProjLine:
     def __eq__(self, other):
         return (
             isinstance(other, ProjLine)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.key == other.key
         )
 
@@ -166,7 +166,7 @@ class ProjLine:
         return f"Line{self.basis}"
 
     def contains(self, p: ProjPoint) -> bool:
-        if p.ctx != self.ctx:
+        if p.ctx is not self.ctx:
             raise MixedContexts("point from a different field")
         rows = [list(self.basis[0]), list(self.basis[1]), list(p.coords)]
         return matrix_rank(self.ctx, rows) == 2
@@ -195,7 +195,7 @@ class ProjPlane:
     def __eq__(self, other):
         return (
             isinstance(other, ProjPlane)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.key == other.key
         )
 
@@ -206,7 +206,7 @@ class ProjPlane:
         return "Plane(" + ":".join(c.text() for c in self.dual) + ")"
 
     def contains(self, p: ProjPoint) -> bool:
-        if p.ctx != self.ctx:
+        if p.ctx is not self.ctx:
             raise MixedContexts("point from a different field")
         acc = self.ctx.zero()
         for d, c in zip(self.dual, p.coords):
@@ -219,7 +219,7 @@ class ProjPlane:
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
-    if p.ctx != q.ctx:
+    if p.ctx is not q.ctx:
         raise MixedContexts("points from different fields")
     if p == q:
         raise EqualPoints("points coincide")
@@ -232,7 +232,7 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     Repeated points therefore count as collinear; distinctness is the
     caller's concern.
     """
-    if p.ctx != q.ctx or q.ctx != r.ctx:
+    if p.ctx is not q.ctx or q.ctx is not r.ctx:
         raise MixedContexts("points from different fields")
     return matrix_rank(p.ctx, [p.coords, q.coords, r.coords]) <= 2
 
@@ -240,7 +240,7 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
 def meet_line_plane(line: ProjLine, plane: ProjPlane) -> ProjPoint:
     """The unique intersection point of a line not contained in the plane."""
     ctx = line.ctx
-    if plane.ctx != ctx:
+    if plane.ctx is not ctx:
         raise MixedContexts("plane from a different field")
     u, v = line.basis
     zero = ctx.zero()
@@ -345,7 +345,7 @@ class QuadricForm:
 
 
 def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
-    if p.ctx != Q.ctx:
+    if p.ctx is not Q.ctx:
         raise MixedContexts("point from a different field")
     return Q.evaluate(p.coords).is_zero()
 

@@ -103,6 +103,24 @@ def test_orchard_quadric(tmp_path):
     ]) == 1
 
 
+def test_orchard_quadric_char_two_is_usage_error(tmp_path, capsys):
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    # the identity quadric over F_2 has no involutions: CharTwo, exit 1
+    ctx = FieldCtx(2)
+    X = [ProjPoint(ctx, c) for c in ([1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0])]
+    save_point_set(tmp_path / "x.pts", ctx, X)
+    save_point_set(tmp_path / "s.pts", ctx, [ProjPoint(ctx, [1, 0, 0, 0])])
+    assert run([
+        "orchard-quadric", "--x", tmp_path / "x.pts", "--s", tmp_path / "s.pts",
+        "--quadric", "identity", "--report", tmp_path / "q.json",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_flatten_csv_and_determinism(tmp_path):
     out1 = tmp_path / "f1.csv"
     out2 = tmp_path / "f2.csv"
@@ -117,6 +135,17 @@ def test_flatten_csv_and_determinism(tmp_path):
     ratio_col = header.index("ratio_sq_float")
     for line in lines[1:]:
         assert float(line.split(",")[ratio_col]) <= 1.0
+
+
+def test_flatten_gen_count_bounded_by_group(tmp_path, capsys):
+    # the affine group over F_2 has order 4: three non-identity elements
+    out = tmp_path / "f.csv"
+    args = ["flatten", "--field", "2", "--m-max", 1, "--out", out]
+    for bad in (5, 4, 0):
+        assert run(args + ["--gen-count", bad]) == 1
+        assert "--gen-count" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(args + ["--gen-count", 3]) == 0
 
 
 def test_bsg_verify_cli(tmp_path):
@@ -137,6 +166,16 @@ def test_bsg_verify_deterministic(tmp_path):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_bsg_verify_max_support_bounded_by_group(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    args = ["bsg-verify", "--field", "2", "--count", 3, "--out", out]
+    for bad in (50, 5, 0):
+        assert run(args + ["--max-support", bad]) == 1
+        assert "--max-support" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(args + ["--max-support", 4]) == 0
 
 
 def test_lemma_suite_subset(tmp_path):

@@ -1,19 +1,25 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copy
+import pickle
+
 from orchardlab.field import (
+    _INTERNED,
     CompositeModulus,
     FieldCtx,
     FieldElem,
     FieldError,
     NonResidue,
     ZeroInverse,
+    _poly_mulmod,
     _tonelli_shanks,
     adjoin_sqrt,
     inv,
     least_primitive_root,
 )
+from orchardlab.projgeom import MixedContexts, ProjPoint, line_through
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
@@ -180,3 +186,95 @@ def test_char2_sqrt_is_frobenius_inverse():
     for a in ctx.elements():
         r = ctx.sqrt(a)
         assert r * r == a
+
+
+# -- log tables and interning -------------------------------------------------
+
+def _oracle_mul(a, b):
+    ctx = a.ctx
+    return tuple(_poly_mulmod(list(a.coeffs), list(b.coeffs), list(ctx.modulus), ctx.p))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_table_arithmetic_matches_poly_oracle_exhaustive(p, n):
+    ctx = FieldCtx(p, n)
+    elems = list(ctx.elements())
+    one = ctx.one().coeffs
+    for a in elems:
+        for b in elems:
+            assert (a * b).coeffs == _oracle_mul(a, b)
+        if not a.is_zero():
+            assert _oracle_mul(a, inv(a)) == one
+
+
+F625 = FieldCtx(5, 4)
+F625_CODES = st.lists(st.integers(0, 4), min_size=4, max_size=4)
+
+
+@settings(max_examples=300)
+@given(F625_CODES, F625_CODES)
+def test_table_arithmetic_matches_poly_oracle_f625(x, y):
+    a, b = F625.elem(x), F625.elem(y)
+    assert (a * b).coeffs == _oracle_mul(a, b)
+    assert (b * a).coeffs == _oracle_mul(a, b)
+    if not a.is_zero():
+        assert _oracle_mul(a, inv(a)) == F625.one().coeffs
+
+
+def test_contexts_are_interned():
+    assert FieldCtx(3, 2) is F9
+    assert FieldCtx(3, 2, (1, 0, 1)) is F9  # the least irreducible, spelled out
+    assert FieldCtx(5) is F5
+    for ctx in (F5, F9, F25, FieldCtx(2, 3)):
+        assert FieldCtx.from_descriptor(ctx.descriptor()) is ctx
+    assert FieldCtx.from_descriptor("3^2") is F9
+    big, _, _ = adjoin_sqrt(F3, F3.elem(2))
+    assert big is F9
+    big, _, _ = adjoin_sqrt(F5, F5.elem(2))
+    assert big is F25
+
+
+def test_unreduced_modulus_is_the_reduced_field():
+    assert FieldCtx(3, 2, (4, 3, 1)) is F9
+    assert FieldCtx(3, 2, (-2, 0, 4)) is F9
+    assert FieldCtx(5, 2, (7, 6, 11)) is FieldCtx(5, 2, (2, 1, 1))
+
+
+def test_reducible_modulus_raises_every_time():
+    for _ in range(3):
+        with pytest.raises(CompositeModulus):
+            FieldCtx(5, 2, (4, 0, 1))
+        with pytest.raises(CompositeModulus):
+            FieldCtx(5, 2, (9, 5, 6))  # the same modulus, unreduced
+    assert (5, 2, (4, 0, 1)) not in _INTERNED
+
+
+def test_copy_and_pickle_keep_identity():
+    for ctx in (F5, F9, F25):
+        assert copy.copy(ctx) is ctx
+        assert copy.deepcopy(ctx) is ctx
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+        e = ctx.elem(list(range(2, ctx.n + 2)))
+        for clone in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert clone.ctx is ctx and clone == e
+            assert clone * clone == e * e
+
+
+def test_f9_with_different_moduli_do_not_mix():
+    other = FieldCtx(3, 2, (2, 1, 1))  # t^2 + t + 2, not the default t^2 + 1
+    assert other is not F9 and other != F9
+    a, b = F9.elem([1, 1]), other.elem([1, 1])
+    assert a != b
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(FieldError):
+            op()
+    with pytest.raises(FieldError):
+        F9.elem(b)
+    with pytest.raises(FieldError):
+        F9.sqrt(b)
+    with pytest.raises(FieldError):
+        adjoin_sqrt(F9, b)
+    p, q = ProjPoint(F9, [1, 0, 0, 0]), ProjPoint(other, [0, 1, 0, 0])
+    assert ProjPoint(F9, [1, 0, 0, 0]) != ProjPoint(other, [1, 0, 0, 0])
+    with pytest.raises(MixedContexts):
+        line_through(p, q)

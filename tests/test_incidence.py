@@ -24,6 +24,7 @@ from orchardlab.incidence import (
     stabilizer_census_affine,
 )
 from orchardlab.projgeom import (
+    EqualPoints,
     ProjPlane,
     ProjPoint,
     TooLarge,
@@ -142,6 +143,15 @@ def test_line_concentration_examples():
     assert line_concentration(line.points()).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1
     assert line_concentration([]).max_count == 0
+
+
+@pytest.mark.parametrize("ctx", [F5, F9])
+def test_line_concentration_rejects_repeated_points(ctx):
+    a = ProjPoint(ctx, [1, 0, 0, 0])
+    b = ProjPoint(ctx, [0, 1, 0, 0])
+    for X in ([a, a, b], [a, a], [b, a, b]):
+        with pytest.raises(EqualPoints):
+            line_concentration(X)
 
 
 def test_pencil_concentration():
