@@ -14,6 +14,7 @@ are gated on the linear-form hypothesis ||nu*nu||_2 >= K^-1 ||nu||_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Set
@@ -22,6 +23,7 @@ from .measures import (
     GroupMeasure,
     GroupOps,
     MeasureError,
+    _sum_sq,
     convolve,
     l1_norm,
     l2_norm_sq,
@@ -70,11 +72,22 @@ class BsgDecomposition:
     l2_sq: Fraction             # ||nu||_2^2
 
     def reconstruction_exact(self) -> bool:
-        for g in self.nu.support():
-            total = self.nu1(g) + self.nu2(g) + self.nu_str(g)
-            if total != self.nu(g):
-                return False
-        return True
+        # every mass rescaled to numerators over the common denominator L
+        parts = (self.nu1, self.nu2, self.nu_str)
+        L = math.lcm(self.nu.den, *(part.den for part in parts))
+        scaled = [(part.nums, L // part.den) for part in parts]
+        scale = L // self.nu.den
+        return all(
+            sum(nums.get(k, 0) * s for nums, s in scaled) == n * scale
+            for k, n in self.nu.nums.items()
+        )
+
+
+def _threshold(nu: GroupMeasure, t: Fraction):
+    """(a, b) with: an atom of numerator n has mass n / den >= t ||nu||_2^2
+    exactly when n * a >= b (and likewise for <=, <, >, ==)."""
+    b, c = (t * _sum_sq(nu)).as_integer_ratio()
+    return nu.den * c, b
 
 
 def decompose(nu: GroupMeasure, K) -> BsgDecomposition:
@@ -86,34 +99,33 @@ def decompose(nu: GroupMeasure, K) -> BsgDecomposition:
         raise MeasureError("decomposition expects a probability measure")
     M = 16 * K
     delta = 1 / (M * M)
-    l2 = l2_norm_sq(nu)
-    hi = M * l2
-    lo = delta * l2
+    hi_a, hi_b = _threshold(nu, M)
+    lo_a, lo_b = _threshold(nu, delta)
     heavy, diffuse, structured = {}, {}, {}
-    boundary = set()
-    for g, m in nu.masses.items():
-        if m >= hi:
-            heavy[g] = m
-            if m == hi:
-                boundary.add(g)
-        elif m <= lo:
-            diffuse[g] = m
-            if m == lo:
-                boundary.add(g)
+    boundary = []
+    for k, n in nu.nums.items():
+        if n * hi_a >= hi_b:
+            heavy[k] = n
+            if n * hi_a == hi_b:
+                boundary.append(k)
+        elif n * lo_a <= lo_b:
+            diffuse[k] = n
+            if n * lo_a == lo_b:
+                boundary.append(k)
         else:
-            structured[g] = m
-    group = nu.group
+            structured[k] = n
+    group, den = nu.group, nu.den
     return BsgDecomposition(
         K=K,
         M=M,
         delta=delta,
         nu=nu,
-        nu1=GroupMeasure(group, heavy, is_probability=False),
-        nu2=GroupMeasure(group, diffuse, is_probability=False),
-        nu_str=GroupMeasure(group, structured, is_probability=False),
-        structured_support=set(structured),
-        boundary_atoms=boundary,
-        l2_sq=l2,
+        nu1=GroupMeasure.from_numerators(group, heavy, den, is_probability=False),
+        nu2=GroupMeasure.from_numerators(group, diffuse, den, is_probability=False),
+        nu_str=GroupMeasure.from_numerators(group, structured, den, is_probability=False),
+        structured_support=set(map(group.element, structured)),
+        boundary_atoms=set(map(group.element, boundary)),
+        l2_sq=l2_norm_sq(nu),
     )
 
 
@@ -123,11 +135,10 @@ def restrict_open_band(nu: GroupMeasure, K) -> GroupMeasure:
     the structured part because the heavy cut is non-strict at the top
     and the diffuse cut non-strict at the bottom."""
     K = Fraction(K)
-    l2 = l2_norm_sq(nu)
-    lo = l2 / (256 * K * K)
-    hi = 16 * K * l2
-    kept = {g: m for g, m in nu.masses.items() if lo < m < hi}
-    return GroupMeasure(nu.group, kept, is_probability=False)
+    lo_a, lo_b = _threshold(nu, 1 / (256 * K * K))
+    hi_a, hi_b = _threshold(nu, 16 * K)
+    kept = {k: n for k, n in nu.nums.items() if lo_b < n * lo_a and n * hi_a < hi_b}
+    return GroupMeasure.from_numerators(nu.group, kept, nu.den, is_probability=False)
 
 
 def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
@@ -184,8 +195,8 @@ def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
         )
     )
 
-    A = dec.structured_support
-    size_stat = len(A) * l2
+    size = len(dec.nu_str)     # |A| for A = supp(nu_str)
+    size_stat = size * l2
     checks.append(
         InequalityCheck.compare("support_stat_upper", size_stat, "<=", (2**16) * K**4)
     )
@@ -199,10 +210,11 @@ def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
         )
     )
 
-    if A:
-        inv_a = Fraction(1, len(A))
-        worst_lower = min(inv_a / nu(g) for g in A)   # min over A of mu_A/nu
-        worst_upper = max(inv_a / nu(g) for g in A)
+    if size:
+        # mu_A / nu = den / (|A| n) over the atoms of A, n their numerators in nu
+        on_a = [nu.nums[k] for k in dec.nu_str.nums]
+        worst_lower = Fraction(nu.den, size * max(on_a))
+        worst_upper = Fraction(nu.den, size * min(on_a))
         checks.append(
             InequalityCheck.compare(
                 "pointwise_lower", Fraction(1, 2**20) / K**5, "<=", worst_lower

@@ -14,6 +14,12 @@ table method of galois and of Givaro's log fields), built once per field
 on its first product or inverse: exp[i] = g^i for a primitive element g,
 and log maps the coefficient tuple of each nonzero element back to i.
 Addition stays coefficientwise mod p.
+
+Code that works on many elements at once (the affine group of
+`measures`) can trade elements for ints: `FieldCtx.code` numbers the
+elements 0..q-1, and `FieldCtx._zech` gives every field, prime or
+not, Zech-log arrays of one layout, with which products and sums of log
+codes are list lookups.
 """
 
 from __future__ import annotations
@@ -202,6 +208,7 @@ class FieldCtx:
             ctx._sqrt_table = None
             ctx._exp = None
             ctx._log = None
+            ctx._zech_arrays = None
             _INTERNED[key] = ctx
         return ctx
 
@@ -244,13 +251,30 @@ class FieldCtx:
         return self.elem(1)
 
     def elements(self) -> Iterator["FieldElem"]:
-        """All field elements, ascending lexicographic coefficient order."""
+        """All field elements, coeffs[0] varying fastest (F_9: (0,0),
+        (1,0), (2,0), (0,1), ...): the coefficient tuples read as base-p
+        numbers, least significant digit first.  This is not lexicographic
+        order on the tuples; that order is elements_sorted() and the order
+        of `code`."""
         for code in range(self.order):
-            # lexicographic on the tuple itself, not on the mixed-radix code
             yield FieldElem(self, tuple(_digits(code, self.p, self.n)))
 
     def elements_sorted(self):
         return sorted(self.elements(), key=lambda e: e.coeffs)
+
+    # -- integer codes ---------------------------------------------------
+
+    def code(self, e: "FieldElem") -> int:
+        """The int code of e in [0, q): coeffs as base-p digits, coeffs[0]
+        most significant, so that codes order elements lexicographically
+        on their coefficient tuples, as elements_sorted() does."""
+        c = 0
+        for d in e.coeffs:
+            c = c * self.p + d
+        return c
+
+    def from_code(self, code: int) -> "FieldElem":
+        return FieldElem(self, tuple(reversed(_digits(code, self.p, self.n))))
 
     # -- multiplicative tables (n > 1) ----------------------------------
 
@@ -292,6 +316,52 @@ class FieldCtx:
             self._exp = exp
             self._log = log
         return self._exp, self._log
+
+    def _zech(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Zech-log arrays (log, exp, red, zech) on int codes, built on
+        first use; every field, prime or not, has the same four.
+
+        An element x has log code l(x) = log_g x in [0, q - 1) for x != 0,
+        and l(0) = Z = 2(q - 1), far enough out that a sum of two codes
+        tells whether either was 0.  With g the generator of `_tables()`
+        for n > 1 and the least primitive root mod p for n = 1:
+
+        - log[c] is the log code of the element with int code c;
+        - exp[l] is the int code of the element with log code l, 0 <= l <= Z;
+        - red[i], 0 <= i <= 2Z: l(x y) = red[l(x) + l(y)];
+        - zech[d + Z], -Z <= d <= Z: for all x, y (either may be 0),
+          l(x + y) = red[l(x) + zech[l(y) - l(x) + Z]].
+
+        Each has at most 4(q - 1) + 1 entries.
+        """
+        if self._zech_arrays is None:
+            p, q = self.p, self.order
+            if self.n == 1:
+                g = least_primitive_root(p)
+                powers = [1]
+                for _ in range(q - 2):
+                    powers.append(powers[-1] * g % p)
+            else:
+                exp_elems, _ = self._tables()
+                powers = [self.code(e) for e in exp_elems[: q - 1]]
+            Z = 2 * (q - 1)
+            log = [Z] * q
+            for i, c in enumerate(powers):
+                log[c] = i
+            exp = powers * 2 + [0]
+            red = list(range(q - 1)) * 2 + [Z] * (Z + 1)
+            # l(y) - l(x) lies in [-(q-2), q-2] when x, y != 0, in
+            # [-Z, -q] when x = 0 and in [q, Z] when y = 0 (x = y = 0 hits
+            # d = 0, where red absorbs any offset); d = +-(q-1) never occurs
+            zech = [0] * (2 * Z + 1)
+            for d in range(-Z, -q + 1):
+                zech[d + Z] = d                   # x = 0: the sum is y
+            top = q // p                          # the place of coeffs[0]
+            for d in range(-(q - 2), q - 1):
+                c = exp[d % (q - 1)]              # 1 + g^d: add 1 to coeffs[0]
+                zech[d + Z] = log[c + top if c < q - top else c - (q - top)]
+            self._zech_arrays = (log, exp, red, zech)
+        return self._zech_arrays
 
     # -- square roots ---------------------------------------------------
 
@@ -374,13 +444,17 @@ class FieldElem:
             return self.ctx.elem(other)
         return NotImplemented
 
+    # coefficientwise mod p; map over the C-level operators builds the
+    # tuple without a Python frame per coefficient
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        p = self.ctx.p
+        ctx = self.ctx
+        if ctx.n == 1:
+            return FieldElem(ctx, ((self.coeffs[0] + o.coeffs[0]) % ctx.p,))
         return FieldElem(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
+            ctx, tuple(map(ctx.p.__rmod__, map(operator.add, self.coeffs, o.coeffs)))
         )
 
     __radd__ = __add__
@@ -389,17 +463,21 @@ class FieldElem:
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        p = self.ctx.p
+        ctx = self.ctx
+        if ctx.n == 1:
+            return FieldElem(ctx, ((self.coeffs[0] - o.coeffs[0]) % ctx.p,))
         return FieldElem(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
+            ctx, tuple(map(ctx.p.__rmod__, map(operator.sub, self.coeffs, o.coeffs)))
         )
 
     def __rsub__(self, other):
         return self.ctx.elem(other) - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElem(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        if ctx.n == 1:
+            return FieldElem(ctx, (-self.coeffs[0] % ctx.p,))
+        return FieldElem(ctx, tuple(map(ctx.p.__rmod__, map(operator.neg, self.coeffs))))
 
     def __mul__(self, other):
         o = self._lift(other)

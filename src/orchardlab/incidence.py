@@ -306,13 +306,16 @@ def count_collinear_triples(
     """Ordered, pairwise distinct, collinear triples of X1 x X2 x X3.
 
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
-    "both" (run the two and insist on identical totals).
+    "both" (run the two and insist on identical totals).  Raises
+    EqualPoints when some Xi repeats a point.
     """
     if not X1 or not X2 or not X3:
         return TripleCount(0, {}, kernel)
     ctx = _common_ctx([X1, X2, X3])
     if len(X1) * len(X2) > PAIR_PRODUCT_CAP:
         raise TooLarge("pair product exceeds the counting guard")
+    if any(len(set(X)) != len(X) for X in (X1, X2, X3)):
+        raise EqualPoints("a point set repeats a point")
     if kernel == "both":
         brute = count_collinear_triples(X1, X2, X3, "brute", collect_by_line)
         hashed = count_collinear_triples(X1, X2, X3, "hash", collect_by_line)

@@ -1,16 +1,27 @@
 """Finitely supported exact-rational measures on group elements.
 
-Masses are fractions.Fraction, so every norm, convolution value and
-inequality in this module (and in the decomposition built on top of it)
-is decided exactly; floats appear only in human-readable report columns.
+A measure is stored as positive integer numerators, keyed by group keys,
+over one shared positive denominator, in lowest terms (no prime divides
+the denominator and every numerator).  Convolution multiplies keys and
+numerators; norms, thresholds and bound checks compare integers.
+`Fraction` appears only at the boundary: constructors take exact masses,
+and `masses`, `mu(g)`, the norms and the report rows give `Fraction`s.
 L^2 quantities are always handled squared to stay rational.
+
+A group key is the group's own encoding of an element.  The affine group
+G_a^2 x| G_m over F_q keys (a, b, c) as one int built from the Zech-log
+codes of a, b and c (see `field.FieldCtx._zech`), so its products and
+inverses are a few lookups in arrays of length O(q).  Other groups, such
+as PGL_4, key an element by itself and multiply with `multiply`.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .field import FieldCtx
 from .groups import AffElem, PGLElem, aff_compose, aff_inverse
@@ -46,7 +57,9 @@ class GroupOps:
     """Multiplication structure for measure supports.
 
     Elements must be hashable canonical values; sort_key gives the
-    deterministic iteration order used in reports.
+    deterministic iteration order used in reports.  Measures store their
+    atoms under `key(g)`; by default an element is its own key, and a
+    group with a faster encoding overrides the four key methods together.
     """
 
     name = "opaque"
@@ -69,6 +82,22 @@ class GroupOps:
     def parse_element(self, text: str):
         raise NotImplementedError(f"{self.name} group cannot parse elements")
 
+    def key(self, g):
+        """The hashable key a measure stores g under."""
+        return g
+
+    def element(self, k):
+        """The element with key k."""
+        return k
+
+    def key_multiplier(self) -> Callable:
+        """A function (key(g), key(h)) -> key(g h)."""
+        return self.multiply
+
+    def key_inverse(self, k):
+        """key(g^-1) from k = key(g)."""
+        return self.inverse(k)
+
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
 
@@ -77,7 +106,13 @@ class GroupOps:
 
 
 class AffineGroupOps(GroupOps):
-    """G_a^2 x| G_m over a fixed field."""
+    """G_a^2 x| G_m over a fixed field.
+
+    (a, b, c) has key (l(a) Q + l(b)) R + l(c), where l is the Zech-log
+    code of `FieldCtx._zech` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1;
+    keys decode with divmod.  The arrays live on the interned field
+    context, so two groups over one field compare equal and share them.
+    """
 
     name = "affine"
 
@@ -101,6 +136,55 @@ class AffineGroupOps(GroupOps):
 
     def parse_element(self, text):
         return AffElem.parse(self.ctx, text)
+
+    def key(self, g) -> int:
+        ctx = self.ctx
+        if not isinstance(g, AffElem) or g.ctx is not ctx:
+            raise MixedGroups(f"{g!r} is not an element of the affine group over {ctx}")
+        log = ctx._zech()[0]
+        code = ctx.code
+        q = ctx.order
+        return (log[code(g.a)] * (2 * q - 1) + log[code(g.b)]) * (q - 1) + log[code(g.c)]
+
+    def element(self, k: int) -> AffElem:
+        ctx = self.ctx
+        exp = ctx._zech()[1]
+        q = ctx.order
+        ab, c = divmod(k, q - 1)
+        a, b = divmod(ab, 2 * q - 1)
+        return AffElem(ctx, *(ctx.from_code(exp[x]) for x in (a, b, c)))
+
+    def key_multiplier(self) -> Callable[[int, int], int]:
+        # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
+        # log codes are red[x + y], sums red[x + zech[y - x + Z]]
+        _, _, red, zech = self.ctx._zech()
+        R = self.ctx.order - 1
+        Z = 2 * R
+        Q = Z + 1
+
+        def multiply(k: int, l: int) -> int:
+            gab, gc = divmod(k, R)
+            ga, gb = divmod(gab, Q)
+            hab, hc = divmod(l, R)
+            ha, hb = divmod(hab, Q)
+            a = red[ha + zech[red[ga + hc] - ha + Z]]
+            b = red[hb + zech[red[gb + hc] - hb + Z]]
+            return (a * Q + b) * R + red[gc + hc]
+
+        return multiply
+
+    def key_inverse(self, k: int) -> int:
+        # (a, b, c)^-1 = (-a/c, -b/c, 1/c); -1 is the element of order 2
+        # of the cyclic F_q^*, so l(-1) = (q-1)/2, except that -1 = 1 (and
+        # l(-1) = 0) in characteristic 2
+        _, _, red, _ = self.ctx._zech()
+        R = self.ctx.order - 1
+        Q = 2 * R + 1
+        ab, c = divmod(k, R)
+        a, b = divmod(ab, Q)
+        c_inv = red[R - c]
+        scale = red[(R // 2 if R % 2 == 0 else 0) + c_inv]     # l(-1/c)
+        return (red[a + scale] * Q + red[b + scale]) * R + c_inv
 
 
 class PGLGroupOps(GroupOps):
@@ -130,94 +214,169 @@ class PGLGroupOps(GroupOps):
         return PGLElem.parse(self.ctx, text)
 
 
-class GroupMeasure:
-    """A finitely supported measure with positive rational masses."""
+def _exact(m) -> Fraction:
+    """An exact mass from an int, a Fraction or a numeric string; floats
+    (inexact) and bools (not numbers here) are refused."""
+    if isinstance(m, (bool, float)):
+        raise MeasureError(f"mass {m!r} is not exact: give an int, a Fraction or a string")
+    try:
+        return Fraction(m)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MeasureError(f"bad mass {m!r}") from exc
 
-    __slots__ = ("group", "masses", "is_probability")
+
+class GroupMeasure:
+    """A finitely supported measure with positive rational masses.
+
+    Atom g has mass nums[group.key(g)] / den, with den > 0 and the
+    numerators and den coprime as a whole.  Masses given to the
+    constructor must be exact (see `_exact`); zero masses are dropped.
+    """
+
+    __slots__ = ("group", "nums", "den", "is_probability")
 
     def __init__(self, group: GroupOps, masses: Dict, is_probability=None):
-        cleaned = {}
+        exact = {}
         for g, m in masses.items():
-            m = Fraction(m)
+            m = _exact(m)
             if m < 0:
                 raise MeasureError("masses must be positive")
             if m:
-                cleaned[g] = m
+                exact[group.key(g)] = m
+        # the lcm of reduced denominators already leaves the sum in lowest terms
+        den = math.lcm(*(m.denominator for m in exact.values()))
+        nums = {k: m.numerator * (den // m.denominator) for k, m in exact.items()}
+        self._set(group, nums, den, is_probability)
+
+    @classmethod
+    def from_numerators(
+        cls, group: GroupOps, nums: Dict, den: int, is_probability=None
+    ) -> "GroupMeasure":
+        """The measure with mass nums[k] / den on the element with key k;
+        every numerator must be a positive int."""
+        common = math.gcd(den, *nums.values())
+        if common > 1:
+            den //= common
+            nums = {k: n // common for k, n in nums.items()}
+        mu = cls.__new__(cls)
+        mu._set(group, nums, den, is_probability)
+        return mu
+
+    def _set(self, group, nums, den, is_probability):
         self.group = group
-        self.masses = cleaned
-        total = sum(cleaned.values(), Fraction(0))
+        self.nums = nums
+        self.den = den
+        total = sum(nums.values())
         if is_probability is None:
-            is_probability = total == 1
-        elif is_probability and total != 1:
-            raise MeasureError(f"total mass {total} != 1")
+            is_probability = total == den
+        elif is_probability and total != den:
+            raise MeasureError(f"total mass {Fraction(total, den)} != 1")
         self.is_probability = is_probability
+
+    @property
+    def masses(self) -> "Masses":
+        return Masses(self)
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupMeasure)
             and self.group == other.group
-            and self.masses == other.masses
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __call__(self, g) -> Fraction:
-        return self.masses.get(g, Fraction(0))
+        return Fraction(self.nums.get(self.group.key(g), 0), self.den)
 
     def support(self):
-        return set(self.masses)
+        return set(map(self.group.element, self.nums))
 
     def support_sorted(self):
-        return sorted(self.masses, key=self.group.sort_key)
+        return sorted(map(self.group.element, self.nums), key=self.group.sort_key)
 
     def total_mass(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def __len__(self):
-        return len(self.masses)
+        return len(self.nums)
 
     def __repr__(self):
-        return f"GroupMeasure({len(self.masses)} atoms, mass {self.total_mass()})"
+        return f"GroupMeasure({len(self.nums)} atoms, mass {self.total_mass()})"
+
+
+class Masses(Mapping):
+    """Read-only element -> Fraction view of a measure's atoms."""
+
+    __slots__ = ("_mu",)
+
+    def __init__(self, mu: GroupMeasure):
+        self._mu = mu
+
+    def __getitem__(self, g) -> Fraction:
+        mu = self._mu
+        return Fraction(mu.nums[mu.group.key(g)], mu.den)
+
+    def __iter__(self):
+        return map(self._mu.group.element, self._mu.nums)
+
+    def __len__(self):
+        return len(self._mu.nums)
+
+    def __contains__(self, g):
+        return self._mu.group.key(g) in self._mu.nums
 
 
 def uniform(group: GroupOps, S: Iterable) -> GroupMeasure:
     """The probability measure with mass 1/|S| on each element of S."""
-    elements = list(S)
-    if not elements:
+    keys = [group.key(g) for g in S]
+    if not keys:
         raise EmptySupport("uniform measure needs a nonempty set")
-    if len(set(elements)) != len(elements):
+    if len(set(keys)) != len(keys):
         raise DuplicateElements("set contains duplicate canonical elements")
-    w = Fraction(1, len(elements))
-    return GroupMeasure(group, {g: w for g in elements})
+    return GroupMeasure.from_numerators(group, dict.fromkeys(keys, 1), len(keys))
 
 
 def delta(group: GroupOps, g) -> GroupMeasure:
-    return GroupMeasure(group, {g: Fraction(1)})
+    return GroupMeasure.from_numerators(group, {group.key(g): 1}, 1)
 
 
 def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
-    """(f*h)(x) = sum_y f(y) h(y^-1 x), computed exactly."""
+    """(f*h)(x) = sum_y f(y) h(y^-1 x), computed exactly: numerators
+    multiply over the denominator f.den * h.den."""
     if f.group != h.group:
         raise MixedGroups("convolution across different groups")
     group = f.group
+    multiply = group.key_multiplier()
     out: Dict = {}
-    for y, fy in f.masses.items():
-        for z, hz in h.masses.items():
-            x = group.multiply(y, z)
-            out[x] = out.get(x, Fraction(0)) + fy * hz
-            if len(out) > SUPPORT_CAP:
-                raise SupportBlowup("convolution support exceeds the cap")
-    return GroupMeasure(
-        group, out, is_probability=f.is_probability and h.is_probability
+    get = out.get
+    h_atoms = list(h.nums.items())
+    for y, fy in f.nums.items():
+        for z, hz in h_atoms:
+            x = multiply(y, z)
+            out[x] = get(x, 0) + fy * hz
+        # the support only grows, so checking once per row raises exactly
+        # when checking every term would
+        if len(out) > SUPPORT_CAP:
+            raise SupportBlowup("convolution support exceeds the cap")
+    return GroupMeasure.from_numerators(
+        group, out, f.den * h.den, is_probability=f.is_probability and h.is_probability
     )
 
 
 def reverse(mu: GroupMeasure) -> GroupMeasure:
     """mu~(g) = mu(g^-1)."""
-    group = mu.group
-    return GroupMeasure(
-        group,
-        {group.inverse(g): m for g, m in mu.masses.items()},
+    inverse = mu.group.key_inverse
+    return GroupMeasure.from_numerators(
+        mu.group,
+        {inverse(k): n for k, n in mu.nums.items()},
+        mu.den,
         is_probability=mu.is_probability,
     )
+
+
+def _sum_sq(mu: GroupMeasure) -> int:
+    """den^2 ||mu||_2^2."""
+    return sum(n * n for n in mu.nums.values())
 
 
 def l1_norm(mu: GroupMeasure) -> Fraction:
@@ -225,11 +384,11 @@ def l1_norm(mu: GroupMeasure) -> Fraction:
 
 
 def l2_norm_sq(mu: GroupMeasure) -> Fraction:
-    return sum((m * m for m in mu.masses.values()), Fraction(0))
+    return Fraction(_sum_sq(mu), mu.den * mu.den)
 
 
 def linf_norm(mu: GroupMeasure) -> Fraction:
-    return max(mu.masses.values(), default=Fraction(0))
+    return Fraction(max(mu.nums.values(), default=0), mu.den)
 
 
 def lp_norm_sq(mu: GroupMeasure, p) -> Fraction:
@@ -273,8 +432,8 @@ def sym_power_2exp(mu: GroupMeasure, m: int) -> GroupMeasure:
 
 
 def is_symmetric(mu: GroupMeasure) -> bool:
-    group = mu.group
-    return all(mu(group.inverse(g)) == m for g, m in mu.masses.items())
+    inverse, nums = mu.group.key_inverse, mu.nums
+    return all(nums.get(inverse(k)) == n for k, n in nums.items())
 
 
 def verify_subgroup(group: GroupOps, H: Iterable) -> List:
@@ -327,20 +486,22 @@ def flattening_report(mu: GroupMeasure, m_max: int) -> List[FlatteningRow]:
         powers.append(convolve(powers[-1], powers[-1]))
     for m in range(m_max + 1):
         cur, nxt = powers[m], powers[m + 1]
-        l2_cur = l2_norm_sq(cur)
-        l2_nxt = l2_norm_sq(nxt)
+        # ||.||_2^2 = s / d with d the squared denominator
+        s_cur, d_cur = _sum_sq(cur), cur.den * cur.den
+        s_nxt, d_nxt = _sum_sq(nxt), nxt.den * nxt.den
         row = FlatteningRow(
             m=m,
             support=len(cur),
-            l2_sq=l2_cur,
+            l2_sq=Fraction(s_cur, d_cur),
             linf=linf_norm(cur),
-            ratio_sq=l2_nxt / l2_cur,
+            ratio_sq=Fraction(s_nxt * d_cur, s_cur * d_nxt),
         )
-        if linf_norm(nxt) > l2_cur:
+        if max(nxt.nums.values()) * d_cur > s_cur * nxt.den:
             raise MeasureError("convolution-square bound violated")
-        if l2_nxt > l1_norm(cur) ** 2 * l2_cur:
+        l1_cur = sum(cur.nums.values())
+        if s_nxt * d_cur * d_cur > l1_cur * l1_cur * s_cur * d_nxt:
             raise MeasureError("Young bound violated")
-        if l2_nxt > l2_cur:
+        if s_nxt * d_cur > s_cur * d_nxt:
             raise MeasureError("squared L2 norm increased under convolution")
         rows.append(row)
     return rows
@@ -350,8 +511,9 @@ def flattening_report(mu: GroupMeasure, m_max: int) -> List[FlatteningRow]:
 
 def save_measure(path, mu: GroupMeasure) -> None:
     with open(path, "w", encoding="utf-8") as fh:
+        masses = mu.masses
         for g in mu.support_sorted():
-            m = mu.masses[g]
+            m = masses[g]
             fh.write(f"{mu.group.element_text(g)} {m.numerator}/{m.denominator}\n")
 
 

@@ -297,3 +297,15 @@ def test_omega_rejects_bad_t():
     ft = free_tuples(pts, [AffElem.identity(F3)], 1, aff_act)
     with pytest.raises(ValueError):
         omega_set(ft, [], Fraction(3, 2), aff_act)
+
+
+@pytest.mark.parametrize("kernel", ["hash", "brute", "both"])
+@pytest.mark.parametrize("ctx", [F5, F9])
+def test_triple_count_rejects_repeated_points(ctx, kernel):
+    a = ProjPoint(ctx, [1, 0, 0, 0])
+    b = ProjPoint(ctx, [0, 1, 0, 0])
+    c = ProjPoint(ctx, [1, 1, 0, 0])
+    for X1, X2, X3 in (([a, a, b], [c], [b, c]), ([a], [b, c, b], [c]),
+                       ([a, b], [c], [a, c, c])):
+        with pytest.raises(EqualPoints):
+            count_collinear_triples(X1, X2, X3, kernel)

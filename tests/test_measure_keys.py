@@ -1,0 +1,258 @@
+"""Integer-keyed measures against the element/Fraction oracle.
+
+The oracle below is the convolution, reversal, norms, decomposition and
+flattening report written directly on dicts of group elements to
+`Fraction` masses, multiplying with `aff_compose` (or the group's own
+`multiply`).  The library computes the same things on integer group keys
+and integer numerators over one denominator; every result must agree
+exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orchardlab.bsg import decompose, restrict_open_band, verify_decomposition
+from orchardlab.field import FieldCtx
+from orchardlab.groups import AffElem, PGLElem, aff_compose, aff_inverse
+from orchardlab.incidence import affine_group_elements
+from orchardlab.measures import (
+    AffineGroupOps,
+    GroupMeasure,
+    MeasureError,
+    MixedGroups,
+    PGLGroupOps,
+    convolve,
+    flattening_report,
+    is_symmetric,
+    l1_norm,
+    l2_norm_sq,
+    linf_norm,
+    reverse,
+    symmetrize,
+)
+
+FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7),
+          FieldCtx(2, 3), FieldCtx(3, 2)]
+ELEMENTS = {ctx: affine_group_elements(ctx) for ctx in FIELDS}
+
+
+# -- the oracle: masses as {element: Fraction} -------------------------------
+
+def oracle_convolve(group, f, h):
+    out = {}
+    for y, fy in f.items():
+        for z, hz in h.items():
+            x = group.multiply(y, z)
+            out[x] = out.get(x, Fraction(0)) + fy * hz
+    return out
+
+
+def oracle_reverse(group, f):
+    return {group.inverse(g): m for g, m in f.items()}
+
+
+def oracle_l2_sq(f):
+    return sum((m * m for m in f.values()), Fraction(0))
+
+
+def oracle_decompose(f, K):
+    M = 16 * Fraction(K)
+    l2 = oracle_l2_sq(f)
+    hi, lo = M * l2, l2 / (M * M)
+    heavy, diffuse, structured, boundary = {}, {}, {}, set()
+    for g, m in f.items():
+        if m >= hi:
+            heavy[g] = m
+            if m == hi:
+                boundary.add(g)
+        elif m <= lo:
+            diffuse[g] = m
+            if m == lo:
+                boundary.add(g)
+        else:
+            structured[g] = m
+    return heavy, diffuse, structured, boundary
+
+
+def oracle_flattening(group, f, m_max):
+    """(support, l2_sq, linf, ratio_sq) per m, as flattening_report."""
+    powers = [oracle_convolve(group, oracle_reverse(group, f), f)]
+    for _ in range(m_max + 1):
+        powers.append(oracle_convolve(group, powers[-1], powers[-1]))
+    rows = []
+    for cur, nxt in zip(powers, powers[1:]):
+        l2 = oracle_l2_sq(cur)
+        rows.append((len(cur), l2, max(cur.values()), oracle_l2_sq(nxt) / l2))
+    return rows
+
+
+# -- keys ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=repr)
+def test_key_roundtrip_whole_group(ctx):
+    group = AffineGroupOps(ctx)
+    keys = set()
+    for g in ELEMENTS[ctx]:
+        k = group.key(g)
+        assert isinstance(k, int)
+        assert group.element(k) == g
+        keys.add(k)
+    assert len(keys) == len(ELEMENTS[ctx])
+
+
+@pytest.mark.parametrize("ctx", [c for c in FIELDS if c.order <= 5], ids=repr)
+def test_key_product_and_inverse_exhaustive(ctx):
+    group = AffineGroupOps(ctx)
+    multiply = group.key_multiplier()
+    elements = ELEMENTS[ctx]
+    keys = [group.key(g) for g in elements]
+    for g, kg in zip(elements, keys):
+        assert group.key_inverse(kg) == group.key(aff_inverse(g))
+        for h, kh in zip(elements, keys):
+            assert multiply(kg, kh) == group.key(aff_compose(g, h))
+
+
+def test_key_rejects_other_fields():
+    group = AffineGroupOps(FieldCtx(5))
+    with pytest.raises(MixedGroups):
+        group.key(AffElem(FieldCtx(7), 1, 2, 3))
+    with pytest.raises(MixedGroups):
+        GroupMeasure(group, {AffElem(FieldCtx(3, 2), 0, 0, 1): 1})
+
+
+# -- measures ----------------------------------------------------------------
+
+@st.composite
+def masses(draw, ctx, max_support=8, max_weight=20):
+    elements = ELEMENTS[ctx]
+    picks = draw(st.lists(st.integers(0, len(elements) - 1), min_size=1,
+                          max_size=max_support, unique=True))
+    weights = draw(st.lists(st.integers(1, max_weight), min_size=len(picks),
+                            max_size=len(picks)))
+    total = sum(weights)
+    return {elements[i]: Fraction(w, total) for i, w in zip(picks, weights)}
+
+
+@st.composite
+def field_and_masses(draw, count=2, **kwargs):
+    ctx = draw(st.sampled_from(FIELDS))
+    return (ctx, *(draw(masses(ctx, **kwargs)) for _ in range(count)))
+
+
+@given(field_and_masses())
+@settings(max_examples=80, deadline=None)
+def test_convolve_reverse_and_norms_match_oracle(case):
+    ctx, f, h = case
+    group = AffineGroupOps(ctx)
+    mu, nu = GroupMeasure(group, f), GroupMeasure(group, h)
+    assert dict(mu.masses) == f and len(mu.masses) == len(f)
+    conv = convolve(mu, nu)
+    want = oracle_convolve(group, f, h)
+    assert dict(conv.masses) == want
+    assert len(conv.masses) == len(want) == len(conv)
+    assert conv.is_probability
+    rev = oracle_reverse(group, f)
+    assert dict(reverse(mu).masses) == rev
+    assert is_symmetric(mu) == (rev == f)
+    assert is_symmetric(symmetrize(mu))
+    assert l1_norm(conv) == sum(want.values()) == 1
+    assert l2_norm_sq(conv) == oracle_l2_sq(want)
+    assert linf_norm(conv) == max(want.values())
+    for g in list(want)[:5]:
+        assert conv(g) == want[g]
+
+
+@given(field_and_masses(count=1, max_support=12, max_weight=10**4),
+       st.sampled_from([1, 2, Fraction(3, 2), 4]))
+@settings(max_examples=80, deadline=None)
+def test_decompose_matches_oracle(case, K):
+    ctx, f = case
+    group = AffineGroupOps(ctx)
+    nu = GroupMeasure(group, f)
+    dec = decompose(nu, K)
+    heavy, diffuse, structured, boundary = oracle_decompose(f, K)
+    assert dict(dec.nu1.masses) == heavy
+    assert dict(dec.nu2.masses) == diffuse
+    assert dict(dec.nu_str.masses) == structured
+    assert dec.structured_support == set(structured)
+    assert dec.boundary_atoms == boundary
+    assert dec.l2_sq == oracle_l2_sq(f)
+    assert dec.reconstruction_exact()
+    assert restrict_open_band(nu, K) == dec.nu_str
+    named = {c.name: c for c in verify_decomposition(nu, K)}
+    if structured:
+        ratios = [Fraction(1, len(structured)) / m for m in structured.values()]
+        assert named["pointwise_lower"].rhs == min(ratios)
+        assert named["pointwise_upper"].lhs == max(ratios)
+
+
+def test_decompose_heavy_and_diffuse_match_oracle():
+    # a heavy atom needs a sea of 1000+ atoms (see test_bsg): F_11
+    ctx = FieldCtx(11)
+    elements = sorted(affine_group_elements(ctx), key=lambda g: g.key)
+    f = {elements[0]: Fraction(1, 32)}
+    for g in elements[1:1101]:
+        f[g] = Fraction(31, 32 * 1100)
+    for g in elements[1101:1111]:
+        f[g] = Fraction(1, 10**9)
+    total = sum(f.values())
+    f = {g: m / total for g, m in f.items()}
+    nu = GroupMeasure(AffineGroupOps(ctx), f)
+    dec = decompose(nu, 1)
+    heavy, diffuse, structured, _ = oracle_decompose(f, 1)
+    assert heavy and diffuse and structured
+    assert dict(dec.nu1.masses) == heavy
+    assert dict(dec.nu2.masses) == diffuse
+    assert dict(dec.nu_str.masses) == structured
+
+
+@given(field_and_masses(count=1, max_support=6))
+@settings(max_examples=40, deadline=None)
+def test_flattening_report_matches_oracle(case):
+    ctx, f = case
+    group = AffineGroupOps(ctx)
+    rows = flattening_report(GroupMeasure(group, f), 0)
+    got = [(r.support, r.l2_sq, r.linf, r.ratio_sq) for r in rows]
+    assert got == oracle_flattening(group, f, 0)
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(2, 2), FieldCtx(5)], ids=repr)
+def test_flattening_report_two_levels_match_oracle(ctx):
+    rng = random.Random(4)
+    group = AffineGroupOps(ctx)
+    f = {g: Fraction(1, 3) for g in rng.sample(ELEMENTS[ctx], 3)}
+    rows = flattening_report(GroupMeasure(group, f), 1)
+    got = [(r.support, r.l2_sq, r.linf, r.ratio_sq) for r in rows]
+    assert got == oracle_flattening(group, f, 1)
+
+
+def test_pgl_opaque_path_matches_oracle():
+    ctx = FieldCtx(3)
+    group = PGLGroupOps(ctx)
+    shears = [
+        PGLElem(ctx, [[1, s, 0, 0], [0, 1, t, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        for s, t in ((1, 0), (0, 1), (2, 1))
+    ]
+    f = {g: Fraction(w, 6) for g, w in zip(shears, (1, 2, 3))}
+    mu = GroupMeasure(group, f)
+    assert dict(convolve(mu, mu).masses) == oracle_convolve(group, f, f)
+    assert dict(reverse(mu).masses) == oracle_reverse(group, f)
+    assert dict(symmetrize(mu).masses) == oracle_convolve(
+        group, oracle_reverse(group, f), f)
+
+
+def test_masses_must_be_exact():
+    group = AffineGroupOps(FieldCtx(5))
+    e = group.identity()
+    g = AffElem(FieldCtx(5), 1, 0, 1)
+    for bad in (0.1, 0.5, True, False, "x", 1 + 2j):
+        with pytest.raises(MeasureError):
+            GroupMeasure(group, {e: bad})
+    for good in (1, Fraction(1), "1", "2/2", "1.0"):
+        assert GroupMeasure(group, {e: good}).masses[e] == 1
+    mu = GroupMeasure(group, {e: "1/3", g: Fraction(2, 3)})
+    assert mu.is_probability and mu(g) == Fraction(2, 3)
