@@ -46,7 +46,6 @@ from .groups import (
 )
 from .incidence import (
     VerificationFailure,
-    affine_group_elements,
     count_collinear_triples,
     line_concentration,
     pencil_plane_concentration,
@@ -239,6 +238,15 @@ def _affine_group_order(ctx) -> int:
     return q * q * (q - 1)
 
 
+def _affine_element(ctx, index: int) -> AffElem:
+    """The index-th affine group element in `AffElem.key` order: a and b
+    run over elements_sorted(), c over its nonzero elements (the int codes
+    of `FieldCtx.from_code` follow that order)."""
+    ab, c = divmod(index, ctx.order - 1)
+    a, b = divmod(ab, ctx.order)
+    return AffElem(ctx, ctx.from_code(a), ctx.from_code(b), ctx.from_code(c + 1))
+
+
 def _random_affine_elements(ctx, rng, count):
     elems = set()
     nonzero = [e for e in ctx.elements_sorted() if not e.is_zero()]
@@ -300,12 +308,14 @@ def cmd_bsg_verify(args) -> int:
     rng = random.Random(args.seed)
     K = parse_fraction(args.K)
     ExperimentParams(K=K)
-    elements = affine_group_elements(ctx)
-    elements.sort(key=lambda g: g.key)
     failures = []
     instances = []
     for index in range(args.count):
-        support = rng.sample(elements, rng.randint(1, args.max_support))
+        # sampling indices draws what sampling the key-sorted group would
+        support = [
+            _affine_element(ctx, i)
+            for i in rng.sample(range(order), rng.randint(1, args.max_support))
+        ]
         weights = [rng.randint(1, 20) for _ in support]
         total = sum(weights)
         nu = GroupMeasure(

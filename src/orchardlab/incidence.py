@@ -5,17 +5,32 @@ set Omega_t.
 Two interchangeable triple kernels are provided: a brute-force rank test
 over all ordered triples, and a line-hash kernel that buckets point pairs
 by the canonical line they span.  They must agree exactly; the hash
-kernel is the fast one.  Prime fields additionally get a raw-integer
-fast path (identical algorithms, cheaper arithmetic).
+kernel is the fast one.  Prime fields run both on raw int tuples (the
+brute test in its own int kernel, the hash kernel with the int RREF line
+key); other fields run them on points.
+
+- The brute kernels run the four 3x3 minor tests before excluding a
+  repeated point: the two points of the pair pass every minor, so they
+  are dropped only after a hit.
+- The hash kernel keeps each line key's X1 x X2 pairs in one list,
+  collects X3 points only for keys already seen, and counts distinct
+  triples only on the lines that got an X3 point.
+- Reported lines are built once, from the kernels' keys, which are
+  already in canonical RREF.
+- The pencil statistic reads each point once: the point's values on the
+  two base planes name the one plane of the pencil it lies on (or all of
+  them, on the base line).  Planes are taken in `pencil_planes` order,
+  and the first to reach the max is the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .field import FieldCtx
+from .field import FieldCtx, FieldElem, inv
 from .groups import AffElem, aff_act
 from .projgeom import (
     EqualPoints,
@@ -59,6 +74,9 @@ class TripleCount:
     total: int
     by_line: Dict[ProjLine, int]
     kernel: str
+    # the kernel's own per-line counts, keyed by raw line keys (flat int
+    # RREF tuples on prime fields, coefficient tuples otherwise)
+    line_keys: Dict[tuple, int] = field(default_factory=dict, repr=False)
 
     def check_consistency(self):
         if self.by_line and sum(self.by_line.values()) != self.total:
@@ -162,10 +180,7 @@ def _count_brute_int(p: int, X1, X2, X3):
             m13 = (a1 * b3 - a3 * b1) % p
             m23 = (a2 * b3 - a3 * b2) % p
             hits = 0
-            key = None
             for v3 in X3:
-                if v3 == v1 or v3 == v2:
-                    continue
                 c0, c1, c2, c3 = v3
                 if (c0 * m12 - c1 * m02 + c2 * m01) % p:
                     continue
@@ -175,7 +190,9 @@ def _count_brute_int(p: int, X1, X2, X3):
                     continue
                 if (c1 * m23 - c2 * m13 + c3 * m12) % p:
                     continue
-                hits += 1
+                # v1 and v2 pass every minor; drop them only after a hit
+                if v3 != v1 and v3 != v2:
+                    hits += 1
             if hits:
                 total += hits
                 key = _rref_key_int(p, inv, v1, v2)
@@ -202,8 +219,6 @@ def _count_brute_generic(ctx, X1, X2, X3):
             m23 = a[2] * b[3] - a[3] * b[2]
             hits = 0
             for p3 in X3:
-                if p3 == p1 or p3 == p2:
-                    continue
                 c = p3.coords
                 if not (c[0] * m12 - c[1] * m02 + c[2] * m01).is_zero():
                     continue
@@ -213,7 +228,8 @@ def _count_brute_generic(ctx, X1, X2, X3):
                     continue
                 if not (c[1] * m23 - c[2] * m13 + c[3] * m12).is_zero():
                     continue
-                hits += 1
+                if p3 != p1 and p3 != p2:
+                    hits += 1
             if hits:
                 total += hits
                 key = line_through(p1, p2).key
@@ -230,70 +246,68 @@ def _distinct_triple_count(s1: set, s2: set, s3: set) -> int:
     return a * b * c - e12 * c - e13 * b - e23 * a + 2 * e123
 
 
-def _count_hash_int(p: int, X1, X2, X3):
-    s1: Dict[tuple, set] = {}
-    s2: Dict[tuple, set] = {}
-    s3: Dict[tuple, set] = {}
-    inv = _inv_table(p)
+def _bucket_counts(pairs: Dict[tuple, list], thirds: Dict[tuple, list]):
+    """Distinct triples per line key.  pairs[key] holds the key's X1 x X2
+    pairs flattened (x1, x2, x1, x2, ...), thirds[key] its X3 points; a
+    key without an X3 point contributes nothing and is never visited."""
+    total = 0
+    per_line: Dict[tuple, int] = {}
+    for key, third in thirds.items():
+        pair = pairs[key]
+        d = _distinct_triple_count(set(pair[0::2]), set(pair[1::2]), set(third))
+        if d:
+            total += d
+            per_line[key] = d
+    return total, per_line
+
+
+def _count_hash(key_of, X1, X2, X3):
+    """Line-hash kernel over points in the form `key_of` takes (see
+    `_keyed`): every X1 x X2 pair is bucketed by its line key, and an X1 x
+    X3 pair only adds its X3 point to a line already bucketed."""
+    pairs: Dict[tuple, list] = {}
     for v1 in X1:
         for v2 in X2:
             if v1 == v2:
                 continue
-            key = _rref_key_int(p, inv, v1, v2)
-            s1.setdefault(key, set()).add(v1)
-            s2.setdefault(key, set()).add(v2)
+            key = key_of(v1, v2)
+            bucket = pairs.get(key)
+            if bucket is None:
+                pairs[key] = [v1, v2]
+            else:
+                bucket += (v1, v2)
+    thirds: Dict[tuple, list] = {}
     for v1 in X1:
         for v3 in X3:
             if v1 == v3:
                 continue
-            key = _rref_key_int(p, inv, v1, v3)
-            if key in s1:
-                s3.setdefault(key, set()).add(v3)
-    total = 0
-    per_line: Dict[tuple, int] = {}
-    for key, first in s1.items():
-        d = _distinct_triple_count(first, s2.get(key, set()), s3.get(key, set()))
-        if d:
-            total += d
-            per_line[key] = d
-    return total, per_line
+            key = key_of(v1, v3)
+            if key in pairs:
+                thirds.setdefault(key, []).append(v3)
+    return _bucket_counts(pairs, thirds)
 
 
-def _count_hash_generic(ctx, X1, X2, X3):
-    s1: Dict[tuple, set] = {}
-    s2: Dict[tuple, set] = {}
-    s3: Dict[tuple, set] = {}
-    for p1 in X1:
-        for p2 in X2:
-            if p1 == p2:
-                continue
-            key = line_through(p1, p2).key
-            s1.setdefault(key, set()).add(p1)
-            s2.setdefault(key, set()).add(p2)
-    for p1 in X1:
-        for p3 in X3:
-            if p1 == p3:
-                continue
-            key = line_through(p1, p3).key
-            if key in s1:
-                s3.setdefault(key, set()).add(p3)
-    total = 0
-    per_line: Dict[tuple, int] = {}
-    for key, first in s1.items():
-        d = _distinct_triple_count(first, s2.get(key, set()), s3.get(key, set()))
-        if d:
-            total += d
-            per_line[key] = d
-    return total, per_line
+def _line_key(p1: ProjPoint, p2: ProjPoint) -> tuple:
+    return line_through(p1, p2).key
 
 
-def _line_from_int_key(ctx: FieldCtx, key) -> ProjLine:
-    rows = [key[:4], key[4:]]
-    return ProjLine(ctx, [[ctx.elem(x) for x in row] for row in rows])
+def _keyed(ctx: FieldCtx, *sets):
+    """The point sets in the form the kernels take, and the line-key
+    function on that form: int tuples and their int RREF key on prime
+    fields, the points and their line's coefficient key otherwise."""
+    if ctx.n == 1:
+        p = ctx.p
+        return partial(_rref_key_int, p, _inv_table(p)), [_int_coords(X) for X in sets]
+    return _line_key, [list(X) for X in sets]
 
 
-def _line_from_elem_key(ctx: FieldCtx, key) -> ProjLine:
-    return ProjLine(ctx, [[ctx.elem(list(x)) for x in row] for row in key])
+def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
+    """The line of a kernel's line key, which is already its canonical
+    RREF: a flat int 8-tuple on prime fields, two rows of coefficient
+    tuples otherwise."""
+    if ctx.n == 1:
+        key = [[(x,) for x in key[:4]], [(x,) for x in key[4:]]]
+    return ProjLine.from_rref(ctx, [[FieldElem(ctx, c) for c in row] for row in key])
 
 
 def count_collinear_triples(
@@ -306,7 +320,8 @@ def count_collinear_triples(
     """Ordered, pairwise distinct, collinear triples of X1 x X2 x X3.
 
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
-    "both" (run the two and insist on identical totals).  Raises
+    "both" (run the two and insist on identical totals and per-line
+    counts, compared on raw line keys before any line is built).  Raises
     EqualPoints when some Xi repeats a point.
     """
     if not X1 or not X2 or not X3:
@@ -317,35 +332,29 @@ def count_collinear_triples(
     if any(len(set(X)) != len(X) for X in (X1, X2, X3)):
         raise EqualPoints("a point set repeats a point")
     if kernel == "both":
-        brute = count_collinear_triples(X1, X2, X3, "brute", collect_by_line)
-        hashed = count_collinear_triples(X1, X2, X3, "hash", collect_by_line)
+        brute = count_collinear_triples(X1, X2, X3, "brute", False)
+        hashed = count_collinear_triples(X1, X2, X3, "hash", False)
         if brute.total != hashed.total or (
-            collect_by_line and brute.by_line != hashed.by_line
+            collect_by_line and brute.line_keys != hashed.line_keys
         ):
             raise VerificationFailure(
                 f"kernel disagreement: brute {brute.total} vs hash {hashed.total}"
             )
-        return hashed
-    if kernel not in ("hash", "brute"):
+        total, per_raw, kernel = hashed.total, hashed.line_keys, "hash"
+    elif kernel not in ("hash", "brute"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if ctx.n == 1:
-        p = ctx.p
-        fn = _count_hash_int if kernel == "hash" else _count_brute_int
-        total, per_raw = fn(p, _int_coords(X1), _int_coords(X2), _int_coords(X3))
-        by_line = (
-            {_line_from_int_key(ctx, k): v for k, v in per_raw.items()}
-            if collect_by_line
-            else {}
-        )
     else:
-        fn = _count_hash_generic if kernel == "hash" else _count_brute_generic
-        total, per_raw = fn(ctx, list(X1), list(X2), list(X3))
-        by_line = (
-            {_line_from_elem_key(ctx, k): v for k, v in per_raw.items()}
-            if collect_by_line
-            else {}
-        )
-    return TripleCount(total, by_line, kernel)
+        key_of, sets = _keyed(ctx, X1, X2, X3)
+        if kernel == "hash":
+            total, per_raw = _count_hash(key_of, *sets)
+        elif ctx.n == 1:
+            total, per_raw = _count_brute_int(ctx.p, *sets)
+        else:
+            total, per_raw = _count_brute_generic(ctx, *sets)
+    if not collect_by_line:
+        return TripleCount(total, {}, kernel, per_raw)
+    by_line = {_line_from_key(ctx, k): v for k, v in per_raw.items()}
+    return TripleCount(total, by_line, kernel, per_raw)
 
 
 # -- concentration statistics ----------------------------------------------
@@ -385,32 +394,21 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     if len(set(X)) != len(X):
         raise EqualPoints("point set repeats a point")
     counts: Dict[tuple, int] = {}
-    rep: Dict[tuple, tuple] = {}
-    if ctx.n == 1:
-        raw = _int_coords(X)
-        p = ctx.p
-        inv = _inv_table(p)
-        for i, v1 in enumerate(raw):
-            for v2 in raw[i + 1:]:
-                key = _rref_key_int(p, inv, v1, v2)
-                counts[key] = counts.get(key, 0) + 1
-        best_key = max(counts, key=lambda k: (counts[k], k))
-        line = _line_from_int_key(ctx, best_key)
-    else:
-        for i, p1 in enumerate(X):
-            for p2 in X[i + 1:]:
-                key = line_through(p1, p2).key
-                counts[key] = counts.get(key, 0) + 1
-        best_key = max(counts, key=lambda k: (counts[k], k))
-        line = _line_from_elem_key(ctx, best_key)
+    key_of, [pts] = _keyed(ctx, X)
+    for i, v1 in enumerate(pts):
+        for v2 in pts[i + 1:]:
+            key = key_of(v1, v2)
+            counts[key] = counts.get(key, 0) + 1
+    # the largest key among the lines with the most pairs
+    pairs = max(counts.values())
+    best_key = max(k for k, v in counts.items() if v == pairs)
     # pairs = a*(a-1)/2 on a line holding a points of X
-    pairs = counts[best_key]
     a = 1
     while a * (a - 1) // 2 < pairs:
         a += 1
     if a * (a - 1) // 2 != pairs:
         raise VerificationFailure("pair count is not triangular")
-    return ConcentrationReport(a, line)
+    return ConcentrationReport(a, _line_from_key(ctx, best_key))
 
 
 class EqualPlanes(Exception):
@@ -435,16 +433,49 @@ def pencil_plane_concentration(
     P2: ProjPlane,
     include_base_planes: bool = True,
 ) -> ConcentrationReport:
-    """Max of |X3 intersect P| over the pencil of planes through P1^P2."""
-    planes = pencil_planes(P1, P2)
-    if not include_base_planes:
-        planes = [P for P in planes if P not in (P1, P2)]
-    best = -1
-    witness = None
-    for plane in planes:
-        hit = sum(1 for x in X3 if plane.contains(x))
-        if hit > best:
-            best, witness = hit, plane
+    """Max of |X3 intersect P| over the pencil of planes through P1^P2.
+
+    The planes are taken in `pencil_planes` order: P1, then the plane
+    t*P1 + P2 for each t of ctx.elements() (t = 0 gives P2).  The witness
+    is the first plane in that order to reach the max.  Without the base
+    planes, P1 and P2 are left out.  An empty X3 reports 0 and the first
+    plane.  One pass over X3: with s = P1.x and r = P2.x, a point lies on
+    every plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise
+    on the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
+    MixedContexts when a plane or a point is over another field.
+    """
+    if P1 == P2:
+        raise EqualPlanes("pencil needs two distinct planes")
+    ctx = P1.ctx
+    if P2.ctx is not ctx:
+        raise MixedContexts("planes from different fields")
+    d1, d2 = P1.dual, P2.dual
+    on_all = on_p1 = 0
+    on_t: Dict[tuple, int] = {}
+    for x in X3:
+        if x.ctx is not ctx:
+            raise MixedContexts("point from a different field")
+        s = r = ctx.zero()
+        for a, b, c in zip(d1, d2, x.coords):
+            s = s + a * c
+            r = r + b * c
+        if not s.is_zero():
+            t = (-r * inv(s)).coeffs
+            on_t[t] = on_t.get(t, 0) + 1
+        elif r.is_zero():
+            on_all += 1
+        else:
+            on_p1 += 1
+    best = on_all + on_p1 if include_base_planes else -1
+    witness_t = None
+    for t in ctx.elements():
+        if include_base_planes or not t.is_zero():
+            hit = on_all + on_t.get(t.coeffs, 0)
+            if hit > best:
+                best, witness_t = hit, t
+    witness = P1 if witness_t is None else ProjPlane(
+        ctx, [a * witness_t + b for a, b in zip(d1, d2)]
+    )
     return ConcentrationReport(
         max_count=0,
         witness_line=None,

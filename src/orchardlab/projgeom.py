@@ -152,6 +152,17 @@ class ProjLine:
         self.basis = basis
         self.key = tuple(tuple(e.coeffs for e in row) for row in basis)
 
+    @classmethod
+    def from_rref(cls, ctx: FieldCtx, basis) -> "ProjLine":
+        """The line whose two basis rows are already its canonical reduced
+        row-echelon form, as the counting kernels' line keys are; nothing
+        is reduced or checked."""
+        line = cls.__new__(cls)
+        line.ctx = ctx
+        line.basis = tuple(tuple(row) for row in basis)
+        line.key = tuple(tuple(e.coeffs for e in row) for row in line.basis)
+        return line
+
     def __eq__(self, other):
         return (
             isinstance(other, ProjLine)

@@ -223,3 +223,45 @@ def test_experiment_params_validation():
         epsilon=Fraction(1, 10), t=Fraction(1, 3), K=Fraction(2), m_max=3
     )
     assert params.t == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_affine_element_index_follows_key_order(p, n):
+    from orchardlab.field import FieldCtx
+    from orchardlab.incidence import affine_group_elements
+
+    ctx = FieldCtx(p, n)
+    group = sorted(affine_group_elements(ctx), key=lambda g: g.key)
+    assert [cli._affine_element(ctx, i) for i in range(len(group))] == group
+
+
+def test_index_sample_draws_the_sorted_group_sample():
+    import random
+
+    from orchardlab.field import FieldCtx
+    from orchardlab.incidence import affine_group_elements
+
+    ctx = FieldCtx(5)
+    group = sorted(affine_group_elements(ctx), key=lambda g: g.key)
+    for seed in range(50):
+        # of the 100 elements, k = 3 draws through a set of indices and
+        # k = 40 through a shrinking pool
+        for k in (3, 40):
+            want = random.Random(seed).sample(group, k)
+            got = random.Random(seed).sample(range(len(group)), k)
+            assert [cli._affine_element(ctx, i) for i in got] == want
+
+
+def test_bsg_verify_never_builds_the_group(tmp_path, monkeypatch):
+    from orchardlab import incidence
+
+    def boom(ctx):
+        raise AssertionError("the whole affine group was built")
+
+    monkeypatch.setattr(incidence, "affine_group_elements", boom)
+    monkeypatch.setattr(cli, "affine_group_elements", boom, raising=False)
+    out = tmp_path / "bsg.json"
+    assert run(["bsg-verify", "--field", 61, "--count", 1, "--max-support", 5,
+                "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["count"] == 1 and 1 <= doc["instances"][0]["support"] <= 5

@@ -1,0 +1,145 @@
+"""Property tests of the fast incidence statistics against their oracles.
+
+- The one-pass pencil count against the plane-by-plane scan it replaced.
+- The hash triple kernel against the brute one, on point sets that share
+  points, which the list buckets' intersection terms must handle.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orchardlab.field import FieldCtx
+from orchardlab.incidence import (
+    EqualPlanes,
+    count_collinear_triples,
+    pencil_plane_concentration,
+    pencil_planes,
+)
+from orchardlab.projgeom import (
+    MixedContexts,
+    ProjLine,
+    ProjPlane,
+    ProjPoint,
+    enumerate_space,
+)
+
+PENCIL_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2)]
+
+
+@lru_cache(maxsize=None)
+def space(ctx):
+    return enumerate_space(ctx, 3)
+
+
+def pencil_scan(X3, P1, P2, include_base_planes=True):
+    """Oracle: count X3 on every plane of the pencil, first max wins."""
+    planes = pencil_planes(P1, P2)
+    if not include_base_planes:
+        planes = [P for P in planes if P not in (P1, P2)]
+    best = -1
+    witness = None
+    for plane in planes:
+        hit = sum(1 for x in X3 if plane.contains(x))
+        if hit > best:
+            best, witness = hit, plane
+    return best, witness
+
+
+@st.composite
+def pencils(draw):
+    ctx = draw(st.sampled_from(PENCIL_FIELDS))
+    pts = space(ctx)
+    i1, i2 = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2,
+                           unique=True))
+    P1, P2 = ProjPlane(ctx, pts[i1].coords), ProjPlane(ctx, pts[i2].coords)
+    base = [x for x in pts if P1.contains(x) and P2.contains(x)]
+    on_p1 = [x for x in pts if P1.contains(x)]
+    X3 = draw(st.lists(st.sampled_from(pts), max_size=12))
+    X3 += draw(st.lists(st.sampled_from(base), max_size=4))
+    X3 += draw(st.lists(st.sampled_from(on_p1), max_size=4))
+    X3 = draw(st.permutations(X3))
+    return P1, P2, X3
+
+
+@settings(max_examples=250, deadline=None)
+@given(pencils(), st.booleans())
+def test_pencil_count_matches_plane_scan(case, include_base_planes):
+    P1, P2, X3 = case
+    rep = pencil_plane_concentration(X3, P1, P2, include_base_planes)
+    best, witness = pencil_scan(X3, P1, P2, include_base_planes)
+    assert rep.max_pencil_count == best
+    assert rep.witness_plane == witness
+
+
+@pytest.mark.parametrize("ctx", PENCIL_FIELDS, ids=str)
+def test_pencil_edges(ctx):
+    P1 = ProjPlane(ctx, [1, 1, 0, 0])
+    P2 = ProjPlane(ctx, [0, 0, 1, 0])
+    for include in (True, False):
+        rep = pencil_plane_concentration([], P1, P2, include)
+        assert (rep.max_pencil_count, rep.witness_plane) == pencil_scan([], P1, P2, include)
+    with pytest.raises(EqualPlanes):
+        pencil_plane_concentration([], P1, P1)
+    other = FieldCtx(11) if ctx.order != 11 else FieldCtx(13)
+    foreign = ProjPoint(other, [1, 2, 3, 4])
+    with pytest.raises(MixedContexts):
+        pencil_plane_concentration(space(ctx)[:3] + [foreign], P1, P2)
+    with pytest.raises(MixedContexts):
+        pencil_plane_concentration([], P1, ProjPlane(other, [0, 0, 1, 0]))
+
+
+# -- hash kernel against brute, with shared points ------------------------------
+
+KERNEL_FIELDS = [FieldCtx(5), FieldCtx(7), FieldCtx(2, 2), FieldCtx(3, 2)]
+
+
+@st.composite
+def overlapping_sets(draw):
+    """X1, X2, X3 cut from one pool of points on a few lines, on the base
+    line {x0 = x1 = 0} and on {x0 = 0}: seven disjoint groups, one per
+    nonempty subset of {X1, X2, X3}, the shared ones never empty."""
+    ctx = draw(st.sampled_from(KERNEL_FIELDS))
+    pts = space(ctx)
+    pick = st.sampled_from(pts)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        u, v = draw(pick), draw(pick)
+        if u != v:
+            line = ProjLine(ctx, [u.coords, v.coords]).points()
+            pool += draw(st.lists(st.sampled_from(line), max_size=6))
+    pool += draw(st.lists(st.sampled_from([x for x in pts if x.coords[0].is_zero()
+                                           and x.coords[1].is_zero()]), max_size=4))
+    pool += draw(st.lists(st.sampled_from([x for x in pts if x.coords[0].is_zero()]),
+                          max_size=5))
+    scatter = draw(st.lists(st.integers(0, len(pts) - 1), min_size=7, max_size=10,
+                            unique=True))
+    pool = list(dict.fromkeys(pool + [pts[i] for i in scatter]))
+    pool = draw(st.permutations(pool))
+    # groups for X1&X2&X3, X1&X2, X1&X3, X2&X3 get one point each first
+    cuts = sorted(draw(st.lists(st.integers(4, len(pool)), min_size=2, max_size=2)))
+    bounds = [0, 1, 2, 3, 4] + cuts + [len(pool)]
+    g123, g12, g13, g23, g1, g2, g3 = (pool[a:b] for a, b in zip(bounds, bounds[1:]))
+    X1 = draw(st.permutations(g123 + g12 + g13 + g1))
+    X2 = draw(st.permutations(g123 + g12 + g23 + g2))
+    X3 = draw(st.permutations(g123 + g13 + g23 + g3))
+    return X1, X2, X3
+
+
+@settings(max_examples=120, deadline=None)
+@given(overlapping_sets())
+def test_hash_matches_brute_on_shared_points(sets):
+    X1, X2, X3 = sets
+    assert set(X1) & set(X2) & set(X3)
+    hashed = count_collinear_triples(X1, X2, X3, "hash")
+    brute = count_collinear_triples(X1, X2, X3, "brute")
+    assert hashed.total == brute.total
+    assert hashed.by_line == brute.by_line
+    assert sum(hashed.by_line.values()) == hashed.total
+    # the lines are built from raw keys without reduction: already canonical
+    for line in hashed.by_line:
+        assert ProjLine(line.ctx, line.basis).basis == line.basis
+    both = count_collinear_triples(X1, X2, X3, "both")
+    assert (both.total, both.by_line) == (hashed.total, hashed.by_line)

@@ -9,6 +9,7 @@ from orchardlab.projgeom import (
     LineInPlane,
     MixedContexts,
     PointSetFormatError,
+    ProjLine,
     ProjPlane,
     ProjPoint,
     QuadricForm,
@@ -66,6 +67,17 @@ def test_line_membership_and_symmetry():
         assert line == line_through(q, p)
         assert line.contains(p) and line.contains(q)
         assert len(set(line.points())) == F5.order + 1
+
+
+def test_line_from_rref_basis():
+    rng = random.Random(1)
+    for ctx in (F5, F9):
+        pts = enumerate_space(ctx, 3)
+        for _ in range(40):
+            line = line_through(*rng.sample(pts, 2))
+            again = ProjLine.from_rref(ctx, [list(row) for row in line.basis])
+            assert again == line and hash(again) == hash(line)
+            assert again.basis == line.basis and again.ctx is ctx
 
 
 def test_collinear_examples():
