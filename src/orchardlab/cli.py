@@ -27,7 +27,7 @@ from .constructions import (
     classify_fixed_points,
     verify_example,
 )
-from .field import FieldCtx, FieldError
+from .field import FieldCtx, FieldElem, FieldError
 from .groups import (
     AffElem,
     GroupError,
@@ -240,11 +240,10 @@ def _affine_group_order(ctx) -> int:
 
 def _affine_element(ctx, index: int) -> AffElem:
     """The index-th affine group element in `AffElem.key` order: a and b
-    run over elements_sorted(), c over its nonzero elements (the int codes
-    of `FieldCtx.from_code` follow that order)."""
+    run over the element codes, c over the nonzero ones."""
     ab, c = divmod(index, ctx.order - 1)
     a, b = divmod(ab, ctx.order)
-    return AffElem(ctx, ctx.from_code(a), ctx.from_code(b), ctx.from_code(c + 1))
+    return AffElem(ctx, FieldElem(ctx, a), FieldElem(ctx, b), FieldElem(ctx, c + 1))
 
 
 def _random_affine_elements(ctx, rng, count):
@@ -263,6 +262,7 @@ def _random_affine_elements(ctx, rng, count):
 def cmd_flatten(args) -> int:
     if args.group != "affine":
         raise UsageError("only the affine group is wired to the runner")
+    ExperimentParams(m_max=args.m_max)
     ctx = FieldCtx.from_descriptor(args.field)
     order = _affine_group_order(ctx)
     if not 1 <= args.gen_count <= order - 1:
@@ -297,6 +297,8 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_bsg_verify(args) -> int:
+    if args.count < 0:
+        raise UsageError("--count must be nonnegative")
     ctx = FieldCtx.from_descriptor(args.field)
     order = _affine_group_order(ctx)
     if not 1 <= args.max_support <= order:
@@ -483,6 +485,11 @@ LEMMA_SUITES = {
 
 
 def cmd_lemma_suite(args) -> int:
+    unknown = sorted(set(args.only or ()) - set(LEMMA_SUITES))
+    if unknown:
+        raise UsageError(
+            f"unknown suite {', '.join(unknown)}; choose from {', '.join(LEMMA_SUITES)}"
+        )
     results = {}
     failed = False
     for name, fn in LEMMA_SUITES.items():

@@ -100,7 +100,7 @@ def build_example(p: int, k) -> ExampleConfig:
     ctx = FieldCtx(p)
     d = least_primitive_root(p)
     powers = [ _gen_power(ctx, d, i) for i in range(-N, N + 1) ]
-    if len(set(e.coeffs for e in powers)) != 2 * N + 1:
+    if len(set(powers)) != 2 * N + 1:
         raise DegenerateParameters("generator powers collide inside [-N, N]")
     X1, X2, X3 = [], [], []
     for di in powers:

@@ -1,25 +1,22 @@
 """Exact arithmetic in finite fields F_p and small extensions F_{p^n}.
 
-Elements are coefficient vectors over F_p reduced modulo a monic
-irreducible polynomial (absent for prime fields).  Everything is kept
-at desk scale: n <= 4 and p^n <= 10**6, which lets irreducibility,
-square roots and generator searches be settled by direct enumeration.
+An element is one int code in [0, q): its coefficients over F_p, reduced
+modulo a monic irreducible polynomial (absent for prime fields), read as
+base-p digits with coeffs[0] the most significant.  Code order is thus
+the lexicographic order of the coefficient tuples, the order of
+`elements_sorted()`.  Everything is kept at desk scale: n <= 4 and
+p^n <= 10**6, which lets irreducibility, square roots and generator
+searches be settled by direct enumeration.
 
 Each field has exactly one `FieldCtx`: the constructor interns contexts
 by their normalized (p, n, modulus), so elements of the same field share
-one context and fields compare by identity.  Prime fields multiply and
-invert with integer arithmetic mod p.  F_{p^n} with n > 1 multiplies
-and inverts through exp/log tables of its multiplicative group (the
-table method of galois and of Givaro's log fields), built once per field
-on its first product or inverse: exp[i] = g^i for a primitive element g,
-and log maps the coefficient tuple of each nonzero element back to i.
-Addition stays coefficientwise mod p.
-
+one context and fields compare by identity.  Prime fields add, subtract,
+multiply and invert codes mod p.  F_{p^n} with n > 1 does the same four
+operations on codes through one set of Zech-logarithm arrays
+(`FieldCtx._zech`, the table method of galois and of Givaro's log
+fields), built once per field on its first sum, product or inverse.
 Code that works on many elements at once (the affine group of
-`measures`) can trade elements for ints: `FieldCtx.code` numbers the
-elements 0..q-1, and `FieldCtx._zech` gives every field, prime or
-not, Zech-log arrays of one layout, with which products and sums of log
-codes are list lookups.
+`measures`) uses the same arrays on log codes directly.
 """
 
 from __future__ import annotations
@@ -205,9 +202,12 @@ class FieldCtx:
             ctx.n = n
             ctx.modulus = modulus
             ctx.order = p**n
+            ctx._unit = p ** (n - 1)      # the code of 1, the place of coeffs[0]
+            # log codes of 0 and -1 (see _zech); -1 is the element of order
+            # 2 of the cyclic F_q^*, and -1 = 1 in characteristic 2
+            ctx._log_zero = 2 * (ctx.order - 1)
+            ctx._log_minus_one = (ctx.order - 1) // 2 if p > 2 else 0
             ctx._sqrt_table = None
-            ctx._exp = None
-            ctx._log = None
             ctx._zech_arrays = None
             _INTERNED[key] = ctx
         return ctx
@@ -235,14 +235,16 @@ class FieldCtx:
             if value.ctx is not self:
                 raise FieldError("element from a different field")
             return value
+        p = self.p
         if isinstance(value, int):
-            coeffs = [value] + [0] * (self.n - 1)
-        else:
-            coeffs = list(value)
-            if len(coeffs) > self.n:
-                raise FieldError("too many coefficients")
-            coeffs += [0] * (self.n - len(coeffs))
-        return FieldElem(self, tuple(c % self.p for c in coeffs))
+            return FieldElem(self, value % p * self._unit)
+        coeffs = list(value)
+        if len(coeffs) > self.n:
+            raise FieldError("too many coefficients")
+        code = 0
+        for c in coeffs:
+            code = code * p + c % p
+        return FieldElem(self, code * p ** (self.n - len(coeffs)))
 
     def zero(self) -> "FieldElem":
         return self.elem(0)
@@ -253,30 +255,20 @@ class FieldCtx:
     def elements(self) -> Iterator["FieldElem"]:
         """All field elements, coeffs[0] varying fastest (F_9: (0,0),
         (1,0), (2,0), (0,1), ...): the coefficient tuples read as base-p
-        numbers, least significant digit first.  This is not lexicographic
-        order on the tuples; that order is elements_sorted() and the order
-        of `code`."""
-        for code in range(self.order):
-            yield FieldElem(self, tuple(_digits(code, self.p, self.n)))
+        numbers, least significant digit first.  This is not code order
+        (lexicographic order on the tuples); that is elements_sorted()."""
+        p, n = self.p, self.n
+        for i in range(self.order):
+            code = 0
+            for _ in range(n):
+                i, d = divmod(i, p)
+                code = code * p + d
+            yield FieldElem(self, code)
 
-    def elements_sorted(self):
-        return sorted(self.elements(), key=lambda e: e.coeffs)
+    def elements_sorted(self) -> List["FieldElem"]:
+        return [FieldElem(self, code) for code in range(self.order)]
 
-    # -- integer codes ---------------------------------------------------
-
-    def code(self, e: "FieldElem") -> int:
-        """The int code of e in [0, q): coeffs as base-p digits, coeffs[0]
-        most significant, so that codes order elements lexicographically
-        on their coefficient tuples, as elements_sorted() does."""
-        c = 0
-        for d in e.coeffs:
-            c = c * self.p + d
-        return c
-
-    def from_code(self, code: int) -> "FieldElem":
-        return FieldElem(self, tuple(reversed(_digits(code, self.p, self.n))))
-
-    # -- multiplicative tables (n > 1) ----------------------------------
+    # -- Zech-log arrays --------------------------------------------------
 
     def _primitive_element(self) -> list:
         """The first generator of F_q^* in elements() order, by the
@@ -291,40 +283,14 @@ class FieldCtx:
             if all(_poly_powmod(g, e, m, p) != one for e in exponents)
         )
 
-    def _tables(self) -> Tuple[List["FieldElem"], Dict[tuple, int]]:
-        """(exp, log) of the multiplicative group, built on first use.
-
-        exp[i] = g^i for 0 <= i < 2(q - 1), long enough that the sum of
-        two logs indexes it unreduced; log maps the coefficient tuple of
-        each nonzero element to its exponent in [0, q - 1).
-        """
-        if self._log is None:
-            p, n, m = self.p, self.n, list(self.modulus)
-            g = self._primitive_element()
-            # multiplying by g is F_p-linear: row k gives coefficient k of
-            # the product from the coefficients of the factor
-            cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
-            rows = [[col[k] for col in cols] for k in range(n)]
-            exp: List[FieldElem] = []
-            log: Dict[tuple, int] = {}
-            cur = (1,) + (0,) * (n - 1)
-            for i in range(self.order - 1):
-                exp.append(FieldElem(self, cur))
-                log[cur] = i
-                cur = tuple(sum(map(operator.mul, cur, row)) % p for row in rows)
-            exp *= 2
-            self._exp = exp
-            self._log = log
-        return self._exp, self._log
-
     def _zech(self) -> Tuple[List[int], List[int], List[int], List[int]]:
         """Zech-log arrays (log, exp, red, zech) on int codes, built on
         first use; every field, prime or not, has the same four.
 
         An element x has log code l(x) = log_g x in [0, q - 1) for x != 0,
         and l(0) = Z = 2(q - 1), far enough out that a sum of two codes
-        tells whether either was 0.  With g the generator of `_tables()`
-        for n > 1 and the least primitive root mod p for n = 1:
+        tells whether either was 0.  With g the least primitive root mod p
+        for n = 1 and `_primitive_element()` for n > 1:
 
         - log[c] is the log code of the element with int code c;
         - exp[l] is the int code of the element with log code l, 0 <= l <= Z;
@@ -335,28 +301,41 @@ class FieldCtx:
         Each has at most 4(q - 1) + 1 entries.
         """
         if self._zech_arrays is None:
-            p, q = self.p, self.order
-            if self.n == 1:
+            p, n, q = self.p, self.n, self.order
+            if n == 1:
                 g = least_primitive_root(p)
                 powers = [1]
                 for _ in range(q - 2):
                     powers.append(powers[-1] * g % p)
             else:
-                exp_elems, _ = self._tables()
-                powers = [self.code(e) for e in exp_elems[: q - 1]]
-            Z = 2 * (q - 1)
+                m = list(self.modulus)
+                g = self._primitive_element()
+                # multiplying by g is F_p-linear: row k gives coefficient k
+                # of the product from the coefficients of the factor
+                cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
+                rows = [[col[k] for col in cols] for k in range(n)]
+                powers = []
+                cur = [1] + [0] * (n - 1)
+                for _ in range(q - 1):
+                    code = 0
+                    for d in cur:
+                        code = code * p + d
+                    powers.append(code)
+                    cur = [sum(map(operator.mul, cur, row)) % p for row in rows]
+            Z = self._log_zero
+            idx = list(range(q - 1))              # log and red share the ints
             log = [Z] * q
-            for i, c in enumerate(powers):
+            for i, c in zip(idx, powers):
                 log[c] = i
             exp = powers * 2 + [0]
-            red = list(range(q - 1)) * 2 + [Z] * (Z + 1)
+            red = idx * 2 + [Z] * (Z + 1)
             # l(y) - l(x) lies in [-(q-2), q-2] when x, y != 0, in
             # [-Z, -q] when x = 0 and in [q, Z] when y = 0 (x = y = 0 hits
             # d = 0, where red absorbs any offset); d = +-(q-1) never occurs
             zech = [0] * (2 * Z + 1)
             for d in range(-Z, -q + 1):
                 zech[d + Z] = d                   # x = 0: the sum is y
-            top = q // p                          # the place of coeffs[0]
+            top = self._unit
             for d in range(-(q - 2), q - 1):
                 c = exp[d % (q - 1)]              # 1 + g^d: add 1 to coeffs[0]
                 zech[d + Z] = log[c + top if c < q - top else c - (q - top)]
@@ -366,12 +345,11 @@ class FieldCtx:
     # -- square roots ---------------------------------------------------
 
     def _build_sqrt_table(self):
+        # ascending codes: the first root met of each square is its least
         table = {}
-        for e in self.elements():
-            sq = (e * e).coeffs
-            old = table.get(sq)
-            if old is None or e.coeffs < old:
-                table[sq] = e.coeffs
+        for code in range(self.order):
+            e = FieldElem(self, code)
+            table.setdefault((e * e).code, code)
         self._sqrt_table = table
 
     def sqrt(self, a: "FieldElem") -> "FieldElem":
@@ -388,12 +366,12 @@ class FieldCtx:
         if self.order <= SQRT_TABLE_CAP:
             if self._sqrt_table is None:
                 self._build_sqrt_table()
-            hit = self._sqrt_table.get(a.coeffs)
+            hit = self._sqrt_table.get(a.code)
             if hit is None:
                 raise NonResidue(f"{a} is not a square in {self}")
             return FieldElem(self, hit)
         r = _tonelli_shanks(self, a)
-        return min(r, -r, key=lambda e: e.coeffs)
+        return min(r, -r, key=lambda e: e.code)
 
     def try_sqrt(self, a: "FieldElem") -> Optional["FieldElem"]:
         try:
@@ -415,25 +393,38 @@ class FieldCtx:
 
     @staticmethod
     def from_descriptor(text: str) -> "FieldCtx":
+        """The field of a descriptor `p`, `p^n` or `p^n/m0,...,mn`; raises
+        FieldError when the text is not one of these."""
         text = text.strip()
-        if "^" not in text:
-            return FieldCtx(int(text))
-        head, _, tail = text.partition("/")
-        p_s, _, n_s = head.partition("^")
-        if not tail:
-            return FieldCtx(int(p_s), int(n_s))
-        modulus = tuple(int(c) for c in tail.split(","))
-        return FieldCtx(int(p_s), int(n_s), modulus)
+        head, slash, tail = text.partition("/")
+        p_s, hat, n_s = head.partition("^")
+        malformed = FieldError(f"malformed field descriptor {text!r}")
+        if slash and not hat:
+            raise malformed
+        try:
+            p = int(p_s)
+            n = int(n_s) if hat else 1
+            modulus = tuple(int(c) for c in tail.split(",")) if tail else None
+        except ValueError:
+            raise malformed from None
+        return FieldCtx(p, n, modulus)
 
 
 class FieldElem:
-    """Immutable field element: a reduced coefficient tuple over F_p."""
+    """Immutable field element: its int code in [0, q), the coefficients
+    over F_p read as base-p digits with coeffs[0] the most significant."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code")
 
-    def __init__(self, ctx: FieldCtx, coeffs: Tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, code: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """The reduced coefficients over F_p, low degree first."""
+        ctx = self.ctx
+        return tuple(reversed(_digits(self.code, ctx.p, ctx.n)))
 
     def _lift(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -444,18 +435,17 @@ class FieldElem:
             return self.ctx.elem(other)
         return NotImplemented
 
-    # coefficientwise mod p; map over the C-level operators builds the
-    # tuple without a Python frame per coefficient
+    # n > 1 works on log codes: see FieldCtx._zech
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return o
         ctx = self.ctx
         if ctx.n == 1:
-            return FieldElem(ctx, ((self.coeffs[0] + o.coeffs[0]) % ctx.p,))
-        return FieldElem(
-            ctx, tuple(map(ctx.p.__rmod__, map(operator.add, self.coeffs, o.coeffs)))
-        )
+            return FieldElem(ctx, (self.code + o.code) % ctx.p)
+        log, exp, red, zech = ctx._zech_arrays or ctx._zech()
+        x = log[self.code]
+        return FieldElem(ctx, exp[red[x + zech[log[o.code] - x + ctx._log_zero]]])
 
     __radd__ = __add__
 
@@ -465,10 +455,11 @@ class FieldElem:
             return o
         ctx = self.ctx
         if ctx.n == 1:
-            return FieldElem(ctx, ((self.coeffs[0] - o.coeffs[0]) % ctx.p,))
-        return FieldElem(
-            ctx, tuple(map(ctx.p.__rmod__, map(operator.sub, self.coeffs, o.coeffs)))
-        )
+            return FieldElem(ctx, (self.code - o.code) % ctx.p)
+        log, exp, red, zech = ctx._zech_arrays or ctx._zech()
+        x = log[self.code]
+        y = red[log[o.code] + ctx._log_minus_one]
+        return FieldElem(ctx, exp[red[x + zech[y - x + ctx._log_zero]]])
 
     def __rsub__(self, other):
         return self.ctx.elem(other) - self
@@ -476,8 +467,9 @@ class FieldElem:
     def __neg__(self):
         ctx = self.ctx
         if ctx.n == 1:
-            return FieldElem(ctx, (-self.coeffs[0] % ctx.p,))
-        return FieldElem(ctx, tuple(map(ctx.p.__rmod__, map(operator.neg, self.coeffs))))
+            return FieldElem(ctx, -self.code % ctx.p)
+        log, exp, red, _ = ctx._zech_arrays or ctx._zech()
+        return FieldElem(ctx, exp[red[log[self.code] + ctx._log_minus_one]])
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -485,15 +477,9 @@ class FieldElem:
             return o
         ctx = self.ctx
         if ctx.n == 1:
-            return FieldElem(ctx, ((self.coeffs[0] * o.coeffs[0]) % ctx.p,))
-        exp, log = ctx._tables()
-        la = log.get(self.coeffs)
-        if la is None:
-            return self
-        lb = log.get(o.coeffs)
-        if lb is None:
-            return o
-        return exp[la + lb]
+            return FieldElem(ctx, self.code * o.code % ctx.p)
+        log, exp, red, _ = ctx._zech_arrays or ctx._zech()
+        return FieldElem(ctx, exp[red[log[self.code] + log[o.code]]])
 
     __rmul__ = __mul__
 
@@ -524,25 +510,25 @@ class FieldElem:
         return (
             isinstance(other, FieldElem)
             and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.code)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.code == self.ctx._unit
 
     def __repr__(self):
         return self.text()
 
     def text(self) -> str:
         if self.ctx.n == 1:
-            return str(self.coeffs[0])
-        return ",".join(str(c) for c in self.coeffs)
+            return str(self.code)
+        return ",".join(map(str, self.coeffs))
 
     @staticmethod
     def parse(ctx: FieldCtx, text: str) -> "FieldElem":
@@ -555,13 +541,9 @@ def inv(a: FieldElem) -> FieldElem:
         raise ZeroInverse("inverse of zero")
     ctx = a.ctx
     if ctx.n == 1:
-        return FieldElem(ctx, (pow(a.coeffs[0], ctx.p - 2, ctx.p),))
-    exp, log = ctx._tables()
-    return exp[ctx.order - 1 - log[a.coeffs]]
-
-
-def sqrt(a: FieldElem) -> FieldElem:
-    return a.ctx.sqrt(a)
+        return FieldElem(ctx, pow(a.code, ctx.p - 2, ctx.p))
+    log, exp, _, _ = ctx._zech_arrays or ctx._zech()
+    return FieldElem(ctx, exp[ctx.order - 1 - log[a.code]])
 
 
 def _tonelli_shanks(ctx: FieldCtx, a: FieldElem) -> FieldElem:
@@ -610,7 +592,7 @@ def adjoin_sqrt(ctx: FieldCtx, d: FieldElem):
     big = FieldCtx(ctx.p, 2 * ctx.n)
     if ctx.n == 1:
         def embed(e, _big=big):
-            return _big.elem([e.coeffs[0]])
+            return _big.elem(e.code)
     else:
         # send the old generator to a root of the old modulus upstairs
         gen_image = _root_of_quadratic(big, ctx.modulus)
@@ -633,7 +615,7 @@ def _root_of_quadratic(big: FieldCtx, modulus) -> FieldElem:
     half = inv(big.elem(2))
     r1 = (-b + s) * half
     r2 = (-b - s) * half
-    return min(r1, r2, key=lambda e: e.coeffs)
+    return min(r1, r2, key=lambda e: e.code)
 
 
 def least_primitive_root(p: int) -> int:

@@ -86,7 +86,7 @@ class AffElem:
             raise GroupError("third component must be invertible")
         self.ctx = ctx
         self.a, self.b, self.c = a, b, c
-        self.key = (a.coeffs, b.coeffs, c.coeffs)
+        self.key = (a.code, b.code, c.code)
 
     def __eq__(self, other):
         return (
@@ -246,7 +246,7 @@ class PGLElem:
             rows = tuple(tuple(x * s for x in row) for row in rows)
         self.ctx = ctx
         self.rows = rows
-        self.key = tuple(tuple(x.coeffs for x in row) for row in rows)
+        self.key = tuple(tuple(x.code for x in row) for row in rows)
 
     def __eq__(self, other):
         return (
@@ -321,10 +321,6 @@ class PGLElem:
         return PGLElem(
             ctx, [[one if i == j else zero for j in range(4)] for i in range(4)]
         )
-
-
-def pgl_canonical(ctx: FieldCtx, rows) -> PGLElem:
-    return PGLElem(ctx, rows)
 
 
 def is_orthogonal_mod_scalar(

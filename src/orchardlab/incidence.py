@@ -74,8 +74,8 @@ class TripleCount:
     total: int
     by_line: Dict[ProjLine, int]
     kernel: str
-    # the kernel's own per-line counts, keyed by raw line keys (flat int
-    # RREF tuples on prime fields, coefficient tuples otherwise)
+    # the kernel's own per-line counts, keyed by raw line keys: the flat
+    # RREF 8-tuples of element codes that `ProjLine.key` also uses
     line_keys: Dict[tuple, int] = field(default_factory=dict, repr=False)
 
     def check_consistency(self):
@@ -90,10 +90,6 @@ class TripleCount:
             "total": self.total,
             "by_line": [{"line": text, "count": c} for text, c in entries],
         }
-
-
-def _int_coords(points: Sequence[ProjPoint]):
-    return [tuple(c.coeffs[0] for c in p.coords) for p in points]
 
 
 def _inv_table(p: int):
@@ -293,21 +289,19 @@ def _line_key(p1: ProjPoint, p2: ProjPoint) -> tuple:
 
 def _keyed(ctx: FieldCtx, *sets):
     """The point sets in the form the kernels take, and the line-key
-    function on that form: int tuples and their int RREF key on prime
-    fields, the points and their line's coefficient key otherwise."""
+    function on that form: the points' code tuples and their int RREF key
+    on prime fields, the points and their line's key otherwise."""
     if ctx.n == 1:
         p = ctx.p
-        return partial(_rref_key_int, p, _inv_table(p)), [_int_coords(X) for X in sets]
+        return partial(_rref_key_int, p, _inv_table(p)), [[x.key for x in X] for X in sets]
     return _line_key, [list(X) for X in sets]
 
 
 def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
     """The line of a kernel's line key, which is already its canonical
-    RREF: a flat int 8-tuple on prime fields, two rows of coefficient
-    tuples otherwise."""
-    if ctx.n == 1:
-        key = [[(x,) for x in key[:4]], [(x,) for x in key[4:]]]
-    return ProjLine.from_rref(ctx, [[FieldElem(ctx, c) for c in row] for row in key])
+    RREF as a flat 8-tuple of codes."""
+    rows = [[FieldElem(ctx, c) for c in key[:4]], [FieldElem(ctx, c) for c in key[4:]]]
+    return ProjLine.from_rref(ctx, rows)
 
 
 def count_collinear_triples(
@@ -451,7 +445,7 @@ def pencil_plane_concentration(
         raise MixedContexts("planes from different fields")
     d1, d2 = P1.dual, P2.dual
     on_all = on_p1 = 0
-    on_t: Dict[tuple, int] = {}
+    on_t: Dict[int, int] = {}
     for x in X3:
         if x.ctx is not ctx:
             raise MixedContexts("point from a different field")
@@ -460,7 +454,7 @@ def pencil_plane_concentration(
             s = s + a * c
             r = r + b * c
         if not s.is_zero():
-            t = (-r * inv(s)).coeffs
+            t = (-r * inv(s)).code
             on_t[t] = on_t.get(t, 0) + 1
         elif r.is_zero():
             on_all += 1
@@ -470,7 +464,7 @@ def pencil_plane_concentration(
     witness_t = None
     for t in ctx.elements():
         if include_base_planes or not t.is_zero():
-            hit = on_all + on_t.get(t.coeffs, 0)
+            hit = on_all + on_t.get(t.code, 0)
             if hit > best:
                 best, witness_t = hit, t
     witness = P1 if witness_t is None else ProjPlane(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .field import FieldCtx
+from .field import FieldCtx, FieldElem
 from .groups import AffElem, PGLElem, aff_compose, aff_inverse
 
 SUPPORT_CAP = 10**6
@@ -142,9 +142,8 @@ class AffineGroupOps(GroupOps):
         if not isinstance(g, AffElem) or g.ctx is not ctx:
             raise MixedGroups(f"{g!r} is not an element of the affine group over {ctx}")
         log = ctx._zech()[0]
-        code = ctx.code
         q = ctx.order
-        return (log[code(g.a)] * (2 * q - 1) + log[code(g.b)]) * (q - 1) + log[code(g.c)]
+        return (log[g.a.code] * (2 * q - 1) + log[g.b.code]) * (q - 1) + log[g.c.code]
 
     def element(self, k: int) -> AffElem:
         ctx = self.ctx
@@ -152,7 +151,7 @@ class AffineGroupOps(GroupOps):
         q = ctx.order
         ab, c = divmod(k, q - 1)
         a, b = divmod(ab, 2 * q - 1)
-        return AffElem(ctx, *(ctx.from_code(exp[x]) for x in (a, b, c)))
+        return AffElem(ctx, *(FieldElem(ctx, exp[x]) for x in (a, b, c)))
 
     def key_multiplier(self) -> Callable[[int, int], int]:
         # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
@@ -174,16 +173,15 @@ class AffineGroupOps(GroupOps):
         return multiply
 
     def key_inverse(self, k: int) -> int:
-        # (a, b, c)^-1 = (-a/c, -b/c, 1/c); -1 is the element of order 2
-        # of the cyclic F_q^*, so l(-1) = (q-1)/2, except that -1 = 1 (and
-        # l(-1) = 0) in characteristic 2
-        _, _, red, _ = self.ctx._zech()
-        R = self.ctx.order - 1
+        # (a, b, c)^-1 = (-a/c, -b/c, 1/c)
+        ctx = self.ctx
+        _, _, red, _ = ctx._zech()
+        R = ctx.order - 1
         Q = 2 * R + 1
         ab, c = divmod(k, R)
         a, b = divmod(ab, Q)
         c_inv = red[R - c]
-        scale = red[(R // 2 if R % 2 == 0 else 0) + c_inv]     # l(-1/c)
+        scale = red[ctx._log_minus_one + c_inv]     # l(-1/c)
         return (red[a + scale] * Q + red[b + scale]) * R + c_inv
 
 

@@ -64,7 +64,7 @@ class ProjPoint:
             coords = tuple(c * scale for c in coords)
         self.ctx = ctx
         self.coords = coords
-        self.key = tuple(c.coeffs for c in coords)
+        self.key = tuple(c.code for c in coords)
 
     @property
     def dim(self) -> int:
@@ -90,10 +90,6 @@ class ProjPoint:
     def parse(ctx: FieldCtx, text: str) -> "ProjPoint":
         return ProjPoint(ctx, [FieldElem.parse(ctx, c) for c in text.split(":")])
 
-    def lift(self) -> Tuple[FieldElem, ...]:
-        """The canonical representative vector."""
-        return self.coords
-
     def apply_matrix(self, rows) -> "ProjPoint":
         """Image under a square matrix given as rows of FieldElems."""
         v = self.coords
@@ -101,11 +97,6 @@ class ProjPoint:
             self.ctx,
             [sum((r[j] * v[j] for j in range(len(v))), self.ctx.zero()) for r in rows],
         )
-
-
-def normalize(ctx: FieldCtx, coords) -> ProjPoint:
-    """Canonical representative of a nonzero coordinate vector."""
-    return ProjPoint(ctx, coords)
 
 
 def _rref2(ctx: FieldCtx, rows: List[List[FieldElem]]):
@@ -139,7 +130,8 @@ def matrix_rank(ctx: FieldCtx, rows) -> int:
 
 
 class ProjLine:
-    """A line in P^3 as the row span of a canonical RREF 2x4 basis."""
+    """A line in P^3 as the row span of a canonical RREF 2x4 basis; its
+    key is the flat 8-tuple of the basis codes."""
 
     __slots__ = ("ctx", "basis", "key")
 
@@ -150,7 +142,7 @@ class ProjLine:
         basis = tuple(tuple(r) for r in rref[:2])
         self.ctx = ctx
         self.basis = basis
-        self.key = tuple(tuple(e.coeffs for e in row) for row in basis)
+        self.key = tuple(e.code for row in basis for e in row)
 
     @classmethod
     def from_rref(cls, ctx: FieldCtx, basis) -> "ProjLine":
@@ -160,7 +152,7 @@ class ProjLine:
         line = cls.__new__(cls)
         line.ctx = ctx
         line.basis = tuple(tuple(row) for row in basis)
-        line.key = tuple(tuple(e.coeffs for e in row) for row in line.basis)
+        line.key = tuple(e.code for row in line.basis for e in row)
         return line
 
     def __eq__(self, other):
@@ -223,9 +215,6 @@ class ProjPlane:
         for d, c in zip(self.dual, p.coords):
             acc = acc + d * c
         return acc.is_zero()
-
-    def contains_line(self, line: ProjLine) -> bool:
-        return all(self.contains(ProjPoint(self.ctx, row)) for row in line.basis)
 
 
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
@@ -388,7 +377,8 @@ class PointSetFormatError(GeometryError):
 
 
 def load_point_set(path, allow_dup: bool = False):
-    """Read a point-set file: `field <descriptor>` then one point per line.
+    """Read a point-set file: `field <descriptor>` then one point of P^3
+    per line.
 
     Coordinates are colon-separated; each coordinate is a comma-separated
     coefficient list (a bare integer for prime fields).  `#` starts a
@@ -408,12 +398,19 @@ def load_point_set(path, allow_dup: bool = False):
                 raise PointSetFormatError(
                     f"{path}:{lineno}: first line must declare `field <descriptor>`"
                 )
-            ctx = FieldCtx.from_descriptor(line[len("field "):])
+            try:
+                ctx = FieldCtx.from_descriptor(line[len("field "):])
+            except FieldError as exc:
+                raise PointSetFormatError(f"{path}:{lineno}: {exc}") from exc
             continue
         try:
             pt = ProjPoint.parse(ctx, line)
         except (FieldError, GeometryError, ValueError) as exc:
             raise PointSetFormatError(f"{path}:{lineno}: {exc}") from exc
+        if pt.dim != 3:
+            raise PointSetFormatError(
+                f"{path}:{lineno}: a point of P^3 has 4 coordinates, not {pt.dim + 1}"
+            )
         if pt in seen:
             if allow_dup:
                 continue

@@ -265,3 +265,57 @@ def test_bsg_verify_never_builds_the_group(tmp_path, monkeypatch):
                 "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["count"] == 1 and 1 <= doc["instances"][0]["support"] <= 5
+
+
+def _one_line_error(capsys, args):
+    """Runs a CLI call that must fail as a usage error: exit 1 and one
+    stderr line, with no exception escaping `main`."""
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+GOOD_POINTS = "field 5\n1:0:0:0\n0:1:0:0\n0:0:1:0\n"
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("orchard-threeplanes", "field 5\n1:0:0:0\n0:1:2\n"),
+    ("orchard-quadric", "field 5\n1:0:0:0\n0:1:2\n"),
+    ("orchard-threeplanes", "field 5\n1:0:0:0\n0:1:2:3:4\n"),
+    ("orchard-threeplanes", "field 4/1,1\n1:0:0:0\n"),
+], ids=["threeplanes-p2-point", "quadric-p2-point", "threeplanes-p4-point",
+        "malformed-field-line"])
+def test_bad_point_file_is_usage_error(tmp_path, capsys, command, bad):
+    good, bad_path = tmp_path / "good.pts", tmp_path / "bad.pts"
+    good.write_text(GOOD_POINTS)
+    bad_path.write_text(bad)
+    if command == "orchard-threeplanes":
+        args = [command, "--x1", bad_path, "--x2", good, "--x3", good]
+    else:
+        args = [command, "--x", bad_path, "--s", good]
+    err = _one_line_error(capsys, args + ["--report", tmp_path / "r.json"])
+    lineno = 1 if bad.startswith("field 4") else 3
+    assert f"bad.pts:{lineno}:" in err
+
+
+def test_malformed_field_flag_is_usage_error(tmp_path, capsys):
+    err = _one_line_error(capsys, ["flatten", "--field", "4/1,1", "--out", tmp_path / "f.csv"])
+    assert "4/1,1" in err
+
+
+def test_flatten_negative_m_max_is_usage_error(tmp_path, capsys):
+    _one_line_error(capsys, ["flatten", "--field", 5, "--m-max", -1, "--out", tmp_path / "f.csv"])
+
+
+def test_bsg_verify_negative_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "bsg.json"
+    _one_line_error(capsys, ["bsg-verify", "--field", 5, "--count", -1, "--out", out])
+    assert not out.exists()
+
+
+def test_lemma_suite_unknown_name_is_usage_error(tmp_path, capsys):
+    err = _one_line_error(capsys, ["lemma-suite", "--only", "bogus", "--out", tmp_path / "l.json"])
+    assert "bogus" in err
+    assert all(name in err for name in cli.LEMMA_SUITES)

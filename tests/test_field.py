@@ -195,6 +195,17 @@ def _oracle_mul(a, b):
     return tuple(_poly_mulmod(list(a.coeffs), list(b.coeffs), list(ctx.modulus), ctx.p))
 
 
+def _oracle_add(a, b, sign=1):
+    p = a.ctx.p
+    return tuple((x + sign * y) % p for x, y in zip(a.coeffs, b.coeffs))
+
+
+def _check_sum_difference_negation(a, b):
+    assert (a + b).coeffs == _oracle_add(a, b)
+    assert (a - b).coeffs == _oracle_add(a, b, -1)
+    assert (-a).coeffs == tuple(-x % a.ctx.p for x in a.coeffs)
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
 def test_table_arithmetic_matches_poly_oracle_exhaustive(p, n):
     ctx = FieldCtx(p, n)
@@ -203,6 +214,7 @@ def test_table_arithmetic_matches_poly_oracle_exhaustive(p, n):
     for a in elems:
         for b in elems:
             assert (a * b).coeffs == _oracle_mul(a, b)
+            _check_sum_difference_negation(a, b)
         if not a.is_zero():
             assert _oracle_mul(a, inv(a)) == one
 
@@ -217,8 +229,36 @@ def test_table_arithmetic_matches_poly_oracle_f625(x, y):
     a, b = F625.elem(x), F625.elem(y)
     assert (a * b).coeffs == _oracle_mul(a, b)
     assert (b * a).coeffs == _oracle_mul(a, b)
+    _check_sum_difference_negation(a, b)
+    _check_sum_difference_negation(b, a)
     if not a.is_zero():
         assert _oracle_mul(a, inv(a)) == F625.one().coeffs
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_code_order_is_coefficient_order(p, n):
+    ctx = FieldCtx(p, n)
+    elems = list(ctx.elements())
+    by_code = sorted(elems, key=lambda e: e.code)
+    assert [e.code for e in by_code] == list(range(ctx.order))
+    assert by_code == sorted(elems, key=lambda e: e.coeffs) == ctx.elements_sorted()
+    for e in elems:
+        assert ctx.elem(list(e.coeffs)).coeffs == e.coeffs
+        assert ctx.elem(list(e.coeffs)) == e
+    # sorting points by key sorts them by their coefficient tuples
+    points = [ProjPoint(ctx, [1, a, b, c]) for a in elems[:4] for b in elems for c in elems[-3:]]
+    assert sorted(points, key=lambda x: x.key) == sorted(
+        points, key=lambda x: [c.coeffs for c in x.coords])
+
+
+def test_f9_elements_order_and_codes():
+    # F_9 elements() as its docstring gives it: coeffs[0] varying fastest
+    assert [e.coeffs for e in F9.elements()] == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+    # a code reads the coefficients as base-3 digits, coeffs[0] leading
+    assert [e.code for e in F9.elements()] == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    assert F9.one().code == 3 and F9.elem([0, 1]).code == 1
+    assert FieldElem.__slots__ == ("ctx", "code")
 
 
 def test_contexts_are_interned():
