@@ -6,6 +6,7 @@ classifier for special orthogonal elements acting on it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -17,8 +18,9 @@ from .groups import (
     IdentityElement,
     NotOnQuadricGroup,
     PGLElem,
+    _congruence_value,
+    _mat_mul,
     is_orthogonal_mod_scalar,
-    segre_quadric_points,
 )
 from .incidence import (
     VerificationFailure,
@@ -29,7 +31,8 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     QuadricForm,
-    collinear,
+    _det4,
+    _rref2,
     line_through,
 )
 
@@ -61,7 +64,8 @@ class ExampleConfig:
     family: List[Tuple[int, int, int, int]]   # (i, j, t, z) index tuples
 
     def family_triple(self, i: int, j: int, t: int, z: int):
-        """The parametric collinear triple for one index tuple."""
+        """The parametric collinear triple for one index tuple, as points
+        (verify_example checks the same triples on ints mod p)."""
         ctx = self.ctx
         di = _gen_power(ctx, self.d, i)
         dj = _gen_power(ctx, self.d, j)
@@ -161,17 +165,30 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
     in X2 can genuinely fail for index pairs whose exponent sum escapes
     [-N, N] modulo p-1, so membership is reported, not asserted; the
     triple count is reported against the family size the same way.
+
+    The family triples are those of `cfg.family_triple`, worked out on
+    ints mod p: generator powers come from one table, points are scaled
+    to their `ProjPoint.key` through an inverse table, collinearity is
+    the vanishing of the four 3x3 minors and membership is a lookup in
+    the sets of keys of X1, X2, X3.
     """
-    sets = {"X1": set(cfg.X1), "X2": set(cfg.X2), "X3": set(cfg.X3)}
+    p = cfg.p
+    power = [pow(cfg.d, e, p) for e in range(p - 1)]      # d^e at e mod p-1
+    inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    keys1, keys2, keys3 = ({x.key for x in X} for X in (cfg.X1, cfg.X2, cfg.X3))
     in_sets = 0
     first_outside = None
     for idx in cfg.family:
-        x1, x2, x3 = cfg.family_triple(*idx)
-        if not collinear(x1, x2, x3):
+        i, j, t, z = idx
+        di, dj, dij = power[i % (p - 1)], power[j % (p - 1)], power[(i + j) % (p - 1)]
+        x1 = _key_mod_p(p, inverse, (0, dj, z, z - 1))
+        x2 = _key_mod_p(p, inverse, (-dij, 0, z - t * dj, z - 1 - t * dj))
+        x3 = _key_mod_p(p, inverse, (di, 1, t, t))
+        if not _collinear_mod_p(p, x1, x2, x3):
             raise VerificationFailure(f"family triple {idx} is not collinear")
         if x1 == x2 or x1 == x3 or x2 == x3:
             raise VerificationFailure(f"family triple {idx} has repeated points")
-        if x1 in sets["X1"] and x2 in sets["X2"] and x3 in sets["X3"]:
+        if x1 in keys1 and x2 in keys2 and x3 in keys3:
             in_sets += 1
         elif first_outside is None:
             first_outside = idx
@@ -200,7 +217,34 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
         triple_total_at_least_family=count.total >= len(cfg.family),
         max_lines=max_lines,
         dichotomy_ok=dichotomy_ok,
-        sizes={name: len(X) for name, X in sets.items()},
+        sizes={"X1": len(keys1), "X2": len(keys2), "X3": len(keys3)},
+    )
+
+
+def _key_mod_p(p: int, inverse: List[int], v) -> Tuple[int, ...]:
+    """The `ProjPoint.key` over F_p of a nonzero int vector (each family
+    point has a generator power among its entries): reduced mod p and
+    scaled by inverse[] so that its first nonzero entry is 1."""
+    v = [c % p for c in v]
+    s = inverse[next(c for c in v if c)]
+    return tuple(c * s % p for c in v)
+
+
+def _collinear_mod_p(p: int, a, b, c) -> bool:
+    """Whether three int 4-vectors span at most a plane mod p: each of the
+    four 3x3 minors, expanded along a through the 2x2 minors of b, c,
+    vanishes."""
+    m01 = b[0] * c[1] - b[1] * c[0]
+    m02 = b[0] * c[2] - b[2] * c[0]
+    m03 = b[0] * c[3] - b[3] * c[0]
+    m12 = b[1] * c[2] - b[2] * c[1]
+    m13 = b[1] * c[3] - b[3] * c[1]
+    m23 = b[2] * c[3] - b[3] * c[2]
+    return not (
+        (a[1] * m23 - a[2] * m13 + a[3] * m12) % p
+        or (a[0] * m23 - a[2] * m03 + a[3] * m02) % p
+        or (a[0] * m13 - a[1] * m03 + a[3] * m01) % p
+        or (a[0] * m12 - a[1] * m02 + a[2] * m01) % p
     )
 
 
@@ -229,23 +273,6 @@ def _compose_embeds(embeds: Sequence[Callable]) -> Callable:
         return x
 
     return run
-
-
-def _mat_mul(ctx, A, B):
-    zero = ctx.zero()
-    n = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(n)), zero) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def _congruence_value(ctx, M, B):
-    return _mat_mul(ctx, _mat_transpose(M), _mat_mul(ctx, B, M))
 
 
 def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
@@ -436,7 +463,12 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
 
 
 def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
-    """Classify Fix(g) on the quadric x1*x4 = x2*x3 by enumeration.
+    """Classify Fix(g) on the quadric x1*x4 = x2*x3.
+
+    A point is fixed when its lift is an eigenvector of the matrix M of
+    g, so Fix(g) is the union, over the eigenvalues lambda in F_q of M, of
+    the points of P(ker(M - lambda I)) on the quadric; the points are
+    sorted by key.
 
     Accepts elements preserving the quadric mod scalar; pso_verified
     records whether the determinant test certifies the special part.
@@ -450,8 +482,17 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     preserves, lam, special = pso_membership(g, Q)
     if not preserves:
         raise NotOnQuadricGroup("element does not preserve the quadric")
-    quadric_points = segre_quadric_points(ctx)
-    fixed = [pt for pt in set(quadric_points) if g.act(pt) == pt]
+    fixed = []
+    for value in ctx.elements():
+        shifted = [
+            [x - value if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(g.rows)
+        ]
+        if _det4(ctx, shifted).is_zero():
+            fixed.extend(
+                pt for pt in _projective_span(ctx, _nullspace(ctx, shifted))
+                if pt.coords[0] * pt.coords[3] == pt.coords[1] * pt.coords[2]
+            )
     fixed.sort(key=lambda p: p.key)
     kind, lines = _classify_point_set(ctx, fixed)
     if kind == "OTHER" and special:
@@ -466,6 +507,35 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
         pso_verified=special,
         scalar=lam,
     )
+
+
+def _nullspace(ctx: FieldCtx, rows) -> List[List[FieldElem]]:
+    """A basis of the kernel of a square matrix, one vector per free
+    column of its reduced row-echelon form."""
+    rref, rank = _rref2(ctx, rows)
+    pivots = [next(c for c, x in enumerate(row) if not x.is_zero()) for row in rref[:rank]]
+    basis = []
+    for free in (c for c in range(len(rows)) if c not in pivots):
+        v = [ctx.zero()] * len(rows)
+        v[free] = ctx.one()
+        for row, col in zip(rref, pivots):
+            v[col] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _projective_span(ctx: FieldCtx, basis) -> List[ProjPoint]:
+    """The points of P(span of the independent vectors in basis), each
+    once: one for each coefficient vector whose first nonzero entry is 1."""
+    out = []
+    elems = list(ctx.elements())
+    for lead in range(len(basis)):
+        for free in itertools.product(elems, repeat=len(basis) - lead - 1):
+            v = list(basis[lead])
+            for coeff, u in zip(free, basis[lead + 1:]):
+                v = [a + coeff * b for a, b in zip(v, u)]
+            out.append(ProjPoint(ctx, v))
+    return out
 
 
 def _classify_point_set(ctx, fixed):

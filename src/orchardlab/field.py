@@ -505,13 +505,11 @@ class FieldElem:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.elem(other)
-        return (
-            isinstance(other, FieldElem)
-            and self.ctx is other.ctx
-            and self.code == other.code
-        )
+        # an int is no element: equal objects must hash alike, and an
+        # int's hash is not its code's
+        if not isinstance(other, FieldElem):
+            return NotImplemented
+        return self.ctx is other.ctx and self.code == other.code
 
     def __hash__(self):
         return hash(self.code)

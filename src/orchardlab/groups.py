@@ -227,6 +227,24 @@ def eta_composed(x: ProjPoint, y: ProjPoint, a: ProjPoint) -> ProjPoint:
 
 # -- projective linear elements ------------------------------------------
 
+def _mat_mul(ctx: FieldCtx, A, B):
+    zero = ctx.zero()
+    n = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(n)), zero) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _mat_transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _congruence_value(ctx: FieldCtx, M, B):
+    """M^T B M, as the two products M^T (B M)."""
+    return _mat_mul(ctx, _mat_transpose(M), _mat_mul(ctx, B, M))
+
+
 class PGLElem:
     """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1."""
 
@@ -271,15 +289,7 @@ class PGLElem:
     def __mul__(self, other: "PGLElem") -> "PGLElem":
         if self.ctx is not other.ctx:
             raise GroupError("mixed contexts")
-        zero = self.ctx.zero()
-        rows = [
-            [
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(4)), zero)
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        return PGLElem(self.ctx, rows)
+        return PGLElem(self.ctx, _mat_mul(self.ctx, self.rows, other.rows))
 
     def inverse(self) -> "PGLElem":
         ctx = self.ctx
@@ -326,22 +336,12 @@ class PGLElem:
 def is_orthogonal_mod_scalar(
     M: PGLElem, Q: QuadricForm
 ) -> Tuple[bool, Optional[FieldElem]]:
-    """Test M^T B M = lambda * B; returns the witness lambda when true."""
+    """Test M^T B M = lambda * B; returns the witness lambda when true,
+    the ratio at the first nonzero entry of B in row order."""
     if M.ctx is not Q.ctx:
         raise GroupError("mixed contexts")
-    ctx = M.ctx
-    zero = ctx.zero()
     B = Q.B
-    prod = [
-        [
-            sum(
-                (M.rows[k][i] * B[k][l] * M.rows[l][j] for k in range(4) for l in range(4)),
-                zero,
-            )
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
+    prod = _congruence_value(M.ctx, M.rows, B)
     lam = None
     for i in range(4):
         for j in range(4):

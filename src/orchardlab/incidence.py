@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .field import FieldCtx, FieldElem, inv
-from .groups import AffElem, aff_act
+from .groups import AffElem
 from .projgeom import (
     EqualPoints,
     MixedContexts,
@@ -488,19 +488,20 @@ class CensusReport:
 
 
 def _pair_stabilizer_nontrivial(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bool:
-    """Brute oracle: scan all (a, b, c) != (0, 0, 1) for one fixing both."""
-    identity = AffElem.identity(ctx)
-    for a in ctx.elements():
-        for b in ctx.elements():
-            for c in ctx.elements():
-                if c.is_zero():
-                    continue
-                g = AffElem(ctx, a, b, c)
-                if g == identity:
-                    continue
-                if aff_act(g, p) == p and aff_act(g, q) == q:
-                    return True
-    return False
+    """Whether some (a, b, c) != (0, 0, 1) fixes both points of {x0 = 0}.
+
+    The stabilizer of [0 : 0 : u2 : u3] is the whole group; that of
+    [0 : 1 : u2 : u3] is the family ((c-1)u2, (c-1)u3, c), c != 0, which
+    is trivial over F_2.  Two such families meet only at the identity
+    unless the two points are equal.
+    """
+    fixes_p = p.coords[1].is_zero()
+    fixes_q = q.coords[1].is_zero()
+    if fixes_p and fixes_q:
+        return True
+    if ctx.order == 2:
+        return False
+    return fixes_p or fixes_q or p == q
 
 
 def _closed_form_pair(p: ProjPoint, q: ProjPoint) -> bool:
@@ -517,10 +518,11 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     """Census of ordered pairs of X (on the plane {x0 = 0}) whose pointwise
     stabilizer in G_a^2 x| G_m is nontrivial.
 
-    nontrivial_count is the exact census from the brute linear-solve
-    oracle; closed_form_count applies the coordinate case split, which is
-    a sound over-approximation (it may flag pairs whose stabilizer is in
-    fact trivial, never the reverse).
+    nontrivial_count is the exact census, one O(1) stabilizer test per
+    ordered pair; closed_form_count applies the coordinate case split,
+    which is a sound over-approximation (it may flag pairs whose
+    stabilizer is in fact trivial, never the reverse; a missed pair
+    raises VerificationFailure).
     """
     if not X:
         return CensusReport(0, 0, [])

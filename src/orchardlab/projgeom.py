@@ -351,23 +351,18 @@ def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
 
 
 def _det4(ctx: FieldCtx, rows) -> FieldElem:
-    """Determinant by Laplace expansion; matrices here are tiny."""
-    def det(mat):
-        n = len(mat)
-        if n == 1:
-            return mat[0][0]
-        acc = ctx.zero()
-        sign = ctx.one()
-        for j in range(n):
-            if not mat[0][j].is_zero():
-                minor = [
-                    [mat[i][k] for k in range(n) if k != j] for i in range(1, n)
-                ]
-                acc = acc + sign * mat[0][j] * det(minor)
-            sign = -sign
-        return acc
-
-    return det([list(r) for r in rows])
+    """Determinant of a 4x4 matrix by the Laplace expansion along its top
+    two rows: the sum of the six products of a 2x2 minor of rows 0, 1
+    with the complementary minor of rows 2, 3, signed."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 # -- point-set files ----------------------------------------------------

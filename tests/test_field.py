@@ -318,3 +318,27 @@ def test_f9_with_different_moduli_do_not_mix():
     assert ProjPoint(F9, [1, 0, 0, 0]) != ProjPoint(other, [1, 0, 0, 0])
     with pytest.raises(MixedContexts):
         line_through(p, q)
+
+
+def test_elements_never_equal_ints():
+    # equal objects hash alike: an element equal to an int would have to
+    # hash like that int, and it hashes its code
+    assert not F9.one() == 1 and F9.one() != 1
+    assert 1 not in {F9.one()} and {F9.one(): "x"}.get(1) is None
+    assert not F5.elem(2) == 7 and 7 not in {F5.elem(2)}
+    assert F5.elem(2) == F5.elem(7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F5, F9]), st.integers(0, 24), st.data())
+def test_equal_elements_hash_alike(ctx, code, data):
+    a = FieldElem(ctx, code % ctx.order)
+    b = data.draw(st.one_of(
+        st.integers(-30, 30),
+        st.integers(0, ctx.order - 1).map(lambda c: FieldElem(ctx, c)),
+        st.sampled_from([F5, F9]).flatmap(
+            lambda other: st.integers(0, other.order - 1).map(lambda c: FieldElem(other, c))),
+    ))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (isinstance(b, FieldElem) and b.ctx is ctx and b.code == a.code)

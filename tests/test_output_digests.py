@@ -1,10 +1,14 @@
-"""Byte identity of the measure and orchard-threeplanes reports.
+"""Byte identity of the measure, orchard-threeplanes, example-verify and
+lemma-suite reports.
 
 The measure digests were taken from the Fraction/AffElem implementation
 of `measures.convolve` that the integer-keyed one replaced; the reports of
 both must agree byte for byte at fixed flags and seed.  The threeplanes
 digests were taken from the plane-by-plane pencil scan and the set-based
 line buckets that the one-pass pencil count and the list buckets replaced.
+The example-verify and fixed-point digests were taken from the
+`ProjPoint` family check and the Segre-point enumeration of Fix(g) that
+the int-coded check and the eigenspace fixed points replaced.
 """
 
 import hashlib
@@ -37,6 +41,22 @@ CASES = [
 
 @pytest.mark.parametrize("args,digest", CASES, ids=["flatten-f7", "flatten-f9", "bsg-f7"])
 def test_measure_report_digest(tmp_path, args, digest):
+    out = tmp_path / "report"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+IDENTITY_CASES = [
+    (["example-verify", "--p", "13", "--k", "2"],
+     "d901c15e90947c5e4c2f669b58ad074ef9d41a0c2b0fa61924495de2bb2adf18"),
+    (["lemma-suite", "--only", "fixed-point-classification"],
+     "a10b3b4461712de4acfaa3acbf51aa31cdf16f5afbaa8a4af1e4183bdb73d7cb"),
+]
+
+
+@pytest.mark.parametrize("args,digest", IDENTITY_CASES,
+                         ids=["example-verify-p13", "lemma-fixed-points"])
+def test_identity_report_digest(tmp_path, args, digest):
     out = tmp_path / "report"
     assert cli.main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
