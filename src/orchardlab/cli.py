@@ -200,6 +200,10 @@ def cmd_orchard_quadric(args) -> int:
     ctx_s, S = load_point_set(args.s, args.allow_dup)
     if ctx_x is not ctx_s:
         raise UsageError("point sets live over different fields")
+    if ctx_x.p == 2:
+        # the Segre matrix of 2(x1 x4 - x2 x3) is zero there, and gamma_x
+        # needs odd characteristic
+        raise UsageError("orchard-quadric needs odd characteristic, not 2")
     Q = (
         QuadricForm.identity(ctx_x)
         if args.quadric == "identity"

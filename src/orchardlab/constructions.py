@@ -24,6 +24,8 @@ from .groups import (
 )
 from .incidence import (
     VerificationFailure,
+    _line_from_key,
+    _line_pair_counts,
     count_collinear_triples,
     line_concentration,
 )
@@ -33,7 +35,6 @@ from .projgeom import (
     QuadricForm,
     _det4,
     _rref2,
-    line_through,
 )
 
 
@@ -554,17 +555,13 @@ def _classify_point_set(ctx, fixed):
 
 
 def _full_lines_within(ctx, points) -> List[ProjLine]:
-    """Lines all of whose q+1 points belong to the given set."""
-    pts = set(points)
-    found = []
-    seen = set()
-    ordered = sorted(pts, key=lambda p: p.key)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            line = line_through(a, b)
-            if line.key in seen:
-                continue
-            seen.add(line.key)
-            if all(x in pts for x in line.points()):
-                found.append(line)
-    return found
+    """Lines all of whose q+1 points belong to the given set: those that
+    get (q+1)q/2 of its pairs, in the order of their first pair with the
+    points sorted by key."""
+    ordered = sorted(set(points), key=lambda p: p.key)
+    full = (ctx.order + 1) * ctx.order // 2
+    return [
+        _line_from_key(ctx, key)
+        for key, pairs in _line_pair_counts(ctx, ordered).items()
+        if pairs == full
+    ]

@@ -5,9 +5,13 @@ set Omega_t.
 Two interchangeable triple kernels are provided: a brute-force rank test
 over all ordered triples, and a line-hash kernel that buckets point pairs
 by the canonical line they span.  They must agree exactly; the hash
-kernel is the fast one.  Prime fields run both on raw int tuples (the
-brute test in its own int kernel, the hash kernel with the int RREF line
-key); other fields run them on points.
+kernel is the fast one.  Neither builds a field element: prime fields
+run both on the points' int code tuples, F_{p^n} on their tuples of
+Zech log codes (products as one table lookup, sums through the Zech
+table, see `FieldCtx._zech`).  Each field has its own brute kernel and
+RREF line key, and both keys are the flat 8-tuple of int codes that
+`ProjLine.key` is, so the hash kernel, `line_concentration` and the
+reported lines are shared.
 
 - The brute kernels run the four 3x3 minor tests before excluding a
   repeated point: the two points of the pair pass every minor, so they
@@ -39,7 +43,7 @@ from .projgeom import (
     ProjPlane,
     ProjPoint,
     TooLarge,
-    line_through,
+    line_through,  # not called here; perfbench/tracing.py wraps it here by name
 )
 
 PAIR_PRODUCT_CAP = 10**8
@@ -196,39 +200,133 @@ def _count_brute_int(p: int, X1, X2, X3):
     return total, per_line
 
 
+def _log_tables(ctx: FieldCtx):
+    """(exp, red, zech, Z, l(-1)) of ctx's Zech-log arrays (see
+    `FieldCtx._zech`), the tables the log-code kernels read."""
+    _, exp, red, zech = ctx._zech()
+    return exp, red, zech, ctx._log_zero, ctx._log_minus_one
+
+
+def _rref_key_log_slow(t, v1, v2):
+    exp, red, zech, Z, m1 = t
+    q1 = Z >> 1                     # q - 1: x * y^-1 has log red[x + q1 - y]
+    rows = [list(v1), list(v2)]
+    pivot_row = 0
+    for col in range(4):
+        hit = None
+        for r in range(pivot_row, 2):
+            if rows[r][col] != Z:
+                hit = r
+                break
+        if hit is None:
+            continue
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        s = q1 - rows[pivot_row][col]
+        rows[pivot_row] = [red[x + s] for x in rows[pivot_row]]
+        for r in range(2):
+            if r != pivot_row and rows[r][col] != Z:
+                f = red[rows[r][col] + m1]
+                rows[r] = [
+                    red[x + zech[red[f + y] - x + Z]]
+                    for x, y in zip(rows[r], rows[pivot_row])
+                ]
+        pivot_row += 1
+        if pivot_row == 2:
+            break
+    return tuple(exp[x] for x in rows[0] + rows[1])
+
+
+def _rref_key_log(t, v1, v2):
+    """`_rref_key_int` on log codes: the canonical RREF key, as the flat
+    8-tuple of int codes, of the span of two independent vectors of log
+    codes over F_{p^n}.  t is `_log_tables(ctx)`: x * y has log
+    red[x + y], -x has log red[x + l(-1)], and x + y has log
+    red[x + zech[y - x + Z]].  Unrolled when a row pivots in column 0;
+    rows both starting with 0 take the general path."""
+    exp, red, zech, Z, m1 = t
+    if v1[0] != Z:
+        a0, a1, a2, a3 = v1
+        b0, b1, b2, b3 = v2
+    elif v2[0] != Z:
+        a0, a1, a2, a3 = v2
+        b0, b1, b2, b3 = v1
+    else:
+        return _rref_key_log_slow(t, v1, v2)
+    q1 = Z >> 1
+    if a0:                          # log 0 is 1, the pivot of a canonical point
+        s = q1 - a0
+        a1, a2, a3 = red[a1 + s], red[a2 + s], red[a3 + s]
+    if b0 != Z:
+        f = red[b0 + m1]
+        b1 = red[b1 + zech[red[f + a1] - b1 + Z]]
+        b2 = red[b2 + zech[red[f + a2] - b2 + Z]]
+        b3 = red[b3 + zech[red[f + a3] - b3 + Z]]
+    one = exp[0]
+    if b1 != Z:
+        if b1:
+            s = q1 - b1
+            b2, b3 = red[b2 + s], red[b3 + s]
+        if a1 != Z:
+            f = red[a1 + m1]
+            a2 = red[a2 + zech[red[f + b2] - a2 + Z]]
+            a3 = red[a3 + zech[red[f + b3] - a3 + Z]]
+        return (one, 0, exp[a2], exp[a3], 0, one, exp[b2], exp[b3])
+    if b2 != Z:
+        if b2:
+            b3 = red[b3 + q1 - b2]
+        if a2 != Z:
+            a3 = red[a3 + zech[red[red[a2 + m1] + b3] - a3 + Z]]
+        return (one, exp[a1], 0, exp[a3], 0, 0, one, exp[b3])
+    # b3 must be nonzero: the vectors are independent
+    return (one, exp[a1], exp[a2], 0, 0, 0, 0, one)
+
+
 def _count_brute_generic(ctx, X1, X2, X3):
-    """Rank test per triple, expanded into the four 3x3 minors of the
-    stacked lifts (with the 2x2 minors of the first two rows shared)."""
+    """`_count_brute_int` over F_{p^n}, on log codes (see `_keyed`).  Each
+    minor test c_i m_jk - c_j m_ik + c_k m_ij = 0 compares the logs of
+    c_i m_jk + c_k m_ij and c_j m_ik, so it needs no negation."""
+    t = _log_tables(ctx)
+    _, red, zech, Z, m1 = t
     per_line: Dict[tuple, int] = {}
     total = 0
-    for p1 in X1:
-        a = p1.coords
-        for p2 in X2:
-            if p1 == p2:
+
+    def minor(x, y):
+        # log of x - y from the logs of the products x and y
+        return red[x + zech[red[y + m1] - x + Z]]
+
+    for v1 in X1:
+        a0, a1, a2, a3 = v1
+        for v2 in X2:
+            if v1 == v2:
                 continue
-            b = p2.coords
-            m01 = a[0] * b[1] - a[1] * b[0]
-            m02 = a[0] * b[2] - a[2] * b[0]
-            m03 = a[0] * b[3] - a[3] * b[0]
-            m12 = a[1] * b[2] - a[2] * b[1]
-            m13 = a[1] * b[3] - a[3] * b[1]
-            m23 = a[2] * b[3] - a[3] * b[2]
+            b0, b1, b2, b3 = v2
+            m01 = minor(red[a0 + b1], red[a1 + b0])
+            m02 = minor(red[a0 + b2], red[a2 + b0])
+            m03 = minor(red[a0 + b3], red[a3 + b0])
+            m12 = minor(red[a1 + b2], red[a2 + b1])
+            m13 = minor(red[a1 + b3], red[a3 + b1])
+            m23 = minor(red[a2 + b3], red[a3 + b2])
             hits = 0
-            for p3 in X3:
-                c = p3.coords
-                if not (c[0] * m12 - c[1] * m02 + c[2] * m01).is_zero():
+            for v3 in X3:
+                c0, c1, c2, c3 = v3
+                x = red[c0 + m12]
+                if red[x + zech[red[c2 + m01] - x + Z]] != red[c1 + m02]:
                     continue
-                if not (c[0] * m13 - c[1] * m03 + c[3] * m01).is_zero():
+                x = red[c0 + m13]
+                if red[x + zech[red[c3 + m01] - x + Z]] != red[c1 + m03]:
                     continue
-                if not (c[0] * m23 - c[2] * m03 + c[3] * m02).is_zero():
+                x = red[c0 + m23]
+                if red[x + zech[red[c3 + m02] - x + Z]] != red[c2 + m03]:
                     continue
-                if not (c[1] * m23 - c[2] * m13 + c[3] * m12).is_zero():
+                x = red[c1 + m23]
+                if red[x + zech[red[c3 + m12] - x + Z]] != red[c2 + m13]:
                     continue
-                if p3 != p1 and p3 != p2:
+                # v1 and v2 pass every minor; drop them only after a hit
+                if v3 != v1 and v3 != v2:
                     hits += 1
             if hits:
                 total += hits
-                key = line_through(p1, p2).key
+                key = _rref_key_log(t, v1, v2)
                 per_line[key] = per_line.get(key, 0) + hits
     return total, per_line
 
@@ -283,18 +381,20 @@ def _count_hash(key_of, X1, X2, X3):
     return _bucket_counts(pairs, thirds)
 
 
-def _line_key(p1: ProjPoint, p2: ProjPoint) -> tuple:
-    return line_through(p1, p2).key
-
-
 def _keyed(ctx: FieldCtx, *sets):
     """The point sets in the form the kernels take, and the line-key
     function on that form: the points' code tuples and their int RREF key
-    on prime fields, the points and their line's key otherwise."""
+    on prime fields, the points' log-code tuples (see `FieldCtx._zech`)
+    and their log-domain RREF key otherwise.  Both keys are the flat
+    8-tuple of int codes that `ProjLine.key` is."""
     if ctx.n == 1:
         p = ctx.p
         return partial(_rref_key_int, p, _inv_table(p)), [[x.key for x in X] for X in sets]
-    return _line_key, [list(X) for X in sets]
+    log = ctx._zech()[0]
+    return (
+        partial(_rref_key_log, _log_tables(ctx)),
+        [[tuple(log[c] for c in x.key) for x in X] for X in sets],
+    )
 
 
 def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
@@ -373,6 +473,19 @@ class ConcentrationReport:
         return out
 
 
+def _line_pair_counts(ctx: FieldCtx, X: Sequence[ProjPoint]) -> Dict[tuple, int]:
+    """The unordered pairs of the distinct points X by line key (see
+    `_keyed`), keys in the order their first pair comes in X: a line
+    holding a points of X gets a*(a-1)/2 pairs."""
+    counts: Dict[tuple, int] = {}
+    key_of, [pts] = _keyed(ctx, X)
+    for i, v1 in enumerate(pts):
+        for v2 in pts[i + 1:]:
+            key = key_of(v1, v2)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     """Exact max of |X intersect line| over lines spanned by pairs of X.
 
@@ -387,12 +500,7 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     ctx = _common_ctx([X])
     if len(set(X)) != len(X):
         raise EqualPoints("point set repeats a point")
-    counts: Dict[tuple, int] = {}
-    key_of, [pts] = _keyed(ctx, X)
-    for i, v1 in enumerate(pts):
-        for v2 in pts[i + 1:]:
-            key = key_of(v1, v2)
-            counts[key] = counts.get(key, 0) + 1
+    counts = _line_pair_counts(ctx, X)
     # the largest key among the lines with the most pairs
     pairs = max(counts.values())
     best_key = max(k for k, v in counts.items() if v == pairs)

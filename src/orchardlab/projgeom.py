@@ -280,9 +280,11 @@ def enumerate_space(ctx: FieldCtx, dim: int) -> List[ProjPoint]:
 
 
 class QuadricForm:
-    """A quadric in P^3 via its symmetric 4x4 matrix."""
+    """A quadric in P^3 via its symmetric 4x4 matrix B.  The nonzero
+    entries of B, as (i, j, B[i][j]) in row order, are kept once, so the
+    forms sum over them alone (the Segre form has 4 of 16)."""
 
-    __slots__ = ("ctx", "B")
+    __slots__ = ("ctx", "B", "entries")
 
     def __init__(self, ctx: FieldCtx, rows):
         B = tuple(tuple(ctx.elem(x) for x in row) for row in rows)
@@ -294,25 +296,18 @@ class QuadricForm:
                     raise GeometryError("quadric matrix must be symmetric")
         self.ctx = ctx
         self.B = B
+        self.entries = tuple(
+            (i, j, b) for i, row in enumerate(B) for j, b in enumerate(row)
+            if not b.is_zero()
+        )
 
     def evaluate(self, v: Sequence[FieldElem]) -> FieldElem:
-        acc = self.ctx.zero()
-        for i in range(4):
-            if v[i].is_zero():
-                continue
-            row = self.B[i]
-            for j in range(4):
-                acc = acc + v[i] * row[j] * v[j]
-        return acc
+        return self.bilinear(v, v)
 
     def bilinear(self, u, v) -> FieldElem:
         acc = self.ctx.zero()
-        for i in range(4):
-            if u[i].is_zero():
-                continue
-            row = self.B[i]
-            for j in range(4):
-                acc = acc + u[i] * row[j] * v[j]
+        for i, j, b in self.entries:
+            acc = acc + u[i] * b * v[j]
         return acc
 
     def det(self) -> FieldElem:

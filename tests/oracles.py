@@ -11,13 +11,23 @@ that path (see test_oracles.py):
   for `constructions.classify_fixed_points`;
 - `orthogonal_by_triple_sums`: M^T B M by 16 triple products an entry,
   for `groups.is_orthogonal_mod_scalar`;
-- `det_laplace`: the recursive Laplace determinant, for `projgeom._det4`.
+- `det_laplace`: the recursive Laplace determinant, for `projgeom._det4`;
+- `brute_triples_on_points`: the rank test on `FieldElem` lifts with
+  `line_through` line keys, for the log-code kernels of F_{p^n};
+- `line_concentration_by_lines`: the points of X on each `line_through`
+  line, for `incidence.line_concentration`;
+- `full_lines_by_scan`: every `line_through` line of a point set checked
+  point by point, for `constructions._full_lines_within`;
+- `dense_bilinear`: the 16-term sum of a quadric's bilinear form, for
+  the sparse `QuadricForm.bilinear`.
 """
+
+from typing import Dict
 
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, PGLElem, aff_act, segre_quadric_points
 from orchardlab.incidence import VerificationFailure
-from orchardlab.projgeom import ProjPoint, QuadricForm, collinear
+from orchardlab.projgeom import ProjPoint, QuadricForm, collinear, line_through
 
 
 def pair_stabilizer_scan(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bool:
@@ -114,3 +124,79 @@ def det_laplace(ctx: FieldCtx, rows):
         return acc
 
     return det([list(r) for r in rows])
+
+
+def brute_triples_on_points(X1, X2, X3):
+    """(total, counts by line key) of the ordered, pairwise distinct,
+    collinear triples: the four 3x3 minors of the stacked lifts per
+    triple, the line of a hit pair from `line_through`."""
+    per_line: Dict[tuple, int] = {}
+    total = 0
+    for p1 in X1:
+        a = p1.coords
+        for p2 in X2:
+            if p1 == p2:
+                continue
+            b = p2.coords
+            m01 = a[0] * b[1] - a[1] * b[0]
+            m02 = a[0] * b[2] - a[2] * b[0]
+            m03 = a[0] * b[3] - a[3] * b[0]
+            m12 = a[1] * b[2] - a[2] * b[1]
+            m13 = a[1] * b[3] - a[3] * b[1]
+            m23 = a[2] * b[3] - a[3] * b[2]
+            hits = 0
+            for p3 in X3:
+                c = p3.coords
+                if (
+                    (c[0] * m12 - c[1] * m02 + c[2] * m01).is_zero()
+                    and (c[0] * m13 - c[1] * m03 + c[3] * m01).is_zero()
+                    and (c[0] * m23 - c[2] * m03 + c[3] * m02).is_zero()
+                    and (c[1] * m23 - c[2] * m13 + c[3] * m12).is_zero()
+                    and p3 != p1
+                    and p3 != p2
+                ):
+                    hits += 1
+            if hits:
+                total += hits
+                key = line_through(p1, p2).key
+                per_line[key] = per_line.get(key, 0) + hits
+    return total, per_line
+
+
+def line_concentration_by_lines(X):
+    """(max |X ^ line|, the largest key of a line reaching it) over the
+    lines `line_through` spans on pairs of X, which has two points or more."""
+    members: Dict[tuple, set] = {}
+    for i, p in enumerate(X):
+        for q in X[i + 1:]:
+            members.setdefault(line_through(p, q).key, set()).update((p, q))
+    best = max(len(m) for m in members.values())
+    return best, max(k for k, m in members.items() if len(m) == best)
+
+
+def full_lines_by_scan(points):
+    """The lines all of whose q+1 points lie in the set, from
+    `line_through` on each pair of the points sorted by key, first seen
+    first."""
+    pts = set(points)
+    found = []
+    seen = set()
+    ordered = sorted(pts, key=lambda p: p.key)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            line = line_through(a, b)
+            if line.key in seen:
+                continue
+            seen.add(line.key)
+            if all(x in pts for x in line.points()):
+                found.append(line)
+    return found
+
+
+def dense_bilinear(Q: QuadricForm, u, v):
+    """u^T B v summed over all 16 entries of B."""
+    acc = Q.ctx.zero()
+    for i in range(4):
+        for j in range(4):
+            acc = acc + u[i] * Q.B[i][j] * v[j]
+    return acc

@@ -121,6 +121,26 @@ def test_orchard_quadric_char_two_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_orchard_quadric_segre_char_two_names_characteristic(tmp_path, capsys):
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    # 2(x1 x4 - x2 x3) vanishes over F_4, so every point would count as
+    # on the Segre quadric; [1:0:0:1] is off x1 x4 = x2 x3
+    ctx = FieldCtx(2, 2)
+    save_point_set(tmp_path / "x.pts", ctx, [ProjPoint(ctx, [1, 0, 0, 0])])
+    save_point_set(tmp_path / "s.pts", ctx, [ProjPoint(ctx, [1, 0, 0, 1])])
+    report = tmp_path / "q.json"
+    assert run([
+        "orchard-quadric", "--x", tmp_path / "x.pts", "--s", tmp_path / "s.pts",
+        "--quadric", "segre", "--report", report,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "characteristic" in err and "s-points" not in err
+    assert not report.exists()
+
+
 def test_flatten_csv_and_determinism(tmp_path):
     out1 = tmp_path / "f1.csv"
     out2 = tmp_path / "f2.csv"

@@ -1,7 +1,9 @@
-"""The closed forms of the identities paths against their oracles in
-oracles.py: the O(1) pair-stabilizer test, the int-coded family check,
-the eigenspace fixed points, the two-product orthogonality test and the
-2x2-minor determinant.
+"""The closed forms and int paths against their oracles in oracles.py:
+the O(1) pair-stabilizer test, the int-coded family check, the
+eigenspace fixed points and the full lines of a fixed set, the
+two-product orthogonality test, the 2x2-minor determinant, the sparse
+quadric forms, and the log-code triple kernels, line key and line
+concentration of F_{p^n}.
 """
 
 import random
@@ -12,39 +14,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_triples_on_points,
+    dense_bilinear,
     det_laplace,
     family_membership,
     fixed_points_by_enumeration,
+    full_lines_by_scan,
+    line_concentration_by_lines,
     orthogonal_by_triple_sums,
     pair_stabilizer_scan,
 )
 
 from orchardlab.constructions import (
     _collinear_mod_p,
+    _full_lines_within,
     _key_mod_p,
     build_example,
     classify_fixed_points,
     verify_example,
 )
-from orchardlab.field import FieldCtx
+from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
     GroupError,
     PGLElem,
     is_orthogonal_mod_scalar,
     reflection_lift,
 )
-from orchardlab.incidence import _pair_stabilizer_nontrivial
+from orchardlab.incidence import (
+    _keyed,
+    _pair_stabilizer_nontrivial,
+    count_collinear_triples,
+    line_concentration,
+)
 from orchardlab.projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
     collinear,
     enumerate_space,
+    line_through,
     on_quadric,
 )
 
 F2, F3, F4, F5, F7, F8, F9 = (FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5),
                               FieldCtx(7), FieldCtx(2, 3), FieldCtx(3, 2))
+F25, F27, F31 = FieldCtx(5, 2), FieldCtx(3, 3), FieldCtx(31)
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +135,10 @@ def _kron(ctx, A, B):
 def _assert_matches_enumeration(g, ctx):
     cls = classify_fixed_points(g, ctx)
     assert cls.fixed_points == fixed_points_by_enumeration(g, ctx)
+    lines = _full_lines_within(ctx, cls.fixed_points)
+    assert lines == full_lines_by_scan(cls.fixed_points)
+    if len(cls.fixed_points) > 4:
+        assert cls.lines == lines
     return cls
 
 
@@ -146,6 +164,17 @@ def test_fixed_points_each_kind(ctx):
     # -1 as an eigenvalue (the last prime-field code), on one ruling
     minus = _kron(ctx, ident, [[one, zero], [zero, -one]])
     assert _assert_matches_enumeration(minus, ctx).kind == "TWO_LINES"
+
+
+def test_full_lines_of_a_large_fixed_set():
+    # diag(1, 2, 1, 2) over F_31 fixes two lines of 32 points each
+    g = PGLElem(F31, [[int(i == j) * (1 + j % 2) for j in range(4)] for i in range(4)])
+    cls = classify_fixed_points(g, F31)
+    assert cls.kind == "TWO_LINES" and len(cls.fixed_points) == 64
+    assert cls.lines == full_lines_by_scan(cls.fixed_points)
+    # a line and a lone point: one full line, and order by first pair
+    pts = cls.lines[1].points() + [ProjPoint(F31, [0, 1, 0, 0])]
+    assert _full_lines_within(F31, pts) == full_lines_by_scan(pts) == [cls.lines[1]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,3 +244,93 @@ def test_det4_matches_laplace(ctx, data):
         rows[3] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
         assert _det4(ctx, rows).is_zero()
     assert _det4(ctx, rows) == det_laplace(ctx, rows)
+
+
+# -- sparse quadric forms --------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F5, F9, F25]), st.sampled_from(["random", "identity", "segre"]),
+       st.data())
+def test_sparse_forms_match_dense_sum(ctx, kind, data):
+    entry = st.sampled_from(ctx.elements_sorted())
+    if kind == "identity":
+        Q = QuadricForm.identity(ctx)
+    elif kind == "segre":
+        Q = QuadricForm.segre(ctx)
+    else:
+        # a symmetric matrix, with zeros often enough to leave entries out
+        entry = st.one_of(st.just(ctx.zero()), entry)
+        upper = {(i, j): data.draw(entry) for i in range(4) for j in range(i, 4)}
+        Q = QuadricForm(ctx, [[upper[min(i, j), max(i, j)] for j in range(4)]
+                              for i in range(4)])
+    assert all(not b.is_zero() for _, _, b in Q.entries)
+    assert len(Q.entries) == sum(not b.is_zero() for row in Q.B for b in row)
+    vec = st.lists(entry, min_size=4, max_size=4)
+    u, v = data.draw(vec), data.draw(vec)
+    assert Q.bilinear(u, v) == dense_bilinear(Q, u, v)
+    assert Q.evaluate(u) == dense_bilinear(Q, u, u)
+
+
+# -- the log-code kernels of F_{p^n} ---------------------------------------
+
+EXT_FIELDS = [F4, F8, F9, F25, F27]
+
+
+@st.composite
+def ext_points(draw, ctx):
+    """A point of P^3(ctx): general, on {x0 = 0} or on {x0 = x1 = 0}."""
+    lead = draw(st.sampled_from([0, 0, 1, 2]))
+    codes = [0] * lead + [draw(st.integers(1, ctx.order - 1))]
+    codes += [draw(st.integers(0, ctx.order - 1)) for _ in range(3 - lead)]
+    return ProjPoint(ctx, [FieldElem(ctx, c) for c in codes])
+
+
+@st.composite
+def ext_overlapping_sets(draw):
+    """X1, X2, X3 over an extension field, cut from a pool of points on a
+    few lines (some inside {x0 = 0} or {x0 = x1 = 0}) and scattered
+    points: seven disjoint groups, one per nonempty subset of {X1, X2,
+    X3}, the shared ones never empty."""
+    ctx = draw(st.sampled_from(EXT_FIELDS))
+    point = ext_points(ctx)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        u, v = draw(point), draw(point)
+        if u != v:
+            pool.append(v)
+            for t in draw(st.lists(st.integers(0, ctx.order - 1), max_size=6)):
+                t = FieldElem(ctx, t)
+                pool.append(ProjPoint(ctx, [a + t * b for a, b in zip(u.coords, v.coords)]))
+    pool += draw(st.lists(point, min_size=7, max_size=12, unique=True))
+    pool = draw(st.permutations(list(dict.fromkeys(pool))))
+    cuts = sorted(draw(st.lists(st.integers(4, len(pool)), min_size=2, max_size=2)))
+    bounds = [0, 1, 2, 3, 4] + cuts + [len(pool)]
+    g123, g12, g13, g23, g1, g2, g3 = (pool[a:b] for a, b in zip(bounds, bounds[1:]))
+    X1 = draw(st.permutations(g123 + g12 + g13 + g1))
+    X2 = draw(st.permutations(g123 + g12 + g23 + g2))
+    X3 = draw(st.permutations(g123 + g13 + g23 + g3))
+    return X1, X2, X3
+
+
+@settings(max_examples=120, deadline=None)
+@given(ext_overlapping_sets())
+def test_log_kernels_match_fieldelem_oracle(sets):
+    X1, X2, X3 = sets
+    assert set(X1) & set(X2) & set(X3)
+    total, per_line = brute_triples_on_points(X1, X2, X3)
+    for kernel in ("brute", "hash"):
+        got = count_collinear_triples(X1, X2, X3, kernel)
+        assert (got.total, got.line_keys) == (total, per_line), kernel
+    for X in (X1, X2, X3, X1 + [x for x in X2 if x not in X1]):
+        if len(X) >= 2:
+            rep = line_concentration(X)
+            assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EXT_FIELDS), st.data())
+def test_log_line_key_matches_line_through(ctx, data):
+    u = data.draw(ext_points(ctx))
+    v = data.draw(ext_points(ctx).filter(lambda x: x != u))
+    key_of, [[a, b]] = _keyed(ctx, [u, v])
+    assert key_of(a, b) == key_of(b, a) == line_through(u, v).key

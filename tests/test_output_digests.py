@@ -8,7 +8,10 @@ digests were taken from the plane-by-plane pencil scan and the set-based
 line buckets that the one-pass pencil count and the list buckets replaced.
 The example-verify and fixed-point digests were taken from the
 `ProjPoint` family check and the Segre-point enumeration of Fix(g) that
-the int-coded check and the eigenspace fixed points replaced.
+the int-coded check and the eigenspace fixed points replaced.  The F_8
+threeplanes and F_9 quadric digests were taken from the `FieldElem`
+brute kernel and the `line_through` line keys that the log-code kernels
+replaced.
 """
 
 import hashlib
@@ -18,11 +21,14 @@ import pytest
 
 from orchardlab import cli
 from orchardlab.field import FieldCtx
+from orchardlab.groups import segre_quadric_points
 from orchardlab.projgeom import (
     GeometryError,
     ProjLine,
     ProjPoint,
+    QuadricForm,
     enumerate_space,
+    on_quadric,
     save_point_set,
 )
 
@@ -128,6 +134,14 @@ def _f9():
     return pool[0:24], pool[8:32], pool[16:40] + extra
 
 
+def _f8():
+    # over F_8 the coordinates 2 of _pencil_points read as 0, so dedupe
+    ctx = FieldCtx(2, 3)
+    pool = _lines_and_scatter(ctx, 8, lines=4, per_line=6, scatter=16)
+    extra = list(dict.fromkeys(_pencil_points(ctx, pool)))
+    return pool[0:24], pool[8:32] + extra[::2], pool[16:40] + extra
+
+
 def _census_f5():
     # X1 on {x0 = 0}, so the report carries the stabilizer census
     ctx = FieldCtx(5)
@@ -145,12 +159,33 @@ THREEPLANES = [
      "695fa94a01bb2b1152f5c0878817d312224a3159b30e20f17917b04a4c84e686"),
     (_census_f5, "both",
      "27e9274829e6cf036d8df515c634965925a2d71bb53979f83edf69db307ff798"),
+    (_f8, "both",
+     "b1335a800f0071ac103e544a45ff374a86c30b243264a1f065c8fa7447a1b7e8"),
 ]
 
 
 @pytest.mark.parametrize("sets,kernel,digest", THREEPLANES,
-                         ids=["f101-shared-both", "f101-shared-hash", "f9", "f5-census"])
+                         ids=["f101-shared-both", "f101-shared-hash", "f9", "f5-census",
+                              "f8-both"])
 def test_threeplanes_report_digest(tmp_path, sets, kernel, digest):
     X1, X2, X3 = sets()
     ctx = X1[0].ctx
     assert _threeplanes(tmp_path, ctx, X1, X2, X3, kernel) == digest
+
+
+def test_quadric_report_digest_f9(tmp_path):
+    # 30 points of the Segre quadric and 25 off it, with the default kernel
+    ctx = FieldCtx(3, 2)
+    rng = random.Random(9)
+    on = sorted(set(segre_quadric_points(ctx)), key=lambda p: p.key)
+    Q = QuadricForm.segre(ctx)
+    off = [p for p in enumerate_space(ctx, 3) if not on_quadric(p, Q)]
+    save_point_set(tmp_path / "x.pts", ctx, rng.sample(on, 30))
+    save_point_set(tmp_path / "s.pts", ctx, rng.sample(off, 25))
+    report = tmp_path / "report.json"
+    assert cli.main(["orchard-quadric", "--x", str(tmp_path / "x.pts"),
+                     "--s", str(tmp_path / "s.pts"), "--quadric", "segre",
+                     "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "391dd12fd09421314de3ae6611300741fc6b7d1905c5c678e84510fbb7f8869d"
+    )
