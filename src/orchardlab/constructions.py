@@ -25,7 +25,7 @@ from .groups import (
 from .incidence import (
     VerificationFailure,
     _line_from_key,
-    _line_pair_counts,
+    _later_points_by_line,
     count_collinear_triples,
     line_concentration,
 )
@@ -555,13 +555,12 @@ def _classify_point_set(ctx, fixed):
 
 
 def _full_lines_within(ctx, points) -> List[ProjLine]:
-    """Lines all of whose q+1 points belong to the given set: those that
-    get (q+1)q/2 of its pairs, in the order of their first pair with the
-    points sorted by key."""
+    """Lines all of whose q+1 points belong to the given set, in the order
+    of their first pair with the points sorted by key: those whose first
+    point sees the q others after it (see `_later_points_by_line`)."""
     ordered = sorted(set(points), key=lambda p: p.key)
-    full = (ctx.order + 1) * ctx.order // 2
     return [
         _line_from_key(ctx, key)
-        for key, pairs in _line_pair_counts(ctx, ordered).items()
-        if pairs == full
+        for key, m in _later_points_by_line(ctx, ordered)
+        if m == ctx.order
     ]

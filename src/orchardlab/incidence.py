@@ -16,9 +16,11 @@ reported lines are shared.
 - The brute kernels run the four 3x3 minor tests before excluding a
   repeated point: the two points of the pair pass every minor, so they
   are dropped only after a hit.
-- The hash kernel keeps each line key's X1 x X2 pairs in one list,
-  collects X3 points only for keys already seen, and counts distinct
-  triples only on the lines that got an X3 point.
+- The hash kernel takes one X1 point at a time: it counts that point's
+  X2 partners by line key in a bucket of its own, and each X3 point then
+  reads its line's count, so memory beyond the per-line result is
+  O(|X2|).  `line_concentration` and the full-line search use the same
+  per-point bucket over the points after each one.
 - Reported lines are built once, from the kernels' keys, which are
   already in canonical RREF.
 - The pencil statistic reads each point once: the point's values on the
@@ -331,54 +333,31 @@ def _count_brute_generic(ctx, X1, X2, X3):
     return total, per_line
 
 
-def _distinct_triple_count(s1: set, s2: set, s3: set) -> int:
-    a, b, c = len(s1), len(s2), len(s3)
-    e12 = len(s1 & s2)
-    e13 = len(s1 & s3)
-    e23 = len(s2 & s3)
-    e123 = len(s1 & s2 & s3)
-    return a * b * c - e12 * c - e13 * b - e23 * a + 2 * e123
-
-
-def _bucket_counts(pairs: Dict[tuple, list], thirds: Dict[tuple, list]):
-    """Distinct triples per line key.  pairs[key] holds the key's X1 x X2
-    pairs flattened (x1, x2, x1, x2, ...), thirds[key] its X3 points; a
-    key without an X3 point contributes nothing and is never visited."""
-    total = 0
-    per_line: Dict[tuple, int] = {}
-    for key, third in thirds.items():
-        pair = pairs[key]
-        d = _distinct_triple_count(set(pair[0::2]), set(pair[1::2]), set(third))
-        if d:
-            total += d
-            per_line[key] = d
-    return total, per_line
-
-
 def _count_hash(key_of, X1, X2, X3):
     """Line-hash kernel over points in the form `key_of` takes (see
-    `_keyed`): every X1 x X2 pair is bucketed by its line key, and an X1 x
-    X3 pair only adds its X3 point to a line already bucketed."""
-    pairs: Dict[tuple, list] = {}
+    `_keyed`), one pass per X1 point v1: its X2 points are counted by the
+    line key each spans with v1, then each X3 point adds the count of its
+    own line through v1, less one when it is in X2 itself (v2 = v3)."""
+    in_x2 = set(X2)
+    total = 0
+    per_line: Dict[tuple, int] = {}
     for v1 in X1:
+        bucket: Dict[tuple, int] = {}
         for v2 in X2:
-            if v1 == v2:
-                continue
-            key = key_of(v1, v2)
-            bucket = pairs.get(key)
-            if bucket is None:
-                pairs[key] = [v1, v2]
-            else:
-                bucket += (v1, v2)
-    thirds: Dict[tuple, list] = {}
-    for v1 in X1:
+            if v1 != v2:
+                key = key_of(v1, v2)
+                bucket[key] = bucket.get(key, 0) + 1
         for v3 in X3:
             if v1 == v3:
                 continue
             key = key_of(v1, v3)
-            if key in pairs:
-                thirds.setdefault(key, []).append(v3)
-    return _bucket_counts(pairs, thirds)
+            hits = bucket.get(key)
+            if hits and v3 in in_x2:
+                hits -= 1
+            if hits:
+                total += hits
+                per_line[key] = per_line.get(key, 0) + hits
+    return total, per_line
 
 
 def _keyed(ctx: FieldCtx, *sets):
@@ -416,8 +395,11 @@ def count_collinear_triples(
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
     "both" (run the two and insist on identical totals and per-line
     counts, compared on raw line keys before any line is built).  Raises
-    EqualPoints when some Xi repeats a point.
+    EqualPoints when some Xi repeats a point, and ValueError for any other
+    kernel, empty sets included.
     """
+    if kernel not in ("hash", "brute", "both"):
+        raise ValueError(f"unknown kernel {kernel!r}")
     if not X1 or not X2 or not X3:
         return TripleCount(0, {}, kernel)
     ctx = _common_ctx([X1, X2, X3])
@@ -434,9 +416,7 @@ def count_collinear_triples(
             raise VerificationFailure(
                 f"kernel disagreement: brute {brute.total} vs hash {hashed.total}"
             )
-        total, per_raw, kernel = hashed.total, hashed.line_keys, "hash"
-    elif kernel not in ("hash", "brute"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+        total, per_raw = hashed.total, hashed.line_keys
     else:
         key_of, sets = _keyed(ctx, X1, X2, X3)
         if kernel == "hash":
@@ -473,25 +453,30 @@ class ConcentrationReport:
         return out
 
 
-def _line_pair_counts(ctx: FieldCtx, X: Sequence[ProjPoint]) -> Dict[tuple, int]:
-    """The unordered pairs of the distinct points X by line key (see
-    `_keyed`), keys in the order their first pair comes in X: a line
-    holding a points of X gets a*(a-1)/2 pairs."""
-    counts: Dict[tuple, int] = {}
+def _later_points_by_line(ctx: FieldCtx, X: Sequence[ProjPoint]):
+    """(key, m) for each point of the distinct points X and each line key
+    (see `_keyed`) it spans with the points after it in X, m of them.  A
+    line holding a points of X yields m = a - 1 from its first point and
+    less from the later ones, so its first yield comes in the order of its
+    first pair."""
     key_of, [pts] = _keyed(ctx, X)
     for i, v1 in enumerate(pts):
+        bucket: Dict[tuple, int] = {}
         for v2 in pts[i + 1:]:
             key = key_of(v1, v2)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+            bucket[key] = bucket.get(key, 0) + 1
+        yield from bucket.items()
 
 
 def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
-    """Exact max of |X intersect line| over lines spanned by pairs of X.
+    """Exact max of |X intersect line| over lines spanned by pairs of X,
+    with the largest line key among the lines that reach it as witness.
 
     A line meeting X in at most one point never beats a spanned line once
-    |X| >= 2, so the spanned lines suffice; singletons report 1.  Raises
-    EqualPoints when X repeats a point.
+    |X| >= 2, so the spanned lines suffice; singletons report 1.  The max
+    is 1 + the largest count `_later_points_by_line` yields, which comes
+    from the first point of a line reaching it.  Raises EqualPoints when X
+    repeats a point.
     """
     if not X:
         return ConcentrationReport(0)
@@ -500,17 +485,8 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     ctx = _common_ctx([X])
     if len(set(X)) != len(X):
         raise EqualPoints("point set repeats a point")
-    counts = _line_pair_counts(ctx, X)
-    # the largest key among the lines with the most pairs
-    pairs = max(counts.values())
-    best_key = max(k for k, v in counts.items() if v == pairs)
-    # pairs = a*(a-1)/2 on a line holding a points of X
-    a = 1
-    while a * (a - 1) // 2 < pairs:
-        a += 1
-    if a * (a - 1) // 2 != pairs:
-        raise VerificationFailure("pair count is not triangular")
-    return ConcentrationReport(a, _line_from_key(ctx, best_key))
+    m, key = max((m, key) for key, m in _later_points_by_line(ctx, X))
+    return ConcentrationReport(m + 1, _line_from_key(ctx, key))
 
 
 class EqualPlanes(Exception):

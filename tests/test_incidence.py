@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,49 @@ def test_triple_count_tiny_examples():
     assert out.total == 1
     assert list(out.by_line.values()) == [1]
     assert count_collinear_triples([], X2, X3).total == 0
+
+
+def test_triple_count_rejects_unknown_kernel_on_empty_input():
+    X = [ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0])]
+    for X1, X2, X3 in (([], X, X), (X, [], X), (X, X, []), (X, X, X)):
+        with pytest.raises(ValueError):
+            count_collinear_triples(X1, X2, X3, "bogus")
+
+
+def test_triple_count_both_kernel_named_alike_on_empty_input():
+    X = [ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]),
+         ProjPoint(F5, [1, 1, 0, 0])]
+    empty = count_collinear_triples([], X, X, "both")
+    full = count_collinear_triples(X, X, X, "both")
+    assert (empty.total, full.total) == (0, 6)
+    assert empty.kernel == full.kernel == "both"
+
+
+def random_points(ctx, rng, n):
+    pts = set()
+    while len(pts) < n:
+        v = [rng.randrange(ctx.order) for _ in range(4)]
+        if any(v):
+            pts.add(ProjPoint(ctx, v))
+    return list(pts)
+
+
+def test_line_statistics_memory_stays_linear():
+    """The hash kernel and line_concentration keep one bucket per point,
+    not every pair's line key: at 300 points over F_101, one entry per
+    pair would take about 20 MiB."""
+    rng = random.Random(29)
+    F101 = FieldCtx(101)
+    X1, X2, X3 = (random_points(F101, rng, 300) for _ in range(3))
+    for run in (lambda: count_collinear_triples(X1, X2, X3, "hash", collect_by_line=False),
+                lambda: line_concentration(X1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_triple_count_excludes_repeats():
@@ -143,6 +187,14 @@ def test_line_concentration_examples():
     assert line_concentration(line.points()).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1
     assert line_concentration([]).max_count == 0
+    # a tie: two lines of 3 points each; the larger key is the witness
+    a = [ProjPoint(F5, v) for v in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0])]
+    b = [ProjPoint(F5, v) for v in ([0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 1, 1])]
+    keys = line_through(*a[:2]).key, line_through(*b[:2]).key
+    assert keys[0] != keys[1]
+    for X in (a + b, b + a, [a[0], b[0], a[1], b[1], b[2], a[2]]):
+        rep = line_concentration(X)
+        assert (rep.max_count, rep.witness_line.key) == (3, max(keys))
 
 
 @pytest.mark.parametrize("ctx", [F5, F9])

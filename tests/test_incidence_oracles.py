@@ -2,7 +2,8 @@
 
 - The one-pass pencil count against the plane-by-plane scan it replaced.
 - The hash triple kernel against the brute one, on point sets that share
-  points, which the list buckets' intersection terms must handle.
+  points, which the per-point buckets must not count twice; and
+  `line_concentration` against the line-by-line oracle on those sets.
 """
 
 from functools import lru_cache
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import line_concentration_by_lines
 from orchardlab.field import FieldCtx
 from orchardlab.incidence import (
     EqualPlanes,
     count_collinear_triples,
+    line_concentration,
     pencil_plane_concentration,
     pencil_planes,
 )
@@ -143,3 +146,6 @@ def test_hash_matches_brute_on_shared_points(sets):
         assert ProjLine(line.ctx, line.basis).basis == line.basis
     both = count_collinear_triples(X1, X2, X3, "both")
     assert (both.total, both.by_line) == (hashed.total, hashed.by_line)
+    for X in (X1, X2, X3, X1 + [x for x in X2 if x not in X1]):
+        rep = line_concentration(X)
+        assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X)
