@@ -15,9 +15,8 @@ are gated on the linear-form hypothesis ||nu*nu||_2 >= K^-1 ||nu||_2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, NamedTuple, Optional, Set
 
 from .measures import (
     GroupMeasure,
@@ -30,8 +29,7 @@ from .measures import (
 )
 
 
-@dataclass
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     name: str
     lhs: Fraction
     relation: str                  # "<=" or ">="
@@ -58,8 +56,7 @@ class InequalityCheck:
         }
 
 
-@dataclass
-class BsgDecomposition:
+class BsgDecomposition(NamedTuple):
     K: Fraction
     M: Fraction
     delta: Fraction
@@ -288,8 +285,7 @@ def covering_number(group: GroupOps, A: Iterable, B: Iterable) -> int:
     return used
 
 
-@dataclass
-class ApproxGroupReport:
+class ApproxGroupReport(NamedTuple):
     is_approximate: bool
     reason: str
     witness: Optional[object]

@@ -5,92 +5,50 @@ example-verify, flatten, bsg-verify, lemma-suite.  Reports are JSON
 (schema key 1) or CSV, deterministic for fixed flags and seed; exact
 rationals are emitted as "num/den" strings beside float approximations.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 a checked identity or
-inequality failed (this indicates a bug or a genuine counterexample).
+Exit codes: 0 success, 1 usage or I/O error (any `OrchardError` or
+`OSError`), 2 a checked identity or inequality failed (this indicates a
+bug or a genuine counterexample).
+
+Each job is one fresh process, so each subcommand imports the modules it
+runs inside its own function: a triple count never loads the measure
+code, and a measure job never loads the point-counting code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
 
-from .bsg import all_pass, verify_decomposition
-from .constructions import (
-    DegenerateParameters,
-    build_example,
-    classify_fixed_points,
-    verify_example,
-)
-from .field import FieldCtx, FieldElem, FieldError
-from .groups import (
-    AffElem,
-    GroupError,
-    StdThreePlaneFrame,
-    aff_act,
-    aff_centralizer_member,
-    aff_commutator,
-    aff_compose,
-    eta_composed,
-    gamma_x,
-    gamma_xy,
-    is_orthogonal_mod_scalar,
-    reflection_lift,
-    segre,
-    segre_inverse,
-)
-from .incidence import (
-    VerificationFailure,
-    count_collinear_triples,
-    line_concentration,
-    pencil_plane_concentration,
-    stabilizer_census_affine,
-)
-from .measures import (
-    AffineGroupOps,
-    GroupMeasure,
-    MeasureError,
-    flattening_report,
-    uniform,
-)
-from .projgeom import (
-    GeometryError,
-    PointSetFormatError,
-    QuadricForm,
-    collinear,
-    enumerate_space,
-    load_point_set,
-    on_quadric,
-    save_point_set,
-)
+from .errors import OrchardError, VerificationFailure
+from .field import FieldCtx, FieldElem
 
 SCHEMA_VERSION = 1
 
 
-class UsageError(Exception):
+class UsageError(OrchardError):
     pass
 
 
-@dataclass
 class ExperimentParams:
     """Validated experiment-level scalars shared across the flags."""
 
-    epsilon: Optional[Fraction] = None
-    epsilon1: Optional[Fraction] = None
-    epsilon2: Optional[Fraction] = None
-    epsilon3: Optional[Fraction] = None
-    r: Fraction = Fraction(1)
-    k: Fraction = Fraction(1)
-    t: Optional[Fraction] = None
-    m_max: int = 0
-    K: Fraction = Fraction(1)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        epsilon: Fraction | None = None,
+        epsilon1: Fraction | None = None,
+        epsilon2: Fraction | None = None,
+        epsilon3: Fraction | None = None,
+        r: Fraction = Fraction(1),
+        k: Fraction = Fraction(1),
+        t: Fraction | None = None,
+        m_max: int = 0,
+        K: Fraction = Fraction(1),
+    ):
+        self.epsilon, self.epsilon1 = epsilon, epsilon1
+        self.epsilon2, self.epsilon3 = epsilon2, epsilon3
+        self.r, self.k, self.t, self.m_max, self.K = r, k, t, m_max, K
         for name in ("epsilon", "epsilon1", "epsilon2", "epsilon3"):
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -114,11 +72,11 @@ def parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}") from exc
 
 
-def frac_fields(x: Fraction) -> Dict:
+def frac_fields(x: Fraction) -> dict:
     return {"exact": f"{x.numerator}/{x.denominator}", "float": float(x)}
 
 
-def write_json(path: Optional[str], doc: dict) -> None:
+def write_json(path: str | None, doc: dict) -> None:
     doc = {"schema": SCHEMA_VERSION, **doc}
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if path:
@@ -131,6 +89,9 @@ def write_json(path: Optional[str], doc: dict) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_example_build(args) -> int:
+    from .constructions import build_example
+    from .projgeom import save_point_set
+
     cfg = build_example(args.p, parse_fraction(args.k))
     prefix = args.out_prefix
     for name, X in (("x1", cfg.X1), ("x2", cfg.X2), ("x3", cfg.X3)):
@@ -151,6 +112,8 @@ def cmd_example_build(args) -> int:
 
 
 def cmd_example_verify(args) -> int:
+    from .constructions import build_example, verify_example
+
     cfg = build_example(args.p, parse_fraction(args.k))
     report = verify_example(cfg)
     write_json(args.out, report.as_dict())
@@ -158,6 +121,15 @@ def cmd_example_verify(args) -> int:
 
 
 def cmd_orchard_threeplanes(args) -> int:
+    from .groups import StdThreePlaneFrame
+    from .incidence import (
+        count_collinear_triples,
+        line_concentration,
+        pencil_plane_concentration,
+        stabilizer_census_affine,
+    )
+    from .projgeom import load_point_set
+
     ctx1, X1 = load_point_set(args.x1, args.allow_dup)
     ctx2, X2 = load_point_set(args.x2, args.allow_dup)
     ctx3, X3 = load_point_set(args.x3, args.allow_dup)
@@ -196,6 +168,10 @@ def cmd_orchard_threeplanes(args) -> int:
 
 
 def cmd_orchard_quadric(args) -> int:
+    from .groups import gamma_x
+    from .incidence import count_collinear_triples, line_concentration
+    from .projgeom import QuadricForm, collinear, load_point_set, on_quadric
+
     ctx_x, X = load_point_set(args.x, args.allow_dup)
     ctx_s, S = load_point_set(args.s, args.allow_dup)
     if ctx_x is not ctx_s:
@@ -242,15 +218,19 @@ def _affine_group_order(ctx) -> int:
     return q * q * (q - 1)
 
 
-def _affine_element(ctx, index: int) -> AffElem:
+def _affine_element(ctx, index: int):
     """The index-th affine group element in `AffElem.key` order: a and b
     run over the element codes, c over the nonzero ones."""
+    from .groups import AffElem
+
     ab, c = divmod(index, ctx.order - 1)
     a, b = divmod(ab, ctx.order)
     return AffElem(ctx, FieldElem(ctx, a), FieldElem(ctx, b), FieldElem(ctx, c + 1))
 
 
 def _random_affine_elements(ctx, rng, count):
+    from .groups import AffElem
+
     elems = set()
     nonzero = [e for e in ctx.elements_sorted() if not e.is_zero()]
     all_elems = ctx.elements_sorted()
@@ -264,6 +244,11 @@ def _random_affine_elements(ctx, rng, count):
 
 
 def cmd_flatten(args) -> int:
+    import csv
+    import random
+
+    from .measures import AffineGroupOps, flattening_report, uniform
+
     if args.group != "affine":
         raise UsageError("only the affine group is wired to the runner")
     ExperimentParams(m_max=args.m_max)
@@ -301,6 +286,11 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_bsg_verify(args) -> int:
+    import random
+
+    from .bsg import all_pass, verify_decomposition
+    from .measures import AffineGroupOps, GroupMeasure
+
     if args.count < 0:
         raise UsageError("--count must be nonnegative")
     ctx = FieldCtx.from_descriptor(args.field)
@@ -353,6 +343,9 @@ def cmd_bsg_verify(args) -> int:
 
 
 def _suite_projection_agreement():
+    from .groups import StdThreePlaneFrame, aff_act, eta_composed, gamma_xy
+    from .projgeom import enumerate_space
+
     ctx = FieldCtx(3)
     frame = StdThreePlaneFrame(ctx)
     space = enumerate_space(ctx, 3)
@@ -370,6 +363,8 @@ def _suite_projection_agreement():
 
 
 def _suite_commutator():
+    from .groups import AffElem, aff_commutator
+
     ctx = FieldCtx(3)
     elems = list(ctx.elements())
     nonzero = [c for c in elems if not c.is_zero()]
@@ -389,6 +384,8 @@ def _suite_commutator():
 
 
 def _suite_centralizer():
+    from .groups import AffElem, aff_centralizer_member, aff_compose
+
     ctx = FieldCtx(5)
     elems = list(ctx.elements())
     nonzero = [c for c in elems if not c.is_zero()]
@@ -412,6 +409,9 @@ def _suite_centralizer():
 
 
 def _suite_reflection():
+    from .groups import gamma_x, is_orthogonal_mod_scalar, reflection_lift
+    from .projgeom import QuadricForm, collinear, enumerate_space, on_quadric
+
     ctx = FieldCtx(5)
     Q = QuadricForm.identity(ctx)
     space = enumerate_space(ctx, 3)
@@ -440,6 +440,9 @@ def _suite_reflection():
 
 
 def _suite_segre():
+    from .groups import segre, segre_inverse
+    from .projgeom import QuadricForm, enumerate_space, on_quadric
+
     ctx = FieldCtx(3)
     line = enumerate_space(ctx, 1)
     seg_quadric = QuadricForm.segre(ctx)
@@ -456,6 +459,12 @@ def _suite_segre():
 
 
 def _suite_fixed_points(seed=0, total=50):
+    import random
+
+    from .constructions import classify_fixed_points
+    from .groups import reflection_lift
+    from .projgeom import QuadricForm, enumerate_space, on_quadric
+
     rng = random.Random(seed)
     outcomes = {}
     for ctx in (FieldCtx(5), FieldCtx(3, 2)):
@@ -581,8 +590,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, DegenerateParameters, PointSetFormatError, FieldError,
-            GeometryError, GroupError, MeasureError, OSError) as exc:
+    except (OrchardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,10 @@ classifier for special orthogonal elements acting on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, adjoin_sqrt, inv, least_primitive_root
 from .groups import (
     CharTwo,
@@ -23,7 +23,6 @@ from .groups import (
     is_orthogonal_mod_scalar,
 )
 from .incidence import (
-    VerificationFailure,
     _line_from_key,
     _later_points_by_line,
     count_collinear_triples,
@@ -38,22 +37,21 @@ from .projgeom import (
 )
 
 
-class DegenerateParameters(Exception):
+class DegenerateParameters(OrchardError):
     pass
 
 
-class SingularForm(Exception):
+class SingularForm(OrchardError):
     pass
 
 
-class NoSqrtMinusOne(Exception):
+class NoSqrtMinusOne(OrchardError):
     pass
 
 
 # -- the extremal three-plane configuration --------------------------------
 
-@dataclass
-class ExampleConfig:
+class ExampleConfig(NamedTuple):
     p: int
     k: Fraction
     N: int
@@ -135,8 +133,7 @@ def _floor_root(p: int, k: Fraction) -> int:
     return n
 
 
-@dataclass
-class ExampleReport:
+class ExampleReport(NamedTuple):
     family_count: int
     all_collinear: bool
     all_pairwise_distinct: bool
@@ -150,7 +147,7 @@ class ExampleReport:
     sizes: Dict[str, int]
 
     def as_dict(self) -> dict:
-        out = dict(self.__dict__)
+        out = self._asdict()
         out["first_outside"] = (
             list(self.first_outside) if self.first_outside else None
         )
@@ -251,8 +248,7 @@ def _collinear_mod_p(p: int, a, b, c) -> bool:
 
 # -- quadric normalization ---------------------------------------------------
 
-@dataclass
-class QuadricNormalization:
+class QuadricNormalization(NamedTuple):
     source: QuadricForm
     target_tag: str                      # "identity" or "segre"
     ctx: FieldCtx                        # final field, after extensions
@@ -441,8 +437,7 @@ def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
 
 # -- fixed points on the Segre quadric ---------------------------------------
 
-@dataclass
-class FixClassification:
+class FixClassification(NamedTuple):
     kind: str                  # FINITE | ONE_LINE | TWO_LINES | OTHER
     fixed_points: List[ProjPoint]
     lines: List[ProjLine]

@@ -25,6 +25,8 @@ import operator
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .errors import OrchardError
+
 DESK_ORDER_CAP = 10**6
 SQRT_TABLE_CAP = 10**4
 
@@ -32,7 +34,7 @@ SQRT_TABLE_CAP = 10**4
 _INTERNED: Dict[tuple, "FieldCtx"] = {}
 
 
-class FieldError(Exception):
+class FieldError(OrchardError):
     pass
 
 

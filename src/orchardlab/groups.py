@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from .errors import OrchardError
 from .field import FieldCtx, FieldElem, inv
 from .projgeom import (
     NotOnSegreQuadric,
@@ -29,7 +30,7 @@ from .projgeom import (
 )
 
 
-class GroupError(Exception):
+class GroupError(OrchardError):
     pass
 
 

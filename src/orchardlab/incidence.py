@@ -31,11 +31,11 @@ reported lines are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .groups import AffElem
 from .projgeom import (
@@ -49,10 +49,6 @@ from .projgeom import (
 )
 
 PAIR_PRODUCT_CAP = 10**8
-
-
-class VerificationFailure(Exception):
-    """A checked identity that should always hold was violated."""
 
 
 def _common_ctx(sets: Sequence[Sequence[ProjPoint]]) -> FieldCtx:
@@ -75,14 +71,13 @@ def line_text(line: ProjLine) -> str:
     )
 
 
-@dataclass
-class TripleCount:
+class TripleCount(NamedTuple):
     total: int
     by_line: Dict[ProjLine, int]
     kernel: str
     # the kernel's own per-line counts, keyed by raw line keys: the flat
     # RREF 8-tuples of element codes that `ProjLine.key` also uses
-    line_keys: Dict[tuple, int] = field(default_factory=dict, repr=False)
+    line_keys: Dict[tuple, int]
 
     def check_consistency(self):
         if self.by_line and sum(self.by_line.values()) != self.total:
@@ -395,18 +390,19 @@ def count_collinear_triples(
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
     "both" (run the two and insist on identical totals and per-line
     counts, compared on raw line keys before any line is built).  Raises
-    EqualPoints when some Xi repeats a point, and ValueError for any other
-    kernel, empty sets included.
+    ValueError for any other kernel, then MixedContexts or EqualPoints
+    when the sets span two fields or some Xi repeats a point, empty sets
+    included.
     """
     if kernel not in ("hash", "brute", "both"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if not X1 or not X2 or not X3:
-        return TripleCount(0, {}, kernel)
     ctx = _common_ctx([X1, X2, X3])
     if len(X1) * len(X2) > PAIR_PRODUCT_CAP:
         raise TooLarge("pair product exceeds the counting guard")
     if any(len(set(X)) != len(X) for X in (X1, X2, X3)):
         raise EqualPoints("a point set repeats a point")
+    if not X1 or not X2 or not X3:
+        return TripleCount(0, {}, kernel, {})
     if kernel == "both":
         brute = count_collinear_triples(X1, X2, X3, "brute", False)
         hashed = count_collinear_triples(X1, X2, X3, "hash", False)
@@ -433,8 +429,7 @@ def count_collinear_triples(
 
 # -- concentration statistics ----------------------------------------------
 
-@dataclass
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     max_count: int
     witness_line: Optional[ProjLine] = None
     max_pencil_count: Optional[int] = None
@@ -489,7 +484,7 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     return ConcentrationReport(m + 1, _line_from_key(ctx, key))
 
 
-class EqualPlanes(Exception):
+class EqualPlanes(OrchardError):
     pass
 
 
@@ -564,8 +559,7 @@ def pencil_plane_concentration(
 
 # -- stabilizer census on the standard plane -------------------------------
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     nontrivial_count: int      # pairs whose exact stabilizer is nontrivial
     closed_form_count: int     # pairs flagged by the coordinate case split
     disagreements: List[Tuple[ProjPoint, ProjPoint]]
@@ -606,11 +600,14 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     ordered pair; closed_form_count applies the coordinate case split,
     which is a sound over-approximation (it may flag pairs whose
     stabilizer is in fact trivial, never the reverse; a missed pair
-    raises VerificationFailure).
+    raises VerificationFailure).  Raises EqualPoints when X repeats a
+    point.
     """
     if not X:
         return CensusReport(0, 0, [])
     ctx = _common_ctx([X])
+    if len(set(X)) != len(X):
+        raise EqualPoints("point set repeats a point")
     for x in X:
         if not x.coords[0].is_zero():
             raise MixedContexts(f"{x} is not on the plane x0 = 0")
@@ -634,8 +631,7 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
 
 # -- free tuples and Omega_t ------------------------------------------------
 
-@dataclass
-class FreeTupleSet:
+class FreeTupleSet(NamedTuple):
     k: int
     tuples: Set[tuple]
     complement_size: int
@@ -687,8 +683,7 @@ def _is_identity(g) -> bool:
     return g == g.__class__.identity(g.ctx)
 
 
-@dataclass
-class OmegaReport:
+class OmegaReport(NamedTuple):
     elements: Set
     mass: int                  # sum over elements of |g Xt ^ Xt|
     tuple_count: int           # |Xt|

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
+from .errors import OrchardError
 from .field import FieldCtx, FieldElem
 from .groups import AffElem, PGLElem, aff_compose, aff_inverse
 
 SUPPORT_CAP = 10**6
 
 
-class MeasureError(Exception):
+class MeasureError(OrchardError):
     pass
 
 
@@ -458,8 +458,7 @@ def coset_mass(mu: GroupMeasure, g, H: Iterable) -> Fraction:
     return sum((mu(group.multiply(g, h)) for h in elements), Fraction(0))
 
 
-@dataclass
-class FlatteningRow:
+class FlatteningRow(NamedTuple):
     m: int                      # power index: the measure is sigma^(*2^m)
     support: int
     l2_sq: Fraction

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+from .errors import OrchardError
 from .field import FieldCtx, FieldElem, FieldError, inv
 
 ENUMERATION_CAP = 10**8
 
 
-class GeometryError(Exception):
+class GeometryError(OrchardError):
     pass
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -339,3 +342,47 @@ def test_lemma_suite_unknown_name_is_usage_error(tmp_path, capsys):
     err = _one_line_error(capsys, ["lemma-suite", "--only", "bogus", "--out", tmp_path / "l.json"])
     assert "bogus" in err
     assert all(name in err for name in cli.LEMMA_SUITES)
+
+
+# Prints the modules a fresh interpreter loaded for `import orchardlab.cli`
+# and, given arguments, for one `cli.main` run on them.
+LOADED_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+from orchardlab import cli
+if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:
+    sys.exit("the job failed")
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def modules_loaded(args, cwd):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+def test_subcommands_load_only_their_modules(tmp_path):
+    # a fresh interpreter, since this one has loaded every module already
+    loaded = modules_loaded([], tmp_path)
+    assert "orchardlab.cli" in loaded
+    assert not loaded & {"dataclasses", "orchardlab.incidence", "orchardlab.constructions",
+                         "orchardlab.measures", "orchardlab.bsg"}
+
+    for name, points in (("a", ["0:1:1:1", "0:1:2:3"]), ("b", ["1:0:1:1", "1:0:2:3"]),
+                         ("c", ["1:1:1:1", "2:1:3:3"])):
+        (tmp_path / f"{name}.pts").write_text("field 5\n" + "\n".join(points) + "\n")
+    loaded = modules_loaded(["orchard-threeplanes", "--x1", "a.pts", "--x2", "b.pts",
+                             "--x3", "c.pts", "--report", "t.json"], tmp_path)
+    assert "orchardlab.incidence" in loaded
+    assert not loaded & {"orchardlab.measures", "orchardlab.bsg", "orchardlab.constructions"}
+
+    loaded = modules_loaded(["flatten", "--field", 3, "--gen-count", 2, "--m-max", 1,
+                             "--out", "f.csv"], tmp_path)
+    assert "orchardlab.measures" in loaded
+    assert not loaded & {"orchardlab.incidence", "orchardlab.constructions"}

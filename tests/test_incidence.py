@@ -26,6 +26,7 @@ from orchardlab.incidence import (
 )
 from orchardlab.projgeom import (
     EqualPoints,
+    MixedContexts,
     ProjPlane,
     ProjPoint,
     TooLarge,
@@ -241,6 +242,15 @@ def test_census_examples():
     assert len(rep.disagreements) == 2
 
 
+
+def test_census_rejects_repeated_points():
+    a = ProjPoint(F5, [0, 0, 1, 0])
+    with pytest.raises(EqualPoints):
+        stabilizer_census_affine([a, a])
+    with pytest.raises(EqualPoints):
+        stabilizer_census_affine([a, ProjPoint(F5, [0, 1, 2, 3]), a])
+
+
 def test_census_soundness_exhaustive_plane_f5():
     frame = StdThreePlaneFrame(F5)
     plane_pts = [p for p in enumerate_space(F5, 3) if frame.P1.contains(p)]
@@ -358,6 +368,20 @@ def test_triple_count_rejects_repeated_points(ctx, kernel):
     b = ProjPoint(ctx, [0, 1, 0, 0])
     c = ProjPoint(ctx, [1, 1, 0, 0])
     for X1, X2, X3 in (([a, a, b], [c], [b, c]), ([a], [b, c, b], [c]),
-                       ([a, b], [c], [a, c, c])):
+                       ([a, b], [c], [a, c, c]), ([], [a, a], [c])):
         with pytest.raises(EqualPoints):
             count_collinear_triples(X1, X2, X3, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["hash", "brute", "both"])
+def test_triple_count_checks_sets_before_the_empty_shortcut(kernel):
+    # an empty set makes the count 0, but only for sets that are valid
+    a = ProjPoint(F5, [1, 0, 0, 0])
+    c = ProjPoint(F5, [0, 1, 0, 0])
+    b = ProjPoint(FieldCtx(7), [1, 0, 0, 0])
+    with pytest.raises(MixedContexts):
+        count_collinear_triples([], [a], [b], kernel)
+    with pytest.raises(ValueError):
+        count_collinear_triples([], [a, a], [b], "fast")
+    count = count_collinear_triples([], [a], [c], kernel)
+    assert (count.total, count.by_line, count.line_keys) == (0, {}, {})
