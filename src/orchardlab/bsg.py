@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Set
 
 from .measures import (
+    AffineGroupOps,
     GroupMeasure,
-    GroupOps,
     MeasureError,
     _sum_sq,
     convolve,
@@ -251,7 +251,7 @@ def all_pass(checks: Iterable[InequalityCheck]) -> bool:
 
 # -- greedy covering and approximate groups --------------------------------
 
-def covering_number(group: GroupOps, A: Iterable, B: Iterable) -> int:
+def covering_number(group: AffineGroupOps, A: Iterable, B: Iterable) -> int:
     """Greedy upper bound for the number of left translates of B needed
     to cover A; candidate centers range over A B^-1 and ties break on the
     least sort key.  Always at least ceil(|A|/|B|)."""
@@ -292,7 +292,7 @@ class ApproxGroupReport(NamedTuple):
     covering: Optional[int]
 
 
-def is_approximate_group(group: GroupOps, H: Iterable, K: int) -> ApproxGroupReport:
+def is_approximate_group(group: AffineGroupOps, H: Iterable, K: int) -> ApproxGroupReport:
     """Whether H is a K-approximate group: symmetric, contains the
     identity, and H*H is covered by at most K left translates of H.
 

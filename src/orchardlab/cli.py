@@ -31,40 +31,6 @@ class UsageError(OrchardError):
     pass
 
 
-class ExperimentParams:
-    """Validated experiment-level scalars shared across the flags."""
-
-    def __init__(
-        self,
-        epsilon: Fraction | None = None,
-        epsilon1: Fraction | None = None,
-        epsilon2: Fraction | None = None,
-        epsilon3: Fraction | None = None,
-        r: Fraction = Fraction(1),
-        k: Fraction = Fraction(1),
-        t: Fraction | None = None,
-        m_max: int = 0,
-        K: Fraction = Fraction(1),
-    ):
-        self.epsilon, self.epsilon1 = epsilon, epsilon1
-        self.epsilon2, self.epsilon3 = epsilon2, epsilon3
-        self.r, self.k, self.t, self.m_max, self.K = r, k, t, m_max, K
-        for name in ("epsilon", "epsilon1", "epsilon2", "epsilon3"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise UsageError(f"{name} must be positive")
-        if self.r < 1:
-            raise UsageError("r must be at least 1")
-        if self.k < 1:
-            raise UsageError("k must be at least 1")
-        if self.t is not None and not (0 < self.t < 1):
-            raise UsageError("t must lie strictly between 0 and 1")
-        if self.m_max < 0:
-            raise UsageError("m-max must be nonnegative")
-        if self.K < 1:
-            raise UsageError("K must be at least 1")
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -251,7 +217,8 @@ def cmd_flatten(args) -> int:
 
     if args.group != "affine":
         raise UsageError("only the affine group is wired to the runner")
-    ExperimentParams(m_max=args.m_max)
+    if args.m_max < 0:
+        raise UsageError("m-max must be nonnegative")
     ctx = FieldCtx.from_descriptor(args.field)
     order = _affine_group_order(ctx)
     if not 1 <= args.gen_count <= order - 1:
@@ -303,7 +270,8 @@ def cmd_bsg_verify(args) -> int:
     group = AffineGroupOps(ctx)
     rng = random.Random(args.seed)
     K = parse_fraction(args.K)
-    ExperimentParams(K=K)
+    if K < 1:
+        raise UsageError("K must be at least 1")
     failures = []
     instances = []
     for index in range(args.count):

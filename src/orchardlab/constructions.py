@@ -62,19 +62,6 @@ class ExampleConfig(NamedTuple):
     X3: List[ProjPoint]
     family: List[Tuple[int, int, int, int]]   # (i, j, t, z) index tuples
 
-    def family_triple(self, i: int, j: int, t: int, z: int):
-        """The parametric collinear triple for one index tuple, as points
-        (verify_example checks the same triples on ints mod p)."""
-        ctx = self.ctx
-        di = _gen_power(ctx, self.d, i)
-        dj = _gen_power(ctx, self.d, j)
-        dij = _gen_power(ctx, self.d, i + j)
-        te, ze = ctx.elem(t), ctx.elem(z)
-        x1 = ProjPoint(ctx, [ctx.zero(), dj, ze, ze - 1])
-        x2 = ProjPoint(ctx, [-dij, ctx.zero(), ze - te * dj, ze - 1 - te * dj])
-        x3 = ProjPoint(ctx, [di, ctx.one(), te, te])
-        return x1, x2, x3
-
 
 def _gen_power(ctx: FieldCtx, d: int, e: int) -> FieldElem:
     base = ctx.elem(d)
@@ -164,10 +151,11 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
     [-N, N] modulo p-1, so membership is reported, not asserted; the
     triple count is reported against the family size the same way.
 
-    The family triples are those of `cfg.family_triple`, worked out on
-    ints mod p: generator powers come from one table, points are scaled
-    to their `ProjPoint.key` through an inverse table, collinearity is
-    the vanishing of the four 3x3 minors and membership is a lookup in
+    The family triple of (i, j, t, z) is [0 : d^j : z : z-1],
+    [-d^(i+j) : 0 : z - t d^j : z - 1 - t d^j], [d^i : 1 : t : t], worked
+    out on ints mod p: generator powers come from one table, points are
+    scaled to their `ProjPoint.key` through an inverse table, collinearity
+    is the vanishing of the four 3x3 minors and membership is a lookup in
     the sets of keys of X1, X2, X3.
     """
     p = cfg.p

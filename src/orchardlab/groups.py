@@ -13,7 +13,7 @@ its linear lift is the reflection fixing the hyperplane orthogonal to x.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem, inv
@@ -23,7 +23,6 @@ from .projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
-    enumerate_space,
     line_through,
     meet_line_plane,
     on_quadric,
@@ -168,17 +167,6 @@ def aff_centralizer_member(h: AffElem, g: AffElem) -> bool:
     return h.a == g.a * ratio and h.b == g.b * ratio
 
 
-def commutator_formula_check(g: AffElem, h: AffElem) -> AffElem:
-    """[g, h] for g = (a, b, 1); equals (a(c-1), b(c-1), 1) with c = h.c."""
-    if not g.c.is_one():
-        raise GroupError("first argument must lie in G_a^2")
-    got = aff_commutator(g, h)
-    want = AffElem(g.ctx, g.a * (h.c - 1), g.b * (h.c - 1), 1)
-    if got != want:
-        raise GroupError(f"commutator mismatch: {got} vs {want}")
-    return got
-
-
 class StdThreePlaneFrame:
     """The fixed frame P1 = {x0 = 0}, P2 = {x1 = 0}."""
 
@@ -315,17 +303,6 @@ class PGLElem:
     def det(self) -> FieldElem:
         return _det4(self.ctx, self.rows)
 
-    def text(self) -> str:
-        return ";".join(x.text() for row in self.rows for x in row)
-
-    @staticmethod
-    def parse(ctx: FieldCtx, text: str) -> "PGLElem":
-        parts = text.split(";")
-        if len(parts) != 16:
-            raise GroupError(f"bad matrix text {text!r}")
-        vals = [FieldElem.parse(ctx, s) for s in parts]
-        return PGLElem(ctx, [vals[i * 4:(i + 1) * 4] for i in range(4)])
-
     @staticmethod
     def identity(ctx: FieldCtx) -> "PGLElem":
         one, zero = ctx.one(), ctx.zero()
@@ -438,41 +415,3 @@ def segre_inverse(p: ProjPoint) -> Tuple[ProjPoint, ProjPoint]:
         second = ProjPoint(ctx, [c3, c4])
     return first, second
 
-
-def segre_quadric_points(ctx: FieldCtx) -> List[ProjPoint]:
-    """All (q+1)^2 points of the Segre quadric, via the parametrization."""
-    line = enumerate_space(ctx, 1)
-    return [segre(u, w) for u in line for w in line]
-
-
-# -- closure of generating sets -------------------------------------------
-
-class ClosureCapExceeded(GroupError):
-    def __init__(self, partial):
-        super().__init__(f"closure truncated at {len(partial)} elements")
-        self.partial = partial
-
-
-def mulclose(gens, compose, identity, cap: int = 10**6, strict: bool = False):
-    """Close a generating set under the given composition.
-
-    Returns (elements, truncated); with strict=True a truncation raises
-    ClosureCapExceeded instead.
-    """
-    els = {identity}
-    els.update(gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                c = compose(g, h)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        if strict:
-                            raise ClosureCapExceeded(els)
-                        return els, True
-        frontier = new
-    return els, False

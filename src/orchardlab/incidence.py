@@ -25,8 +25,9 @@ reported lines are shared.
   already in canonical RREF.
 - The pencil statistic reads each point once: the point's values on the
   two base planes name the one plane of the pencil it lies on (or all of
-  them, on the base line).  Planes are taken in `pencil_planes` order,
-  and the first to reach the max is the witness.
+  them, on the base line).  Planes are taken in the order P1, then
+  t*P1 + P2 for t in `ctx.elements()`, and the first to reach the max is
+  the witness.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
-from .groups import AffElem
+from .groups import PointOffPlane
 from .projgeom import (
     EqualPoints,
     MixedContexts,
@@ -78,10 +79,6 @@ class TripleCount(NamedTuple):
     # the kernel's own per-line counts, keyed by raw line keys: the flat
     # RREF 8-tuples of element codes that `ProjLine.key` also uses
     line_keys: Dict[tuple, int]
-
-    def check_consistency(self):
-        if self.by_line and sum(self.by_line.values()) != self.total:
-            raise VerificationFailure("per-line contributions do not sum to total")
 
     def as_dict(self) -> dict:
         entries = sorted(
@@ -488,18 +485,6 @@ class EqualPlanes(OrchardError):
     pass
 
 
-def pencil_planes(P1: ProjPlane, P2: ProjPlane) -> List[ProjPlane]:
-    """All q + 1 planes containing the line P1 intersect P2."""
-    if P1 == P2:
-        raise EqualPlanes("pencil needs two distinct planes")
-    ctx = P1.ctx
-    d1, d2 = P1.dual, P2.dual
-    planes = [P1]
-    for t in ctx.elements():
-        planes.append(ProjPlane(ctx, [a * t + b for a, b in zip(d1, d2)]))
-    return planes
-
-
 def pencil_plane_concentration(
     X3: Sequence[ProjPoint],
     P1: ProjPlane,
@@ -508,9 +493,9 @@ def pencil_plane_concentration(
 ) -> ConcentrationReport:
     """Max of |X3 intersect P| over the pencil of planes through P1^P2.
 
-    The planes are taken in `pencil_planes` order: P1, then the plane
-    t*P1 + P2 for each t of ctx.elements() (t = 0 gives P2).  The witness
-    is the first plane in that order to reach the max.  Without the base
+    The planes are taken in this order: P1, then the plane t*P1 + P2 for
+    each t of ctx.elements() (t = 0 gives P2).  The witness is the first
+    plane in that order to reach the max.  Without the base
     planes, P1 and P2 are left out.  An empty X3 reports 0 and the first
     plane.  One pass over X3: with s = P1.x and r = P2.x, a point lies on
     every plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise
@@ -601,7 +586,8 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     which is a sound over-approximation (it may flag pairs whose
     stabilizer is in fact trivial, never the reverse; a missed pair
     raises VerificationFailure).  Raises EqualPoints when X repeats a
-    point.
+    point and PointOffPlane (a `groups.GroupError`) when a point of X is
+    off {x0 = 0}.
     """
     if not X:
         return CensusReport(0, 0, [])
@@ -610,7 +596,7 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
         raise EqualPoints("point set repeats a point")
     for x in X:
         if not x.coords[0].is_zero():
-            raise MixedContexts(f"{x} is not on the plane x0 = 0")
+            raise PointOffPlane(f"{x} is not on the plane x0 = 0")
     exact = 0
     closed = 0
     disagreements = []
@@ -649,19 +635,19 @@ def free_tuples(
     action: Callable,
     closure_truncated: bool = False,
 ) -> FreeTupleSet:
-    """Ordered k-tuples of X whose pointwise stabilizer within G_set is
+    """Ordered k-tuples of X whose pointwise stabilizer within G_set (group
+    elements with `is_identity()`, such as `AffElem` or `PGLElem`) is
     trivial.  With a truncated closure the result is only relative to
     G_set, and the flag says so."""
     from itertools import product
 
     X = list(X)
     elements = list(G_set)
-    identity = [g for g in elements if _is_identity(g)]
-    if not identity:
+    if not any(g.is_identity() for g in elements):
         raise ValueError("G_set must contain the identity")
     fix_sets = []
     for g in elements:
-        if _is_identity(g):
+        if g.is_identity():
             continue
         fixed = frozenset(x for x in X if action(g, x) == x)
         if len(fixed) > 0:
@@ -675,12 +661,6 @@ def free_tuples(
         else:
             tuples.add(tup)
     return FreeTupleSet(k, tuples, skipped, closure_truncated)
-
-
-def _is_identity(g) -> bool:
-    if hasattr(g, "is_identity"):
-        return g.is_identity()
-    return g == g.__class__.identity(g.ctx)
 
 
 class OmegaReport(NamedTuple):
@@ -747,13 +727,3 @@ def omega_set(
         )
     return OmegaReport(accepted, mass, n, t, mass_ok, size_ok)
 
-
-def affine_group_elements(ctx: FieldCtx) -> List[AffElem]:
-    """The full group G_a^2 x| G_m over a small field."""
-    out = []
-    for a in ctx.elements():
-        for b in ctx.elements():
-            for c in ctx.elements():
-                if not c.is_zero():
-                    out.append(AffElem(ctx, a, b, c))
-    return out

@@ -1,4 +1,4 @@
-"""Finitely supported exact-rational measures on group elements.
+"""Finitely supported exact-rational measures on the affine group.
 
 A measure is stored as positive integer numerators, keyed by group keys,
 over one shared positive denominator, in lowest terms (no prime divides
@@ -8,11 +8,10 @@ numerators; norms, thresholds and bound checks compare integers.
 and `masses`, `mu(g)`, the norms and the report rows give `Fraction`s.
 L^2 quantities are always handled squared to stay rational.
 
-A group key is the group's own encoding of an element.  The affine group
-G_a^2 x| G_m over F_q keys (a, b, c) as one int built from the Zech-log
-codes of a, b and c (see `field.FieldCtx._zech`), so its products and
-inverses are a few lookups in arrays of length O(q).  Other groups, such
-as PGL_4, key an element by itself and multiply with `multiply`.
+The group is G_a^2 x| G_m over F_q, which composed plane projections
+give.  It keys (a, b, c) as one int built from the Zech-log codes of a,
+b and c (see `field.FieldCtx._zech`), so its products and inverses are a
+few lookups in arrays of length O(q).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem
-from .groups import AffElem, PGLElem, aff_compose, aff_inverse
+from .groups import AffElem, aff_compose, aff_inverse
 
 SUPPORT_CAP = 10**6
 
@@ -53,71 +52,25 @@ class NotASubgroup(MeasureError):
     pass
 
 
-class GroupOps:
-    """Multiplication structure for measure supports.
+class AffineGroupOps:
+    """G_a^2 x| G_m over a fixed field, the group every measure lives on.
 
-    Elements must be hashable canonical values; sort_key gives the
-    deterministic iteration order used in reports.  Measures store their
-    atoms under `key(g)`; by default an element is its own key, and a
-    group with a faster encoding overrides the four key methods together.
+    Measures store atom g under `key(g)`: (a, b, c) has key
+    (l(a) Q + l(b)) R + l(c), where l is the Zech-log code of
+    `FieldCtx._zech` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1; keys
+    decode with divmod (`element`), and `key_multiplier`/`key_inverse`
+    work on keys alone.  The arrays live on the interned field context,
+    so two groups over one field compare equal and share them.
     """
-
-    name = "opaque"
-
-    def identity(self):
-        raise NotImplementedError
-
-    def multiply(self, g, h):
-        raise NotImplementedError
-
-    def inverse(self, g):
-        raise NotImplementedError
-
-    def sort_key(self, g):
-        return repr(g)
-
-    def element_text(self, g) -> str:
-        return repr(g)
-
-    def parse_element(self, text: str):
-        raise NotImplementedError(f"{self.name} group cannot parse elements")
-
-    def key(self, g):
-        """The hashable key a measure stores g under."""
-        return g
-
-    def element(self, k):
-        """The element with key k."""
-        return k
-
-    def key_multiplier(self) -> Callable:
-        """A function (key(g), key(h)) -> key(g h)."""
-        return self.multiply
-
-    def key_inverse(self, k):
-        """key(g^-1) from k = key(g)."""
-        return self.inverse(k)
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.__dict__))))
-
-
-class AffineGroupOps(GroupOps):
-    """G_a^2 x| G_m over a fixed field.
-
-    (a, b, c) has key (l(a) Q + l(b)) R + l(c), where l is the Zech-log
-    code of `FieldCtx._zech` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1;
-    keys decode with divmod.  The arrays live on the interned field
-    context, so two groups over one field compare equal and share them.
-    """
-
-    name = "affine"
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
+
+    def __eq__(self, other):
+        return isinstance(other, AffineGroupOps) and self.ctx is other.ctx
+
+    def __hash__(self):
+        return hash(self.ctx)
 
     def identity(self):
         return AffElem.identity(self.ctx)
@@ -130,12 +83,6 @@ class AffineGroupOps(GroupOps):
 
     def sort_key(self, g):
         return g.key
-
-    def element_text(self, g):
-        return g.text()
-
-    def parse_element(self, text):
-        return AffElem.parse(self.ctx, text)
 
     def key(self, g) -> int:
         ctx = self.ctx
@@ -185,33 +132,6 @@ class AffineGroupOps(GroupOps):
         return (red[a + scale] * Q + red[b + scale]) * R + c_inv
 
 
-class PGLGroupOps(GroupOps):
-    """PGL_4 over a fixed field, elements canonicalized mod scalars."""
-
-    name = "pgl4"
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-
-    def identity(self):
-        return PGLElem.identity(self.ctx)
-
-    def multiply(self, g, h):
-        return g * h
-
-    def inverse(self, g):
-        return g.inverse()
-
-    def sort_key(self, g):
-        return g.key
-
-    def element_text(self, g):
-        return g.text()
-
-    def parse_element(self, text):
-        return PGLElem.parse(self.ctx, text)
-
-
 def _exact(m) -> Fraction:
     """An exact mass from an int, a Fraction or a numeric string; floats
     (inexact) and bools (not numbers here) are refused."""
@@ -233,7 +153,7 @@ class GroupMeasure:
 
     __slots__ = ("group", "nums", "den", "is_probability")
 
-    def __init__(self, group: GroupOps, masses: Dict, is_probability=None):
+    def __init__(self, group: AffineGroupOps, masses: Dict, is_probability=None):
         exact = {}
         for g, m in masses.items():
             m = _exact(m)
@@ -248,7 +168,7 @@ class GroupMeasure:
 
     @classmethod
     def from_numerators(
-        cls, group: GroupOps, nums: Dict, den: int, is_probability=None
+        cls, group: AffineGroupOps, nums: Dict, den: int, is_probability=None
     ) -> "GroupMeasure":
         """The measure with mass nums[k] / den on the element with key k;
         every numerator must be a positive int."""
@@ -324,7 +244,7 @@ class Masses(Mapping):
         return self._mu.group.key(g) in self._mu.nums
 
 
-def uniform(group: GroupOps, S: Iterable) -> GroupMeasure:
+def uniform(group: AffineGroupOps, S: Iterable) -> GroupMeasure:
     """The probability measure with mass 1/|S| on each element of S."""
     keys = [group.key(g) for g in S]
     if not keys:
@@ -334,7 +254,7 @@ def uniform(group: GroupOps, S: Iterable) -> GroupMeasure:
     return GroupMeasure.from_numerators(group, dict.fromkeys(keys, 1), len(keys))
 
 
-def delta(group: GroupOps, g) -> GroupMeasure:
+def delta(group: AffineGroupOps, g) -> GroupMeasure:
     return GroupMeasure.from_numerators(group, {group.key(g): 1}, 1)
 
 
@@ -434,7 +354,7 @@ def is_symmetric(mu: GroupMeasure) -> bool:
     return all(nums.get(inverse(k)) == n for k, n in nums.items())
 
 
-def verify_subgroup(group: GroupOps, H: Iterable) -> List:
+def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
     """Check closure under product and inverse plus the identity."""
     elements = list(H)
     hs = set(elements)
@@ -511,10 +431,13 @@ def save_measure(path, mu: GroupMeasure) -> None:
         masses = mu.masses
         for g in mu.support_sorted():
             m = masses[g]
-            fh.write(f"{mu.group.element_text(g)} {m.numerator}/{m.denominator}\n")
+            fh.write(f"{g.text()} {m.numerator}/{m.denominator}\n")
 
 
-def load_measure(path, group: GroupOps) -> GroupMeasure:
+def load_measure(path, group: AffineGroupOps) -> GroupMeasure:
+    """The measure of a file `save_measure` writes: one `a;b;c num/den`
+    atom a line, `#` comments.  A malformed, negative or repeated atom
+    raises MeasureError naming `path:line`."""
     masses: Dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -523,10 +446,12 @@ def load_measure(path, group: GroupOps) -> GroupMeasure:
                 continue
             try:
                 elem_text, mass_text = line.rsplit(" ", 1)
-                g = group.parse_element(elem_text.strip())
+                g = AffElem.parse(group.ctx, elem_text.strip())
                 m = Fraction(mass_text)
-            except (ValueError, MeasureError) as exc:
+            except (ValueError, ZeroDivisionError, OrchardError) as exc:
                 raise MeasureError(f"{path}:{lineno}: {exc}") from exc
+            if m < 0:
+                raise MeasureError(f"{path}:{lineno}: masses must be positive")
             if g in masses:
                 raise DuplicateElements(f"{path}:{lineno}: repeated atom")
             masses[g] = m

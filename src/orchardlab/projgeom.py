@@ -317,10 +317,6 @@ class QuadricForm:
     def is_smooth(self) -> bool:
         return not self.det().is_zero()
 
-    def points(self) -> List[ProjPoint]:
-        """All points of the quadric, by scanning P^3."""
-        return [p for p in enumerate_space(self.ctx, 3) if on_quadric(p, self)]
-
     @staticmethod
     def identity(ctx: FieldCtx) -> "QuadricForm":
         one = ctx.one()

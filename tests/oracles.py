@@ -1,12 +1,13 @@
-"""Brute-force oracles for the closed forms and int paths in `src/`.
+"""Brute-force oracles for the closed forms and int paths in `src/`, and
+the test helpers that no subcommand runs.
 
-Each is the scan or formula its fast path replaced, kept here to check
-that path (see test_oracles.py):
+Each oracle is the scan or formula its fast path replaced, kept here to
+check that path (see test_oracles.py):
 
 - `pair_stabilizer_scan`: the q^3 scan of G_a^2 x| G_m for an element
   fixing two points of {x0 = 0}, for `incidence._pair_stabilizer_nontrivial`;
 - `family_membership`: the `ProjPoint` check of every family triple
-  through `cfg.family_triple`, for `constructions.verify_example`;
+  through `family_triple`, for `constructions.verify_example`;
 - `fixed_points_by_enumeration`: Fix(g) as the Segre points g fixes,
   for `constructions.classify_fixed_points`;
 - `orthogonal_by_triple_sums`: M^T B M by 16 triple products an entry,
@@ -20,14 +21,121 @@ that path (see test_oracles.py):
   point by point, for `constructions._full_lines_within`;
 - `dense_bilinear`: the 16-term sum of a quadric's bilinear form, for
   the sparse `QuadricForm.bilinear`.
+
+The helpers, one copy each, build what the tests feed the library:
+`affine_group_elements` (all of G_a^2 x| G_m), `mulclose` (a capped
+closure), `segre_quadric_points`, `pencil_planes` (in the order
+`incidence.pencil_plane_concentration` takes them), `family_triple` (one
+triple of the extremal example), `random_measure` and `random_smooth_form`.
 """
 
-from typing import Dict
+from fractions import Fraction
+from typing import Dict, List
 
+from orchardlab.constructions import _gen_power
 from orchardlab.field import FieldCtx
-from orchardlab.groups import AffElem, PGLElem, aff_act, segre_quadric_points
+from orchardlab.groups import AffElem, PGLElem, aff_act, segre
 from orchardlab.incidence import VerificationFailure
-from orchardlab.projgeom import ProjPoint, QuadricForm, collinear, line_through
+from orchardlab.measures import GroupMeasure
+from orchardlab.projgeom import (
+    ProjPlane,
+    ProjPoint,
+    QuadricForm,
+    collinear,
+    enumerate_space,
+    line_through,
+)
+
+
+# -- helpers -------------------------------------------------------------
+
+def affine_group_elements(ctx: FieldCtx) -> List[AffElem]:
+    """The full group G_a^2 x| G_m over a small field."""
+    return [
+        AffElem(ctx, a, b, c)
+        for a in ctx.elements()
+        for b in ctx.elements()
+        for c in ctx.elements()
+        if not c.is_zero()
+    ]
+
+
+def mulclose(gens, compose, identity, cap: int = 10**6):
+    """(elements, truncated): the closure of gens under compose, cut off
+    once it holds more than cap elements."""
+    els = {identity}
+    els.update(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for g in gens:
+            for h in frontier:
+                c = compose(g, h)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                    if len(els) > cap:
+                        return els, True
+        frontier = new
+    return els, False
+
+
+def segre_quadric_points(ctx: FieldCtx) -> List[ProjPoint]:
+    """All (q+1)^2 points of the Segre quadric, via the parametrization."""
+    line = enumerate_space(ctx, 1)
+    return [segre(u, w) for u in line for w in line]
+
+
+def pencil_planes(P1: ProjPlane, P2: ProjPlane) -> List[ProjPlane]:
+    """All q + 1 planes containing the line P1 ^ P2: P1, then t*P1 + P2
+    for t in `ctx.elements()`; P1 != P2."""
+    ctx = P1.ctx
+    d1, d2 = P1.dual, P2.dual
+    return [P1] + [
+        ProjPlane(ctx, [a * t + b for a, b in zip(d1, d2)]) for t in ctx.elements()
+    ]
+
+
+def family_triple(cfg, i: int, j: int, t: int, z: int):
+    """The parametric collinear triple of the example `cfg` for one index
+    tuple, as points (verify_example checks the same triples on ints mod p)."""
+    ctx = cfg.ctx
+    di = _gen_power(ctx, cfg.d, i)
+    dj = _gen_power(ctx, cfg.d, j)
+    dij = _gen_power(ctx, cfg.d, i + j)
+    te, ze = ctx.elem(t), ctx.elem(z)
+    x1 = ProjPoint(ctx, [ctx.zero(), dj, ze, ze - 1])
+    x2 = ProjPoint(ctx, [-dij, ctx.zero(), ze - te * dj, ze - 1 - te * dj])
+    x3 = ProjPoint(ctx, [di, ctx.one(), te, te])
+    return x1, x2, x3
+
+
+def random_measure(group, elements, rng, max_support=8):
+    """A probability measure on 1 to max_support of the elements, with
+    random integer weights from 1 to 20."""
+    support = rng.sample(elements, rng.randint(1, max_support))
+    weights = [rng.randint(1, 20) for _ in support]
+    total = sum(weights)
+    return GroupMeasure(
+        group, {g: Fraction(w, total) for g, w in zip(support, weights)}
+    )
+
+
+def random_smooth_form(ctx, rng):
+    """A random smooth quadric form over a prime field."""
+    while True:
+        rows = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                v = rng.randrange(ctx.p)
+                rows[i][j] = v
+                rows[j][i] = v
+        form = QuadricForm(ctx, rows)
+        if form.is_smooth():
+            return form
+
+
+# -- oracles -------------------------------------------------------------
 
 
 def pair_stabilizer_scan(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bool:
@@ -54,7 +162,7 @@ def family_membership(cfg):
     in_sets = 0
     first_outside = None
     for idx in cfg.family:
-        x1, x2, x3 = cfg.family_triple(*idx)
+        x1, x2, x3 = family_triple(cfg, *idx)
         if not collinear(x1, x2, x3):
             raise VerificationFailure(f"family triple {idx} is not collinear")
         if x1 == x2 or x1 == x3 or x2 == x3:

@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import affine_group_elements, mulclose, random_measure, random_smooth_form
 from orchardlab.bsg import all_pass, verify_decomposition
 from orchardlab.constructions import (
     build_example,
@@ -35,19 +36,16 @@ from orchardlab.groups import (
     eta_composed,
     gamma_x,
     gamma_xy,
-    mulclose,
     reflection_lift,
     reflection_matrix,
 )
 from orchardlab.incidence import (
-    affine_group_elements,
     count_collinear_triples,
     free_tuples,
     omega_set,
 )
 from orchardlab.measures import (
     AffineGroupOps,
-    GroupMeasure,
     convolve,
     flattening_report,
     l1_norm,
@@ -288,15 +286,6 @@ def test_criterion_06_almost_invariance_bounds():
             t0, 60, failures)
 
 
-def _random_measure(group, elements, rng, max_support=8):
-    support = rng.sample(elements, rng.randint(1, max_support))
-    weights = [rng.randint(1, 20) for _ in support]
-    total = sum(weights)
-    return GroupMeasure(
-        group, {g: Fraction(w, total) for g, w in zip(support, weights)}
-    )
-
-
 def test_criterion_07_measure_suite():
     t0 = time.perf_counter()
     failures = []
@@ -306,7 +295,7 @@ def test_criterion_07_measure_suite():
         group = AffineGroupOps(ctx)
         elements = sorted(affine_group_elements(ctx), key=lambda g: g.key)
         pools.append((group, [
-            _random_measure(group, elements, rng) for _ in range(250)
+            random_measure(group, elements, rng) for _ in range(250)
         ]))
     for group, measures in pools:
         for i, mu in enumerate(measures):
@@ -342,7 +331,7 @@ def test_criterion_08_decomposition_suite():
         group = AffineGroupOps(ctx)
         elements = sorted(affine_group_elements(ctx), key=lambda g: g.key)
         for i in range(250):
-            nu = _random_measure(group, elements, rng, max_support=12)
+            nu = random_measure(group, elements, rng, max_support=12)
             for K in (1, 2, 4):
                 checks = verify_decomposition(nu, K)
                 named = {c.name: c for c in checks}
@@ -427,21 +416,9 @@ def test_criterion_10_quadric_normalization():
     failures = []
     rng = random.Random(808)
 
-    def random_smooth(ctx):
-        while True:
-            rows = [[0] * 4 for _ in range(4)]
-            for i in range(4):
-                for j in range(i, 4):
-                    v = rng.randrange(ctx.p)
-                    rows[i][j] = v
-                    rows[j][i] = v
-            form = QuadricForm(ctx, rows)
-            if form.is_smooth():
-                return form
-
     for trial in range(50):
         ctx = F5 if trial % 2 == 0 else F7
-        form = random_smooth(ctx)
+        form = random_smooth_form(ctx, rng)
         nz = diagonalize_quadric(form)   # re-verifies M^T B M = I inside
         if not nz.verified:
             failures.append(f"diagonalization unverified on trial {trial}")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import affine_group_elements, mulclose, random_measure
 from orchardlab.bsg import (
     all_pass,
     covering_number,
@@ -12,22 +13,12 @@ from orchardlab.bsg import (
     verify_decomposition,
 )
 from orchardlab.field import FieldCtx
-from orchardlab.groups import AffElem, aff_compose, aff_inverse, mulclose
-from orchardlab.incidence import affine_group_elements
+from orchardlab.groups import AffElem, aff_compose, aff_inverse
 from orchardlab.measures import AffineGroupOps, GroupMeasure, delta, uniform
 
 F5 = FieldCtx(5)
 G = AffineGroupOps(F5)
 ELS = sorted(affine_group_elements(F5), key=lambda g: g.key)
-
-
-def random_measure(rng, max_support=12):
-    support = rng.sample(ELS, rng.randint(1, max_support))
-    weights = [rng.randint(1, 20) for _ in support]
-    total = sum(weights)
-    return GroupMeasure(
-        G, {g: Fraction(w, total) for g, w in zip(support, weights)}
-    )
 
 
 def test_decompose_uniform_all_structured():
@@ -74,7 +65,7 @@ def test_decompose_diffuse_atoms():
 def test_decompose_reconstruction_random():
     rng = random.Random(0)
     for _ in range(100):
-        nu = random_measure(rng)
+        nu = random_measure(G, ELS, rng, 12)
         dec = decompose(nu, rng.choice([1, 2, 4]))
         assert dec.reconstruction_exact()
         supports = [
@@ -107,7 +98,7 @@ def test_verify_random_sweep():
     rng = random.Random(1)
     hyp_seen = 0
     for _ in range(120):
-        nu = random_measure(rng)
+        nu = random_measure(G, ELS, rng, 12)
         for K in (1, 2, 4):
             checks = verify_decomposition(nu, K)
             assert all_pass(checks), [c.name for c in checks if not c.passed]
@@ -138,7 +129,7 @@ def test_k_must_be_at_least_one():
 
 def test_rational_k_supported():
     rng = random.Random(5)
-    nu = random_measure(rng)
+    nu = random_measure(G, ELS, rng, 12)
     checks = verify_decomposition(nu, Fraction(3, 2))
     assert all_pass(checks)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import family_triple, random_smooth_form
 from orchardlab.constructions import (
     DegenerateParameters,
     NoSqrtMinusOne,
@@ -36,19 +37,6 @@ F7 = FieldCtx(7)
 F9 = FieldCtx(3, 2)
 
 
-def random_smooth_form(ctx, rng):
-    while True:
-        rows = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                v = rng.randrange(ctx.p)
-                rows[i][j] = v
-                rows[j][i] = v
-        form = QuadricForm(ctx, rows)
-        if form.is_smooth():
-            return form
-
-
 def test_build_example_grid():
     for p, k, n_expected in [(7, 2, 2), (11, 2, 3), (13, 3, 2), (31, 2, 5)]:
         cfg = build_example(p, k)
@@ -73,7 +61,7 @@ def test_build_example_degenerate():
 
 def test_family_triples_collinear_and_spot_check():
     cfg = build_example(7, 2)
-    x1, x2, x3 = cfg.family_triple(0, 0, 1, 1)
+    x1, x2, x3 = family_triple(cfg, 0, 0, 1, 1)
     assert x1 == ProjPoint(cfg.ctx, [0, 1, 1, 0])
     assert x2 == ProjPoint(cfg.ctx, [-1, 0, 0, -1])
     assert x3 == ProjPoint(cfg.ctx, [1, 1, 1, 1])
@@ -96,7 +84,7 @@ def test_verify_example_p7():
     i, j, _, _ = report.first_outside
     assert (i + j) % 6 == 3
     # the members really are on the three planes even when outside the sets
-    x1, x2, x3 = cfg.family_triple(*report.first_outside)
+    x1, x2, x3 = family_triple(cfg, *report.first_outside)
     assert x1.coords[0].is_zero()
     assert x2.coords[1].is_zero()
     assert x3.coords[2] == x3.coords[3]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import affine_group_elements, mulclose, segre_quadric_points
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
     AffElem,
@@ -18,18 +19,15 @@ from orchardlab.groups import (
     aff_centralizer_member,
     aff_compose,
     aff_inverse,
-    commutator_formula_check,
     eta,
     eta_composed,
     gamma_x,
     gamma_xy,
     is_orthogonal_mod_scalar,
-    mulclose,
     reflection_lift,
     reflection_matrix,
     segre,
     segre_inverse,
-    segre_quadric_points,
 )
 from orchardlab.projgeom import (
     NotOnSegreQuadric,
@@ -42,16 +40,6 @@ from orchardlab.projgeom import (
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
-
-
-def all_affine(ctx):
-    return [
-        AffElem(ctx, a, b, c)
-        for a in ctx.elements()
-        for b in ctx.elements()
-        for c in ctx.elements()
-        if not c.is_zero()
-    ]
 
 
 def plane_points(ctx):
@@ -81,7 +69,7 @@ def test_star_action_examples():
         F5, [0, 1, 2, 3]
     )
     fixed = ProjPoint(F5, [0, 0, 1, 0])
-    for g in all_affine(F5)[:40]:
+    for g in affine_group_elements(F5)[:40]:
         assert aff_act(g, fixed) == fixed
     with pytest.raises(PointOffPlane):
         aff_act(g, ProjPoint(F5, [1, 0, 0, 0]))
@@ -97,7 +85,7 @@ def test_compose_inverse_examples():
 
 
 def test_composition_is_the_action_composition_exhaustive():
-    group = all_affine(F3)
+    group = affine_group_elements(F3)
     points = plane_points(F3)
     for g in group:
         for h in group:
@@ -107,7 +95,7 @@ def test_composition_is_the_action_composition_exhaustive():
 
 
 def test_group_axioms_exhaustive():
-    group = all_affine(F3)
+    group = affine_group_elements(F3)
     e = AffElem.identity(F3)
     for g in group:
         assert aff_compose(g, aff_inverse(g)) == e
@@ -153,26 +141,8 @@ def test_eta_fixes_common_line_and_errors():
         eta(x, frame.P1, frame.P2, ProjPoint(F5, [1, 1, 1, 1]))
 
 
-def test_commutator_formula_examples_and_exhaustive_f3():
-    assert commutator_formula_check(
-        AffElem(F5, 1, 0, 1), AffElem(F5, 0, 0, 2)
-    ) == AffElem(F5, 1, 0, 1)
-    assert commutator_formula_check(
-        AffElem(F5, 0, 0, 1), AffElem(F5, 2, 3, 4)
-    ).is_identity()
-    assert commutator_formula_check(
-        AffElem(F5, 1, 1, 1), AffElem(F5, 0, 2, 1)
-    ).is_identity()
-    for g in all_affine(F3):
-        if not g.c.is_one():
-            continue
-        for h in all_affine(F3):
-            got = commutator_formula_check(g, h)
-            assert got == AffElem(F3, g.a * (h.c - 1), g.b * (h.c - 1), 1)
-
-
 def test_centralizer_formula_vs_commutation_exhaustive_f5():
-    group = all_affine(F5)
+    group = affine_group_elements(F5)
     for g in group:
         if g.c.is_one():
             with pytest.raises(NotApplicable):
@@ -312,5 +282,3 @@ def test_mulclose_subgroup_and_cap():
 def test_element_text_roundtrips():
     g = AffElem(F5, 1, 2, 3)
     assert AffElem.parse(F5, g.text()) == g
-    M = PGLElem(F5, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
-    assert PGLElem.parse(F5, M.text()) == M

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_concentration_by_lines
+from oracles import line_concentration_by_lines, pencil_planes
 from orchardlab.field import FieldCtx
 from orchardlab.incidence import (
     EqualPlanes,
     count_collinear_triples,
     line_concentration,
     pencil_plane_concentration,
-    pencil_planes,
 )
 from orchardlab.projgeom import (
     MixedContexts,

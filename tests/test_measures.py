@@ -1,13 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import affine_group_elements, random_measure
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
-from orchardlab.incidence import affine_group_elements
 from orchardlab.measures import (
     AffineGroupOps,
     DuplicateElements,
@@ -16,7 +17,6 @@ from orchardlab.measures import (
     MeasureError,
     MixedGroups,
     NotASubgroup,
-    PGLGroupOps,
     SupportBlowup,
     convolve,
     coset_mass,
@@ -42,15 +42,6 @@ G5 = AffineGroupOps(F5)
 G7 = AffineGroupOps(F7)
 ELS5 = sorted(affine_group_elements(F5), key=lambda g: g.key)
 ELS7 = sorted(affine_group_elements(F7), key=lambda g: g.key)
-
-
-def random_measure(group, elements, rng, max_support=8):
-    support = rng.sample(elements, rng.randint(1, max_support))
-    weights = [rng.randint(1, 20) for _ in support]
-    total = sum(weights)
-    return GroupMeasure(
-        group, {g: Fraction(w, total) for g, w in zip(support, weights)}
-    )
 
 
 def test_uniform_examples():
@@ -205,23 +196,18 @@ def test_measure_file_roundtrip(tmp_path):
     assert load_measure(path, G5) == mu
 
 
-def test_pgl_group_ops_roundtrip(tmp_path):
-    from orchardlab.groups import PGLElem
-
-    ops = PGLGroupOps(F5)
-    mu = GroupMeasure(
-        ops,
-        {
-            ops.identity(): Fraction(1, 2),
-            PGLElem(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
-                Fraction(1, 2),
-        },
-    )
-    conv = convolve(mu, mu)
-    assert conv.total_mass() == 1
-    path = tmp_path / "pgl.measure"
-    save_measure(path, mu)
-    assert load_measure(path, ops) == mu
+@pytest.mark.parametrize("atom", [
+    "0;0;0 1/2",        # third component zero (a GroupError inside)
+    "1,2;0;1 1/2",      # too many coefficients over F_5 (a FieldError)
+    "0;0 1/2",          # two parts
+    "0;0;1 1/0",        # zero denominator
+    "0;0;1 -1/2",       # negative mass
+])
+def test_load_measure_names_file_and_line(tmp_path, atom):
+    path = tmp_path / "bad.measure"
+    path.write_text(f"# header\n1;0;1 1/2\n{atom}\n")
+    with pytest.raises(MeasureError, match="^" + re.escape(f"{path}:3: ")):
+        load_measure(path, G5)
 
 
 def test_probability_validation():

@@ -1,0 +1,66 @@
+"""Every definition in `src/orchardlab` is used inside the package.
+
+Every top-level function and class, and every method of a public class,
+must be referenced by name or attribute somewhere in `src/` outside its
+own definition (imports do not count). Dunder methods are exempt, and so
+is the library API the README lists, which no subcommand calls. Oracles
+and helpers that only tests call belong in `tests/oracles.py`.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "orchardlab"
+README = SRC.parents[1] / "README.md"
+
+# module -> the README's library API; cli.main is the console entry point
+API = {
+    "bsg": {"covering_number", "is_approximate_group"},
+    "cli": {"main"},
+    "constructions": {"normalize_to_segre"},
+    "incidence": {"free_tuples", "omega_set"},
+    "measures": {"coset_mass", "is_symmetric", "load_measure", "lp_norm_sq",
+                 "save_measure", "sym_power", "sym_power_2exp"},
+}
+
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions():
+    """(module, qualified name, node) of each definition checked."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield module, node.name, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not (
+                        m.name.startswith("__") and m.name.endswith("__")
+                    ):
+                        yield module, f"{node.name}.{m.name}", m
+
+
+def test_every_definition_is_used():
+    uses = {}
+    for tree in TREES.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                uses.setdefault(n.id, set()).add(id(n))
+            elif isinstance(n, ast.Attribute):
+                uses.setdefault(n.attr, set()).add(id(n))
+    dead = [
+        f"{module}.{qualname} (line {node.lineno})"
+        for module, qualname, node in _definitions()
+        if qualname not in API.get(module, ())
+        and not uses.get(node.name, set()) - {id(n) for n in ast.walk(node)}
+    ]
+    assert not dead, "defined in src/ but never used there: " + ", ".join(dead)
+
+
+def test_allow_list_is_the_readme_api():
+    defined = {(module, qualname) for module, qualname, _ in _definitions()}
+    readme = README.read_text()
+    for module, names in API.items():
+        for name in names:
+            assert (module, name) in defined, f"{module}.{name} is not defined"
+            assert name == "main" or f"`{name}`" in readme, f"README does not list {name}"

@@ -19,9 +19,9 @@ import random
 
 import pytest
 
+from oracles import segre_quadric_points
 from orchardlab import cli
 from orchardlab.field import FieldCtx
-from orchardlab.groups import segre_quadric_points
 from orchardlab.projgeom import (
     GeometryError,
     ProjLine,
