@@ -134,9 +134,9 @@ def cmd_orchard_threeplanes(args) -> int:
 
 
 def cmd_orchard_quadric(args) -> int:
-    from .groups import gamma_x
+    from .groups import check_quadric_involutions
     from .incidence import count_collinear_triples, line_concentration
-    from .projgeom import QuadricForm, collinear, load_point_set, on_quadric
+    from .projgeom import QuadricForm, load_point_set, on_quadric
 
     ctx_x, X = load_point_set(args.x, args.allow_dup)
     ctx_s, S = load_point_set(args.s, args.allow_dup)
@@ -158,15 +158,7 @@ def cmd_orchard_quadric(args) -> int:
     if inside:
         raise UsageError(f"{len(inside)} s-points lie on the quadric")
     count = count_collinear_triples(X, X, S, kernel=args.kernel)
-    involution_checks = 0
-    for s in S:
-        for x in X:
-            y = gamma_x(s, x, Q)
-            if not (collinear(s, x, y) and gamma_x(s, y, Q) == x):
-                raise VerificationFailure(
-                    f"quadric involution failed at ({s}, {x})"
-                )
-            involution_checks += 1
+    involution_checks = check_quadric_involutions(Q, S, X)
     write_json(
         args.report,
         {

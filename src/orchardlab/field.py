@@ -21,7 +21,6 @@ Code that works on many elements at once (the affine group of
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -313,17 +312,27 @@ class FieldCtx:
                 m = list(self.modulus)
                 g = self._primitive_element()
                 # multiplying by g is F_p-linear: row k gives coefficient k
-                # of the product from the coefficients of the factor
+                # of the product from the coefficients of the factor.  Rows,
+                # columns and place values past n are 0, so every n <= 4
+                # takes the same unrolled 4-wide step
                 cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
-                rows = [[col[k] for col in cols] for k in range(n)]
+                (
+                    (r00, r01, r02, r03), (r10, r11, r12, r13),
+                    (r20, r21, r22, r23), (r30, r31, r32, r33),
+                ) = [[cols[j][k] if j < n and k < n else 0 for j in range(4)]
+                     for k in range(4)]
+                u0, u1, u2, u3 = [p ** (n - 1 - k) if k < n else 0 for k in range(4)]
+                c0, c1, c2, c3 = 1, 0, 0, 0
                 powers = []
-                cur = [1] + [0] * (n - 1)
+                append = powers.append
                 for _ in range(q - 1):
-                    code = 0
-                    for d in cur:
-                        code = code * p + d
-                    powers.append(code)
-                    cur = [sum(map(operator.mul, cur, row)) % p for row in rows]
+                    append(c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3)
+                    c0, c1, c2, c3 = (
+                        (r00 * c0 + r01 * c1 + r02 * c2 + r03 * c3) % p,
+                        (r10 * c0 + r11 * c1 + r12 * c2 + r13 * c3) % p,
+                        (r20 * c0 + r21 * c1 + r22 * c2 + r23 * c3) % p,
+                        (r30 * c0 + r31 * c1 + r32 * c2 + r33 * c3) % p,
+                    )
             Z = self._log_zero
             idx = list(range(q - 1))              # log and red share the ints
             log = [Z] * q

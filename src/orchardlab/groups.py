@@ -9,15 +9,19 @@ the first plane as an element (a, b, c) of the group G_a^2 x| G_m, with
 For a smooth quadric: a point x off the quadric induces the involution
 sending y to the second intersection of the line x--y with the quadric;
 its linear lift is the reflection fixing the hyperplane orthogonal to x.
+`gamma_x` computes one image on `FieldElem`s; `check_quadric_involutions`
+checks many centres and points on Zech log codes (see `FieldCtx._zech`),
+for every field, prime fields included, building no element per pair.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .errors import OrchardError
+from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .projgeom import (
+    MixedContexts,
     NotOnSegreQuadric,
     ProjPlane,
     ProjPoint,
@@ -303,13 +307,6 @@ class PGLElem:
     def det(self) -> FieldElem:
         return _det4(self.ctx, self.rows)
 
-    @staticmethod
-    def identity(ctx: FieldCtx) -> "PGLElem":
-        one, zero = ctx.one(), ctx.zero()
-        return PGLElem(
-            ctx, [[one if i == j else zero for j in range(4)] for i in range(4)]
-        )
-
 
 def is_orthogonal_mod_scalar(
     M: PGLElem, Q: QuadricForm
@@ -384,6 +381,122 @@ def gamma_x(x: ProjPoint, y: ProjPoint, Q: QuadricForm) -> ProjPoint:
         return y
     s = -(ctx.elem(2) * cross) / qx
     return ProjPoint(ctx, [a + s * b for a, b in zip(y.coords, x.coords)])
+
+
+def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjPoint]):
+    """For each centre s of S in turn, the list of the int-code keys of
+    y = gamma_s(x) (see `gamma_x`) for x in X, each checked on log codes:
+    y lies on Q, (s, x, y) passes the four 3x3 minor tests of
+    `incidence._count_brute_generic` and gamma_s(y) is x.  gamma_s(v) is
+    the point of v + t s, t = -2<s, v>/<s, s>, with t read off B s, which
+    is formed once per centre from the sparse `QuadricForm.entries`.
+    Raises CharTwo in characteristic 2, MixedContexts for a point over
+    another field than Q, PointOffQuadric for an x off Q, PointOnQuadric
+    for an s on Q, and VerificationFailure at the first pair that fails
+    a check."""
+    ctx = Q.ctx
+    if ctx.p == 2:
+        raise CharTwo("quadric involutions need characteristic != 2")
+    log, exp, red, zech = ctx._zech()
+    Z, m1 = ctx._log_zero, ctx._log_minus_one
+    q1 = Z >> 1
+    entries = [(i, j, log[b.code]) for i, j, b in Q.entries]
+
+    def form(u, v):
+        # log of <u, v>
+        acc = Z
+        for i, j, b in entries:
+            term = red[red[b + u[i]] + v[j]]
+            acc = red[acc + zech[term - acc + Z]]
+        return acc
+
+    def image(s, w, v):
+        # gamma_s(v) scaled to a first nonzero entry 1, or None for 0;
+        # w is (-2/<s, s>) B s, so t = sum_i v_i w_i
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        t = red[v0 + w0]
+        for u in (red[v1 + w1], red[v2 + w2], red[v3 + w3]):
+            t = red[t + zech[u - t + Z]]
+        s0, s1, s2, s3 = s
+        v0 = red[v0 + zech[red[t + s0] - v0 + Z]]
+        v1 = red[v1 + zech[red[t + s1] - v1 + Z]]
+        v2 = red[v2 + zech[red[t + s2] - v2 + Z]]
+        v3 = red[v3 + zech[red[t + s3] - v3 + Z]]
+        lead = v0 if v0 != Z else v1 if v1 != Z else v2 if v2 != Z else v3
+        if lead == Z:
+            return None
+        if not lead:                    # log 1 is 0: already canonical
+            return v0, v1, v2, v3
+        k = q1 - lead
+        return red[v0 + k], red[v1 + k], red[v2 + k], red[v3 + k]
+
+    def rank_two(a, b, c):
+        # the minors m_ij of (a, b), then c_i m_jk + c_k m_ij = c_j m_ik
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        c0, c1, c2, c3 = c
+        m01, m02, m03, m12, m13, m23 = (
+            red[x + zech[red[y + m1] - x + Z]]
+            for x, y in (
+                (red[a0 + b1], red[a1 + b0]), (red[a0 + b2], red[a2 + b0]),
+                (red[a0 + b3], red[a3 + b0]), (red[a1 + b2], red[a2 + b1]),
+                (red[a1 + b3], red[a3 + b1]), (red[a2 + b3], red[a3 + b2]),
+            )
+        )
+        return all(
+            red[x + zech[red[y] - x + Z]] == red[z]
+            for x, y, z in (
+                (red[c0 + m12], c2 + m01, c1 + m02),
+                (red[c0 + m13], c3 + m01, c1 + m03),
+                (red[c0 + m23], c3 + m02, c2 + m03),
+                (red[c1 + m23], c3 + m12, c2 + m13),
+            )
+        )
+
+    def logs(points):
+        for pt in points:
+            if pt.ctx is not ctx:
+                raise MixedContexts("point from a different field")
+        return [tuple(log[c] for c in pt.key) for pt in points]
+
+    xs = logs(X)
+    for x, v in zip(X, xs):
+        if form(v, v) != Z:
+            raise PointOffQuadric(f"{x} is not on the quadric")
+    minus_two = red[log[2 * ctx._unit] + m1]     # 2 < p: the code of 2 is 2 p^(n-1)
+    for s, sv in zip(S, logs(S)):
+        qs = form(sv, sv)
+        if qs == Z:
+            raise PointOnQuadric(f"{s} lies on the quadric")
+        c = red[minus_two + q1 - qs]
+        w = [Z] * 4
+        for i, j, b in entries:
+            term = red[red[b + sv[j]] + c]
+            w[i] = red[w[i] + zech[term - w[i] + Z]]
+        images = []
+        for x, xv in zip(X, xs):
+            y = image(sv, w, xv)
+            if not (
+                y and form(y, y) == Z and rank_two(sv, xv, y)
+                and image(sv, w, y) == xv
+            ):
+                raise VerificationFailure(f"quadric involution failed at ({s}, {x})")
+            images.append((exp[y[0]], exp[y[1]], exp[y[2]], exp[y[3]]))
+        yield images
+
+
+def check_quadric_involutions(
+    Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjPoint]
+) -> int:
+    """Check, for every centre s of S (off the quadric Q) and every point
+    x of X (on Q), that y = gamma_s(x) is on Q and on the line s--x and
+    that gamma_s(y) = x; returns the number of pairs checked.  Runs on
+    Zech log codes for every field, prime fields included: the tables
+    are built once per field, B s once per centre.  Raises CharTwo,
+    MixedContexts, PointOffQuadric, PointOnQuadric or
+    VerificationFailure (see `_involution_images`)."""
+    return sum(len(images) for images in _involution_images(Q, S, X))
 
 
 # -- the Segre map --------------------------------------------------------

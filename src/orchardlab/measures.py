@@ -206,9 +206,6 @@ class GroupMeasure:
     def __call__(self, g) -> Fraction:
         return Fraction(self.nums.get(self.group.key(g), 0), self.den)
 
-    def support(self):
-        return set(map(self.group.element, self.nums))
-
     def support_sorted(self):
         return sorted(map(self.group.element, self.nums), key=self.group.sort_key)
 

@@ -169,12 +169,6 @@ class ProjLine:
     def __repr__(self):
         return f"Line{self.basis}"
 
-    def contains(self, p: ProjPoint) -> bool:
-        if p.ctx is not self.ctx:
-            raise MixedContexts("point from a different field")
-        rows = [list(self.basis[0]), list(self.basis[1]), list(p.coords)]
-        return matrix_rank(self.ctx, rows) == 2
-
     def points(self) -> List[ProjPoint]:
         """All q + 1 points of the line."""
         ctx = self.ctx

@@ -20,30 +20,43 @@ check that path (see test_oracles.py):
 - `full_lines_by_scan`: every `line_through` line of a point set checked
   point by point, for `constructions._full_lines_within`;
 - `dense_bilinear`: the 16-term sum of a quadric's bilinear form, for
-  the sparse `QuadricForm.bilinear`.
+  the sparse `QuadricForm.bilinear`;
+- `involution_images`: `groups.gamma_x` and `projgeom.collinear` on
+  `FieldElem`s per pair, for `groups.check_quadric_involutions`;
+- `zech_powers_by_matrix`: the generator powers by one matrix-vector
+  product of lists per element, for the unrolled step of `FieldCtx._zech`;
+- `pencil_scan`: the count on every plane of the pencil, for
+  `incidence.pencil_plane_concentration`;
+- `oracle_convolve`, `oracle_reverse`, `oracle_l2_sq`, `oracle_decompose`
+  and `oracle_flattening`: measures as dicts of group elements to
+  `Fraction` masses, for the integer-keyed measures and `bsg.decompose`.
 
 The helpers, one copy each, build what the tests feed the library:
 `affine_group_elements` (all of G_a^2 x| G_m), `mulclose` (a capped
 closure), `segre_quadric_points`, `pencil_planes` (in the order
 `incidence.pencil_plane_concentration` takes them), `family_triple` (one
-triple of the extremal example), `random_measure` and `random_smooth_form`.
+triple of the extremal example), `random_measure`, `random_smooth_form`
+and `on_line` (the rank test of a point against a line's basis).
 """
 
+import operator
 from fractions import Fraction
 from typing import Dict, List
 
 from orchardlab.constructions import _gen_power
-from orchardlab.field import FieldCtx
-from orchardlab.groups import AffElem, PGLElem, aff_act, segre
+from orchardlab.field import FieldCtx, _poly_mulmod
+from orchardlab.groups import AffElem, PGLElem, aff_act, gamma_x, segre
 from orchardlab.incidence import VerificationFailure
 from orchardlab.measures import GroupMeasure
 from orchardlab.projgeom import (
+    ProjLine,
     ProjPlane,
     ProjPoint,
     QuadricForm,
     collinear,
     enumerate_space,
     line_through,
+    matrix_rank,
 )
 
 
@@ -119,6 +132,11 @@ def random_measure(group, elements, rng, max_support=8):
     return GroupMeasure(
         group, {g: Fraction(w, total) for g, w in zip(support, weights)}
     )
+
+
+def on_line(line: ProjLine, p: ProjPoint) -> bool:
+    """Whether p lies on the line: its basis plus p has rank 2."""
+    return matrix_rank(line.ctx, [*line.basis, p.coords]) == 2
 
 
 def random_smooth_form(ctx, rng):
@@ -308,3 +326,98 @@ def dense_bilinear(Q: QuadricForm, u, v):
         for j in range(4):
             acc = acc + u[i] * Q.B[i][j] * v[j]
     return acc
+
+
+def involution_images(Q: QuadricForm, s: ProjPoint, X):
+    """The keys of gamma_s(x) for x in X, each checked as the CLI once
+    did: on the line s--x, and sent back to x by gamma_s."""
+    out = []
+    for x in X:
+        y = gamma_x(s, x, Q)
+        if not (collinear(s, x, y) and gamma_x(s, y, Q) == x):
+            raise VerificationFailure(f"quadric involution failed at ({s}, {x})")
+        out.append(y.key)
+    return out
+
+
+def zech_powers_by_matrix(ctx: FieldCtx) -> List[int]:
+    """The int codes of g^0, ..., g^(q-2) for g = `ctx._primitive_element()`
+    (n > 1), one list matrix-vector product per power."""
+    p, n, q = ctx.p, ctx.n, ctx.order
+    m = list(ctx.modulus)
+    g = ctx._primitive_element()
+    cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
+    rows = [[col[k] for col in cols] for k in range(n)]
+    powers = []
+    cur = [1] + [0] * (n - 1)
+    for _ in range(q - 1):
+        code = 0
+        for d in cur:
+            code = code * p + d
+        powers.append(code)
+        cur = [sum(map(operator.mul, cur, row)) % p for row in rows]
+    return powers
+
+
+def pencil_scan(X3, P1, P2, include_base_planes=True):
+    """Oracle: count X3 on every plane of the pencil, first max wins."""
+    planes = pencil_planes(P1, P2)
+    if not include_base_planes:
+        planes = [P for P in planes if P not in (P1, P2)]
+    best = -1
+    witness = None
+    for plane in planes:
+        hit = sum(1 for x in X3 if plane.contains(x))
+        if hit > best:
+            best, witness = hit, plane
+    return best, witness
+
+
+# -- measures as {element: Fraction} -------------------------------------
+
+def oracle_convolve(group, f, h):
+    out = {}
+    for y, fy in f.items():
+        for z, hz in h.items():
+            x = group.multiply(y, z)
+            out[x] = out.get(x, Fraction(0)) + fy * hz
+    return out
+
+
+def oracle_reverse(group, f):
+    return {group.inverse(g): m for g, m in f.items()}
+
+
+def oracle_l2_sq(f):
+    return sum((m * m for m in f.values()), Fraction(0))
+
+
+def oracle_decompose(f, K):
+    M = 16 * Fraction(K)
+    l2 = oracle_l2_sq(f)
+    hi, lo = M * l2, l2 / (M * M)
+    heavy, diffuse, structured, boundary = {}, {}, {}, set()
+    for g, m in f.items():
+        if m >= hi:
+            heavy[g] = m
+            if m == hi:
+                boundary.add(g)
+        elif m <= lo:
+            diffuse[g] = m
+            if m == lo:
+                boundary.add(g)
+        else:
+            structured[g] = m
+    return heavy, diffuse, structured, boundary
+
+
+def oracle_flattening(group, f, m_max):
+    """(support, l2_sq, linf, ratio_sq) per m, as flattening_report."""
+    powers = [oracle_convolve(group, oracle_reverse(group, f), f)]
+    for _ in range(m_max + 1):
+        powers.append(oracle_convolve(group, powers[-1], powers[-1]))
+    rows = []
+    for cur, nxt in zip(powers, powers[1:]):
+        l2 = oracle_l2_sq(cur)
+        rows.append((len(cur), l2, max(cur.values()), oracle_l2_sq(nxt) / l2))
+    return rows

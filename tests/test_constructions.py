@@ -227,7 +227,9 @@ def test_classify_finite_and_empty():
 
 def test_classify_validation():
     with pytest.raises(IdentityElement):
-        classify_fixed_points(PGLElem.identity(F5), F5)
+        classify_fixed_points(
+            PGLElem(F5, [[int(i == j) for j in range(4)] for i in range(4)]), F5
+        )
     shear = PGLElem(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(NotOnQuadricGroup):
         classify_fixed_points(shear, F5)

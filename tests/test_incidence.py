@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import affine_group_elements, mulclose, pencil_planes
+from oracles import affine_group_elements, mulclose, on_line, pencil_planes
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
     AffElem,
@@ -125,9 +125,9 @@ def test_counted_triples_reverify():
     out = count_collinear_triples(X1, X2, X3, "hash")
     rebuilt = 0
     for line, contribution in out.by_line.items():
-        on1 = [p for p in X1 if line.contains(p)]
-        on2 = [p for p in X2 if line.contains(p)]
-        on3 = [p for p in X3 if line.contains(p)]
+        on1 = [p for p in X1 if on_line(line, p)]
+        on2 = [p for p in X2 if on_line(line, p)]
+        on3 = [p for p in X3 if on_line(line, p)]
         combos = [
             (a, b, c)
             for a in on1
@@ -181,7 +181,7 @@ def test_line_concentration_examples():
     rep = line_concentration(pts)
     assert rep.max_count == 3
     assert rep.witness_line is not None
-    assert sum(1 for p in pts if rep.witness_line.contains(p)) == 3
+    assert sum(1 for p in pts if on_line(rep.witness_line, p)) == 3
     line = line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]))
     assert line_concentration(line.points()).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1

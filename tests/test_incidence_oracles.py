@@ -1,6 +1,7 @@
 """Property tests of the fast incidence statistics against their oracles.
 
-- The one-pass pencil count against the plane-by-plane scan it replaced.
+- The one-pass pencil count against the plane-by-plane scan it replaced
+  (`oracles.pencil_scan`).
 - The hash triple kernel against the brute one, on point sets that share
   points, which the per-point buckets must not count twice; and
   `line_concentration` against the line-by-line oracle on those sets.
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_concentration_by_lines, pencil_planes
+from oracles import line_concentration_by_lines, pencil_scan
 from orchardlab.field import FieldCtx
 from orchardlab.incidence import (
     EqualPlanes,
@@ -34,20 +35,6 @@ PENCIL_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx
 @lru_cache(maxsize=None)
 def space(ctx):
     return enumerate_space(ctx, 3)
-
-
-def pencil_scan(X3, P1, P2, include_base_planes=True):
-    """Oracle: count X3 on every plane of the pencil, first max wins."""
-    planes = pencil_planes(P1, P2)
-    if not include_base_planes:
-        planes = [P for P in planes if P not in (P1, P2)]
-    best = -1
-    witness = None
-    for plane in planes:
-        hit = sum(1 for x in X3 if plane.contains(x))
-        if hit > best:
-            best, witness = hit, plane
-    return best, witness
 
 
 @st.composite

@@ -1,11 +1,11 @@
 """Integer-keyed measures against the element/Fraction oracle.
 
-The oracle below is the convolution, reversal, norms, decomposition and
-flattening report written directly on dicts of group elements to
-`Fraction` masses, multiplying with the group's `multiply`, which is
-`aff_compose`.  The library computes the same things on integer group keys
-and integer numerators over one denominator; every result must agree
-exactly.
+The oracle (`oracle_convolve` and its relatives in `oracles.py`) is the
+convolution, reversal, norms, decomposition and flattening report written
+directly on dicts of group elements to `Fraction` masses, multiplying
+with the group's `multiply`, which is `aff_compose`.  The library
+computes the same things on integer group keys and integer numerators
+over one denominator; every result must agree exactly.
 """
 
 import random
@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_group_elements
+from oracles import (
+    affine_group_elements,
+    oracle_convolve,
+    oracle_decompose,
+    oracle_flattening,
+    oracle_l2_sq,
+    oracle_reverse,
+)
 from orchardlab.bsg import decompose, restrict_open_band, verify_decomposition
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
@@ -37,56 +44,6 @@ from orchardlab.measures import (
 FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7),
           FieldCtx(2, 3), FieldCtx(3, 2)]
 ELEMENTS = {ctx: affine_group_elements(ctx) for ctx in FIELDS}
-
-
-# -- the oracle: masses as {element: Fraction} -------------------------------
-
-def oracle_convolve(group, f, h):
-    out = {}
-    for y, fy in f.items():
-        for z, hz in h.items():
-            x = group.multiply(y, z)
-            out[x] = out.get(x, Fraction(0)) + fy * hz
-    return out
-
-
-def oracle_reverse(group, f):
-    return {group.inverse(g): m for g, m in f.items()}
-
-
-def oracle_l2_sq(f):
-    return sum((m * m for m in f.values()), Fraction(0))
-
-
-def oracle_decompose(f, K):
-    M = 16 * Fraction(K)
-    l2 = oracle_l2_sq(f)
-    hi, lo = M * l2, l2 / (M * M)
-    heavy, diffuse, structured, boundary = {}, {}, {}, set()
-    for g, m in f.items():
-        if m >= hi:
-            heavy[g] = m
-            if m == hi:
-                boundary.add(g)
-        elif m <= lo:
-            diffuse[g] = m
-            if m == lo:
-                boundary.add(g)
-        else:
-            structured[g] = m
-    return heavy, diffuse, structured, boundary
-
-
-def oracle_flattening(group, f, m_max):
-    """(support, l2_sq, linf, ratio_sq) per m, as flattening_report."""
-    powers = [oracle_convolve(group, oracle_reverse(group, f), f)]
-    for _ in range(m_max + 1):
-        powers.append(oracle_convolve(group, powers[-1], powers[-1]))
-    rows = []
-    for cur, nxt in zip(powers, powers[1:]):
-        l2 = oracle_l2_sq(cur)
-        rows.append((len(cur), l2, max(cur.values()), oracle_l2_sq(nxt) / l2))
-    return rows
 
 
 # -- keys ----------------------------------------------------------------------

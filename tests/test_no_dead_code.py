@@ -5,6 +5,11 @@ must be referenced by name or attribute somewhere in `src/` outside its
 own definition (imports do not count). Dunder methods are exempt, and so
 is the library API the README lists, which no subcommand calls. Oracles
 and helpers that only tests call belong in `tests/oracles.py`.
+
+Uses are matched by bare name, not by owner: a method passes as soon as
+any name or attribute in `src/` spells the same word, so a method that
+shares its name with a used one (say `identity` or `contains`) is not
+caught when it has no caller of its own.
 """
 
 import ast

@@ -2,15 +2,17 @@
 the O(1) pair-stabilizer test, the int-coded family check, the
 eigenspace fixed points and the full lines of a fixed set, the
 two-product orthogonality test, the 2x2-minor determinant, the sparse
-quadric forms, and the log-code triple kernels, line key and line
-concentration of F_{p^n}.
+quadric forms, the log-code triple kernels, line key and line
+concentration of F_{p^n}, the log-code quadric involution check, and the
+unrolled generator powers of the Zech arrays.
 """
 
 import random
+import re
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -20,9 +22,11 @@ from oracles import (
     family_membership,
     fixed_points_by_enumeration,
     full_lines_by_scan,
+    involution_images,
     line_concentration_by_lines,
     orthogonal_by_triple_sums,
     pair_stabilizer_scan,
+    zech_powers_by_matrix,
 )
 
 from orchardlab.constructions import (
@@ -33,10 +37,16 @@ from orchardlab.constructions import (
     classify_fixed_points,
     verify_example,
 )
+from orchardlab.errors import VerificationFailure
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
+    CharTwo,
     GroupError,
     PGLElem,
+    PointOffQuadric,
+    PointOnQuadric,
+    _involution_images,
+    check_quadric_involutions,
     is_orthogonal_mod_scalar,
     reflection_lift,
 )
@@ -47,6 +57,7 @@ from orchardlab.incidence import (
     line_concentration,
 )
 from orchardlab.projgeom import (
+    MixedContexts,
     ProjPoint,
     QuadricForm,
     _det4,
@@ -334,3 +345,124 @@ def test_log_line_key_matches_line_through(ctx, data):
     v = data.draw(ext_points(ctx).filter(lambda x: x != u))
     key_of, [[a, b]] = _keyed(ctx, [u, v])
     assert key_of(a, b) == key_of(b, a) == line_through(u, v).key
+
+
+# -- the quadric involution check on log codes --------------------------------
+
+QUADRIC_FIELDS = [F3, F5, F7, FieldCtx(11), FieldCtx(13), F9, F25, F27]
+
+
+@st.composite
+def quadric_case(draw):
+    """(Q, S, X): a Segre, identity or random smooth form over an odd
+    field; X, points of Q found on a few lines (through points with
+    leading zeros often, so the line may stay inside {x0 = 0}); S, points
+    off Q, one of them in the tangent plane of an x (<s, x> = 0, so
+    gamma_s(x) = x)."""
+    ctx = draw(st.sampled_from(QUADRIC_FIELDS))
+    kind = draw(st.sampled_from(["segre", "identity", "random"]))
+    if kind == "segre":
+        Q = QuadricForm.segre(ctx)
+    elif kind == "identity":
+        Q = QuadricForm.identity(ctx)
+    else:
+        entry = st.integers(0, ctx.order - 1).map(lambda c: FieldElem(ctx, c))
+        upper = {(i, j): draw(entry) for i in range(4) for j in range(i, 4)}
+        Q = QuadricForm(ctx, [[upper[min(i, j), max(i, j)] for j in range(4)]
+                              for i in range(4)])
+        assume(Q.is_smooth())
+    point = ext_points(ctx)
+    X = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(point), draw(point)
+        if a != b:
+            line = [b] + [ProjPoint(ctx, [u + t * v for u, v in zip(a.coords, b.coords)])
+                          for t in ctx.elements_sorted()]
+            X += [x for x in line if on_quadric(x, Q)][:draw(st.integers(1, 4))]
+    assume(X)
+    S = [s for s in draw(st.lists(point, min_size=1, max_size=5)) if not on_quadric(s, Q)]
+    # s = <x, u> r - <x, r> u has <x, s> = 0
+    x = draw(st.sampled_from(X))
+    r, u = draw(point), draw(point)
+    v = [Q.bilinear(x.coords, u.coords) * a - Q.bilinear(x.coords, r.coords) * b
+         for a, b in zip(r.coords, u.coords)]
+    if any(not c.is_zero() for c in v) and not Q.evaluate(v).is_zero():
+        S.append(ProjPoint(ctx, v))
+    assume(S)
+    return Q, draw(st.permutations(S)), draw(st.permutations(X))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadric_case())
+def test_involution_check_matches_gamma_x_oracle(case):
+    Q, S, X = case
+    for s, images in zip(S, _involution_images(Q, S, X)):
+        assert images == involution_images(Q, s, X)
+    assert check_quadric_involutions(Q, S, X) == len(S) * len(X)
+
+
+@pytest.mark.parametrize("ctx", [F5, F9, F25], ids=str)
+def test_involution_check_tangent_and_leading_zeros(ctx):
+    # the Segre form is 2(x0 x3 - x1 x2): X is on it and S is off it, and
+    # <[1:0:0:1], [0:0:1:0]> = 0 (tangent)
+    Q = QuadricForm.segre(ctx)
+    X = [ProjPoint(ctx, c) for c in ([0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1])]
+    S = [ProjPoint(ctx, c) for c in ([1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 0])]
+    assert any(Q.bilinear(s.coords, x.coords).is_zero() for s in S for x in X)
+    for s, images in zip(S, _involution_images(Q, S, X)):
+        assert images == involution_images(Q, s, X)
+
+
+def test_involution_check_errors():
+    Q = QuadricForm.segre(F5)
+    on = ProjPoint(F5, [0, 0, 1, 0])
+    off = ProjPoint(F5, [1, 0, 0, 1])
+    with pytest.raises(PointOnQuadric, match="lies on the quadric"):
+        check_quadric_involutions(Q, [off, on], [on])
+    with pytest.raises(PointOffQuadric, match="is not on the quadric"):
+        check_quadric_involutions(Q, [off], [on, off])
+    with pytest.raises(MixedContexts):
+        check_quadric_involutions(Q, [ProjPoint(F7, [1, 0, 0, 1])], [on])
+    for ctx in (FieldCtx(2), F4):
+        with pytest.raises(CharTwo):
+            check_quadric_involutions(QuadricForm.identity(ctx), [], [])
+    assert check_quadric_involutions(Q, [], [on]) == 0
+    # entries 2 x0 x3 - x1 x2 - x2 x1 give the Segre form's values, but
+    # <s, x> read off B s is then not its polar form: y leaves Q, and the
+    # pair fails by name
+    bent = QuadricForm.segre(F5)
+    bent.entries = ((0, 3, F5.elem(2)),) + bent.entries[1:3]
+    x, s = ProjPoint(F5, [1, 1, 1, 1]), ProjPoint(F5, [1, 0, 0, 2])
+    assert bent.evaluate(x.coords) == Q.evaluate(x.coords) == F5.zero()
+    assert check_quadric_involutions(bent, [off], [on]) == 1
+    with pytest.raises(VerificationFailure, match=re.escape(f"failed at ({s}, {x})")):
+        check_quadric_involutions(bent, [off, s], [on, x])
+
+
+def test_involution_check_builds_no_elements_per_pair(monkeypatch):
+    """On F_9, all 100 Segre points against 40 points off the quadric:
+    FieldElem constructions stay O(|X| + |S|), not one per pair."""
+    Q = QuadricForm.segre(F9)
+    X = [p for p in enumerate_space(F9, 3) if on_quadric(p, Q)]
+    S = off_segre(F9)[:40]
+    calls = 0
+    init = FieldElem.__init__
+
+    def counting_init(self, ctx, code):
+        nonlocal calls
+        calls += 1
+        init(self, ctx, code)
+
+    monkeypatch.setattr(FieldElem, "__init__", counting_init)
+    assert check_quadric_involutions(Q, S, X) == 4000
+    assert calls <= 2 * (len(X) + len(S))
+
+
+# -- the unrolled generator powers of the Zech arrays -------------------------
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2),
+                                 (5, 3), (7, 4), (11, 2)])
+def test_zech_powers_match_matrix_loop(p, n):
+    ctx = FieldCtx(p, n)
+    assert ctx._zech()[1][:ctx.order - 1] == zech_powers_by_matrix(ctx)
+
