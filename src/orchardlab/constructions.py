@@ -23,6 +23,7 @@ from .groups import (
     is_orthogonal_mod_scalar,
 )
 from .incidence import (
+    _inv_table,
     _line_from_key,
     _later_points_by_line,
     count_collinear_triples,
@@ -160,7 +161,7 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
     """
     p = cfg.p
     power = [pow(cfg.d, e, p) for e in range(p - 1)]      # d^e at e mod p-1
-    inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+    inverse = _inv_table(p)
     keys1, keys2, keys3 = ({x.key for x in X} for X in (cfg.X1, cfg.X2, cfg.X3))
     in_sets = 0
     first_outside = None

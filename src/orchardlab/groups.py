@@ -284,23 +284,6 @@ class PGLElem:
             raise GroupError("mixed contexts")
         return PGLElem(self.ctx, _mat_mul(self.ctx, self.rows, other.rows))
 
-    def inverse(self) -> "PGLElem":
-        ctx = self.ctx
-        aug = [
-            list(self.rows[i]) + [ctx.one() if i == j else ctx.zero() for j in range(4)]
-            for i in range(4)
-        ]
-        for col in range(4):
-            piv = next(r for r in range(col, 4) if not aug[r][col].is_zero())
-            aug[col], aug[piv] = aug[piv], aug[col]
-            s = inv(aug[col][col])
-            aug[col] = [x * s for x in aug[col]]
-            for r in range(4):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return PGLElem(ctx, [row[4:] for row in aug])
-
     def act(self, p: ProjPoint) -> ProjPoint:
         return p.apply_matrix(self.rows)
 

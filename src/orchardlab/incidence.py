@@ -8,10 +8,11 @@ by the canonical line they span.  They must agree exactly; the hash
 kernel is the fast one.  Neither builds a field element: prime fields
 run both on the points' int code tuples, F_{p^n} on their tuples of
 Zech log codes (products as one table lookup, sums through the Zech
-table, see `FieldCtx._zech`).  Each field has its own brute kernel and
-RREF line key, and both keys are the flat 8-tuple of int codes that
-`ProjLine.key` is, so the hash kernel, `line_concentration` and the
-reported lines are shared.
+table, see `FieldCtx._zech`).  Each code domain has one brute kernel and
+one unrolled RREF line key, which takes every pair of distinct canonical
+points (first nonzero entry 1), those on {x0 = 0} included.  Both keys are
+the flat 8-tuple of int codes that `ProjLine.key` is, so the hash kernel,
+`line_concentration` and the reported lines are shared.
 
 - The brute kernels run the four 3x3 minor tests before excluding a
   repeated point: the two points of the pair pass every minor, so they
@@ -97,63 +98,48 @@ def _inv_table(p: int):
     return table
 
 
-def _rref_key_slow(p: int, inv, v1, v2):
-    rows = [list(v1), list(v2)]
-    pivot_row = 0
-    for col in range(4):
-        hit = None
-        for r in range(pivot_row, 2):
-            if rows[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        s = inv[rows[pivot_row][col]]
-        rows[pivot_row] = [(x * s) % p for x in rows[pivot_row]]
-        for r in range(2):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == 2:
-            break
-    return (*rows[0], *rows[1])
-
-
 def _rref_key_int(p: int, inv, v1, v2):
-    """Canonical RREF key of the 2x4 span of two independent reduced int
-    vectors.  Unrolled when a row pivots in column 0 (canonical point
-    vectors make that pivot 1); rows both starting with 0 take the
-    general path."""
+    """Canonical RREF key of the 2x4 span of two distinct canonical point
+    code tuples (first nonzero entry 1), unrolled.  When both rows start
+    with 0, their s shared leading zero columns move to the end: zero
+    columns never pivot and the others keep their order, so the RREF of
+    the rotated rows, rotated back, is the key."""
     if v1[0]:
-        a0, a1, a2, a3 = v1
+        _, a1, a2, a3 = v1
         b0, b1, b2, b3 = v2
+        s = 0
     elif v2[0]:
-        a0, a1, a2, a3 = v2
+        _, a1, a2, a3 = v2
         b0, b1, b2, b3 = v1
+        s = 0
     else:
-        return _rref_key_slow(p, inv, v1, v2)
-    if a0 != 1:
-        s = inv[a0]
-        a1, a2, a3 = a1 * s % p, a2 * s % p, a3 * s % p
+        s = 1 if v1[1] or v2[1] else 2
+        if not v1[s]:
+            v1, v2 = v2, v1
+        _, a1, a2, a3 = v1[s:] + (0,) * s
+        b0, b1, b2, b3 = v2[s:] + (0,) * s
     if b0:
         b1, b2, b3 = (b1 - b0 * a1) % p, (b2 - b0 * a2) % p, (b3 - b0 * a3) % p
     if b1:
         if b1 != 1:
-            s = inv[b1]
-            b2, b3 = b2 * s % p, b3 * s % p
+            t = inv[b1]
+            b2, b3 = b2 * t % p, b3 * t % p
         if a1:
             a2, a3 = (a2 - a1 * b2) % p, (a3 - a1 * b3) % p
-        return (1, 0, a2, a3, 0, 1, b2, b3)
-    if b2:
+        key = (1, 0, a2, a3, 0, 1, b2, b3)
+    elif b2:
         if b2 != 1:
             b3 = b3 * inv[b2] % p
         if a2:
             a3 = (a3 - a2 * b3) % p
-        return (1, a1, 0, a3, 0, 0, 1, b3)
-    # b3 must be nonzero: the vectors are independent
-    return (1, a1, a2, 0, 0, 0, 0, 1)
+        key = (1, a1, 0, a3, 0, 0, 1, b3)
+    else:
+        # b3 must be nonzero: the points are distinct (and s is 0)
+        return (1, a1, a2, 0, 0, 0, 0, 1)
+    if s:
+        z = (0,) * s
+        return z + key[:4 - s] + z + key[4:8 - s]
+    return key
 
 
 def _count_brute_int(p: int, X1, X2, X3):
@@ -201,55 +187,28 @@ def _log_tables(ctx: FieldCtx):
     return exp, red, zech, ctx._log_zero, ctx._log_minus_one
 
 
-def _rref_key_log_slow(t, v1, v2):
-    exp, red, zech, Z, m1 = t
-    q1 = Z >> 1                     # q - 1: x * y^-1 has log red[x + q1 - y]
-    rows = [list(v1), list(v2)]
-    pivot_row = 0
-    for col in range(4):
-        hit = None
-        for r in range(pivot_row, 2):
-            if rows[r][col] != Z:
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        s = q1 - rows[pivot_row][col]
-        rows[pivot_row] = [red[x + s] for x in rows[pivot_row]]
-        for r in range(2):
-            if r != pivot_row and rows[r][col] != Z:
-                f = red[rows[r][col] + m1]
-                rows[r] = [
-                    red[x + zech[red[f + y] - x + Z]]
-                    for x, y in zip(rows[r], rows[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == 2:
-            break
-    return tuple(exp[x] for x in rows[0] + rows[1])
-
-
 def _rref_key_log(t, v1, v2):
     """`_rref_key_int` on log codes: the canonical RREF key, as the flat
-    8-tuple of int codes, of the span of two independent vectors of log
-    codes over F_{p^n}.  t is `_log_tables(ctx)`: x * y has log
-    red[x + y], -x has log red[x + l(-1)], and x + y has log
-    red[x + zech[y - x + Z]].  Unrolled when a row pivots in column 0;
-    rows both starting with 0 take the general path."""
+    8-tuple of int codes, of the span of two distinct canonical points
+    given as tuples of log codes over F_{p^n} (first non-Z entry 0, the
+    log of 1).  t is `_log_tables(ctx)`: x * y has log red[x + y], -x has
+    log red[x + l(-1)], and x + y has log red[x + zech[y - x + Z]]."""
     exp, red, zech, Z, m1 = t
     if v1[0] != Z:
-        a0, a1, a2, a3 = v1
+        _, a1, a2, a3 = v1
         b0, b1, b2, b3 = v2
+        s = 0
     elif v2[0] != Z:
-        a0, a1, a2, a3 = v2
+        _, a1, a2, a3 = v2
         b0, b1, b2, b3 = v1
+        s = 0
     else:
-        return _rref_key_log_slow(t, v1, v2)
-    q1 = Z >> 1
-    if a0:                          # log 0 is 1, the pivot of a canonical point
-        s = q1 - a0
-        a1, a2, a3 = red[a1 + s], red[a2 + s], red[a3 + s]
+        s = 1 if v1[1] != Z or v2[1] != Z else 2
+        if v1[s] == Z:
+            v1, v2 = v2, v1
+        _, a1, a2, a3 = v1[s:] + (Z,) * s
+        b0, b1, b2, b3 = v2[s:] + (Z,) * s
+    q1 = Z >> 1                     # q - 1: x * y^-1 has log red[x + q1 - y]
     if b0 != Z:
         f = red[b0 + m1]
         b1 = red[b1 + zech[red[f + a1] - b1 + Z]]
@@ -258,21 +217,26 @@ def _rref_key_log(t, v1, v2):
     one = exp[0]
     if b1 != Z:
         if b1:
-            s = q1 - b1
-            b2, b3 = red[b2 + s], red[b3 + s]
+            k = q1 - b1
+            b2, b3 = red[b2 + k], red[b3 + k]
         if a1 != Z:
             f = red[a1 + m1]
             a2 = red[a2 + zech[red[f + b2] - a2 + Z]]
             a3 = red[a3 + zech[red[f + b3] - a3 + Z]]
-        return (one, 0, exp[a2], exp[a3], 0, one, exp[b2], exp[b3])
-    if b2 != Z:
+        key = (one, 0, exp[a2], exp[a3], 0, one, exp[b2], exp[b3])
+    elif b2 != Z:
         if b2:
             b3 = red[b3 + q1 - b2]
         if a2 != Z:
             a3 = red[a3 + zech[red[red[a2 + m1] + b3] - a3 + Z]]
-        return (one, exp[a1], 0, exp[a3], 0, 0, one, exp[b3])
-    # b3 must be nonzero: the vectors are independent
-    return (one, exp[a1], exp[a2], 0, 0, 0, 0, one)
+        key = (one, exp[a1], 0, exp[a3], 0, 0, one, exp[b3])
+    else:
+        # b3 must be nonzero: the points are distinct (and s is 0)
+        return (one, exp[a1], exp[a2], 0, 0, 0, 0, one)
+    if s:
+        z = (0,) * s
+        return z + key[:4 - s] + z + key[4:8 - s]
+    return key
 
 
 def _count_brute_generic(ctx, X1, X2, X3):
@@ -356,8 +320,10 @@ def _keyed(ctx: FieldCtx, *sets):
     """The point sets in the form the kernels take, and the line-key
     function on that form: the points' code tuples and their int RREF key
     on prime fields, the points' log-code tuples (see `FieldCtx._zech`)
-    and their log-domain RREF key otherwise.  Both keys are the flat
-    8-tuple of int codes that `ProjLine.key` is."""
+    and their log-domain RREF key otherwise.  The tuples are canonical,
+    as the keys require, and each field has the one key for any pair of
+    distinct points.  Both keys are the flat 8-tuple of int codes that
+    `ProjLine.key` is."""
     if ctx.n == 1:
         p = ctx.p
         return partial(_rref_key_int, p, _inv_table(p)), [[x.key for x in X] for X in sets]
@@ -489,15 +455,12 @@ def pencil_plane_concentration(
     X3: Sequence[ProjPoint],
     P1: ProjPlane,
     P2: ProjPlane,
-    include_base_planes: bool = True,
 ) -> ConcentrationReport:
     """Max of |X3 intersect P| over the pencil of planes through P1^P2.
 
     The planes are taken in this order: P1, then the plane t*P1 + P2 for
     each t of ctx.elements() (t = 0 gives P2).  The witness is the first
-    plane in that order to reach the max.  Without the base
-    planes, P1 and P2 are left out.  An empty X3 reports 0 and the first
-    plane.  One pass over X3: with s = P1.x and r = P2.x, a point lies on
+    plane in that order to reach the max.  An empty X3 reports 0 and P1.  One pass over X3: with s = P1.x and r = P2.x, a point lies on
     every plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise
     on the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
     MixedContexts when a plane or a point is over another field.
@@ -524,13 +487,12 @@ def pencil_plane_concentration(
             on_all += 1
         else:
             on_p1 += 1
-    best = on_all + on_p1 if include_base_planes else -1
+    best = on_all + on_p1
     witness_t = None
     for t in ctx.elements():
-        if include_base_planes or not t.is_zero():
-            hit = on_all + on_t.get(t.code, 0)
-            if hit > best:
-                best, witness_t = hit, t
+        hit = on_all + on_t.get(t.code, 0)
+        if hit > best:
+            best, witness_t = hit, t
     witness = P1 if witness_t is None else ProjPlane(
         ctx, [a * witness_t + b for a, b in zip(d1, d2)]
     )

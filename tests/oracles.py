@@ -359,14 +359,11 @@ def zech_powers_by_matrix(ctx: FieldCtx) -> List[int]:
     return powers
 
 
-def pencil_scan(X3, P1, P2, include_base_planes=True):
+def pencil_scan(X3, P1, P2):
     """Oracle: count X3 on every plane of the pencil, first max wins."""
-    planes = pencil_planes(P1, P2)
-    if not include_base_planes:
-        planes = [P for P in planes if P not in (P1, P2)]
     best = -1
     witness = None
-    for plane in planes:
+    for plane in pencil_planes(P1, P2):
         hit = sum(1 for x in X3 if plane.contains(x))
         if hit > best:
             best, witness = hit, plane

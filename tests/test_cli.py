@@ -140,7 +140,28 @@ def test_orchard_quadric_segre_char_two_names_characteristic(tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-    assert "characteristic" in err and "s-points" not in err
+    assert "characteristic" in err and "lies on the quadric" not in err
+    assert not report.exists()
+
+
+def test_orchard_quadric_s_point_on_quadric_fails_before_counting(tmp_path, capsys):
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    # [1:0:0:0] satisfies x1 x4 = x2 x3, so it cannot be a centre
+    ctx = FieldCtx(5)
+    X = [ProjPoint(ctx, c) for c in ([1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1])]
+    S = [ProjPoint(ctx, [1, 0, 0, 1]), ProjPoint(ctx, [1, 0, 0, 0])]
+    save_point_set(tmp_path / "x.pts", ctx, X)
+    save_point_set(tmp_path / "s.pts", ctx, S)
+    report = tmp_path / "q.json"
+    assert run([
+        "orchard-quadric", "--x", tmp_path / "x.pts", "--s", tmp_path / "s.pts",
+        "--quadric", "segre", "--report", report,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "1:0:0:0" in err and "lies on the quadric" in err
     assert not report.exists()
 
 

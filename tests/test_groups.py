@@ -256,20 +256,6 @@ def test_pgl_canonical_and_orthogonality():
     assert not ok and lam is None
 
 
-def test_pgl_inverse_and_action():
-    rng = random.Random(5)
-    pts = enumerate_space(F5, 3)
-    for _ in range(25):
-        rows = [[rng.randrange(5) for _ in range(4)] for _ in range(4)]
-        try:
-            M = PGLElem(F5, rows)
-        except Exception:
-            continue
-        assert (M * M.inverse()).is_identity()
-        p = rng.choice(pts)
-        assert M.inverse().act(M.act(p)) == p
-
-
 def test_mulclose_subgroup_and_cap():
     g = AffElem(F5, 0, 0, 2)
     els, truncated = mulclose([g], aff_compose, AffElem.identity(F5))

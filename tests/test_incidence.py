@@ -215,8 +215,8 @@ def test_pencil_concentration():
     assert rep.max_pencil_count == 9
     assert rep.witness_plane is not None
     far = [ProjPoint(F5, [1, 1, 0, 0]), ProjPoint(F5, [1, 2, 0, 0])]
-    rep = pencil_plane_concentration(far, P1, P2, include_base_planes=False)
-    assert rep.max_pencil_count <= 1
+    rep = pencil_plane_concentration(far, P1, P2)
+    assert rep.max_pencil_count == 1
 
 
 def test_census_examples():

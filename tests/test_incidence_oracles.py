@@ -5,6 +5,9 @@
 - The hash triple kernel against the brute one, on point sets that share
   points, which the per-point buckets must not count twice; and
   `line_concentration` against the line-by-line oracle on those sets.
+- The unrolled line key against `line_through`, on every pair of small
+  spaces and on points with leading zeros, and `line_concentration` on
+  the example's X1, which lies on {x0 = 0}.
 """
 
 from functools import lru_cache
@@ -14,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import line_concentration_by_lines, pencil_scan
-from orchardlab.field import FieldCtx
+from orchardlab.constructions import build_example
+from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.incidence import (
     EqualPlanes,
+    _keyed,
     count_collinear_triples,
     line_concentration,
     pencil_plane_concentration,
@@ -27,6 +32,7 @@ from orchardlab.projgeom import (
     ProjPlane,
     ProjPoint,
     enumerate_space,
+    line_through,
 )
 
 PENCIL_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2)]
@@ -54,11 +60,11 @@ def pencils(draw):
 
 
 @settings(max_examples=250, deadline=None)
-@given(pencils(), st.booleans())
-def test_pencil_count_matches_plane_scan(case, include_base_planes):
+@given(pencils())
+def test_pencil_count_matches_plane_scan(case):
     P1, P2, X3 = case
-    rep = pencil_plane_concentration(X3, P1, P2, include_base_planes)
-    best, witness = pencil_scan(X3, P1, P2, include_base_planes)
+    rep = pencil_plane_concentration(X3, P1, P2)
+    best, witness = pencil_scan(X3, P1, P2)
     assert rep.max_pencil_count == best
     assert rep.witness_plane == witness
 
@@ -67,9 +73,8 @@ def test_pencil_count_matches_plane_scan(case, include_base_planes):
 def test_pencil_edges(ctx):
     P1 = ProjPlane(ctx, [1, 1, 0, 0])
     P2 = ProjPlane(ctx, [0, 0, 1, 0])
-    for include in (True, False):
-        rep = pencil_plane_concentration([], P1, P2, include)
-        assert (rep.max_pencil_count, rep.witness_plane) == pencil_scan([], P1, P2, include)
+    rep = pencil_plane_concentration([], P1, P2)
+    assert (rep.max_pencil_count, rep.witness_plane) == pencil_scan([], P1, P2)
     with pytest.raises(EqualPlanes):
         pencil_plane_concentration([], P1, P1)
     other = FieldCtx(11) if ctx.order != 11 else FieldCtx(13)
@@ -135,3 +140,42 @@ def test_hash_matches_brute_on_shared_points(sets):
     for X in (X1, X2, X3, X1 + [x for x in X2 if x not in X1]):
         rep = line_concentration(X)
         assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X)
+
+
+# -- the line key on every kind of pair ------------------------------------------
+
+@pytest.mark.parametrize("ctx", [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5)],
+                         ids=str)
+def test_line_key_matches_line_through_on_every_pair(ctx):
+    pts = space(ctx)
+    key_of, [codes] = _keyed(ctx, pts)
+    for u, a in zip(pts, codes):
+        for v, b in zip(pts, codes):
+            if u != v:
+                assert key_of(a, b) == line_through(u, v).key, (u, v)
+
+
+@st.composite
+def plane_points(draw, ctx):
+    """A point of P^3(ctx) on {x0 = 0}, and on {x0 = x1 = 0} one time in
+    three."""
+    lead = draw(st.sampled_from([1, 1, 2]))
+    codes = [0] * lead + [draw(st.integers(1, ctx.order - 1))]
+    codes += [draw(st.integers(0, ctx.order - 1)) for _ in range(3 - lead)]
+    return ProjPoint(ctx, [FieldElem(ctx, c) for c in codes])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FieldCtx(101), FieldCtx(5, 2), FieldCtx(3, 3)]), st.data())
+def test_line_key_on_leading_zero_points(ctx, data):
+    u = data.draw(plane_points(ctx))
+    v = data.draw(plane_points(ctx).filter(lambda x: x != u))
+    key_of, [[a, b]] = _keyed(ctx, [u, v])
+    assert key_of(a, b) == key_of(b, a) == line_through(u, v).key
+
+
+def test_line_concentration_on_example_plane():
+    X1 = build_example(13, 2).X1
+    assert all(x.coords[0].is_zero() for x in X1)
+    rep = line_concentration(X1)
+    assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X1)
