@@ -117,9 +117,9 @@ def decompose(nu: GroupMeasure, K) -> BsgDecomposition:
         M=M,
         delta=delta,
         nu=nu,
-        nu1=GroupMeasure.from_numerators(group, heavy, den, is_probability=False),
-        nu2=GroupMeasure.from_numerators(group, diffuse, den, is_probability=False),
-        nu_str=GroupMeasure.from_numerators(group, structured, den, is_probability=False),
+        nu1=GroupMeasure.from_numerators(group, heavy, den),
+        nu2=GroupMeasure.from_numerators(group, diffuse, den),
+        nu_str=GroupMeasure.from_numerators(group, structured, den),
         structured_support=set(map(group.element, structured)),
         boundary_atoms=set(map(group.element, boundary)),
         l2_sq=l2_norm_sq(nu),
@@ -135,7 +135,7 @@ def restrict_open_band(nu: GroupMeasure, K) -> GroupMeasure:
     lo_a, lo_b = _threshold(nu, 1 / (256 * K * K))
     hi_a, hi_b = _threshold(nu, 16 * K)
     kept = {k: n for k, n in nu.nums.items() if lo_b < n * lo_a and n * hi_a < hi_b}
-    return GroupMeasure.from_numerators(nu.group, kept, nu.den, is_probability=False)
+    return GroupMeasure.from_numerators(nu.group, kept, nu.den)
 
 
 def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:

@@ -179,8 +179,7 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
             in_sets += 1
         elif first_outside is None:
             first_outside = idx
-    count = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, kernel="hash",
-                                    collect_by_line=False)
+    count = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, kernel="hash")
     max_lines = {}
     dichotomy_ok = True
     bound = max(2 * cfg.N + 1, cfg.p)

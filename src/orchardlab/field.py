@@ -5,7 +5,7 @@ modulo a monic irreducible polynomial (absent for prime fields), read as
 base-p digits with coeffs[0] the most significant.  Code order is thus
 the lexicographic order of the coefficient tuples, the order of
 `elements_sorted()`.  Everything is kept at desk scale: n <= 4 and
-p^n <= 10**6, which lets irreducibility, square roots and generator
+p^n <= 10**6, which lets irreducibility, nonresidue and generator
 searches be settled by direct enumeration.
 
 Each field has exactly one `FieldCtx`: the constructor interns contexts
@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .errors import OrchardError
 
 DESK_ORDER_CAP = 10**6
-SQRT_TABLE_CAP = 10**4
 
 # the one context of each field, by normalized (p, n, modulus)
 _INTERNED: Dict[tuple, "FieldCtx"] = {}
@@ -208,7 +207,6 @@ class FieldCtx:
             # 2 of the cyclic F_q^*, and -1 = 1 in characteristic 2
             ctx._log_zero = 2 * (ctx.order - 1)
             ctx._log_minus_one = (ctx.order - 1) // 2 if p > 2 else 0
-            ctx._sqrt_table = None
             ctx._zech_arrays = None
             _INTERNED[key] = ctx
         return ctx
@@ -355,32 +353,14 @@ class FieldCtx:
 
     # -- square roots ---------------------------------------------------
 
-    def _build_sqrt_table(self):
-        # ascending codes: the first root met of each square is its least
-        table = {}
-        for code in range(self.order):
-            e = FieldElem(self, code)
-            table.setdefault((e * e).code, code)
-        self._sqrt_table = table
-
     def sqrt(self, a: "FieldElem") -> "FieldElem":
-        """Canonical square root: the lexicographically least of {r, -r}.
-
-        Exhaustive table lookup up to order 10**4, generic
-        Tonelli-Shanks above that; raises NonResidue when no root exists.
-        """
+        """Canonical square root: the lexicographically least of {r, -r},
+        by Tonelli-Shanks; raises NonResidue when no root exists."""
         if a.ctx is not self:
             raise FieldError("element from a different field")
         if self.p == 2:
             # Frobenius is bijective in characteristic 2
             return a ** (2 ** (self.n - 1))
-        if self.order <= SQRT_TABLE_CAP:
-            if self._sqrt_table is None:
-                self._build_sqrt_table()
-            hit = self._sqrt_table.get(a.code)
-            if hit is None:
-                raise NonResidue(f"{a} is not a square in {self}")
-            return FieldElem(self, hit)
         r = _tonelli_shanks(self, a)
         return min(r, -r, key=lambda e: e.code)
 
@@ -396,6 +376,13 @@ class FieldCtx:
         return (a ** ((self.order - 1) // 2)).is_one()
 
     # -- text form -------------------------------------------------------
+
+    def code_text(self, code: int) -> str:
+        """Text form of the element with this code: the code itself over
+        a prime field, else its coefficients low degree first."""
+        if self.n == 1:
+            return str(code)
+        return ",".join(map(str, reversed(_digits(code, self.p, self.n))))
 
     def descriptor(self) -> str:
         if self.n == 1:
@@ -535,9 +522,7 @@ class FieldElem:
         return self.text()
 
     def text(self) -> str:
-        if self.ctx.n == 1:
-            return str(self.code)
-        return ",".join(map(str, self.coeffs))
+        return self.ctx.code_text(self.code)
 
     @staticmethod
     def parse(ctx: FieldCtx, text: str) -> "FieldElem":

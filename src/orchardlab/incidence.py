@@ -22,8 +22,9 @@ the flat 8-tuple of int codes that `ProjLine.key` is, so the hash kernel,
   reads its line's count, so memory beyond the per-line result is
   O(|X2|).  `line_concentration` and the full-line search use the same
   per-point bucket over the points after each one.
-- Reported lines are built once, from the kernels' keys, which are
-  already in canonical RREF.
+- Lines are reported by their kernel keys, which are already in
+  canonical RREF: `line_text` writes a key's text and `_line_from_key`
+  builds its `ProjLine`.
 - The pencil statistic reads each point once: the point's values on the
   two base planes name the one plane of the pencil it lies on (or all of
   them, on the base line).  Planes are taken in the order P1, then
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set, Union
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
@@ -66,29 +67,18 @@ def _common_ctx(sets: Sequence[Sequence[ProjPoint]]) -> FieldCtx:
 
 # -- collinear triple counting -------------------------------------------
 
-def line_text(line: ProjLine) -> str:
-    """Text form of a line: the two basis rows, point-style, joined by |."""
-    return "|".join(
-        ":".join(e.text() for e in row) for row in line.basis
-    )
+def line_text(ctx: FieldCtx, key) -> str:
+    """Text form of the line with this line key: its two basis rows,
+    point-style, joined by |."""
+    text = ctx.code_text
+    return ":".join(map(text, key[:4])) + "|" + ":".join(map(text, key[4:]))
 
 
 class TripleCount(NamedTuple):
     total: int
-    by_line: Dict[ProjLine, int]
-    kernel: str
-    # the kernel's own per-line counts, keyed by raw line keys: the flat
-    # RREF 8-tuples of element codes that `ProjLine.key` also uses
-    line_keys: Dict[tuple, int]
-
-    def as_dict(self) -> dict:
-        entries = sorted(
-            ((line_text(line), count) for line, count in self.by_line.items())
-        )
-        return {
-            "total": self.total,
-            "by_line": [{"line": text, "count": c} for text, c in entries],
-        }
+    # per-line counts by line key: the flat RREF 8-tuple of element codes
+    # that `ProjLine.key` is (see `_line_from_key`)
+    by_line: Dict[tuple, int]
 
 
 def _inv_table(p: int):
@@ -346,16 +336,14 @@ def count_collinear_triples(
     X2: Sequence[ProjPoint],
     X3: Sequence[ProjPoint],
     kernel: str = "hash",
-    collect_by_line: bool = True,
 ) -> TripleCount:
     """Ordered, pairwise distinct, collinear triples of X1 x X2 x X3.
 
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
     "both" (run the two and insist on identical totals and per-line
-    counts, compared on raw line keys before any line is built).  Raises
-    ValueError for any other kernel, then MixedContexts or EqualPoints
-    when the sets span two fields or some Xi repeats a point, empty sets
-    included.
+    counts).  Raises ValueError for any other kernel, then MixedContexts
+    or EqualPoints when the sets span two fields or some Xi repeats a
+    point, empty sets included.
     """
     if kernel not in ("hash", "brute", "both"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -365,50 +353,30 @@ def count_collinear_triples(
     if any(len(set(X)) != len(X) for X in (X1, X2, X3)):
         raise EqualPoints("a point set repeats a point")
     if not X1 or not X2 or not X3:
-        return TripleCount(0, {}, kernel, {})
+        return TripleCount(0, {})
     if kernel == "both":
-        brute = count_collinear_triples(X1, X2, X3, "brute", False)
-        hashed = count_collinear_triples(X1, X2, X3, "hash", False)
-        if brute.total != hashed.total or (
-            collect_by_line and brute.line_keys != hashed.line_keys
-        ):
+        brute = count_collinear_triples(X1, X2, X3, "brute")
+        hashed = count_collinear_triples(X1, X2, X3, "hash")
+        if brute != hashed:
             raise VerificationFailure(
                 f"kernel disagreement: brute {brute.total} vs hash {hashed.total}"
             )
-        total, per_raw = hashed.total, hashed.line_keys
-    else:
-        key_of, sets = _keyed(ctx, X1, X2, X3)
-        if kernel == "hash":
-            total, per_raw = _count_hash(key_of, *sets)
-        elif ctx.n == 1:
-            total, per_raw = _count_brute_int(ctx.p, *sets)
-        else:
-            total, per_raw = _count_brute_generic(ctx, *sets)
-    if not collect_by_line:
-        return TripleCount(total, {}, kernel, per_raw)
-    by_line = {_line_from_key(ctx, k): v for k, v in per_raw.items()}
-    return TripleCount(total, by_line, kernel, per_raw)
+        return hashed
+    key_of, sets = _keyed(ctx, X1, X2, X3)
+    if kernel == "hash":
+        return TripleCount(*_count_hash(key_of, *sets))
+    if ctx.n == 1:
+        return TripleCount(*_count_brute_int(ctx.p, *sets))
+    return TripleCount(*_count_brute_generic(ctx, *sets))
 
 
 # -- concentration statistics ----------------------------------------------
 
 class ConcentrationReport(NamedTuple):
     max_count: int
-    witness_line: Optional[ProjLine] = None
-    max_pencil_count: Optional[int] = None
-    witness_plane: Optional[ProjPlane] = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"max_line": self.max_count}
-        out["witness"] = line_text(self.witness_line) if self.witness_line else None
-        if self.max_pencil_count is not None:
-            out["pencil_max"] = self.max_pencil_count
-            out["witness_plane"] = (
-                ":".join(e.text() for e in self.witness_plane.dual)
-                if self.witness_plane
-                else None
-            )
-        return out
+    # the line (`line_concentration`) or plane (`pencil_plane_concentration`)
+    # that reaches max_count; None when no line is spanned
+    witness: Optional[Union[ProjLine, ProjPlane]] = None
 
 
 def _later_points_by_line(ctx: FieldCtx, X: Sequence[ProjPoint]):
@@ -496,12 +464,7 @@ def pencil_plane_concentration(
     witness = P1 if witness_t is None else ProjPlane(
         ctx, [a * witness_t + b for a, b in zip(d1, d2)]
     )
-    return ConcentrationReport(
-        max_count=0,
-        witness_line=None,
-        max_pencil_count=best,
-        witness_plane=witness,
-    )
+    return ConcentrationReport(best, witness)
 
 
 # -- stabilizer census on the standard plane -------------------------------
@@ -509,7 +472,6 @@ def pencil_plane_concentration(
 class CensusReport(NamedTuple):
     nontrivial_count: int      # pairs whose exact stabilizer is nontrivial
     closed_form_count: int     # pairs flagged by the coordinate case split
-    disagreements: List[Tuple[ProjPoint, ProjPoint]]
 
 
 def _pair_stabilizer_nontrivial(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bool:
@@ -547,12 +509,13 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     ordered pair; closed_form_count applies the coordinate case split,
     which is a sound over-approximation (it may flag pairs whose
     stabilizer is in fact trivial, never the reverse; a missed pair
-    raises VerificationFailure).  Raises EqualPoints when X repeats a
-    point and PointOffPlane (a `groups.GroupError`) when a point of X is
-    off {x0 = 0}.
+    raises VerificationFailure), so the two differ by the pairs it flags
+    in excess.  Raises EqualPoints when X repeats a point and
+    PointOffPlane (a `groups.GroupError`) when a point of X is off
+    {x0 = 0}.
     """
     if not X:
-        return CensusReport(0, 0, [])
+        return CensusReport(0, 0)
     ctx = _common_ctx([X])
     if len(set(X)) != len(X):
         raise EqualPoints("point set repeats a point")
@@ -561,20 +524,17 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
             raise PointOffPlane(f"{x} is not on the plane x0 = 0")
     exact = 0
     closed = 0
-    disagreements = []
     for p in X:
         for q in X:
             truth = _pair_stabilizer_nontrivial(ctx, p, q)
             flag = _closed_form_pair(p, q)
+            if truth and not flag:
+                raise VerificationFailure(
+                    f"case split missed a stabilized pair ({p}, {q})"
+                )
             exact += truth
             closed += flag
-            if truth != flag:
-                if truth and not flag:
-                    raise VerificationFailure(
-                        f"case split missed a stabilized pair ({p}, {q})"
-                    )
-                disagreements.append((p, q))
-    return CensusReport(exact, closed, disagreements)
+    return CensusReport(exact, closed)
 
 
 # -- free tuples and Omega_t ------------------------------------------------

@@ -151,9 +151,9 @@ class GroupMeasure:
     constructor must be exact (see `_exact`); zero masses are dropped.
     """
 
-    __slots__ = ("group", "nums", "den", "is_probability")
+    __slots__ = ("group", "nums", "den")
 
-    def __init__(self, group: AffineGroupOps, masses: Dict, is_probability=None):
+    def __init__(self, group: AffineGroupOps, masses: Dict):
         exact = {}
         for g, m in masses.items():
             m = _exact(m)
@@ -163,13 +163,12 @@ class GroupMeasure:
                 exact[group.key(g)] = m
         # the lcm of reduced denominators already leaves the sum in lowest terms
         den = math.lcm(*(m.denominator for m in exact.values()))
-        nums = {k: m.numerator * (den // m.denominator) for k, m in exact.items()}
-        self._set(group, nums, den, is_probability)
+        self.group = group
+        self.nums = {k: m.numerator * (den // m.denominator) for k, m in exact.items()}
+        self.den = den
 
     @classmethod
-    def from_numerators(
-        cls, group: AffineGroupOps, nums: Dict, den: int, is_probability=None
-    ) -> "GroupMeasure":
+    def from_numerators(cls, group: AffineGroupOps, nums: Dict, den: int) -> "GroupMeasure":
         """The measure with mass nums[k] / den on the element with key k;
         every numerator must be a positive int."""
         common = math.gcd(den, *nums.values())
@@ -177,19 +176,14 @@ class GroupMeasure:
             den //= common
             nums = {k: n // common for k, n in nums.items()}
         mu = cls.__new__(cls)
-        mu._set(group, nums, den, is_probability)
+        mu.group = group
+        mu.nums = nums
+        mu.den = den
         return mu
 
-    def _set(self, group, nums, den, is_probability):
-        self.group = group
-        self.nums = nums
-        self.den = den
-        total = sum(nums.values())
-        if is_probability is None:
-            is_probability = total == den
-        elif is_probability and total != den:
-            raise MeasureError(f"total mass {Fraction(total, den)} != 1")
-        self.is_probability = is_probability
+    @property
+    def is_probability(self) -> bool:
+        return sum(self.nums.values()) == self.den
 
     @property
     def masses(self) -> "Masses":
@@ -273,19 +267,14 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
         # when checking every term would
         if len(out) > SUPPORT_CAP:
             raise SupportBlowup("convolution support exceeds the cap")
-    return GroupMeasure.from_numerators(
-        group, out, f.den * h.den, is_probability=f.is_probability and h.is_probability
-    )
+    return GroupMeasure.from_numerators(group, out, f.den * h.den)
 
 
 def reverse(mu: GroupMeasure) -> GroupMeasure:
     """mu~(g) = mu(g^-1)."""
     inverse = mu.group.key_inverse
     return GroupMeasure.from_numerators(
-        mu.group,
-        {inverse(k): n for k, n in mu.nums.items()},
-        mu.den,
-        is_probability=mu.is_probability,
+        mu.group, {inverse(k): n for k, n in mu.nums.items()}, mu.den
     )
 
 

@@ -25,6 +25,8 @@ check that path (see test_oracles.py):
   `FieldElem`s per pair, for `groups.check_quadric_involutions`;
 - `zech_powers_by_matrix`: the generator powers by one matrix-vector
   product of lists per element, for the unrolled step of `FieldCtx._zech`;
+- `least_root_by_scan`: the least code whose square is a, for the
+  Tonelli-Shanks root of `FieldCtx.sqrt`;
 - `pencil_scan`: the count on every plane of the pencil, for
   `incidence.pencil_plane_concentration`;
 - `oracle_convolve`, `oracle_reverse`, `oracle_l2_sq`, `oracle_decompose`
@@ -357,6 +359,12 @@ def zech_powers_by_matrix(ctx: FieldCtx) -> List[int]:
         powers.append(code)
         cur = [sum(map(operator.mul, cur, row)) % p for row in rows]
     return powers
+
+
+def least_root_by_scan(ctx: FieldCtx, a):
+    """The element of least code whose square is a, or None when a is not
+    a square."""
+    return next((r for r in ctx.elements_sorted() if r * r == a), None)
 
 
 def pencil_scan(X3, P1, P2):

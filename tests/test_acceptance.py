@@ -392,9 +392,7 @@ def test_criterion_09_kernel_equivalence_and_speed():
         for _ in range(3):
             gc.collect()
             start = time.perf_counter()
-            total = count_collinear_triples(
-                X1, X2, X3, kernel, collect_by_line=False
-            ).total
+            total = count_collinear_triples(X1, X2, X3, kernel).total
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         return total, best

@@ -93,8 +93,7 @@ def test_verify_example_p7():
 def test_verify_example_counts_match_brute():
     cfg = build_example(7, 2)
     report = verify_example(cfg)
-    brute = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, "brute",
-                                    collect_by_line=False)
+    brute = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, "brute")
     assert brute.total == report.triple_total
 
 

@@ -22,6 +22,7 @@ from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.incidence import (
     EqualPlanes,
     _keyed,
+    _line_from_key,
     count_collinear_triples,
     line_concentration,
     pencil_plane_concentration,
@@ -65,8 +66,8 @@ def test_pencil_count_matches_plane_scan(case):
     P1, P2, X3 = case
     rep = pencil_plane_concentration(X3, P1, P2)
     best, witness = pencil_scan(X3, P1, P2)
-    assert rep.max_pencil_count == best
-    assert rep.witness_plane == witness
+    assert rep.max_count == best
+    assert rep.witness == witness
 
 
 @pytest.mark.parametrize("ctx", PENCIL_FIELDS, ids=str)
@@ -74,7 +75,7 @@ def test_pencil_edges(ctx):
     P1 = ProjPlane(ctx, [1, 1, 0, 0])
     P2 = ProjPlane(ctx, [0, 0, 1, 0])
     rep = pencil_plane_concentration([], P1, P2)
-    assert (rep.max_pencil_count, rep.witness_plane) == pencil_scan([], P1, P2)
+    assert (rep.max_count, rep.witness) == pencil_scan([], P1, P2)
     with pytest.raises(EqualPlanes):
         pencil_plane_concentration([], P1, P1)
     other = FieldCtx(11) if ctx.order != 11 else FieldCtx(13)
@@ -133,13 +134,15 @@ def test_hash_matches_brute_on_shared_points(sets):
     assert hashed.by_line == brute.by_line
     assert sum(hashed.by_line.values()) == hashed.total
     # the lines are built from raw keys without reduction: already canonical
-    for line in hashed.by_line:
-        assert ProjLine(line.ctx, line.basis).basis == line.basis
+    ctx = X1[0].ctx
+    for key in hashed.by_line:
+        line = _line_from_key(ctx, key)
+        assert ProjLine(ctx, line.basis).key == key
     both = count_collinear_triples(X1, X2, X3, "both")
     assert (both.total, both.by_line) == (hashed.total, hashed.by_line)
     for X in (X1, X2, X3, X1 + [x for x in X2 if x not in X1]):
         rep = line_concentration(X)
-        assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X)
+        assert (rep.max_count, rep.witness.key) == line_concentration_by_lines(X)
 
 
 # -- the line key on every kind of pair ------------------------------------------
@@ -178,4 +181,4 @@ def test_line_concentration_on_example_plane():
     X1 = build_example(13, 2).X1
     assert all(x.coords[0].is_zero() for x in X1)
     rep = line_concentration(X1)
-    assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X1)
+    assert (rep.max_count, rep.witness.key) == line_concentration_by_lines(X1)

@@ -210,8 +210,6 @@ def test_load_measure_names_file_and_line(tmp_path, atom):
 
 
 def test_probability_validation():
-    with pytest.raises(MeasureError):
-        GroupMeasure(G5, {G5.identity(): Fraction(1, 2)}, is_probability=True)
     nonprob = GroupMeasure(G5, {G5.identity(): Fraction(1, 2)})
     assert not nonprob.is_probability
     with pytest.raises(MeasureError):

@@ -331,11 +331,11 @@ def test_log_kernels_match_fieldelem_oracle(sets):
     total, per_line = brute_triples_on_points(X1, X2, X3)
     for kernel in ("brute", "hash"):
         got = count_collinear_triples(X1, X2, X3, kernel)
-        assert (got.total, got.line_keys) == (total, per_line), kernel
+        assert (got.total, got.by_line) == (total, per_line), kernel
     for X in (X1, X2, X3, X1 + [x for x in X2 if x not in X1]):
         if len(X) >= 2:
             rep = line_concentration(X)
-            assert (rep.max_count, rep.witness_line.key) == line_concentration_by_lines(X)
+            assert (rep.max_count, rep.witness.key) == line_concentration_by_lines(X)
 
 
 @settings(max_examples=200, deadline=None)
