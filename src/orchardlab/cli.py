@@ -17,6 +17,8 @@ code, and a measure job never loads the point-counting code.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -43,13 +45,13 @@ def frac_fields(x: Fraction) -> dict:
 
 
 def write_json(path: str | None, doc: dict) -> None:
-    doc = {"schema": SCHEMA_VERSION, **doc}
-    payload = json.dumps(doc, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
+        {"schema": SCHEMA_VERSION, **doc})
+    out = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        # 4096 chunks a write: on an unbuffered stdout each write is a syscall
+        fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
+        fh.write("\n")
 
 
 # -- subcommands -------------------------------------------------------------

@@ -30,6 +30,7 @@ from .incidence import (
     line_concentration,
 )
 from .projgeom import (
+    PointSet,
     ProjLine,
     ProjPoint,
     QuadricForm,
@@ -58,9 +59,9 @@ class ExampleConfig(NamedTuple):
     N: int
     d: int                      # least generator of the multiplicative group
     ctx: FieldCtx
-    X1: List[ProjPoint]
-    X2: List[ProjPoint]
-    X3: List[ProjPoint]
+    X1: PointSet
+    X2: PointSet
+    X3: PointSet
     family: List[Tuple[int, int, int, int]]   # (i, j, t, z) index tuples
 
 
@@ -91,18 +92,10 @@ def build_example(p: int, k) -> ExampleConfig:
     ctx = FieldCtx(p)
     d = least_primitive_root(p)
     powers = [ _gen_power(ctx, d, i) for i in range(-N, N + 1) ]
-    if len(set(powers)) != 2 * N + 1:
-        raise DegenerateParameters("generator powers collide inside [-N, N]")
-    X1, X2, X3 = [], [], []
-    for di in powers:
-        for t in range(p):
-            te = ctx.elem(t)
-            X1.append(ProjPoint(ctx, [ctx.zero(), di, te, te - 1]))
-            X2.append(ProjPoint(ctx, [-di, ctx.zero(), te, te - 1]))
-            X3.append(ProjPoint(ctx, [di, ctx.one(), te, te]))
-    for name, X in (("X1", X1), ("X2", X2), ("X3", X3)):
-        if len(set(X)) != (2 * N + 1) * p:
-            raise DegenerateParameters(f"{name} has fewer points than expected")
+    grid = [(di, ctx.elem(t)) for di in powers for t in range(p)]
+    X1 = PointSet(ProjPoint(ctx, [ctx.zero(), di, t, t - 1]) for di, t in grid)
+    X2 = PointSet(ProjPoint(ctx, [-di, ctx.zero(), t, t - 1]) for di, t in grid)
+    X3 = PointSet(ProjPoint(ctx, [di, ctx.one(), t, t]) for di, t in grid)
     family = [
         (i, j, t, z)
         for i in range(-N, N + 1)
@@ -162,7 +155,7 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
     p = cfg.p
     power = [pow(cfg.d, e, p) for e in range(p - 1)]      # d^e at e mod p-1
     inverse = _inv_table(p)
-    keys1, keys2, keys3 = ({x.key for x in X} for X in (cfg.X1, cfg.X2, cfg.X3))
+    keys1, keys2, keys3 = (set(PointSet.of(X).keys) for X in (cfg.X1, cfg.X2, cfg.X3))
     in_sets = 0
     first_outside = None
     for idx in cfg.family:
@@ -541,7 +534,7 @@ def _full_lines_within(ctx, points) -> List[ProjLine]:
     """Lines all of whose q+1 points belong to the given set, in the order
     of their first pair with the points sorted by key: those whose first
     point sees the q others after it (see `_later_points_by_line`)."""
-    ordered = sorted(set(points), key=lambda p: p.key)
+    ordered = PointSet(sorted(points, key=lambda p: p.key))
     return [
         _line_from_key(ctx, key)
         for key, m in _later_points_by_line(ctx, ordered)

@@ -23,6 +23,7 @@ from .field import FieldCtx, FieldElem, inv
 from .projgeom import (
     MixedContexts,
     NotOnSegreQuadric,
+    PointSet,
     ProjPlane,
     ProjPoint,
     QuadricForm,
@@ -373,13 +374,16 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
     `incidence._count_brute_generic` and gamma_s(y) is x.  gamma_s(v) is
     the point of v + t s, t = -2<s, v>/<s, s>, with t read off B s, which
     is formed once per centre from the sparse `QuadricForm.entries`.
-    Raises CharTwo in characteristic 2, MixedContexts for a point over
-    another field than Q, PointOffQuadric for an x off Q, PointOnQuadric
-    for an s on Q, and VerificationFailure at the first pair that fails
-    a check."""
+    Raises CharTwo in characteristic 2, what `PointSet` raises for S or X
+    when it is not one, MixedContexts for a set over another field than
+    Q, PointOffQuadric for an x off Q, PointOnQuadric for an s on Q, and
+    VerificationFailure at the first pair that fails a check."""
     ctx = Q.ctx
     if ctx.p == 2:
         raise CharTwo("quadric involutions need characteristic != 2")
+    S, X = PointSet.of(S), PointSet.of(X)
+    if S and S.ctx is not ctx or X and X.ctx is not ctx:
+        raise MixedContexts("point set from a different field")
     log, exp, red, zech = ctx._zech()
     Z, m1 = ctx._log_zero, ctx._log_minus_one
     q1 = Z >> 1
@@ -437,18 +441,11 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
             )
         )
 
-    def logs(points):
-        for pt in points:
-            if pt.ctx is not ctx:
-                raise MixedContexts("point from a different field")
-        return [tuple(log[c] for c in pt.key) for pt in points]
-
-    xs = logs(X)
-    for x, v in zip(X, xs):
+    for x, v in zip(X, X.logs):
         if form(v, v) != Z:
             raise PointOffQuadric(f"{x} is not on the quadric")
     minus_two = red[log[2 * ctx._unit] + m1]     # 2 < p: the code of 2 is 2 p^(n-1)
-    for s, sv in zip(S, logs(S)):
+    for s, sv in zip(S, S.logs):
         qs = form(sv, sv)
         if qs == Z:
             raise PointOnQuadric(f"{s} lies on the quadric")
@@ -458,7 +455,7 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
             term = red[red[b + sv[j]] + c]
             w[i] = red[w[i] + zech[term - w[i] + Z]]
         images = []
-        for x, xv in zip(X, xs):
+        for x, xv in zip(X, X.logs):
             y = image(sv, w, xv)
             if not (
                 y and form(y, y) == Z and rank_two(sv, xv, y)
@@ -488,7 +485,7 @@ def segre(u: ProjPoint, w: ProjPoint) -> ProjPoint:
     """([x:y], [w:z]) -> [xw : xz : yw : yz], landing on x1*x4 = x2*x3."""
     if u.ctx is not w.ctx:
         raise GroupError("mixed contexts")
-    if u.dim != 1 or w.dim != 1:
+    if len(u.key) != 2 or len(w.key) != 2:
         raise GroupError("both factors must be points of P^1")
     x, y = u.coords
     a, b = w.coords

@@ -12,7 +12,8 @@ table, see `FieldCtx._zech`).  Each code domain has one brute kernel and
 one unrolled RREF line key, which takes every pair of distinct canonical
 points (first nonzero entry 1), those on {x0 = 0} included.  Both keys are
 the flat 8-tuple of int codes that `ProjLine.key` is, so the hash kernel,
-`line_concentration` and the reported lines are shared.
+`line_concentration` and the reported lines are shared.  Point sets pass
+through `PointSet.of`, which raises for a set that is not one.
 
 - The brute kernels run the four 3x3 minor tests before excluding a
   repeated point: the two points of the pair pass every minor, so they
@@ -42,8 +43,8 @@ from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .groups import PointOffPlane
 from .projgeom import (
-    EqualPoints,
     MixedContexts,
+    PointSet,
     ProjLine,
     ProjPlane,
     ProjPoint,
@@ -52,17 +53,6 @@ from .projgeom import (
 )
 
 PAIR_PRODUCT_CAP = 10**8
-
-
-def _common_ctx(sets: Sequence[Sequence[ProjPoint]]) -> FieldCtx:
-    ctx = None
-    for points in sets:
-        for p in points:
-            if ctx is None:
-                ctx = p.ctx
-            elif p.ctx is not ctx:
-                raise MixedContexts("point sets over different fields")
-    return ctx
 
 
 # -- collinear triple counting -------------------------------------------
@@ -306,22 +296,17 @@ def _count_hash(key_of, X1, X2, X3):
     return total, per_line
 
 
-def _keyed(ctx: FieldCtx, *sets):
-    """The point sets in the form the kernels take, and the line-key
-    function on that form: the points' code tuples and their int RREF key
-    on prime fields, the points' log-code tuples (see `FieldCtx._zech`)
-    and their log-domain RREF key otherwise.  The tuples are canonical,
-    as the keys require, and each field has the one key for any pair of
-    distinct points.  Both keys are the flat 8-tuple of int codes that
-    `ProjLine.key` is."""
+def _keyed(ctx: FieldCtx, *sets: PointSet):
+    """The point sets over ctx in the form the kernels take, and the
+    line-key function on that form: the sets' `keys` and their int RREF
+    key on prime fields, their `logs` and the log-domain RREF key
+    otherwise.  The tuples are canonical, as the keys require, and each
+    field has the one key for any pair of distinct points.  Both keys are
+    the flat 8-tuple of int codes that `ProjLine.key` is."""
     if ctx.n == 1:
         p = ctx.p
-        return partial(_rref_key_int, p, _inv_table(p)), [[x.key for x in X] for X in sets]
-    log = ctx._zech()[0]
-    return (
-        partial(_rref_key_log, _log_tables(ctx)),
-        [[tuple(log[c] for c in x.key) for x in X] for X in sets],
-    )
+        return partial(_rref_key_int, p, _inv_table(p)), [X.keys for X in sets]
+    return partial(_rref_key_log, _log_tables(ctx)), [X.logs for X in sets]
 
 
 def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
@@ -341,17 +326,18 @@ def count_collinear_triples(
 
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
     "both" (run the two and insist on identical totals and per-line
-    counts).  Raises ValueError for any other kernel, then MixedContexts
-    or EqualPoints when the sets span two fields or some Xi repeats a
-    point, empty sets included.
+    counts).  Raises ValueError for any other kernel, TooLarge when
+    |X1| |X2| exceeds PAIR_PRODUCT_CAP, then MixedContexts when two
+    nonempty sets are over different fields, before any empty set gives 0.
     """
     if kernel not in ("hash", "brute", "both"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    ctx = _common_ctx([X1, X2, X3])
     if len(X1) * len(X2) > PAIR_PRODUCT_CAP:
         raise TooLarge("pair product exceeds the counting guard")
-    if any(len(set(X)) != len(X) for X in (X1, X2, X3)):
-        raise EqualPoints("a point set repeats a point")
+    X1, X2, X3 = PointSet.of(X1), PointSet.of(X2), PointSet.of(X3)
+    ctx = X1.ctx or X2.ctx or X3.ctx
+    if any(X and X.ctx is not ctx for X in (X1, X2, X3)):
+        raise MixedContexts("point sets over different fields")
     if not X1 or not X2 or not X3:
         return TripleCount(0, {})
     if kernel == "both":
@@ -379,12 +365,11 @@ class ConcentrationReport(NamedTuple):
     witness: Optional[Union[ProjLine, ProjPlane]] = None
 
 
-def _later_points_by_line(ctx: FieldCtx, X: Sequence[ProjPoint]):
-    """(key, m) for each point of the distinct points X and each line key
-    (see `_keyed`) it spans with the points after it in X, m of them.  A
-    line holding a points of X yields m = a - 1 from its first point and
-    less from the later ones, so its first yield comes in the order of its
-    first pair."""
+def _later_points_by_line(ctx: FieldCtx, X: PointSet):
+    """(key, m) for each point of X and each line key (see `_keyed`) it
+    spans with the points after it in X, m of them.  A line holding a
+    points of X yields m = a - 1 from its first point and less from the
+    later ones, so its first yield comes in the order of its first pair."""
     key_of, [pts] = _keyed(ctx, X)
     for i, v1 in enumerate(pts):
         bucket: Dict[tuple, int] = {}
@@ -401,18 +386,13 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     A line meeting X in at most one point never beats a spanned line once
     |X| >= 2, so the spanned lines suffice; singletons report 1.  The max
     is 1 + the largest count `_later_points_by_line` yields, which comes
-    from the first point of a line reaching it.  Raises EqualPoints when X
-    repeats a point.
+    from the first point of a line reaching it.
     """
-    if not X:
-        return ConcentrationReport(0)
-    if len(X) == 1:
-        return ConcentrationReport(1)
-    ctx = _common_ctx([X])
-    if len(set(X)) != len(X):
-        raise EqualPoints("point set repeats a point")
-    m, key = max((m, key) for key, m in _later_points_by_line(ctx, X))
-    return ConcentrationReport(m + 1, _line_from_key(ctx, key))
+    X = PointSet.of(X)
+    if len(X) < 2:
+        return ConcentrationReport(len(X))
+    m, key = max((m, key) for key, m in _later_points_by_line(X.ctx, X))
+    return ConcentrationReport(m + 1, _line_from_key(X.ctx, key))
 
 
 class EqualPlanes(OrchardError):
@@ -428,22 +408,22 @@ def pencil_plane_concentration(
 
     The planes are taken in this order: P1, then the plane t*P1 + P2 for
     each t of ctx.elements() (t = 0 gives P2).  The witness is the first
-    plane in that order to reach the max.  An empty X3 reports 0 and P1.  One pass over X3: with s = P1.x and r = P2.x, a point lies on
-    every plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise
-    on the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
-    MixedContexts when a plane or a point is over another field.
+    plane in that order to reach the max.  An empty X3 reports 0 and P1.
+    One pass over X3: with s = P1.x and r = P2.x, a point lies on every
+    plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise on
+    the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
+    MixedContexts when a plane or X3 is over another field.
     """
     if P1 == P2:
         raise EqualPlanes("pencil needs two distinct planes")
     ctx = P1.ctx
-    if P2.ctx is not ctx:
-        raise MixedContexts("planes from different fields")
+    X3 = PointSet.of(X3)
+    if P2.ctx is not ctx or X3 and X3.ctx is not ctx:
+        raise MixedContexts("planes or points from different fields")
     d1, d2 = P1.dual, P2.dual
     on_all = on_p1 = 0
     on_t: Dict[int, int] = {}
     for x in X3:
-        if x.ctx is not ctx:
-            raise MixedContexts("point from a different field")
         s = r = ctx.zero()
         for a, b, c in zip(d1, d2, x.coords):
             s = s + a * c
@@ -510,15 +490,13 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     which is a sound over-approximation (it may flag pairs whose
     stabilizer is in fact trivial, never the reverse; a missed pair
     raises VerificationFailure), so the two differ by the pairs it flags
-    in excess.  Raises EqualPoints when X repeats a point and
-    PointOffPlane (a `groups.GroupError`) when a point of X is off
-    {x0 = 0}.
+    in excess.  Raises PointOffPlane (a `groups.GroupError`) when a point
+    of X is off {x0 = 0}.
     """
+    X = PointSet.of(X)
     if not X:
         return CensusReport(0, 0)
-    ctx = _common_ctx([X])
-    if len(set(X)) != len(X):
-        raise EqualPoints("point set repeats a point")
+    ctx = X.ctx
     for x in X:
         if not x.coords[0].is_zero():
             raise PointOffPlane(f"{x} is not on the plane x0 = 0")

@@ -10,6 +10,7 @@ dictionary lookups.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import OrchardError
@@ -66,10 +67,6 @@ class ProjPoint:
         self.ctx = ctx
         self.coords = coords
         self.key = tuple(c.code for c in coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
 
     def __eq__(self, other):
         return (
@@ -351,15 +348,59 @@ def _det4(ctx: FieldCtx, rows) -> FieldElem:
     )
 
 
-# -- point-set files ----------------------------------------------------
+# -- point sets ---------------------------------------------------------
+
+class PointSet(tuple):
+    """An immutable sequence of distinct points of P^3 over one field ctx
+    (None when empty), with their code tuples `keys` (`ProjPoint.key`)
+    and Zech log-code tuples `logs` (see `FieldCtx._zech`, built on first
+    use).  Raises MixedContexts, GeometryError (not in P^3) or EqualPoints
+    with `index`, the first bad point's position.  Equal to a list or
+    tuple of the same points in the same order."""
+
+    def __new__(cls, points=()):
+        self = super().__new__(cls, points)
+        self.ctx = ctx = self[0].ctx if self else None
+        self.keys = keys = tuple(x.key for x in self)
+        seen = set()
+        for index, (x, key) in enumerate(zip(self, keys)):
+            if x.ctx is not ctx:
+                exc = MixedContexts(f"{x} is over another field than the set")
+            elif len(key) != 4:
+                exc = GeometryError(f"{x} is not a point of P^3: it has {len(key)} coordinates")
+            elif key in seen:
+                exc = EqualPoints(f"{x} repeats a point of the set")
+            else:
+                seen.add(key)
+                continue
+            exc.index = index
+            raise exc
+        return self
+
+    @classmethod
+    def of(cls, points) -> "PointSet":
+        """points itself when it is a PointSet, else PointSet(points)."""
+        return points if isinstance(points, PointSet) else cls(points)
+
+    @cached_property
+    def logs(self) -> Tuple[Tuple[int, ...], ...]:
+        log = self.ctx._zech()[0] if self else None
+        return tuple(tuple(log[c] for c in key) for key in self.keys)
+
+    def __eq__(self, other):
+        return tuple.__eq__(self, tuple(other) if isinstance(other, list) else other)
+
+    __ne__ = object.__ne__      # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
+
 
 class PointSetFormatError(GeometryError):
     pass
 
 
 def load_point_set(path, allow_dup: bool = False):
-    """Read a point-set file: `field <descriptor>` then one point of P^3
-    per line.
+    """Read a point-set file, `field <descriptor>` then one point of P^3
+    per line, as (ctx, PointSet).
 
     Coordinates are colon-separated; each coordinate is a comma-separated
     coefficient list (a bare integer for prime fields).  `#` starts a
@@ -368,8 +409,7 @@ def load_point_set(path, allow_dup: bool = False):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     ctx = None
-    points = []
-    seen = set()
+    points, linenos, seen = [], [], set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -388,21 +428,17 @@ def load_point_set(path, allow_dup: bool = False):
             pt = ProjPoint.parse(ctx, line)
         except (FieldError, GeometryError, ValueError) as exc:
             raise PointSetFormatError(f"{path}:{lineno}: {exc}") from exc
-        if pt.dim != 3:
-            raise PointSetFormatError(
-                f"{path}:{lineno}: a point of P^3 has 4 coordinates, not {pt.dim + 1}"
-            )
-        if pt in seen:
-            if allow_dup:
-                continue
-            raise PointSetFormatError(
-                f"{path}:{lineno}: duplicate canonical point {pt}"
-            )
+        if allow_dup and pt in seen:
+            continue
         seen.add(pt)
         points.append(pt)
+        linenos.append(lineno)
     if ctx is None:
         raise PointSetFormatError(f"{path}: missing field declaration")
-    return ctx, points
+    try:
+        return ctx, PointSet(points)
+    except GeometryError as exc:
+        raise PointSetFormatError(f"{path}:{linenos[exc.index]}: {exc}") from exc
 
 
 def save_point_set(path, ctx: FieldCtx, points: Iterable[ProjPoint]) -> None:

@@ -241,6 +241,16 @@ def test_verification_failure_exit_code(monkeypatch):
     assert cli.main(["lemma-suite"]) == 2
 
 
+def test_write_json_streams_the_dumps_text(tmp_path, capsys):
+    doc = {"by_line": [{"line": "1:0:0:0|0:1:0:0", "count": 3}] * 3, "total": 9,
+           "frac": {"exact": "1/3", "float": 1 / 3}, "name": "caf\u00e9", "none": None}
+    want = json.dumps({"schema": cli.SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"
+    cli.write_json(str(tmp_path / "r.json"), doc)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+    cli.write_json(None, doc)
+    assert capsys.readouterr().out == want
+
+
 def test_missing_file_is_usage_error():
     assert run(["orchard-threeplanes", "--x1", "/nonexistent/a.pts",
                 "--x2", "/nonexistent/b.pts", "--x3", "/nonexistent/c.pts"]) == 1

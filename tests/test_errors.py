@@ -1,6 +1,9 @@
 """The error contract: every exception class orchardlab defines derives
 from `OrchardError`, and the CLI turns each into exit 1 (exit 2 for
-`VerificationFailure`) with a one-line message."""
+`VerificationFailure`) with a one-line message.  Every function that
+takes point sets raises the `PointSet` errors for a repeat, a field mix
+or a point outside P^3, never a bare ValueError or IndexError, and one
+`orchard-threeplanes` run validates each of its three sets once."""
 
 import importlib
 import inspect
@@ -10,9 +13,26 @@ import pytest
 
 import orchardlab
 from orchardlab import cli
-from orchardlab.constructions import NoSqrtMinusOne, SingularForm
+from orchardlab.constructions import NoSqrtMinusOne, SingularForm, _full_lines_within
 from orchardlab.errors import OrchardError, VerificationFailure
-from orchardlab.incidence import EqualPlanes
+from orchardlab.field import FieldCtx
+from orchardlab.groups import check_quadric_involutions
+from orchardlab.incidence import (
+    EqualPlanes,
+    count_collinear_triples,
+    line_concentration,
+    pencil_plane_concentration,
+    stabilizer_census_affine,
+)
+from orchardlab.projgeom import (
+    EqualPoints,
+    GeometryError,
+    MixedContexts,
+    PointSet,
+    ProjPlane,
+    ProjPoint,
+    QuadricForm,
+)
 
 
 def defined_exceptions():
@@ -38,3 +58,64 @@ def test_package_error_exit_code(monkeypatch, capsys, exc):
     monkeypatch.setattr(cli, "cmd_lemma_suite", boom)
     assert cli.main(["lemma-suite"]) == 1
     assert capsys.readouterr().err == "error: forced\n"
+
+
+F5, F7 = FieldCtx(5), FieldCtx(7)
+SEGRE = QuadricForm.segre(F5)
+# on {x0 = 0}, for the census; the first two are on the Segre quadric too
+PLANE = [ProjPoint(F5, c) for c in ([0, 0, 1, 0], [0, 1, 0, 0], [0, 1, 2, 3], [0, 1, 1, 4])]
+OFF_SEGRE = [ProjPoint(F5, [1, 0, 0, 1])]
+
+# each function that takes a point set, called with X as that set
+POINT_KERNELS = {
+    "hash": lambda X: count_collinear_triples(X, PLANE, PLANE, "hash"),
+    "brute": lambda X: count_collinear_triples(PLANE, X, PLANE, "brute"),
+    "both": lambda X: count_collinear_triples(PLANE, PLANE, X, "both"),
+    "line-concentration": line_concentration,
+    "pencil": lambda X: pencil_plane_concentration(
+        X, ProjPlane(F5, [1, 0, 0, 0]), ProjPlane(F5, [0, 1, 0, 0])),
+    "census": stabilizer_census_affine,
+    "involutions-x": lambda X: check_quadric_involutions(SEGRE, OFF_SEGRE, X),
+    "involutions-s": lambda X: check_quadric_involutions(SEGRE, X, PLANE[:2]),
+    "full-lines": lambda X: _full_lines_within(F5, X),
+}
+
+
+@pytest.mark.parametrize("kernel", POINT_KERNELS)
+@pytest.mark.parametrize("bad", [[0, 1], [1, 1], [1, 2, 3, 4, 0]],
+                         ids=["P1-point", "P1-point-x0", "P4-point"])
+def test_point_kernels_reject_points_outside_p3(kernel, bad):
+    X = [PLANE[0], ProjPoint(F5, bad)]
+    with pytest.raises(GeometryError) as info:
+        POINT_KERNELS[kernel](X)
+    assert type(info.value) is GeometryError
+
+
+@pytest.mark.parametrize("kernel", POINT_KERNELS)
+@pytest.mark.parametrize("fault,error", [
+    ([PLANE[0], PLANE[1], PLANE[0]], EqualPoints),
+    ([PLANE[0], PLANE[1], ProjPoint(F7, [0, 1, 2, 3])], MixedContexts),
+], ids=["repeat", "field-mix"])
+def test_point_kernels_raise_point_set_errors(kernel, fault, error):
+    with pytest.raises(error) as info:
+        POINT_KERNELS[kernel](fault)
+    assert isinstance(info.value, OrchardError)
+
+
+def test_threeplanes_validates_each_set_once(tmp_path, monkeypatch, capsys):
+    for name, points in (("a", ["0:1:1:1", "0:1:2:3", "0:0:1:2"]),
+                         ("b", ["1:0:1:1", "1:0:2:3"]), ("c", ["1:1:1:1", "2:1:3:3"])):
+        (tmp_path / f"{name}.pts").write_text("field 5\n" + "\n".join(points) + "\n")
+    built = []
+    new = PointSet.__new__
+
+    def counted(cls, points=()):
+        built.append(cls)
+        return new(cls, points)
+
+    monkeypatch.setattr(PointSet, "__new__", counted)
+    args = ["orchard-threeplanes", "--report", str(tmp_path / "t.json")]
+    for flag, name in (("--x1", "a"), ("--x2", "b"), ("--x3", "c")):
+        args += [flag, str(tmp_path / f"{name}.pts")]
+    assert cli.main(args + ["--kernel", "both"]) == 0, capsys.readouterr().err
+    assert len(built) == 3

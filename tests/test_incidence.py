@@ -28,6 +28,7 @@ from orchardlab.incidence import (
 from orchardlab.projgeom import (
     EqualPoints,
     MixedContexts,
+    PointSet,
     ProjPlane,
     ProjPoint,
     TooLarge,
@@ -134,7 +135,7 @@ def test_line_text_is_the_basis_text(ctx):
         codes = [0] * lead + [rng.randrange(ctx.order) for _ in range(4 - lead)]
         if any(codes):
             pts.add(ProjPoint(ctx, [FieldElem(ctx, c) for c in codes]))
-    key_of, [codes] = _keyed(ctx, list(pts))
+    key_of, [codes] = _keyed(ctx, PointSet(pts))
     for i, a in enumerate(codes):
         for b in codes[i + 1:]:
             key = key_of(a, b)

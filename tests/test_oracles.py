@@ -58,6 +58,7 @@ from orchardlab.incidence import (
 )
 from orchardlab.projgeom import (
     MixedContexts,
+    PointSet,
     ProjPoint,
     QuadricForm,
     _det4,
@@ -343,7 +344,7 @@ def test_log_kernels_match_fieldelem_oracle(sets):
 def test_log_line_key_matches_line_through(ctx, data):
     u = data.draw(ext_points(ctx))
     v = data.draw(ext_points(ctx).filter(lambda x: x != u))
-    key_of, [[a, b]] = _keyed(ctx, [u, v])
+    key_of, [[a, b]] = _keyed(ctx, PointSet([u, v]))
     assert key_of(a, b) == key_of(b, a) == line_through(u, v).key
 
 
@@ -389,6 +390,7 @@ def quadric_case(draw):
     if any(not c.is_zero() for c in v) and not Q.evaluate(v).is_zero():
         S.append(ProjPoint(ctx, v))
     assume(S)
+    S, X = (list(dict.fromkeys(Y)) for Y in (S, X))     # point sets: no repeats
     return Q, draw(st.permutations(S)), draw(st.permutations(X))
 
 
