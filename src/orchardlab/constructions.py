@@ -23,7 +23,6 @@ from .groups import (
     is_orthogonal_mod_scalar,
 )
 from .incidence import (
-    _inv_table,
     _line_from_key,
     _later_points_by_line,
     count_collinear_triples,
@@ -146,67 +145,65 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
     triple count is reported against the family size the same way.
 
     The family triple of (i, j, t, z) is [0 : d^j : z : z-1],
-    [-d^(i+j) : 0 : z - t d^j : z - 1 - t d^j], [d^i : 1 : t : t], worked
-    out on ints mod p: generator powers come from one table, points are
-    scaled to their `ProjPoint.key` through an inverse table, collinearity
-    is the vanishing of the four 3x3 minors and membership is a lookup in
-    the sets of keys of X1, X2, X3.
+    [-d^(i+j) : 0 : z - t d^j : z - 1 - t d^j], [d^i : 1 : t : t], checked
+    in closed form on ints mod p, one exponent pair (i, j) at a time:
+
+    - Collinearity is the vanishing of the four 3x3 minors.  Each has
+      degree at most 2 in t and in z and p >= 5, so by the grid case of
+      the Combinatorial Nullstellensatz a minor vanishing on the grid
+      (t, z) in {0, 1, 2}^2 vanishes everywhere: the 9 grid triples are
+      checked.
+    - Distinctness holds for every (t, z) by construction: x0 = 0 only
+      for the X1 point, and the X2 point has x1 = 0 while the X3 point
+      does not.  It is asserted on the same 9 triples.
+    - The X1 and X3 points are always in their sets, and the X2 point is
+      exactly when (i+j) mod p-1 is some e in [-N, N] mod p-1: then all
+      p^2 triples of the pair are in the sets, else none is.
     """
-    p = cfg.p
+    p, span = cfg.p, range(-cfg.N, cfg.N + 1)
     power = [pow(cfg.d, e, p) for e in range(p - 1)]      # d^e at e mod p-1
-    inverse = _inv_table(p)
-    keys1, keys2, keys3 = (set(PointSet.of(X).keys) for X in (cfg.X1, cfg.X2, cfg.X3))
-    in_sets = 0
+    exponents = {e % (p - 1) for e in span}
+    in_pairs = 0
     first_outside = None
-    for idx in cfg.family:
-        i, j, t, z = idx
+    for i, j in itertools.product(span, span):
         di, dj, dij = power[i % (p - 1)], power[j % (p - 1)], power[(i + j) % (p - 1)]
-        x1 = _key_mod_p(p, inverse, (0, dj, z, z - 1))
-        x2 = _key_mod_p(p, inverse, (-dij, 0, z - t * dj, z - 1 - t * dj))
-        x3 = _key_mod_p(p, inverse, (di, 1, t, t))
-        if not _collinear_mod_p(p, x1, x2, x3):
-            raise VerificationFailure(f"family triple {idx} is not collinear")
-        if x1 == x2 or x1 == x3 or x2 == x3:
-            raise VerificationFailure(f"family triple {idx} has repeated points")
-        if x1 in keys1 and x2 in keys2 and x3 in keys3:
-            in_sets += 1
+        for t, z in itertools.product(range(3), range(3)):
+            x1, x2, x3 = (0, dj, z, z - 1), (-dij, 0, z - t * dj, z - 1 - t * dj), (di, 1, t, t)
+            if not _collinear_mod_p(p, x1, x2, x3):
+                raise VerificationFailure(f"family triple {(i, j, t, z)} is not collinear")
+            if any(_same_point_mod_p(p, a, b) for a, b in ((x1, x2), (x1, x3), (x2, x3))):
+                raise VerificationFailure(f"family triple {(i, j, t, z)} has repeated points")
+        if (i + j) % (p - 1) in exponents:
+            in_pairs += 1
         elif first_outside is None:
-            first_outside = idx
+            first_outside = (i, j, 0, 0)
+    family = p * p * len(span) ** 2
+    in_sets = p * p * in_pairs
     count = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, kernel="hash")
-    max_lines = {}
-    dichotomy_ok = True
-    bound = max(2 * cfg.N + 1, cfg.p)
-    for name, X in (("X1", cfg.X1), ("X2", cfg.X2), ("X3", cfg.X3)):
-        report = line_concentration(X)
-        max_lines[name] = report.max_count
-        if report.max_count > bound:
-            dichotomy_ok = False
-    if not dichotomy_ok:
-        raise VerificationFailure(
-            f"line concentration exceeds max(2N+1, p) = {bound}"
-        )
+    sets = {"X1": cfg.X1, "X2": cfg.X2, "X3": cfg.X3}
+    max_lines = {name: line_concentration(X).max_count for name, X in sets.items()}
+    bound = max(2 * cfg.N + 1, p)
+    if max(max_lines.values()) > bound:
+        raise VerificationFailure(f"line concentration exceeds max(2N+1, p) = {bound}")
     return ExampleReport(
-        family_count=len(cfg.family),
+        family_count=family,
         all_collinear=True,
         all_pairwise_distinct=True,
         in_sets_count=in_sets,
-        in_sets_all=in_sets == len(cfg.family),
+        in_sets_all=in_sets == family,
         first_outside=first_outside,
         triple_total=count.total,
-        triple_total_at_least_family=count.total >= len(cfg.family),
+        triple_total_at_least_family=count.total >= family,
         max_lines=max_lines,
-        dichotomy_ok=dichotomy_ok,
-        sizes={"X1": len(keys1), "X2": len(keys2), "X3": len(keys3)},
+        dichotomy_ok=True,
+        sizes={name: len(X) for name, X in sets.items()},
     )
 
 
-def _key_mod_p(p: int, inverse: List[int], v) -> Tuple[int, ...]:
-    """The `ProjPoint.key` over F_p of a nonzero int vector (each family
-    point has a generator power among its entries): reduced mod p and
-    scaled by inverse[] so that its first nonzero entry is 1."""
-    v = [c % p for c in v]
-    s = inverse[next(c for c in v if c)]
-    return tuple(c * s % p for c in v)
+def _same_point_mod_p(p: int, a, b) -> bool:
+    """Whether two nonzero int 4-vectors are the same point mod p: each of
+    their six 2x2 minors vanishes."""
+    return not any((a[r] * b[s] - a[s] * b[r]) % p for r in range(4) for s in range(r + 1, 4))
 
 
 def _collinear_mod_p(p: int, a, b, c) -> bool:

@@ -538,10 +538,10 @@ def free_tuples(
     """Ordered k-tuples of X whose pointwise stabilizer within G_set (group
     elements with `is_identity()`, such as `AffElem` or `PGLElem`) is
     trivial.  With a truncated closure the result is only relative to
-    G_set, and the flag says so."""
+    G_set, and the flag says so.  A bad X raises the `PointSet` errors."""
     from itertools import product
 
-    X = list(X)
+    X = PointSet.of(X)
     elements = list(G_set)
     if not any(g.is_identity() for g in elements):
         raise ValueError("G_set must contain the identity")

@@ -7,7 +7,9 @@ check that path (see test_oracles.py):
 - `pair_stabilizer_scan`: the q^3 scan of G_a^2 x| G_m for an element
   fixing two points of {x0 = 0}, for `incidence._pair_stabilizer_nontrivial`;
 - `family_membership`: the `ProjPoint` check of every family triple
-  through `family_triple`, for `constructions.verify_example`;
+  through `family_triple`, for the closed form of
+  `constructions.verify_example` (collinearity on the 3x3 grid of (t, z),
+  membership by the exponent sum of (i, j));
 - `fixed_points_by_enumeration`: Fix(g) as the Segre points g fixes,
   for `constructions.classify_fixed_points`;
 - `orthogonal_by_triple_sums`: M^T B M by 16 triple products an entry,
@@ -113,7 +115,7 @@ def pencil_planes(P1: ProjPlane, P2: ProjPlane) -> List[ProjPlane]:
 
 def family_triple(cfg, i: int, j: int, t: int, z: int):
     """The parametric collinear triple of the example `cfg` for one index
-    tuple, as points (verify_example checks the same triples on ints mod p)."""
+    tuple, as points (verify_example checks them in closed form)."""
     ctx = cfg.ctx
     di = _gen_power(ctx, cfg.d, i)
     dj = _gen_power(ctx, cfg.d, j)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import family_triple, random_smooth_form
+from orchardlab import constructions
 from orchardlab.constructions import (
     DegenerateParameters,
     NoSqrtMinusOne,
@@ -14,6 +15,7 @@ from orchardlab.constructions import (
     to_segre_form,
     verify_example,
 )
+from orchardlab.errors import VerificationFailure
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
     CharTwo,
@@ -95,6 +97,28 @@ def test_verify_example_counts_match_brute():
     report = verify_example(cfg)
     brute = count_collinear_triples(cfg.X1, cfg.X2, cfg.X3, "brute")
     assert brute.total == report.triple_total
+
+
+def test_verify_example_checks_the_3x3_grid_of_each_pair(monkeypatch):
+    cfg = build_example(31, 2)
+    calls = []
+    check = constructions._collinear_mod_p
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(constructions, "_collinear_mod_p", counted)
+    verify_example(cfg)
+    assert len(calls) == 9 * (2 * cfg.N + 1) ** 2 == 1089
+
+
+def test_verify_example_raises_on_a_failed_minor(monkeypatch):
+    # the 11th check is the second grid point of the second pair
+    answers = iter([True] * 10 + [False])
+    monkeypatch.setattr(constructions, "_collinear_mod_p", lambda *args: next(answers, True))
+    with pytest.raises(VerificationFailure, match=r"^family triple \(-2, -1, 0, 1\) is not collinear$"):
+        verify_example(build_example(7, 2))
 
 
 def test_verify_example_p11_in_set_structure():

@@ -16,10 +16,11 @@ from orchardlab import cli
 from orchardlab.constructions import NoSqrtMinusOne, SingularForm, _full_lines_within
 from orchardlab.errors import OrchardError, VerificationFailure
 from orchardlab.field import FieldCtx
-from orchardlab.groups import check_quadric_involutions
+from orchardlab.groups import AffElem, aff_act, check_quadric_involutions
 from orchardlab.incidence import (
     EqualPlanes,
     count_collinear_triples,
+    free_tuples,
     line_concentration,
     pencil_plane_concentration,
     stabilizer_census_affine,
@@ -78,6 +79,7 @@ POINT_KERNELS = {
     "involutions-x": lambda X: check_quadric_involutions(SEGRE, OFF_SEGRE, X),
     "involutions-s": lambda X: check_quadric_involutions(SEGRE, X, PLANE[:2]),
     "full-lines": lambda X: _full_lines_within(F5, X),
+    "free-tuples": lambda X: free_tuples(X, [AffElem.identity(F5)], 1, aff_act),
 }
 
 

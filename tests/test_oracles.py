@@ -1,5 +1,5 @@
 """The closed forms and int paths against their oracles in oracles.py:
-the O(1) pair-stabilizer test, the int-coded family check, the
+the O(1) pair-stabilizer test, the closed-form family check, the
 eigenspace fixed points and the full lines of a fixed set, the
 two-product orthogonality test, the 2x2-minor determinant, the sparse
 quadric forms, the log-code triple kernels, line key and line
@@ -32,7 +32,7 @@ from oracles import (
 from orchardlab.constructions import (
     _collinear_mod_p,
     _full_lines_within,
-    _key_mod_p,
+    _same_point_mod_p,
     build_example,
     classify_fixed_points,
     verify_example,
@@ -106,25 +106,41 @@ def test_pair_stabilizer_matches_scan_random(ctx, data):
 # -- the family check ----------------------------------------------------
 
 # (5, 2) is degenerate: 2N+1 = 5 exceeds p-1 = 4
-@pytest.mark.parametrize("p,k", [(5, 3), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2), (13, 3)])
+@pytest.mark.parametrize("p,k", [(5, 3), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2), (13, 3),
+                                 (17, 2)])
 def test_family_check_matches_projpoint_oracle(p, k):
     cfg = build_example(p, k)
     report = verify_example(cfg)
     assert (report.in_sets_count, report.first_outside) == family_membership(cfg)
 
 
+def int_vectors(p):
+    """Int 4-vectors that are nonzero mod p, entries in [-2p, 2p]."""
+    return st.lists(st.integers(-2 * p, 2 * p), min_size=4, max_size=4).filter(
+        lambda v: any(c % p for c in v))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_collinear_mod_p_matches_rank(p, data):
     ctx = FieldCtx(p)
-    vec = st.lists(st.integers(-2 * p, 2 * p), min_size=4, max_size=4).filter(
-        lambda v: any(c % p for c in v))
-    a, b, c = (data.draw(vec) for _ in range(3))
-    keys = [_key_mod_p(p, [0] + [pow(x, p - 2, p) for x in range(1, p)], v) for v in (a, b, c)]
+    a, b, c = (data.draw(int_vectors(p)) for _ in range(3))
     pts = [ProjPoint(ctx, v) for v in (a, b, c)]
-    assert keys == [pt.key for pt in pts]
-    assert _collinear_mod_p(p, *keys) == collinear(*pts)
+    assert _collinear_mod_p(p, *(pt.key for pt in pts)) == collinear(*pts)
     assert _collinear_mod_p(p, a, b, c) == collinear(*pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_same_point_mod_p_matches_projpoint(p, data):
+    ctx = FieldCtx(p)
+    a = data.draw(int_vectors(p))
+    if data.draw(st.booleans()):        # a multiple of a, shifted by multiples of p
+        scale = data.draw(st.integers(1, p - 1))
+        b = [x * scale + p * data.draw(st.integers(-1, 1)) for x in a]
+    else:
+        b = data.draw(int_vectors(p))
+    assert _same_point_mod_p(p, a, b) == (ProjPoint(ctx, a) == ProjPoint(ctx, b))
 
 
 @pytest.mark.parametrize("omit", range(4))
