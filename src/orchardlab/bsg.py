@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Set
 
+from .groups import AffElem, aff_compose, aff_inverse
 from .measures import (
     AffineGroupOps,
     GroupMeasure,
@@ -251,22 +252,22 @@ def all_pass(checks: Iterable[InequalityCheck]) -> bool:
 
 # -- greedy covering and approximate groups --------------------------------
 
-def covering_number(group: AffineGroupOps, A: Iterable, B: Iterable) -> int:
+def covering_number(A: Iterable, B: Iterable) -> int:
     """Greedy upper bound for the number of left translates of B needed
     to cover A; candidate centers range over A B^-1 and ties break on the
-    least sort key.  Always at least ceil(|A|/|B|)."""
+    least `AffElem.key`.  Always at least ceil(|A|/|B|)."""
     A = set(A)
     B = list(set(B))
     if not B:
         raise ValueError("covering set must be nonempty")
     if not A:
         return 0
-    b_inv = [group.inverse(b) for b in B]
+    b_inv = [aff_inverse(b) for b in B]
     centers = sorted(
-        {group.multiply(a, bi) for a in A for bi in b_inv}, key=group.sort_key
+        {aff_compose(a, bi) for a in A for bi in b_inv}, key=lambda g: g.key
     )
     translates = {
-        x: frozenset(group.multiply(x, b) for b in B) for x in centers
+        x: frozenset(aff_compose(x, b) for b in B) for x in centers
     }
     uncovered = set(A)
     used = 0
@@ -301,13 +302,13 @@ def is_approximate_group(group: AffineGroupOps, H: Iterable, K: int) -> ApproxGr
     """
     H = list(set(H))
     hs = set(H)
-    if group.identity() not in hs:
-        return ApproxGroupReport(False, "identity-missing", group.identity(), None)
+    if AffElem.identity(group.ctx) not in hs:
+        return ApproxGroupReport(False, "identity-missing", AffElem.identity(group.ctx), None)
     for h in H:
-        if group.inverse(h) not in hs:
+        if aff_inverse(h) not in hs:
             return ApproxGroupReport(False, "not-symmetric", h, None)
-    HH = {group.multiply(g, h) for g in H for h in H}
-    cover = covering_number(group, HH, H)
+    HH = {aff_compose(g, h) for g in H for h in H}
+    cover = covering_number(HH, H)
     if cover <= K:
         return ApproxGroupReport(True, "covered", None, cover)
     return ApproxGroupReport(False, "greedy-fail", None, cover)

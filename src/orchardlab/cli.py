@@ -113,7 +113,7 @@ def cmd_orchard_threeplanes(args) -> int:
     for name, X in (("x1", X1), ("x2", X2), ("x3", X3)):
         rep = line_concentration(X)
         max_line[name] = rep.max_count
-        witness[name] = line_text(ctx1, rep.witness.key) if rep.witness else None
+        witness[name] = line_text(ctx1, rep.witness) if rep.witness else None
     pencil = pencil_plane_concentration(X3, frame.P1, frame.P2)
     census = None
     if all(frame.P1.contains(x) for x in X1):

@@ -1,7 +1,7 @@
 """Builders for the explicit configurations: the extremal three-plane
-point sets, quadric diagonalization over quadratic extensions, the
-change of variables onto the Segre quadric, and the fixed-point
-classifier for special orthogonal elements acting on it.
+point sets and their lazy index family, quadric diagonalization over
+quadratic extensions, the Segre change of variables, and the fixed-point
+classifier for special orthogonal elements acting on the Segre quadric.
 """
 
 from __future__ import annotations
@@ -52,6 +52,20 @@ class NoSqrtMinusOne(OrchardError):
 
 # -- the extremal three-plane configuration --------------------------------
 
+class ExampleFamily:
+    """The p^2 (2N+1)^2 index tuples (i, j, t, z), i and j in [-N, N] and t
+    and z in [0, p), made on demand in lexicographic order."""
+
+    def __init__(self, p: int, N: int):
+        self.exps, self.ts = range(-N, N + 1), range(p)
+
+    def __len__(self):
+        return (len(self.exps) * len(self.ts)) ** 2
+
+    def __iter__(self):
+        return itertools.product(self.exps, self.exps, self.ts, self.ts)
+
+
 class ExampleConfig(NamedTuple):
     p: int
     k: Fraction
@@ -61,12 +75,7 @@ class ExampleConfig(NamedTuple):
     X1: PointSet
     X2: PointSet
     X3: PointSet
-    family: List[Tuple[int, int, int, int]]   # (i, j, t, z) index tuples
-
-
-def _gen_power(ctx: FieldCtx, d: int, e: int) -> FieldElem:
-    base = ctx.elem(d)
-    return base**e if e >= 0 else inv(base) ** (-e)
+    family: ExampleFamily
 
 
 def build_example(p: int, k) -> ExampleConfig:
@@ -90,19 +99,12 @@ def build_example(p: int, k) -> ExampleConfig:
         )
     ctx = FieldCtx(p)
     d = least_primitive_root(p)
-    powers = [ _gen_power(ctx, d, i) for i in range(-N, N + 1) ]
+    powers = [ctx.elem(d) ** i for i in range(-N, N + 1)]
     grid = [(di, ctx.elem(t)) for di in powers for t in range(p)]
     X1 = PointSet(ProjPoint(ctx, [ctx.zero(), di, t, t - 1]) for di, t in grid)
     X2 = PointSet(ProjPoint(ctx, [-di, ctx.zero(), t, t - 1]) for di, t in grid)
     X3 = PointSet(ProjPoint(ctx, [di, ctx.one(), t, t]) for di, t in grid)
-    family = [
-        (i, j, t, z)
-        for i in range(-N, N + 1)
-        for j in range(-N, N + 1)
-        for t in range(p)
-        for z in range(p)
-    ]
-    return ExampleConfig(p=p, k=k, N=N, d=d, ctx=ctx, X1=X1, X2=X2, X3=X3, family=family)
+    return ExampleConfig(p, k, N, d, ctx, X1, X2, X3, ExampleFamily(p, N))
 
 
 def _floor_root(p: int, k: Fraction) -> int:
@@ -462,7 +464,7 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
             [x - value if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(g.rows)
         ]
-        if _det4(ctx, shifted).is_zero():
+        if _det4(shifted).is_zero():
             fixed.extend(
                 pt for pt in _projective_span(ctx, _nullspace(ctx, shifted))
                 if pt.coords[0] * pt.coords[3] == pt.coords[1] * pt.coords[2]
@@ -486,7 +488,7 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
 def _nullspace(ctx: FieldCtx, rows) -> List[List[FieldElem]]:
     """A basis of the kernel of a square matrix, one vector per free
     column of its reduced row-echelon form."""
-    rref, rank = _rref2(ctx, rows)
+    rref, rank = _rref2(rows)
     pivots = [next(c for c, x in enumerate(row) if not x.is_zero()) for row in rref[:rank]]
     basis = []
     for free in (c for c in range(len(rows)) if c not in pivots):

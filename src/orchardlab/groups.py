@@ -248,7 +248,7 @@ class PGLElem:
         rows = tuple(tuple(ctx.elem(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise GroupError("matrix must be 4x4")
-        if _det4(ctx, rows).is_zero():
+        if _det4(rows).is_zero():
             raise Singular("matrix is singular")
         pivot = next(
             (x for row in rows for x in row if not x.is_zero()), None
@@ -289,7 +289,7 @@ class PGLElem:
         return p.apply_matrix(self.rows)
 
     def det(self) -> FieldElem:
-        return _det4(self.ctx, self.rows)
+        return _det4(self.rows)
 
 
 def is_orthogonal_mod_scalar(

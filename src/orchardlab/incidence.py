@@ -23,9 +23,9 @@ through `PointSet.of`, which raises for a set that is not one.
   reads its line's count, so memory beyond the per-line result is
   O(|X2|).  `line_concentration` and the full-line search use the same
   per-point bucket over the points after each one.
-- Lines are reported by their kernel keys, which are already in
-  canonical RREF: `line_text` writes a key's text and `_line_from_key`
-  builds its `ProjLine`.
+- Lines are reported, and the `line_concentration` witness given, by
+  their kernel keys, which are already in canonical RREF: `line_text`
+  writes a key's text and `_line_from_key` builds its checked `ProjLine`.
 - The pencil statistic reads each point once: the point's values on the
   two base planes name the one plane of the pencil it lies on (or all of
   them, on the base line).  Planes are taken in the order P1, then
@@ -36,8 +36,8 @@ through `PointSet.of`, which raises for a set that is not one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set, Union
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
@@ -71,10 +71,11 @@ class TripleCount(NamedTuple):
     by_line: Dict[tuple, int]
 
 
+@lru_cache(maxsize=1)
 def _inv_table(p: int):
-    table = [0] * p
-    for x in range(1, p):
-        table[x] = pow(x, p - 2, p)
+    table = [0, 1] + [0] * (p - 2)
+    for x in range(2, p):
+        table[x] = -(p // x) * table[p % x] % p     # as p = (p // x) x + p % x
     return table
 
 
@@ -310,10 +311,10 @@ def _keyed(ctx: FieldCtx, *sets: PointSet):
 
 
 def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
-    """The line of a kernel's line key, which is already its canonical
-    RREF as a flat 8-tuple of codes."""
+    """The line of a line key, the flat 8-tuple of codes of its two basis
+    rows; raises GeometryError when the rows do not have rank 2."""
     rows = [[FieldElem(ctx, c) for c in key[:4]], [FieldElem(ctx, c) for c in key[4:]]]
-    return ProjLine.from_rref(ctx, rows)
+    return ProjLine(ctx, rows)
 
 
 def count_collinear_triples(
@@ -360,9 +361,9 @@ def count_collinear_triples(
 
 class ConcentrationReport(NamedTuple):
     max_count: int
-    # the line (`line_concentration`) or plane (`pencil_plane_concentration`)
+    # the key of the line (`line_concentration`) or plane (`pencil_plane_concentration`)
     # that reaches max_count; None when no line is spanned
-    witness: Optional[Union[ProjLine, ProjPlane]] = None
+    witness: Optional[tuple] = None
 
 
 def _later_points_by_line(ctx: FieldCtx, X: PointSet):
@@ -392,7 +393,7 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     if len(X) < 2:
         return ConcentrationReport(len(X))
     m, key = max((m, key) for key, m in _later_points_by_line(X.ctx, X))
-    return ConcentrationReport(m + 1, _line_from_key(X.ctx, key))
+    return ConcentrationReport(m + 1, key)
 
 
 class EqualPlanes(OrchardError):
@@ -407,8 +408,8 @@ def pencil_plane_concentration(
     """Max of |X3 intersect P| over the pencil of planes through P1^P2.
 
     The planes are taken in this order: P1, then the plane t*P1 + P2 for
-    each t of ctx.elements() (t = 0 gives P2).  The witness is the first
-    plane in that order to reach the max.  An empty X3 reports 0 and P1.
+    each t of ctx.elements() (t = 0 gives P2).  The witness is the key of
+    the first plane in that order to reach the max (P1 for an empty X3).
     One pass over X3: with s = P1.x and r = P2.x, a point lies on every
     plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise on
     the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
@@ -444,7 +445,7 @@ def pencil_plane_concentration(
     witness = P1 if witness_t is None else ProjPlane(
         ctx, [a * witness_t + b for a, b in zip(d1, d2)]
     )
-    return ConcentrationReport(best, witness)
+    return ConcentrationReport(best, witness.key)
 
 
 # -- stabilizer census on the standard plane -------------------------------

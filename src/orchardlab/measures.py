@@ -9,9 +9,9 @@ and `masses`, `mu(g)`, the norms and the report rows give `Fraction`s.
 L^2 quantities are always handled squared to stay rational.
 
 The group is G_a^2 x| G_m over F_q, which composed plane projections
-give.  It keys (a, b, c) as one int built from the Zech-log codes of a,
-b and c (see `field.FieldCtx._zech`), so its products and inverses are a
-few lookups in arrays of length O(q).
+give.  It keys each `groups.AffElem` (a, b, c) as one int built from the
+Zech-log codes of a, b and c (see `field.FieldCtx._zech`), so products
+and inverses of keys are a few lookups in arrays of length O(q).
 """
 
 from __future__ import annotations
@@ -71,18 +71,6 @@ class AffineGroupOps:
 
     def __hash__(self):
         return hash(self.ctx)
-
-    def identity(self):
-        return AffElem.identity(self.ctx)
-
-    def multiply(self, g, h):
-        return aff_compose(g, h)
-
-    def inverse(self, g):
-        return aff_inverse(g)
-
-    def sort_key(self, g):
-        return g.key
 
     def key(self, g) -> int:
         ctx = self.ctx
@@ -201,7 +189,7 @@ class GroupMeasure:
         return Fraction(self.nums.get(self.group.key(g), 0), self.den)
 
     def support_sorted(self):
-        return sorted(map(self.group.element, self.nums), key=self.group.sort_key)
+        return sorted(map(self.group.element, self.nums), key=lambda g: g.key)
 
     def total_mass(self) -> Fraction:
         return Fraction(sum(self.nums.values()), self.den)
@@ -346,13 +334,13 @@ def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
     hs = set(elements)
     if len(hs) != len(elements):
         raise DuplicateElements("subgroup given with duplicates")
-    if group.identity() not in hs:
+    if AffElem.identity(group.ctx) not in hs:
         raise NotASubgroup("identity missing")
     for g in elements:
-        if group.inverse(g) not in hs:
+        if aff_inverse(g) not in hs:
             raise NotASubgroup(f"inverse of {g} missing")
         for h in elements:
-            if group.multiply(g, h) not in hs:
+            if aff_compose(g, h) not in hs:
                 raise NotASubgroup(f"product {g}*{h} missing")
     return elements
 
@@ -360,8 +348,7 @@ def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
 def coset_mass(mu: GroupMeasure, g, H: Iterable) -> Fraction:
     """mu(gH) for an explicitly verified finite subgroup H."""
     elements = verify_subgroup(mu.group, H)
-    group = mu.group
-    return sum((mu(group.multiply(g, h)) for h in elements), Fraction(0))
+    return sum((mu(aff_compose(g, h)) for h in elements), Fraction(0))
 
 
 class FlatteningRow(NamedTuple):

@@ -97,7 +97,7 @@ class ProjPoint:
         )
 
 
-def _rref2(ctx: FieldCtx, rows: List[List[FieldElem]]):
+def _rref2(rows: List[List[FieldElem]]):
     """Reduced row-echelon form of a small matrix, returned with rank."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0])
@@ -122,8 +122,8 @@ def _rref2(ctx: FieldCtx, rows: List[List[FieldElem]]):
     return rows, pivot_row
 
 
-def matrix_rank(ctx: FieldCtx, rows) -> int:
-    _, rank = _rref2(ctx, [list(r) for r in rows])
+def matrix_rank(rows) -> int:
+    _, rank = _rref2([list(r) for r in rows])
     return rank
 
 
@@ -134,24 +134,13 @@ class ProjLine:
     __slots__ = ("ctx", "basis", "key")
 
     def __init__(self, ctx: FieldCtx, rows):
-        rref, rank = _rref2(ctx, [list(r) for r in rows])
+        rref, rank = _rref2([list(r) for r in rows])
         if rank != 2:
             raise GeometryError("line basis must have rank 2")
         basis = tuple(tuple(r) for r in rref[:2])
         self.ctx = ctx
         self.basis = basis
         self.key = tuple(e.code for row in basis for e in row)
-
-    @classmethod
-    def from_rref(cls, ctx: FieldCtx, basis) -> "ProjLine":
-        """The line whose two basis rows are already its canonical reduced
-        row-echelon form, as the counting kernels' line keys are; nothing
-        is reduced or checked."""
-        line = cls.__new__(cls)
-        line.ctx = ctx
-        line.basis = tuple(tuple(row) for row in basis)
-        line.key = tuple(e.code for row in line.basis for e in row)
-        return line
 
     def __eq__(self, other):
         return (
@@ -226,7 +215,7 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     """
     if p.ctx is not q.ctx or q.ctx is not r.ctx:
         raise MixedContexts("points from different fields")
-    return matrix_rank(p.ctx, [p.coords, q.coords, r.coords]) <= 2
+    return matrix_rank([p.coords, q.coords, r.coords]) <= 2
 
 
 def meet_line_plane(line: ProjLine, plane: ProjPlane) -> ProjPoint:
@@ -303,7 +292,7 @@ class QuadricForm:
         return acc
 
     def det(self) -> FieldElem:
-        return _det4(self.ctx, self.B)
+        return _det4(self.B)
 
     def is_smooth(self) -> bool:
         return not self.det().is_zero()
@@ -333,7 +322,7 @@ def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
     return Q.evaluate(p.coords).is_zero()
 
 
-def _det4(ctx: FieldCtx, rows) -> FieldElem:
+def _det4(rows) -> FieldElem:
     """Determinant of a 4x4 matrix by the Laplace expansion along its top
     two rows: the sum of the six products of a 2x2 minor of rows 0, 1
     with the complementary minor of rows 2, 3, signed."""

@@ -47,9 +47,8 @@ import operator
 from fractions import Fraction
 from typing import Dict, List
 
-from orchardlab.constructions import _gen_power
 from orchardlab.field import FieldCtx, _poly_mulmod
-from orchardlab.groups import AffElem, PGLElem, aff_act, gamma_x, segre
+from orchardlab.groups import AffElem, PGLElem, aff_act, aff_compose, aff_inverse, gamma_x, segre
 from orchardlab.incidence import VerificationFailure
 from orchardlab.measures import GroupMeasure
 from orchardlab.projgeom import (
@@ -117,9 +116,8 @@ def family_triple(cfg, i: int, j: int, t: int, z: int):
     """The parametric collinear triple of the example `cfg` for one index
     tuple, as points (verify_example checks them in closed form)."""
     ctx = cfg.ctx
-    di = _gen_power(ctx, cfg.d, i)
-    dj = _gen_power(ctx, cfg.d, j)
-    dij = _gen_power(ctx, cfg.d, i + j)
+    d = ctx.elem(cfg.d)
+    di, dj, dij = d**i, d**j, d**(i + j)
     te, ze = ctx.elem(t), ctx.elem(z)
     x1 = ProjPoint(ctx, [ctx.zero(), dj, ze, ze - 1])
     x2 = ProjPoint(ctx, [-dij, ctx.zero(), ze - te * dj, ze - 1 - te * dj])
@@ -140,7 +138,7 @@ def random_measure(group, elements, rng, max_support=8):
 
 def on_line(line: ProjLine, p: ProjPoint) -> bool:
     """Whether p lies on the line: its basis plus p has rank 2."""
-    return matrix_rank(line.ctx, [*line.basis, p.coords]) == 2
+    return matrix_rank([*line.basis, p.coords]) == 2
 
 
 def random_smooth_form(ctx, rng):
@@ -382,17 +380,17 @@ def pencil_scan(X3, P1, P2):
 
 # -- measures as {element: Fraction} -------------------------------------
 
-def oracle_convolve(group, f, h):
+def oracle_convolve(f, h):
     out = {}
     for y, fy in f.items():
         for z, hz in h.items():
-            x = group.multiply(y, z)
+            x = aff_compose(y, z)
             out[x] = out.get(x, Fraction(0)) + fy * hz
     return out
 
 
-def oracle_reverse(group, f):
-    return {group.inverse(g): m for g, m in f.items()}
+def oracle_reverse(f):
+    return {aff_inverse(g): m for g, m in f.items()}
 
 
 def oracle_l2_sq(f):
@@ -418,11 +416,11 @@ def oracle_decompose(f, K):
     return heavy, diffuse, structured, boundary
 
 
-def oracle_flattening(group, f, m_max):
+def oracle_flattening(f, m_max):
     """(support, l2_sq, linf, ratio_sq) per m, as flattening_report."""
-    powers = [oracle_convolve(group, oracle_reverse(group, f), f)]
+    powers = [oracle_convolve(oracle_reverse(f), f)]
     for _ in range(m_max + 1):
-        powers.append(oracle_convolve(group, powers[-1], powers[-1]))
+        powers.append(oracle_convolve(powers[-1], powers[-1]))
     rows = []
     for cur, nxt in zip(powers, powers[1:]):
         l2 = oracle_l2_sq(cur)

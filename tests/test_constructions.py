@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,19 @@ def test_build_example_grid():
         assert report.all_collinear and report.all_pairwise_distinct
         assert report.dichotomy_ok
         assert report.max_lines == {"X1": p, "X2": p, "X3": p}
+
+
+def test_build_example_memory_is_the_point_sets():
+    """The family is made on demand: at p = 61 its 837,225 index tuples
+    are never held, and the build keeps little more than 3 x 915 points."""
+    tracemalloc.start()
+    try:
+        cfg = build_example(61, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cfg.family) == 61**2 * 15**2
+    assert peak < 30 * 2**20
 
 
 def test_build_example_degenerate():

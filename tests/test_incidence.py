@@ -15,6 +15,7 @@ from orchardlab.groups import (
     aff_compose,
 )
 from orchardlab.incidence import (
+    _inv_table,
     _keyed,
     _line_from_key,
     count_collinear_triples,
@@ -27,8 +28,10 @@ from orchardlab.incidence import (
 )
 from orchardlab.projgeom import (
     EqualPoints,
+    GeometryError,
     MixedContexts,
     PointSet,
+    ProjLine,
     ProjPlane,
     ProjPoint,
     TooLarge,
@@ -124,6 +127,51 @@ def test_triple_count_builds_no_field_element(kernel, monkeypatch):
     monkeypatch.undo()
     assert lines[0] >= 100 and lines[1] > 0
     assert built == []
+
+
+def test_line_concentration_builds_no_element_or_line(monkeypatch):
+    """The witness is the kernel's line key: on prebuilt F_101 and F_9
+    point sets, line_concentration makes no FieldElem and no ProjLine."""
+    rng = random.Random(41)
+    sets = [PointSet(random_points(FieldCtx(101), rng, 40)), PointSet(sample_points(F9, rng, 30))]
+    for X in sets:
+        line_concentration(X)           # builds the field's tables, if any
+    built = []
+    for cls in (FieldElem, ProjLine):
+        init = cls.__init__
+
+        def counted_init(self, *args, _init=init):
+            built.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    reports = [line_concentration(X) for X in sets]
+    monkeypatch.undo()
+    assert built == []
+    for X, rep in zip(sets, reports):
+        assert rep.max_count >= 2 and len(rep.witness) == 8
+        line = _line_from_key(X.ctx, rep.witness)
+        assert sum(on_line(line, x) for x in X) == rep.max_count
+
+
+def test_line_from_key_checks_rank():
+    with pytest.raises(GeometryError, match="rank 2"):
+        _line_from_key(F5, (1, 0, 0, 0, 1, 0, 0, 0))
+    line = _line_from_key(F5, (1, 0, 2, 3, 1, 1, 0, 0))
+    assert line.key == (1, 0, 2, 3, 0, 1, 3, 2)
+
+
+def test_inverse_table_is_built_once_per_field():
+    """One prime field's inverse table serves every kernel call on it."""
+    rng = random.Random(43)
+    F101 = FieldCtx(101)
+    X1, X2, X3 = (random_points(F101, rng, 20) for _ in range(3))
+    _inv_table.cache_clear()
+    count_collinear_triples(X1, X2, X3, "both")
+    line_concentration(X1)
+    assert _inv_table.cache_info().misses == 1
+    for p in (2, 3, 101):
+        assert [x * _inv_table(p)[x] % p for x in range(1, p)] == [1] * (p - 1)
 
 
 @pytest.mark.parametrize("ctx", [FieldCtx(101), FieldCtx(2, 3), F9], ids=str)
@@ -230,7 +278,7 @@ def test_line_concentration_examples():
     rep = line_concentration(pts)
     assert rep.max_count == 3
     assert rep.witness is not None
-    assert sum(1 for p in pts if on_line(rep.witness, p)) == 3
+    assert sum(1 for p in pts if on_line(_line_from_key(F5, rep.witness), p)) == 3
     line = line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]))
     assert line_concentration(line.points()).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1
@@ -242,7 +290,7 @@ def test_line_concentration_examples():
     assert keys[0] != keys[1]
     for X in (a + b, b + a, [a[0], b[0], a[1], b[1], b[2], a[2]]):
         rep = line_concentration(X)
-        assert (rep.max_count, rep.witness.key) == (3, max(keys))
+        assert (rep.max_count, rep.witness) == (3, max(keys))
 
 
 @pytest.mark.parametrize("ctx", [F5, F9])

@@ -69,3 +69,27 @@ def test_allow_list_is_the_readme_api():
         for name in names:
             assert (module, name) in defined, f"{module}.{name} is not defined"
             assert name == "main" or f"`{name}`" in readme, f"README does not list {name}"
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a function in `src/` is read in its body.
+    `self`, `cls`, `_`-prefixed names and the parameters of dunder
+    methods, whose signatures the language fixes, are exempt."""
+    unread = []
+    for module, tree in TREES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {
+                n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{module}.{fn.name}({arg.arg}) (line {fn.lineno})"
+                for arg in params
+                if arg.arg not in ("self", "cls") and not arg.arg.startswith("_")
+                and arg.arg not in read
+            ]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -76,7 +76,7 @@ def test_line_from_rref_basis():
         pts = enumerate_space(ctx, 3)
         for _ in range(40):
             line = line_through(*rng.sample(pts, 2))
-            again = ProjLine.from_rref(ctx, [list(row) for row in line.basis])
+            again = ProjLine(ctx, [list(row) for row in line.basis])
             assert again == line and hash(again) == hash(line)
             assert again.basis == line.basis and again.ctx is ctx
 
