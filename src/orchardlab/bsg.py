@@ -65,9 +65,18 @@ class BsgDecomposition(NamedTuple):
     nu1: GroupMeasure
     nu2: GroupMeasure
     nu_str: GroupMeasure
-    structured_support: Set     # A = supp(nu_str)
-    boundary_atoms: Set         # atoms sitting exactly on a threshold
+    boundary_keys: List         # keys of the atoms sitting exactly on a threshold
     l2_sq: Fraction             # ||nu||_2^2
+
+    @property
+    def structured_support(self) -> Set:
+        """A = supp(nu_str), as elements."""
+        return set(map(self.nu.group.element, self.nu_str.nums))
+
+    @property
+    def boundary_atoms(self) -> Set:
+        """The atoms sitting exactly on a threshold, as elements."""
+        return set(map(self.nu.group.element, self.boundary_keys))
 
     def reconstruction_exact(self) -> bool:
         # every mass rescaled to numerators over the common denominator L
@@ -121,8 +130,7 @@ def decompose(nu: GroupMeasure, K) -> BsgDecomposition:
         nu1=GroupMeasure.from_numerators(group, heavy, den),
         nu2=GroupMeasure.from_numerators(group, diffuse, den),
         nu_str=GroupMeasure.from_numerators(group, structured, den),
-        structured_support=set(map(group.element, structured)),
-        boundary_atoms=set(map(group.element, boundary)),
+        boundary_keys=boundary,
         l2_sq=l2_norm_sq(nu),
     )
 

@@ -60,7 +60,7 @@ PAIR_PRODUCT_CAP = 10**8
 def line_text(ctx: FieldCtx, key) -> str:
     """Text form of the line with this line key: its two basis rows,
     point-style, joined by |."""
-    text = ctx.code_text
+    text = str if ctx.n == 1 else ctx.code_text
     return ":".join(map(text, key[:4])) + "|" + ":".join(map(text, key[4:]))
 
 

@@ -10,8 +10,9 @@ L^2 quantities are always handled squared to stay rational.
 
 The group is G_a^2 x| G_m over F_q, which composed plane projections
 give.  It keys each `groups.AffElem` (a, b, c) as one int built from the
-Zech-log codes of a, b and c (see `field.FieldCtx._zech`), so products
-and inverses of keys are a few lookups in arrays of length O(q).
+Zech-log codes of a, b and c (see `field.FieldCtx._zech`); a convolution
+splits each atom's key into its codes once, so each of its terms and each
+key inverse is a few lookups in arrays of length O(q).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem
@@ -58,9 +59,9 @@ class AffineGroupOps:
     Measures store atom g under `key(g)`: (a, b, c) has key
     (l(a) Q + l(b)) R + l(c), where l is the Zech-log code of
     `FieldCtx._zech` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1; keys
-    decode with divmod (`element`), and `key_multiplier`/`key_inverse`
-    work on keys alone.  The arrays live on the interned field context,
-    so two groups over one field compare equal and share them.
+    decode with divmod (`element`, and once per atom in `convolve`), and
+    `key_inverse` works on keys alone.  The arrays live on the interned
+    field context, so two groups over one field compare equal and share them.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -87,25 +88,6 @@ class AffineGroupOps:
         ab, c = divmod(k, q - 1)
         a, b = divmod(ab, 2 * q - 1)
         return AffElem(ctx, *(FieldElem(ctx, exp[x]) for x in (a, b, c)))
-
-    def key_multiplier(self) -> Callable[[int, int], int]:
-        # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
-        # log codes are red[x + y], sums red[x + zech[y - x + Z]]
-        _, _, red, zech = self.ctx._zech()
-        R = self.ctx.order - 1
-        Z = 2 * R
-        Q = Z + 1
-
-        def multiply(k: int, l: int) -> int:
-            gab, gc = divmod(k, R)
-            ga, gb = divmod(gab, Q)
-            hab, hc = divmod(l, R)
-            ha, hb = divmod(hab, Q)
-            a = red[ha + zech[red[ga + hc] - ha + Z]]
-            b = red[hb + zech[red[gb + hc] - hb + Z]]
-            return (a * Q + b) * R + red[gc + hc]
-
-        return multiply
 
     def key_inverse(self, k: int) -> int:
         # (a, b, c)^-1 = (-a/c, -b/c, 1/c)
@@ -243,13 +225,21 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     if f.group != h.group:
         raise MixedGroups("convolution across different groups")
     group = f.group
-    multiply = group.key_multiplier()
+    # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
+    # log codes are red[x + y], sums red[x + zech[y - x + Z]]
+    _, _, red, zech = group.ctx._zech()
+    R = group.ctx.order - 1
+    Z = 2 * R
+    Q = Z + 1
+    h_atoms = [(*divmod(z // R, Q), z % R, hz) for z, hz in h.nums.items()]
     out: Dict = {}
     get = out.get
-    h_atoms = list(h.nums.items())
     for y, fy in f.nums.items():
-        for z, hz in h_atoms:
-            x = multiply(y, z)
+        gab, gc = divmod(y, R)
+        ga, gb = divmod(gab, Q)
+        for ha, hb, hc, hz in h_atoms:
+            x = (red[ha + zech[red[ga + hc] - ha + Z]] * Q
+                 + red[hb + zech[red[gb + hc] - hb + Z]]) * R + red[gc + hc]
             out[x] = get(x, 0) + fy * hz
         # the support only grows, so checking once per row raises exactly
         # when checking every term would

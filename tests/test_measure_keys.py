@@ -24,7 +24,7 @@ from oracles import (
     oracle_reverse,
 )
 from orchardlab.bsg import decompose, restrict_open_band, verify_decomposition
-from orchardlab.field import FieldCtx
+from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
 from orchardlab.measures import (
     AffineGroupOps,
@@ -32,6 +32,7 @@ from orchardlab.measures import (
     MeasureError,
     MixedGroups,
     convolve,
+    delta,
     flattening_report,
     is_symmetric,
     l1_norm,
@@ -62,14 +63,39 @@ def test_key_roundtrip_whole_group(ctx):
 
 @pytest.mark.parametrize("ctx", [c for c in FIELDS if c.order <= 5], ids=repr)
 def test_key_product_and_inverse_exhaustive(ctx):
+    """Point masses convolve to the point mass of the product, for every
+    ordered pair (F_2^2 takes the Zech-sum path), and keys invert."""
     group = AffineGroupOps(ctx)
-    multiply = group.key_multiplier()
-    elements = ELEMENTS[ctx]
-    keys = [group.key(g) for g in elements]
-    for g, kg in zip(elements, keys):
-        assert group.key_inverse(kg) == group.key(aff_inverse(g))
-        for h, kh in zip(elements, keys):
-            assert multiply(kg, kh) == group.key(aff_compose(g, h))
+    for g in ELEMENTS[ctx]:
+        assert group.key_inverse(group.key(g)) == group.key(aff_inverse(g))
+        dg = delta(group, g)
+        for h in ELEMENTS[ctx]:
+            assert convolve(dg, delta(group, h)) == delta(group, aff_compose(g, h))
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(7), FieldCtx(3, 2)], ids=repr)
+def test_convolve_builds_no_element(ctx, monkeypatch):
+    """Convolution works on keys and codes alone: no AffElem and no
+    FieldElem is made while it runs."""
+    rng = random.Random(17)
+    group = AffineGroupOps(ctx)
+    mu, nu = (
+        GroupMeasure(group, {g: rng.randint(1, 9) for g in rng.sample(ELEMENTS[ctx], 40)})
+        for _ in range(2)
+    )
+    built = []
+    for cls in (AffElem, FieldElem):
+        init = cls.__init__
+
+        def counted_init(self, *args, init=init):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    conv = convolve(mu, nu)
+    monkeypatch.undo()
+    assert len(conv) > 40
+    assert built == []
 
 
 def test_key_rejects_other_fields():

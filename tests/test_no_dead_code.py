@@ -20,7 +20,8 @@ README = SRC.parents[1] / "README.md"
 
 # module -> the README's library API; cli.main is the console entry point
 API = {
-    "bsg": {"covering_number", "is_approximate_group"},
+    "bsg": {"covering_number", "is_approximate_group",
+            "BsgDecomposition.structured_support", "BsgDecomposition.boundary_atoms"},
     "cli": {"main"},
     "constructions": {"normalize_to_segre"},
     "incidence": {"free_tuples", "omega_set"},
