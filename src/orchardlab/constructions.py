@@ -18,8 +18,9 @@ from .groups import (
     IdentityElement,
     NotOnQuadricGroup,
     PGLElem,
-    _congruence_value,
+    _congruence_ratio,
     _mat_mul,
+    _matrix_elems,
     is_orthogonal_mod_scalar,
 )
 from .incidence import (
@@ -34,7 +35,7 @@ from .projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
-    _rref2,
+    _matrix_logs,
 )
 
 
@@ -252,6 +253,10 @@ def _compose_embeds(embeds: Sequence[Callable]) -> Callable:
     return run
 
 
+def _log_two(ctx: FieldCtx) -> int:
+    return ctx._zech()[0][ctx.elem(2).code]
+
+
 def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
     """Produce M with M^T B M = I exactly, adjoining square roots as
     needed (one quadratic extension suffices: after it, every base-field
@@ -316,16 +321,10 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
             trans[r][i] = trans[r][i] * scale
         diag[i] = diag[i] * scale * scale
 
-    # re-verify on the final field
+    # re-verify on the final field: M^T B M = 1 * I
     embed_all = _compose_embeds(embeds)
-    B_final = _embed_matrix([list(row) for row in B.B], embed_all)
-    product = _congruence_value(ctx, trans, B_final)
-    identity_ok = all(
-        product[i][j] == (ctx.one() if i == j else ctx.zero())
-        for i in range(4)
-        for j in range(4)
-    )
-    if not identity_ok:
+    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed_all))
+    if _congruence_ratio(_matrix_logs(ctx, trans), B_final, QuadricForm.identity(ctx)) != 0:
         raise VerificationFailure("diagonalization product is not the identity")
     return QuadricNormalization(
         source=B,
@@ -355,14 +354,10 @@ def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
         [zero, -one, one, zero],
         [zero, ii, ii, zero],
     ]
-    # T^T T = 4 * (matrix of x1*x4 - x2*x3); QuadricForm.segre is doubled
-    prod = _congruence_value(ctx, T, QuadricForm.identity(ctx).B)
-    seg = QuadricForm.segre(ctx).B
-    scalar = ctx.elem(2)  # prod == 2 * seg because seg is the doubled form
-    ok = all(
-        prod[i][j] == scalar * seg[i][j] for i in range(4) for j in range(4)
-    )
-    if not ok:
+    # T^T T = 4 * (matrix of x1*x4 - x2*x3) = 2 * the doubled QuadricForm.segre
+    ratio = _congruence_ratio(
+        _matrix_logs(ctx, T), QuadricForm.identity(ctx), QuadricForm.segre(ctx))
+    if ratio != _log_two(ctx):
         raise VerificationFailure("substitution identity failed")
     return QuadricNormalization(
         source=QuadricForm.identity(ctx),
@@ -390,25 +385,17 @@ def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
         trans = _embed_matrix(trans, embed)
         embeds.append(embed)
     seg = to_segre_form(ctx)
-    M = _mat_mul(ctx, trans, seg.transform)
+    M = _mat_mul(ctx, _matrix_logs(ctx, trans), _matrix_logs(ctx, seg.transform))
     embed_all = _compose_embeds(embeds)
-    B_final = _embed_matrix([list(row) for row in B.B], embed_all)
-    product = _congruence_value(ctx, M, B_final)
-    seg_rows = QuadricForm.segre(ctx).B
-    scalar = ctx.elem(2)
-    ok = all(
-        product[i][j] == scalar * seg_rows[i][j]
-        for i in range(4)
-        for j in range(4)
-    )
-    if not ok:
+    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed_all))
+    if _congruence_ratio(M, B_final, QuadricForm.segre(ctx)) != _log_two(ctx):
         raise VerificationFailure("composite normalization failed")
     return QuadricNormalization(
         source=B,
         target_tag="segre",
         ctx=ctx,
         extensions=extensions,
-        transform=M,
+        transform=_matrix_elems(ctx, M),
         scalar=ctx.elem(4),
         verified=True,
         embed_source=embed_all,
@@ -429,13 +416,14 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
     """(preserves Q mod scalar, witness, special part).
 
     Special means det(M) = lambda^2, which is invariant under rescaling
-    M; det(M) = -lambda^2 is the non-special coset.  The outcome is
-    conclusive in odd characteristic."""
+    M; det(M) = -lambda^2 is the non-special coset.  The test tells the
+    two apart only in odd characteristic, so in characteristic 2 no
+    element is reported special."""
     ok, lam = is_orthogonal_mod_scalar(g, Q)
     if not ok:
         return False, None, False
-    det = g.det()
-    return True, lam, det == lam * lam
+    log, _, red, _ = g.ctx._zech()
+    return True, lam, g.ctx.p > 2 and log[g.det().code] == red[2 * log[lam.code]]
 
 
 def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
@@ -444,7 +432,8 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     A point is fixed when its lift is an eigenvector of the matrix M of
     g, so Fix(g) is the union, over the eigenvalues lambda in F_q of M, of
     the points of P(ker(M - lambda I)) on the quadric; the points are
-    sorted by key.
+    sorted by key.  The search runs on the log codes of M (see
+    `FieldCtx._zech`); a ProjPoint is made for each fixed point only.
 
     Accepts elements preserving the quadric mod scalar; pso_verified
     records whether the determinant test certifies the special part.
@@ -458,17 +447,21 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     preserves, lam, special = pso_membership(g, Q)
     if not preserves:
         raise NotOnQuadricGroup("element does not preserve the quadric")
+    _, exp, red, zech = ctx._zech()
+    Z, m1, q1 = ctx._log_zero, ctx._log_minus_one, ctx.order - 1
     fixed = []
-    for value in ctx.elements():
+    for value in range(q1):             # the log codes of F_q^*; M is invertible
+        minus = red[value + m1]
         shifted = [
-            [x - value if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(g.rows)
+            [red[x + zech[minus - x + Z]] if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(g.logs)
         ]
-        if _det4(shifted).is_zero():
-            fixed.extend(
-                pt for pt in _projective_span(ctx, _nullspace(ctx, shifted))
-                if pt.coords[0] * pt.coords[3] == pt.coords[1] * pt.coords[2]
-            )
+        if _det4(ctx, shifted) != Z:
+            continue
+        for v in _span_logs(ctx, _kernel_logs(ctx, shifted)):
+            if red[v[0] + v[3]] == red[v[1] + v[2]]:
+                k = q1 - next(x for x in v if x != Z)
+                fixed.append(ProjPoint(ctx, [FieldElem(ctx, exp[red[x + k]]) for x in v]))
     fixed.sort(key=lambda p: p.key)
     kind, lines = _classify_point_set(ctx, fixed)
     if kind == "OTHER" and special:
@@ -485,46 +478,66 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     )
 
 
-def _nullspace(ctx: FieldCtx, rows) -> List[List[FieldElem]]:
-    """A basis of the kernel of a square matrix, one vector per free
-    column of its reduced row-echelon form."""
-    rref, rank = _rref2(rows)
-    pivots = [next(c for c, x in enumerate(row) if not x.is_zero()) for row in rref[:rank]]
+def _kernel_logs(ctx: FieldCtx, M) -> List[List[int]]:
+    """A basis of the kernel of a singular 4x4 matrix of log codes, one
+    vector per free column of its reduced row-echelon form."""
+    _, _, red, zech = ctx._zech()
+    Z, m1, q1 = ctx._log_zero, ctx._log_minus_one, ctx.order - 1
+    rows = [list(r) for r in M]
+    pivots = []
+    for col in range(4):
+        top = len(pivots)
+        hit = next((r for r in range(top, 4) if rows[r][col] != Z), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        k = q1 - rows[top][col]
+        pivot = rows[top] = [red[x + k] for x in rows[top]]
+        for r in range(4):
+            f = rows[r][col]
+            if r != top and f != Z:
+                f = red[f + m1]         # row r minus f times the pivot row
+                rows[r] = [red[x + zech[red[f + y] - x + Z]] for x, y in zip(rows[r], pivot)]
+        pivots.append(col)
     basis = []
-    for free in (c for c in range(len(rows)) if c not in pivots):
-        v = [ctx.zero()] * len(rows)
-        v[free] = ctx.one()
-        for row, col in zip(rref, pivots):
-            v[col] = -row[free]
+    for free in (c for c in range(4) if c not in pivots):
+        v = [Z] * 4
+        v[free] = 0
+        for row, col in zip(rows, pivots):
+            v[col] = red[row[free] + m1]
         basis.append(v)
     return basis
 
 
-def _projective_span(ctx: FieldCtx, basis) -> List[ProjPoint]:
-    """The points of P(span of the independent vectors in basis), each
-    once: one for each coefficient vector whose first nonzero entry is 1."""
-    out = []
-    elems = list(ctx.elements())
+def _span_logs(ctx: FieldCtx, basis):
+    """The points of P(span of the independent log-code vectors in
+    basis), each once and unscaled: one for each coefficient vector whose
+    first nonzero entry is 1."""
+    _, _, red, zech = ctx._zech()
+    Z = ctx._log_zero
+    codes = [Z, *range(ctx.order - 1)]
     for lead in range(len(basis)):
-        for free in itertools.product(elems, repeat=len(basis) - lead - 1):
-            v = list(basis[lead])
-            for coeff, u in zip(free, basis[lead + 1:]):
-                v = [a + coeff * b for a, b in zip(v, u)]
-            out.append(ProjPoint(ctx, v))
-    return out
+        for coeffs in itertools.product(codes, repeat=len(basis) - lead - 1):
+            v = basis[lead]
+            for c, u in zip(coeffs, basis[lead + 1:]):
+                v = [red[a + zech[red[c + b] - a + Z]] for a, b in zip(v, u)]
+            yield v
 
 
 def _classify_point_set(ctx, fixed):
+    """FINITE for at most 4 points, ONE_LINE or TWO_LINES when the set is
+    the union of the lines all of whose points it holds (see
+    `_full_lines_within`), OTHER otherwise.  Such a line holds q + 1
+    points of the set and two of them share one point when their four
+    basis rows are dependent, none otherwise, so counting settles it."""
     if len(fixed) <= 4:
         return "FINITE", []
     lines = _full_lines_within(ctx, fixed)
-    covered = set()
-    for line in lines:
-        covered.update(line.points())
-    if covered == set(fixed):
-        if len(lines) == 1:
-            return "ONE_LINE", lines
-        if len(lines) == 2:
+    if len(lines) == 1 and len(fixed) == ctx.order + 1:
+        return "ONE_LINE", lines
+    if len(lines) == 2:
+        meet = _det4(ctx, _matrix_logs(ctx, lines[0].basis + lines[1].basis)) == ctx._log_zero
+        if len(fixed) == 2 * (ctx.order + 1) - meet:
             return "TWO_LINES", lines
     return "OTHER", lines
 

@@ -12,11 +12,18 @@ its linear lift is the reflection fixing the hyperplane orthogonal to x.
 `gamma_x` computes one image on `FieldElem`s; `check_quadric_involutions`
 checks many centres and points on Zech log codes (see `FieldCtx._zech`),
 for every field, prime fields included, building no element per pair.
+
+Projective linear elements (`PGLElem`) keep their 4x4 matrix as rows of
+the same log codes.  Products, determinants, the identity test, the
+test M^T B M = lambda B over the nonzero entries of B and the reflection
+lifts all run on codes, prime fields included; the rows of FieldElems
+are decoded only when read (`PGLElem.rows`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
@@ -28,6 +35,8 @@ from .projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
+    _matrix_logs,
+    _require_p3,
     line_through,
     meet_line_plane,
     on_quadric,
@@ -222,43 +231,101 @@ def eta_composed(x: ProjPoint, y: ProjPoint, a: ProjPoint) -> ProjPoint:
 # -- projective linear elements ------------------------------------------
 
 def _mat_mul(ctx: FieldCtx, A, B):
-    zero = ctx.zero()
-    n = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(n)), zero) for j in range(n)]
-        for i in range(n)
-    ]
+    """A B for a 4x4 matrix A and a matrix B with four rows, both of log
+    codes (see `projgeom._det4`)."""
+    _, _, red, zech = ctx._zech()
+    Z = ctx._log_zero
+    cols = tuple(zip(*B))
+    out = []
+    for r0, r1, r2, r3 in A:
+        row = []
+        for c0, c1, c2, c3 in cols:
+            acc = red[r0 + c0]
+            for t in (red[r1 + c1], red[r2 + c2], red[r3 + c3]):
+                acc = red[acc + zech[t - acc + Z]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
-def _mat_transpose(A):
-    return [list(col) for col in zip(*A)]
+def _matrix_elems(ctx: FieldCtx, M) -> List[List[FieldElem]]:
+    """The FieldElems of a matrix of log codes over ctx."""
+    exp = ctx._zech()[1]
+    return [[FieldElem(ctx, exp[x]) for x in row] for row in M]
 
 
-def _congruence_value(ctx: FieldCtx, M, B):
-    """M^T B M, as the two products M^T (B M)."""
-    return _mat_mul(ctx, _mat_transpose(M), _mat_mul(ctx, B, M))
+def _entry_logs(Q: QuadricForm):
+    """The nonzero entries (i, j, b) of Q's matrix with b as a log code."""
+    log = Q.ctx._zech()[0]
+    return [(i, j, log[b.code]) for i, j, b in Q.entries]
+
+
+def _congruence_ratio(M, Q: QuadricForm, target: QuadricForm) -> Optional[int]:
+    """The log code of the lambda != 0 with M^T B M = lambda T, for a 4x4
+    matrix M of log codes, B the matrix of Q and T that of target, over
+    one field; None when there is none.  Each entry of M^T B M sums over
+    the nonzero entries of B alone, and lambda is the ratio at the first
+    nonzero entry of T in row order."""
+    ctx = Q.ctx
+    _, _, red, zech = ctx._zech()
+    Z = ctx._log_zero
+    entries = _entry_logs(Q)
+    cols = tuple(zip(*M))
+    lam = None
+    for ci, trow in zip(cols, _matrix_logs(ctx, target.B)):
+        for cj, t in zip(cols, trow):
+            acc = Z
+            for k, l, b in entries:
+                term = red[red[ci[k] + b] + cj[l]]
+                acc = red[acc + zech[term - acc + Z]]
+            if t == Z:
+                if acc != Z:
+                    return None
+                continue
+            cand = red[acc + (Z >> 1) - t]      # acc / t; Z / 2 is q - 1
+            if lam is None:
+                lam = cand
+            elif cand != lam:
+                return None
+    return None if lam in (None, Z) else lam
 
 
 class PGLElem:
-    """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1."""
+    """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1.
 
-    __slots__ = ("ctx", "rows", "key")
+    The matrix is kept as `logs`, its rows of Zech log codes (see
+    `FieldCtx._zech`), on which products, determinants and the identity
+    test run; `key` holds the rows of int codes and `rows` the rows of
+    FieldElems, decoded on first access."""
 
     def __init__(self, ctx: FieldCtx, rows):
         rows = tuple(tuple(ctx.elem(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise GroupError("matrix must be 4x4")
-        if _det4(rows).is_zero():
+        logs = _matrix_logs(ctx, rows)
+        if _det4(ctx, logs) == ctx._log_zero:
             raise Singular("matrix is singular")
-        pivot = next(
-            (x for row in rows for x in row if not x.is_zero()), None
-        )
-        if not pivot.is_one():
-            s = inv(pivot)
-            rows = tuple(tuple(x * s for x in row) for row in rows)
+        self._set_logs(ctx, logs)
+
+    @classmethod
+    def _of_logs(cls, ctx: FieldCtx, M) -> "PGLElem":
+        """The element of an invertible 4x4 matrix of log codes, such as a
+        product of elements, made without a FieldElem or a det check."""
+        g = cls.__new__(cls)
+        g._set_logs(ctx, M)
+        return g
+
+    def _set_logs(self, ctx: FieldCtx, M):
+        _, exp, red, _ = ctx._zech()
+        lead = next(x for row in M for x in row if x != ctx._log_zero)
+        k = ctx.order - 1 - lead                # times 1/lead
         self.ctx = ctx
-        self.rows = rows
-        self.key = tuple(tuple(x.code for x in row) for row in rows)
+        self.logs = tuple(tuple(red[x + k] for x in row) for row in M)
+        self.key = tuple(tuple(exp[x] for x in row) for row in self.logs)
+
+    @cached_property
+    def rows(self) -> Tuple[Tuple[FieldElem, ...], ...]:
+        return tuple(tuple(FieldElem(self.ctx, c) for c in row) for row in self.key)
 
     def __eq__(self, other):
         return (
@@ -274,75 +341,98 @@ class PGLElem:
         return f"PGL{self.rows}"
 
     def is_identity(self) -> bool:
+        Z = self.ctx._log_zero
         return all(
-            self.rows[i][j].is_one() if i == j else self.rows[i][j].is_zero()
-            for i in range(4)
-            for j in range(4)
+            x == (0 if i == j else Z)           # log 1 is 0
+            for i, row in enumerate(self.logs) for j, x in enumerate(row)
         )
 
     def __mul__(self, other: "PGLElem") -> "PGLElem":
         if self.ctx is not other.ctx:
             raise GroupError("mixed contexts")
-        return PGLElem(self.ctx, _mat_mul(self.ctx, self.rows, other.rows))
+        return PGLElem._of_logs(self.ctx, _mat_mul(self.ctx, self.logs, other.logs))
 
     def act(self, p: ProjPoint) -> ProjPoint:
-        return p.apply_matrix(self.rows)
+        """The image of a point of P^3 over the same field."""
+        ctx = self.ctx
+        if p.ctx is not ctx:
+            raise GroupError("mixed contexts")
+        _require_p3(p)
+        log, exp, _, _ = ctx._zech()
+        image = _mat_mul(ctx, self.logs, [[log[c]] for c in p.key])
+        return ProjPoint(ctx, [FieldElem(ctx, exp[x]) for (x,) in image])
 
     def det(self) -> FieldElem:
-        return _det4(self.rows)
+        return FieldElem(self.ctx, self.ctx._zech()[1][_det4(self.ctx, self.logs)])
 
 
 def is_orthogonal_mod_scalar(
     M: PGLElem, Q: QuadricForm
 ) -> Tuple[bool, Optional[FieldElem]]:
-    """Test M^T B M = lambda * B; returns the witness lambda when true,
-    the ratio at the first nonzero entry of B in row order."""
+    """Test M^T B M = lambda * B on log codes; returns the witness lambda
+    when true, the ratio at the first nonzero entry of B in row order."""
     if M.ctx is not Q.ctx:
         raise GroupError("mixed contexts")
-    B = Q.B
-    prod = _congruence_value(M.ctx, M.rows, B)
-    lam = None
-    for i in range(4):
-        for j in range(4):
-            if not B[i][j].is_zero():
-                cand = prod[i][j] / B[i][j]
-                if lam is None:
-                    lam = cand
-                elif cand != lam:
-                    return False, None
-            elif not prod[i][j].is_zero():
-                return False, None
-    if lam is None or lam.is_zero():
+    lam = _congruence_ratio(M.logs, Q, Q)
+    if lam is None:
         return False, None
-    return True, lam
+    return True, FieldElem(M.ctx, M.ctx._zech()[1][lam])
+
+
+def _reflection_vector(Q: QuadricForm, x: ProjPoint, v) -> List[int]:
+    """The log codes of w = (-2/<x, x>) B x, for x off Q with log codes v:
+    the reflection in x sends u to u + (w . u) x (see `gamma_x`).  Raises
+    PointOnQuadric for x on Q."""
+    ctx = Q.ctx
+    log, _, red, zech = ctx._zech()
+    Z = ctx._log_zero
+    bx = [Z] * 4
+    for i, j, b in _entry_logs(Q):
+        term = red[b + v[j]]
+        bx[i] = red[bx[i] + zech[term - bx[i] + Z]]
+    qx = Z
+    for vi, bi in zip(v, bx):
+        term = red[vi + bi]
+        qx = red[qx + zech[term - qx + Z]]
+    if qx == Z:
+        raise PointOnQuadric(f"{x} lies on the quadric")
+    # 2 < p, so the code of 2 is 2 p^(n-1); Z / 2 is q - 1
+    minus_two = red[log[2 * ctx._unit] + ctx._log_minus_one]
+    c = red[minus_two + (Z >> 1) - qx]
+    return [red[c + b] for b in bx]
+
+
+def _reflection_logs(x: ProjPoint, Q: QuadricForm):
+    """The log codes of the rows of `reflection_matrix(x, Q)`."""
+    ctx = x.ctx
+    if ctx.p == 2:
+        raise CharTwo("reflections need characteristic != 2")
+    if Q.ctx is not ctx:
+        raise GroupError("mixed contexts")
+    _require_p3(x)
+    log, _, red, zech = ctx._zech()
+    v = [log[c] for c in x.key]
+    w = _reflection_vector(Q, x, v)
+    # entry (i, j) is [i = j] + v_i w_j; adding 1 (log code 0) to t is
+    # red[zech[t + Z]]
+    return tuple(
+        tuple(red[zech[red[vi + wj] + ctx._log_zero]] if i == j else red[vi + wj]
+              for j, wj in enumerate(w))
+        for i, vi in enumerate(v)
+    )
 
 
 def reflection_matrix(x: ProjPoint, Q: QuadricForm):
     """Rows of the exact linear involution v -> v - 2 <v, x>/<x, x> x in
     the bilinear form of Q; it negates the lift of x and fixes its
     orthogonal hyperplane, and satisfies M^T B M = B on the nose."""
-    ctx = x.ctx
-    if ctx.p == 2:
-        raise CharTwo("reflections need characteristic != 2")
-    if Q.ctx is not ctx:
-        raise GroupError("mixed contexts")
-    vx = x.coords
-    qx = Q.bilinear(vx, vx)
-    if qx.is_zero():
-        raise PointOnQuadric(f"{x} lies on the quadric")
-    two_over = ctx.elem(2) / qx
-    images = []
-    for i in range(4):
-        basis = [ctx.one() if j == i else ctx.zero() for j in range(4)]
-        coeff = two_over * Q.bilinear(basis, vx)
-        images.append([basis[j] - coeff * vx[j] for j in range(4)])
-    # images are of basis vectors, hence the columns; transpose to rows
-    return [[images[j][i] for j in range(4)] for i in range(4)]
+    return _matrix_elems(x.ctx, _reflection_logs(x, Q))
 
 
 def reflection_lift(x: ProjPoint, Q: QuadricForm) -> PGLElem:
-    """reflection_matrix as a canonical projective element."""
-    return PGLElem(x.ctx, reflection_matrix(x, Q))
+    """reflection_matrix as a canonical projective element, formed on log
+    codes from the point's codes and the nonzero entries of Q."""
+    return PGLElem._of_logs(x.ctx, _reflection_logs(x, Q))
 
 
 def gamma_x(x: ProjPoint, y: ProjPoint, Q: QuadricForm) -> ProjPoint:
@@ -355,6 +445,7 @@ def gamma_x(x: ProjPoint, y: ProjPoint, Q: QuadricForm) -> ProjPoint:
     ctx = x.ctx
     if ctx.p == 2:
         raise CharTwo("quadric involutions need characteristic != 2")
+    _require_p3(x, y)
     qx = Q.bilinear(x.coords, x.coords)
     if qx.is_zero():
         raise PointOnQuadric(f"{x} lies on the quadric")
@@ -384,10 +475,10 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
     S, X = PointSet.of(S), PointSet.of(X)
     if S and S.ctx is not ctx or X and X.ctx is not ctx:
         raise MixedContexts("point set from a different field")
-    log, exp, red, zech = ctx._zech()
+    _, exp, red, zech = ctx._zech()
     Z, m1 = ctx._log_zero, ctx._log_minus_one
     q1 = Z >> 1
-    entries = [(i, j, log[b.code]) for i, j, b in Q.entries]
+    entries = _entry_logs(Q)
 
     def form(u, v):
         # log of <u, v>
@@ -444,16 +535,8 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
     for x, v in zip(X, X.logs):
         if form(v, v) != Z:
             raise PointOffQuadric(f"{x} is not on the quadric")
-    minus_two = red[log[2 * ctx._unit] + m1]     # 2 < p: the code of 2 is 2 p^(n-1)
     for s, sv in zip(S, S.logs):
-        qs = form(sv, sv)
-        if qs == Z:
-            raise PointOnQuadric(f"{s} lies on the quadric")
-        c = red[minus_two + q1 - qs]
-        w = [Z] * 4
-        for i, j, b in entries:
-            term = red[red[b + sv[j]] + c]
-            w[i] = red[w[i] + zech[term - w[i] + Z]]
+        w = _reflection_vector(Q, s, sv)
         images = []
         for x, xv in zip(X, X.logs):
             y = image(sv, w, xv)
@@ -494,6 +577,7 @@ def segre(u: ProjPoint, w: ProjPoint) -> ProjPoint:
 
 def segre_inverse(p: ProjPoint) -> Tuple[ProjPoint, ProjPoint]:
     """Factor a point of the quadric x1*x4 = x2*x3 through P^1 x P^1."""
+    _require_p3(p)
     ctx = p.ctx
     c1, c2, c3, c4 = p.coords
     if c1 * c4 != c2 * c3:

@@ -88,14 +88,6 @@ class ProjPoint:
     def parse(ctx: FieldCtx, text: str) -> "ProjPoint":
         return ProjPoint(ctx, [FieldElem.parse(ctx, c) for c in text.split(":")])
 
-    def apply_matrix(self, rows) -> "ProjPoint":
-        """Image under a square matrix given as rows of FieldElems."""
-        v = self.coords
-        return ProjPoint(
-            self.ctx,
-            [sum((r[j] * v[j] for j in range(len(v))), self.ctx.zero()) for r in rows],
-        )
-
 
 def _rref2(rows: List[List[FieldElem]]):
     """Reduced row-echelon form of a small matrix, returned with rank."""
@@ -110,8 +102,9 @@ def _rref2(rows: List[List[FieldElem]]):
         if hit is None:
             continue
         rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        scale = inv(rows[pivot_row][col])
-        rows[pivot_row] = [x * scale for x in rows[pivot_row]]
+        if not rows[pivot_row][col].is_one():
+            scale = inv(rows[pivot_row][col])
+            rows[pivot_row] = [x * scale for x in rows[pivot_row]]
         for r in range(len(rows)):
             if r != pivot_row and not rows[r][col].is_zero():
                 f = rows[r][col]
@@ -292,7 +285,8 @@ class QuadricForm:
         return acc
 
     def det(self) -> FieldElem:
-        return _det4(self.B)
+        ctx = self.ctx
+        return FieldElem(ctx, ctx._zech()[1][_det4(ctx, _matrix_logs(ctx, self.B))])
 
     def is_smooth(self) -> bool:
         return not self.det().is_zero()
@@ -316,25 +310,54 @@ class QuadricForm:
         )
 
 
+def _require_p3(*points: ProjPoint) -> None:
+    """Raise GeometryError for the first point that is not in P^3."""
+    for x in points:
+        if len(x.key) != 4:
+            raise GeometryError(f"{x} is not a point of P^3: it has {len(x.key)} coordinates")
+
+
 def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
     if p.ctx is not Q.ctx:
         raise MixedContexts("point from a different field")
+    _require_p3(p)
     return Q.evaluate(p.coords).is_zero()
 
 
-def _det4(rows) -> FieldElem:
-    """Determinant of a 4x4 matrix by the Laplace expansion along its top
-    two rows: the sum of the six products of a 2x2 minor of rows 0, 1
-    with the complementary minor of rows 2, 3, signed."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
+# -- 4x4 matrices on Zech log codes ------------------------------------------
+#
+# A matrix is four rows of log codes (see `FieldCtx._zech`): with Z the
+# code of 0, the product of codes x, y is red[x + y] and their sum
+# red[x + zech[y - x + Z]], and -x is red[x + l(-1)].
+
+def _matrix_logs(ctx: FieldCtx, rows) -> Tuple[Tuple[int, ...], ...]:
+    """The log codes of a matrix of FieldElems over ctx."""
+    log = ctx._zech()[0]
+    return tuple(tuple(log[x.code] for x in row) for row in rows)
+
+
+def _det4(ctx: FieldCtx, M) -> int:
+    """The log code of the determinant of a 4x4 matrix of log codes, by
+    the Laplace expansion along its top two rows: the sum of the six
+    products of a 2x2 minor of rows 0, 1 with the complementary minor of
+    rows 2, 3, signed."""
+    _, _, red, zech = ctx._zech()
+    Z, m1 = ctx._log_zero, ctx._log_minus_one
+    a, b, c, d = M
+
+    def minor(r, s, i, j):
+        # r_i s_j - r_j s_i
+        x = red[r[i] + s[j]]
+        return red[x + zech[red[red[r[j] + s[i]] + m1] - x + Z]]
+
+    acc = Z
+    for i, j, k, l, sign in (
+        (0, 1, 2, 3, 0), (0, 2, 1, 3, m1), (0, 3, 1, 2, 0),
+        (1, 2, 0, 3, 0), (1, 3, 0, 2, m1), (2, 3, 0, 1, 0),
+    ):
+        term = red[red[minor(a, b, i, j) + minor(c, d, k, l)] + sign]
+        acc = red[acc + zech[term - acc + Z]]
+    return acc
 
 
 # -- point sets ---------------------------------------------------------

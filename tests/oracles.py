@@ -14,7 +14,12 @@ check that path (see test_oracles.py):
   for `constructions.classify_fixed_points`;
 - `orthogonal_by_triple_sums`: M^T B M by 16 triple products an entry,
   for `groups.is_orthogonal_mod_scalar`;
-- `det_laplace`: the recursive Laplace determinant, for `projgeom._det4`;
+- `det_laplace`: the recursive Laplace determinant, for `projgeom._det4`
+  and `PGLElem.det`;
+- `mat_mul`, `scaled_key` and `reflection_rows`: the 4x4 product, the
+  projective scaling and the reflection v - 2<v, x>/<x, x> x on
+  `FieldElem`s, for the log-code `PGLElem.__mul__`, `PGLElem` keys and
+  `groups.reflection_lift`/`reflection_matrix`;
 - `brute_triples_on_points`: the rank test on `FieldElem` lifts with
   `line_through` line keys, for the log-code kernels of F_{p^n};
 - `line_concentration_by_lines`: the points of X on each `line_through`
@@ -47,7 +52,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, List
 
-from orchardlab.field import FieldCtx, _poly_mulmod
+from orchardlab.field import FieldCtx, _poly_mulmod, inv
 from orchardlab.groups import AffElem, PGLElem, aff_act, aff_compose, aff_inverse, gamma_x, segre
 from orchardlab.incidence import VerificationFailure
 from orchardlab.measures import GroupMeasure
@@ -252,6 +257,37 @@ def det_laplace(ctx: FieldCtx, rows):
         return acc
 
     return det([list(r) for r in rows])
+
+
+def mat_mul(ctx: FieldCtx, A, B):
+    """A B for square matrices of FieldElems, each entry a sum of products."""
+    zero = ctx.zero()
+    n = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(n)), zero) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def scaled_key(rows):
+    """The int codes of a nonzero matrix of FieldElems divided by its
+    first nonzero entry, row by row: the key of its `PGLElem`."""
+    s = inv(next(x for row in rows for x in row if not x.is_zero()))
+    return tuple(tuple((x * s).code for x in row) for row in rows)
+
+
+def reflection_rows(x: ProjPoint, Q: QuadricForm):
+    """The rows of v -> v - 2 <v, x>/<x, x> x in the bilinear form of Q,
+    from the images of the basis vectors (its columns)."""
+    ctx = x.ctx
+    vx = x.coords
+    two_over = ctx.elem(2) / Q.bilinear(vx, vx)
+    images = []
+    for i in range(4):
+        basis = [ctx.one() if j == i else ctx.zero() for j in range(4)]
+        coeff = two_over * Q.bilinear(basis, vx)
+        images.append([basis[j] - coeff * vx[j] for j in range(4)])
+    return [[images[j][i] for j in range(4)] for i in range(4)]
 
 
 def brute_triples_on_points(X1, X2, X3):

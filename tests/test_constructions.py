@@ -13,11 +13,12 @@ from orchardlab.constructions import (
     classify_fixed_points,
     diagonalize_quadric,
     normalize_to_segre,
+    pso_membership,
     to_segre_form,
     verify_example,
 )
 from orchardlab.errors import VerificationFailure
-from orchardlab.field import FieldCtx
+from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
     CharTwo,
     IdentityElement,
@@ -280,6 +281,47 @@ def test_classify_unverified_reflection_conic():
     assert not on_quadric(x, QS)
     cls = classify_fixed_points(reflection_lift(x, QS), F5)
     assert not cls.pso_verified
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(2, 2), FieldCtx(2, 3)], ids=str)
+def test_swap_of_factors_is_not_special_in_characteristic_two(ctx):
+    # the swap x1 <-> x2 preserves the Segre matrix with lambda = 1 and
+    # det = -1 = 1 = lambda^2, yet it fixes a conic: the det test cannot
+    # tell the cosets apart in characteristic 2, so nothing is verified
+    swap = PGLElem(ctx, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert pso_membership(swap, QuadricForm.segre(ctx)) == (True, ctx.one(), False)
+    cls = classify_fixed_points(swap, ctx)
+    assert cls.kind == "OTHER" and not cls.pso_verified
+    assert len(cls.fixed_points) == ctx.order + 1
+
+
+@pytest.mark.parametrize("ctx", [F5, F9], ids=str)
+def test_classify_builds_no_field_arithmetic(ctx, monkeypatch):
+    """Reflection lifts, their products and the classifier run on log
+    codes: no FieldElem is added, subtracted or multiplied."""
+    rng = random.Random(0)
+    QS = QuadricForm.segre(ctx)
+    off_q = [p for p in enumerate_space(ctx, 3) if not on_quadric(p, QS)]
+    pairs = [rng.sample(off_q, 2) for _ in range(30)]
+    # diag(1, 1, 2, 2) fixes two lines, so the full-line path runs too
+    two_lines = PGLElem(ctx, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    called = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        op = getattr(FieldElem, name)
+
+        def counted(self, other, op=op, name=name):
+            called.append(name)
+            return op(self, other)
+
+        monkeypatch.setattr(FieldElem, name, counted)
+    kinds = {classify_fixed_points(two_lines, ctx).kind}
+    for x1, x2 in pairs:
+        g = reflection_lift(x1, QS) * reflection_lift(x2, QS)
+        if not g.is_identity():
+            kinds.add(classify_fixed_points(g, ctx).kind)
+    monkeypatch.undo()
+    assert "TWO_LINES" in kinds and "FINITE" in kinds
+    assert called == []
 
 
 def test_classification_sample_f5_f9():

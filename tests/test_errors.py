@@ -2,8 +2,10 @@
 from `OrchardError`, and the CLI turns each into exit 1 (exit 2 for
 `VerificationFailure`) with a one-line message.  Every function that
 takes point sets raises the `PointSet` errors for a repeat, a field mix
-or a point outside P^3, never a bare ValueError or IndexError, and one
-`orchard-threeplanes` run validates each of its three sets once."""
+or a point outside P^3, never a bare ValueError or IndexError, as does
+every function that takes single points of P^3 for a point outside it,
+and one `orchard-threeplanes` run validates each of its three sets
+once."""
 
 import importlib
 import inspect
@@ -16,7 +18,16 @@ from orchardlab import cli
 from orchardlab.constructions import NoSqrtMinusOne, SingularForm, _full_lines_within
 from orchardlab.errors import OrchardError, VerificationFailure
 from orchardlab.field import FieldCtx
-from orchardlab.groups import AffElem, aff_act, check_quadric_involutions
+from orchardlab.groups import (
+    AffElem,
+    PGLElem,
+    aff_act,
+    check_quadric_involutions,
+    gamma_x,
+    reflection_lift,
+    reflection_matrix,
+    segre_inverse,
+)
 from orchardlab.incidence import (
     EqualPlanes,
     count_collinear_triples,
@@ -33,6 +44,7 @@ from orchardlab.projgeom import (
     ProjPlane,
     ProjPoint,
     QuadricForm,
+    on_quadric,
 )
 
 
@@ -90,6 +102,26 @@ def test_point_kernels_reject_points_outside_p3(kernel, bad):
     X = [PLANE[0], ProjPoint(F5, bad)]
     with pytest.raises(GeometryError) as info:
         POINT_KERNELS[kernel](X)
+    assert type(info.value) is GeometryError
+
+
+# each function that takes single points of P^3, called with x as such a point
+POINT_FUNCTIONS = {
+    "reflection-lift": lambda x: reflection_lift(x, SEGRE),
+    "reflection-matrix": lambda x: reflection_matrix(x, SEGRE),
+    "gamma-x-centre": lambda x: gamma_x(x, PLANE[0], SEGRE),
+    "gamma-x-point": lambda x: gamma_x(OFF_SEGRE[0], x, SEGRE),
+    "segre-inverse": segre_inverse,
+    "pgl-act": lambda x: PGLElem(F5, [[int(i == j) for j in range(4)] for i in range(4)]).act(x),
+    "on-quadric": lambda x: on_quadric(x, SEGRE),
+}
+
+
+@pytest.mark.parametrize("function", POINT_FUNCTIONS)
+@pytest.mark.parametrize("bad", [[1, 0], [1, 2, 3, 4, 0]], ids=["P1-point", "P4-point"])
+def test_point_functions_reject_points_outside_p3(function, bad):
+    with pytest.raises(GeometryError) as info:
+        POINT_FUNCTIONS[function](ProjPoint(F5, bad))
     assert type(info.value) is GeometryError
 
 

@@ -24,6 +24,7 @@ API = {
             "BsgDecomposition.structured_support", "BsgDecomposition.boundary_atoms"},
     "cli": {"main"},
     "constructions": {"normalize_to_segre"},
+    "groups": {"reflection_matrix"},
     "incidence": {"free_tuples", "omega_set"},
     "measures": {"coset_mass", "is_symmetric", "load_measure", "lp_norm_sq",
                  "save_measure", "sym_power", "sym_power_2exp"},

@@ -24,8 +24,12 @@ from oracles import (
     full_lines_by_scan,
     involution_images,
     line_concentration_by_lines,
+    mat_mul,
     orthogonal_by_triple_sums,
     pair_stabilizer_scan,
+    random_smooth_form,
+    reflection_rows,
+    scaled_key,
     zech_powers_by_matrix,
 )
 
@@ -49,6 +53,7 @@ from orchardlab.groups import (
     check_quadric_involutions,
     is_orthogonal_mod_scalar,
     reflection_lift,
+    reflection_matrix,
 )
 from orchardlab.incidence import (
     _keyed,
@@ -62,6 +67,7 @@ from orchardlab.projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
+    _matrix_logs,
     collinear,
     enumerate_space,
     line_through,
@@ -266,12 +272,51 @@ def test_det4_matches_laplace(ctx, data):
     elems = ctx.elements_sorted()
     row = st.lists(st.sampled_from(elems), min_size=4, max_size=4)
     rows = [data.draw(row) for _ in range(4)]
-    if data.draw(st.booleans()):
-        # a singular matrix: the last row a combination of two others
+    singular = data.draw(st.booleans())
+    if singular:
+        # the last row a combination of two others
         s, t = data.draw(st.sampled_from(elems)), data.draw(st.sampled_from(elems))
         rows[3] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
-        assert _det4(rows).is_zero()
-    assert _det4(rows) == det_laplace(ctx, rows)
+    det = _det4(ctx, _matrix_logs(ctx, rows))      # on log codes
+    if singular:
+        assert det == ctx._log_zero
+    assert FieldElem(ctx, ctx._zech()[1][det]) == det_laplace(ctx, rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([F3, F4, F5, F9]), st.data())
+def test_pgl_algebra_matches_fieldelem_oracles(ctx, data):
+    """Products (every field), det, the identity test and reflections
+    (odd characteristic) on log codes against FieldElem arithmetic."""
+    elems = ctx.elements_sorted()
+    row = st.lists(st.sampled_from(elems), min_size=4, max_size=4)
+
+    def element():
+        if data.draw(st.booleans()):
+            # a nonzero scalar matrix, the identity of PGL
+            c = data.draw(st.sampled_from(elems[1:]))
+            rows = [[c if i == j else ctx.zero() for j in range(4)] for i in range(4)]
+        else:
+            rows = [data.draw(row) for _ in range(4)]
+            assume(not det_laplace(ctx, rows).is_zero())
+        return PGLElem(ctx, rows), rows
+
+    (g, A), (h, B) = element(), element()
+    assert g.key == scaled_key(A)
+    assert (g * h).key == scaled_key(mat_mul(ctx, A, B))
+    if ctx is F4:
+        return
+    assert g.det() == det_laplace(ctx, g.rows)
+    zero = ctx.zero()
+    assert g.is_identity() == all(
+        A[i][j] == (A[0][0] if i == j else zero) for i in range(4) for j in range(4))
+    Q = random_smooth_form(ctx, data.draw(st.randoms())) if ctx.n == 1 else (
+        QuadricForm.segre(ctx) if data.draw(st.booleans()) else QuadricForm.identity(ctx))
+    x = data.draw(st.sampled_from(enumerate_space(ctx, 3)))
+    assume(not on_quadric(x, Q))
+    rows = reflection_rows(x, Q)
+    assert reflection_matrix(x, Q) == rows
+    assert reflection_lift(x, Q).key == scaled_key(rows)
 
 
 # -- sparse quadric forms --------------------------------------------------
