@@ -253,10 +253,6 @@ def _compose_embeds(embeds: Sequence[Callable]) -> Callable:
     return run
 
 
-def _log_two(ctx: FieldCtx) -> int:
-    return ctx._zech()[0][ctx.elem(2).code]
-
-
 def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
     """Produce M with M^T B M = I exactly, adjoining square roots as
     needed (one quadratic extension suffices: after it, every base-field
@@ -357,7 +353,7 @@ def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
     # T^T T = 4 * (matrix of x1*x4 - x2*x3) = 2 * the doubled QuadricForm.segre
     ratio = _congruence_ratio(
         _matrix_logs(ctx, T), QuadricForm.identity(ctx), QuadricForm.segre(ctx))
-    if ratio != _log_two(ctx):
+    if ratio != ctx.zech.log[ctx.elem(2).code]:
         raise VerificationFailure("substitution identity failed")
     return QuadricNormalization(
         source=QuadricForm.identity(ctx),
@@ -388,7 +384,7 @@ def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
     M = _mat_mul(ctx, _matrix_logs(ctx, trans), _matrix_logs(ctx, seg.transform))
     embed_all = _compose_embeds(embeds)
     B_final = QuadricForm(ctx, _embed_matrix(B.B, embed_all))
-    if _congruence_ratio(M, B_final, QuadricForm.segre(ctx)) != _log_two(ctx):
+    if _congruence_ratio(M, B_final, QuadricForm.segre(ctx)) != ctx.zech.log[ctx.elem(2).code]:
         raise VerificationFailure("composite normalization failed")
     return QuadricNormalization(
         source=B,
@@ -422,7 +418,7 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
     ok, lam = is_orthogonal_mod_scalar(g, Q)
     if not ok:
         return False, None, False
-    log, _, red, _ = g.ctx._zech()
+    log, _, red, *_ = g.ctx.zech
     return True, lam, g.ctx.p > 2 and log[g.det().code] == red[2 * log[lam.code]]
 
 
@@ -433,7 +429,7 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     g, so Fix(g) is the union, over the eigenvalues lambda in F_q of M, of
     the points of P(ker(M - lambda I)) on the quadric; the points are
     sorted by key.  The search runs on the log codes of M (see
-    `FieldCtx._zech`); a ProjPoint is made for each fixed point only.
+    `field.ZechTables`); a ProjPoint is made for each fixed point only.
 
     Accepts elements preserving the quadric mod scalar; pso_verified
     records whether the determinant test certifies the special part.
@@ -447,21 +443,19 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     preserves, lam, special = pso_membership(g, Q)
     if not preserves:
         raise NotOnQuadricGroup("element does not preserve the quadric")
-    _, exp, red, zech = ctx._zech()
-    Z, m1, q1 = ctx._log_zero, ctx._log_minus_one, ctx.order - 1
+    t = ctx.zech
+    exp, red, Z = t.exp, t.red, t.Z
     fixed = []
-    for value in range(q1):             # the log codes of F_q^*; M is invertible
-        minus = red[value + m1]
+    for value in range(ctx.order - 1):  # the log codes of F_q^*; M is invertible
         shifted = [
-            [red[x + zech[minus - x + Z]] if i == j else x for j, x in enumerate(row)]
+            [t.minus(x, value) if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(g.logs)
         ]
         if _det4(ctx, shifted) != Z:
             continue
         for v in _span_logs(ctx, _kernel_logs(ctx, shifted)):
             if red[v[0] + v[3]] == red[v[1] + v[2]]:
-                k = q1 - next(x for x in v if x != Z)
-                fixed.append(ProjPoint(ctx, [FieldElem(ctx, exp[red[x + k]]) for x in v]))
+                fixed.append(ProjPoint(ctx, [FieldElem(ctx, exp[x]) for x in t.scaled(v)]))
     fixed.sort(key=lambda p: p.key)
     kind, lines = _classify_point_set(ctx, fixed)
     if kind == "OTHER" and special:
@@ -481,8 +475,8 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
 def _kernel_logs(ctx: FieldCtx, M) -> List[List[int]]:
     """A basis of the kernel of a singular 4x4 matrix of log codes, one
     vector per free column of its reduced row-echelon form."""
-    _, _, red, zech = ctx._zech()
-    Z, m1, q1 = ctx._log_zero, ctx._log_minus_one, ctx.order - 1
+    t = ctx.zech
+    red, Z, m1 = t.red, t.Z, t.m1
     rows = [list(r) for r in M]
     pivots = []
     for col in range(4):
@@ -490,14 +484,13 @@ def _kernel_logs(ctx: FieldCtx, M) -> List[List[int]]:
         hit = next((r for r in range(top, 4) if rows[r][col] != Z), None)
         if hit is None:
             continue
+        # rows from top on are zero before col, so the pivot leads its row
         rows[top], rows[hit] = rows[hit], rows[top]
-        k = q1 - rows[top][col]
-        pivot = rows[top] = [red[x + k] for x in rows[top]]
+        pivot = rows[top] = t.scaled(rows[top])
         for r in range(4):
             f = rows[r][col]
-            if r != top and f != Z:
-                f = red[f + m1]         # row r minus f times the pivot row
-                rows[r] = [red[x + zech[red[f + y] - x + Z]] for x, y in zip(rows[r], pivot)]
+            if r != top and f != Z:     # row r minus f times the pivot row
+                rows[r] = [t.minus(x, red[f + y]) for x, y in zip(rows[r], pivot)]
         pivots.append(col)
     basis = []
     for free in (c for c in range(4) if c not in pivots):
@@ -513,8 +506,7 @@ def _span_logs(ctx: FieldCtx, basis):
     """The points of P(span of the independent log-code vectors in
     basis), each once and unscaled: one for each coefficient vector whose
     first nonzero entry is 1."""
-    _, _, red, zech = ctx._zech()
-    Z = ctx._log_zero
+    _, _, red, zech, Z, _ = ctx.zech
     codes = [Z, *range(ctx.order - 1)]
     for lead in range(len(basis)):
         for coeffs in itertools.product(codes, repeat=len(basis) - lead - 1):
@@ -536,7 +528,7 @@ def _classify_point_set(ctx, fixed):
     if len(lines) == 1 and len(fixed) == ctx.order + 1:
         return "ONE_LINE", lines
     if len(lines) == 2:
-        meet = _det4(ctx, _matrix_logs(ctx, lines[0].basis + lines[1].basis)) == ctx._log_zero
+        meet = _det4(ctx, _matrix_logs(ctx, lines[0].basis + lines[1].basis)) == ctx.zech.Z
         if len(fixed) == 2 * (ctx.order + 1) - meet:
             return "TWO_LINES", lines
     return "OTHER", lines

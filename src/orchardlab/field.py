@@ -13,16 +13,19 @@ by their normalized (p, n, modulus), so elements of the same field share
 one context and fields compare by identity.  Prime fields add, subtract,
 multiply and invert codes mod p.  F_{p^n} with n > 1 does the same four
 operations on codes through one set of Zech-logarithm arrays
-(`FieldCtx._zech`, the table method of galois and of Givaro's log
-fields), built once per field on its first sum, product or inverse.
-Code that works on many elements at once (the affine group of
-`measures`) uses the same arrays on log codes directly.
+(`FieldCtx.zech`, a `ZechTables`: the table method of galois and of
+Givaro's log fields), built once per field on its first sum, product or
+inverse.  `ZechTables` is the one owner of the log-code format: the
+linear algebra of `projgeom`, `groups` and `constructions` calls its
+operations, and the hot loops (the triple kernels and line keys of
+`incidence`, `measures.convolve` and the `FieldElem` operators) unpack
+its arrays and inline the lookups.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OrchardError
 
@@ -164,6 +167,65 @@ def _least_irreducible(p: int, degree: int) -> Tuple[int, ...]:
     raise CompositeModulus(f"no irreducible of degree {degree} over F_{p}")
 
 
+class ZechTables(NamedTuple):
+    """The Zech-log tables of one field (`FieldCtx.zech`); every field,
+    prime or not, has the same six.
+
+    An element x has log code l(x) = log_g x in [0, q - 1) for x != 0,
+    and l(0) = Z = 2(q - 1), far enough out that a sum of two codes tells
+    whether either was 0.  For a generator g of F_q^*:
+
+    - log[c] is the log code of the element with int code c;
+    - exp[l] is the int code of the element with log code l, 0 <= l <= Z;
+    - red[i], 0 <= i <= 2Z: l(x y) = red[l(x) + l(y)];
+    - zech[d + Z], -Z <= d <= Z: for all x, y (either may be 0),
+      l(x + y) = red[l(x) + zech[l(y) - l(x) + Z]];
+    - m1 = l(-1), so l(-x) = red[l(x) + m1] (m1 = 0 in characteristic 2).
+
+    The arrays have at most 4(q - 1) + 1 entries each.  The methods take
+    and return log codes.
+    """
+
+    log: List[int]
+    exp: List[int]
+    red: List[int]
+    zech: List[int]
+    Z: int
+    m1: int
+
+    def total(self, terms: Iterable[int]) -> int:
+        """The sum of terms (Z for none)."""
+        red, zech, Z = self.red, self.zech, self.Z
+        acc = Z
+        for t in terms:
+            acc = red[acc + zech[t - acc + Z]]
+        return acc
+
+    def minus(self, x: int, y: int) -> int:
+        """x - y."""
+        red = self.red
+        return red[x + self.zech[red[y + self.m1] - x + self.Z]]
+
+    def scaled(self, v: Sequence[int]) -> Optional[Tuple[int, ...]]:
+        """v times the inverse of its first nonzero entry, so that entry
+        becomes 1 (log code 0); None for the zero vector."""
+        Z, red = self.Z, self.red
+        for lead in v:
+            if lead != Z:
+                k = (Z >> 1) - lead             # Z / 2 is q - 1
+                return tuple([red[x + k] for x in v])
+        return None
+
+    def form(self, entries, u: Sequence[int], v: Sequence[int]) -> int:
+        """The sum of b u_i v_j over entries (i, j, b), b a log code."""
+        red, zech, Z = self.red, self.zech, self.Z
+        acc = Z
+        for i, j, b in entries:
+            t = red[red[b + u[i]] + v[j]]
+            acc = red[acc + zech[t - acc + Z]]
+        return acc
+
+
 class FieldCtx:
     """A finite field F_{p^n}, the shared context of its elements.
 
@@ -203,11 +265,6 @@ class FieldCtx:
             ctx.modulus = modulus
             ctx.order = p**n
             ctx._unit = p ** (n - 1)      # the code of 1, the place of coeffs[0]
-            # log codes of 0 and -1 (see _zech); -1 is the element of order
-            # 2 of the cyclic F_q^*, and -1 = 1 in characteristic 2
-            ctx._log_zero = 2 * (ctx.order - 1)
-            ctx._log_minus_one = (ctx.order - 1) // 2 if p > 2 else 0
-            ctx._zech_arrays = None
             _INTERNED[key] = ctx
         return ctx
 
@@ -282,74 +339,62 @@ class FieldCtx:
             if all(_poly_powmod(g, e, m, p) != one for e in exponents)
         )
 
-    def _zech(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """Zech-log arrays (log, exp, red, zech) on int codes, built on
-        first use; every field, prime or not, has the same four.
-
-        An element x has log code l(x) = log_g x in [0, q - 1) for x != 0,
-        and l(0) = Z = 2(q - 1), far enough out that a sum of two codes
-        tells whether either was 0.  With g the least primitive root mod p
-        for n = 1 and `_primitive_element()` for n > 1:
-
-        - log[c] is the log code of the element with int code c;
-        - exp[l] is the int code of the element with log code l, 0 <= l <= Z;
-        - red[i], 0 <= i <= 2Z: l(x y) = red[l(x) + l(y)];
-        - zech[d + Z], -Z <= d <= Z: for all x, y (either may be 0),
-          l(x + y) = red[l(x) + zech[l(y) - l(x) + Z]].
-
-        Each has at most 4(q - 1) + 1 entries.
-        """
-        if self._zech_arrays is None:
-            p, n, q = self.p, self.n, self.order
-            if n == 1:
-                g = least_primitive_root(p)
-                powers = [1]
-                for _ in range(q - 2):
-                    powers.append(powers[-1] * g % p)
-            else:
-                m = list(self.modulus)
-                g = self._primitive_element()
-                # multiplying by g is F_p-linear: row k gives coefficient k
-                # of the product from the coefficients of the factor.  Rows,
-                # columns and place values past n are 0, so every n <= 4
-                # takes the same unrolled 4-wide step
-                cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
-                (
-                    (r00, r01, r02, r03), (r10, r11, r12, r13),
-                    (r20, r21, r22, r23), (r30, r31, r32, r33),
-                ) = [[cols[j][k] if j < n and k < n else 0 for j in range(4)]
-                     for k in range(4)]
-                u0, u1, u2, u3 = [p ** (n - 1 - k) if k < n else 0 for k in range(4)]
-                c0, c1, c2, c3 = 1, 0, 0, 0
-                powers = []
-                append = powers.append
-                for _ in range(q - 1):
-                    append(c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3)
-                    c0, c1, c2, c3 = (
-                        (r00 * c0 + r01 * c1 + r02 * c2 + r03 * c3) % p,
-                        (r10 * c0 + r11 * c1 + r12 * c2 + r13 * c3) % p,
-                        (r20 * c0 + r21 * c1 + r22 * c2 + r23 * c3) % p,
-                        (r30 * c0 + r31 * c1 + r32 * c2 + r33 * c3) % p,
-                    )
-            Z = self._log_zero
-            idx = list(range(q - 1))              # log and red share the ints
-            log = [Z] * q
-            for i, c in zip(idx, powers):
-                log[c] = i
-            exp = powers * 2 + [0]
-            red = idx * 2 + [Z] * (Z + 1)
-            # l(y) - l(x) lies in [-(q-2), q-2] when x, y != 0, in
-            # [-Z, -q] when x = 0 and in [q, Z] when y = 0 (x = y = 0 hits
-            # d = 0, where red absorbs any offset); d = +-(q-1) never occurs
-            zech = [0] * (2 * Z + 1)
-            for d in range(-Z, -q + 1):
-                zech[d + Z] = d                   # x = 0: the sum is y
-            top = self._unit
-            for d in range(-(q - 2), q - 1):
-                c = exp[d % (q - 1)]              # 1 + g^d: add 1 to coeffs[0]
-                zech[d + Z] = log[c + top if c < q - top else c - (q - top)]
-            self._zech_arrays = (log, exp, red, zech)
-        return self._zech_arrays
+    @cached_property
+    def zech(self) -> "ZechTables":
+        """The field's Zech-log tables (see `ZechTables`), built on first
+        use with g the least primitive root mod p for n = 1 and
+        `_primitive_element()` for n > 1."""
+        p, n, q = self.p, self.n, self.order
+        if n == 1:
+            g = least_primitive_root(p)
+            powers = [1]
+            for _ in range(q - 2):
+                powers.append(powers[-1] * g % p)
+        else:
+            m = list(self.modulus)
+            g = self._primitive_element()
+            # multiplying by g is F_p-linear: row k gives coefficient k
+            # of the product from the coefficients of the factor.  Rows,
+            # columns and place values past n are 0, so every n <= 4
+            # takes the same unrolled 4-wide step
+            cols = [_poly_mulmod(g, [0] * j + [1], m, p) for j in range(n)]
+            (
+                (r00, r01, r02, r03), (r10, r11, r12, r13),
+                (r20, r21, r22, r23), (r30, r31, r32, r33),
+            ) = [[cols[j][k] if j < n and k < n else 0 for j in range(4)]
+                 for k in range(4)]
+            u0, u1, u2, u3 = [p ** (n - 1 - k) if k < n else 0 for k in range(4)]
+            c0, c1, c2, c3 = 1, 0, 0, 0
+            powers = []
+            append = powers.append
+            for _ in range(q - 1):
+                append(c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3)
+                c0, c1, c2, c3 = (
+                    (r00 * c0 + r01 * c1 + r02 * c2 + r03 * c3) % p,
+                    (r10 * c0 + r11 * c1 + r12 * c2 + r13 * c3) % p,
+                    (r20 * c0 + r21 * c1 + r22 * c2 + r23 * c3) % p,
+                    (r30 * c0 + r31 * c1 + r32 * c2 + r33 * c3) % p,
+                )
+        Z = 2 * (q - 1)
+        idx = list(range(q - 1))              # log and red share the ints
+        log = [Z] * q
+        for i, c in zip(idx, powers):
+            log[c] = i
+        exp = powers * 2 + [0]
+        red = idx * 2 + [Z] * (Z + 1)
+        # l(y) - l(x) lies in [-(q-2), q-2] when x, y != 0, in
+        # [-Z, -q] when x = 0 and in [q, Z] when y = 0 (x = y = 0 hits
+        # d = 0, where red absorbs any offset); d = +-(q-1) never occurs
+        zech = [0] * (2 * Z + 1)
+        for d in range(-Z, -q + 1):
+            zech[d + Z] = d                   # x = 0: the sum is y
+        top = self._unit
+        for d in range(-(q - 2), q - 1):
+            c = exp[d % (q - 1)]              # 1 + g^d: add 1 to coeffs[0]
+            zech[d + Z] = log[c + top if c < q - top else c - (q - top)]
+        # -1 is the element of order 2 of the cyclic F_q^*, and -1 = 1 in
+        # characteristic 2
+        return ZechTables(log, exp, red, zech, Z, (q - 1) // 2 if p > 2 else 0)
 
     # -- square roots ---------------------------------------------------
 
@@ -433,7 +478,7 @@ class FieldElem:
             return self.ctx.elem(other)
         return NotImplemented
 
-    # n > 1 works on log codes: see FieldCtx._zech
+    # n > 1 works on log codes: see ZechTables
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
@@ -441,9 +486,9 @@ class FieldElem:
         ctx = self.ctx
         if ctx.n == 1:
             return FieldElem(ctx, (self.code + o.code) % ctx.p)
-        log, exp, red, zech = ctx._zech_arrays or ctx._zech()
+        log, exp, red, zech, Z, _ = ctx.zech
         x = log[self.code]
-        return FieldElem(ctx, exp[red[x + zech[log[o.code] - x + ctx._log_zero]]])
+        return FieldElem(ctx, exp[red[x + zech[log[o.code] - x + Z]]])
 
     __radd__ = __add__
 
@@ -454,10 +499,10 @@ class FieldElem:
         ctx = self.ctx
         if ctx.n == 1:
             return FieldElem(ctx, (self.code - o.code) % ctx.p)
-        log, exp, red, zech = ctx._zech_arrays or ctx._zech()
+        log, exp, red, zech, Z, m1 = ctx.zech
         x = log[self.code]
-        y = red[log[o.code] + ctx._log_minus_one]
-        return FieldElem(ctx, exp[red[x + zech[y - x + ctx._log_zero]]])
+        y = red[log[o.code] + m1]
+        return FieldElem(ctx, exp[red[x + zech[y - x + Z]]])
 
     def __rsub__(self, other):
         return self.ctx.elem(other) - self
@@ -466,8 +511,8 @@ class FieldElem:
         ctx = self.ctx
         if ctx.n == 1:
             return FieldElem(ctx, -self.code % ctx.p)
-        log, exp, red, _ = ctx._zech_arrays or ctx._zech()
-        return FieldElem(ctx, exp[red[log[self.code] + ctx._log_minus_one]])
+        log, exp, red, _, _, m1 = ctx.zech
+        return FieldElem(ctx, exp[red[log[self.code] + m1]])
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -476,7 +521,7 @@ class FieldElem:
         ctx = self.ctx
         if ctx.n == 1:
             return FieldElem(ctx, self.code * o.code % ctx.p)
-        log, exp, red, _ = ctx._zech_arrays or ctx._zech()
+        log, exp, red, _, _, _ = ctx.zech
         return FieldElem(ctx, exp[red[log[self.code] + log[o.code]]])
 
     __rmul__ = __mul__
@@ -536,7 +581,7 @@ def inv(a: FieldElem) -> FieldElem:
     ctx = a.ctx
     if ctx.n == 1:
         return FieldElem(ctx, pow(a.code, ctx.p - 2, ctx.p))
-    log, exp, _, _ = ctx._zech_arrays or ctx._zech()
+    log, exp, _, _, _, _ = ctx.zech
     return FieldElem(ctx, exp[ctx.order - 1 - log[a.code]])
 
 

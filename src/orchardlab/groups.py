@@ -10,7 +10,7 @@ For a smooth quadric: a point x off the quadric induces the involution
 sending y to the second intersection of the line x--y with the quadric;
 its linear lift is the reflection fixing the hyperplane orthogonal to x.
 `gamma_x` computes one image on `FieldElem`s; `check_quadric_involutions`
-checks many centres and points on Zech log codes (see `FieldCtx._zech`),
+checks many centres and points on Zech log codes (see `field.ZechTables`),
 for every field, prime fields included, building no element per pair.
 
 Projective linear elements (`PGLElem`) keep their 4x4 matrix as rows of
@@ -35,6 +35,7 @@ from .projgeom import (
     ProjPoint,
     QuadricForm,
     _det4,
+    _entry_logs,
     _matrix_logs,
     _require_p3,
     line_through,
@@ -230,34 +231,22 @@ def eta_composed(x: ProjPoint, y: ProjPoint, a: ProjPoint) -> ProjPoint:
 
 # -- projective linear elements ------------------------------------------
 
+# the entries of the identity form (log 1 is 0), whose form on u, v is u . v
+_DOT = tuple((k, k, 0) for k in range(4))
+
+
 def _mat_mul(ctx: FieldCtx, A, B):
     """A B for a 4x4 matrix A and a matrix B with four rows, both of log
     codes (see `projgeom._det4`)."""
-    _, _, red, zech = ctx._zech()
-    Z = ctx._log_zero
+    form = ctx.zech.form
     cols = tuple(zip(*B))
-    out = []
-    for r0, r1, r2, r3 in A:
-        row = []
-        for c0, c1, c2, c3 in cols:
-            acc = red[r0 + c0]
-            for t in (red[r1 + c1], red[r2 + c2], red[r3 + c3]):
-                acc = red[acc + zech[t - acc + Z]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(form(_DOT, row, col) for col in cols) for row in A)
 
 
 def _matrix_elems(ctx: FieldCtx, M) -> List[List[FieldElem]]:
     """The FieldElems of a matrix of log codes over ctx."""
-    exp = ctx._zech()[1]
+    exp = ctx.zech.exp
     return [[FieldElem(ctx, exp[x]) for x in row] for row in M]
-
-
-def _entry_logs(Q: QuadricForm):
-    """The nonzero entries (i, j, b) of Q's matrix with b as a log code."""
-    log = Q.ctx._zech()[0]
-    return [(i, j, log[b.code]) for i, j, b in Q.entries]
 
 
 def _congruence_ratio(M, Q: QuadricForm, target: QuadricForm) -> Optional[int]:
@@ -267,22 +256,19 @@ def _congruence_ratio(M, Q: QuadricForm, target: QuadricForm) -> Optional[int]:
     the nonzero entries of B alone, and lambda is the ratio at the first
     nonzero entry of T in row order."""
     ctx = Q.ctx
-    _, _, red, zech = ctx._zech()
-    Z = ctx._log_zero
+    t = ctx.zech
+    red, Z = t.red, t.Z
     entries = _entry_logs(Q)
     cols = tuple(zip(*M))
     lam = None
     for ci, trow in zip(cols, _matrix_logs(ctx, target.B)):
-        for cj, t in zip(cols, trow):
-            acc = Z
-            for k, l, b in entries:
-                term = red[red[ci[k] + b] + cj[l]]
-                acc = red[acc + zech[term - acc + Z]]
-            if t == Z:
+        for cj, tij in zip(cols, trow):
+            acc = t.form(entries, ci, cj)
+            if tij == Z:
                 if acc != Z:
                     return None
                 continue
-            cand = red[acc + (Z >> 1) - t]      # acc / t; Z / 2 is q - 1
+            cand = red[acc + (Z >> 1) - tij]    # acc / tij; Z / 2 is q - 1
             if lam is None:
                 lam = cand
             elif cand != lam:
@@ -294,7 +280,7 @@ class PGLElem:
     """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1.
 
     The matrix is kept as `logs`, its rows of Zech log codes (see
-    `FieldCtx._zech`), on which products, determinants and the identity
+    `field.ZechTables`), on which products, determinants and the identity
     test run; `key` holds the rows of int codes and `rows` the rows of
     FieldElems, decoded on first access."""
 
@@ -303,7 +289,7 @@ class PGLElem:
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise GroupError("matrix must be 4x4")
         logs = _matrix_logs(ctx, rows)
-        if _det4(ctx, logs) == ctx._log_zero:
+        if _det4(ctx, logs) == ctx.zech.Z:
             raise Singular("matrix is singular")
         self._set_logs(ctx, logs)
 
@@ -316,11 +302,10 @@ class PGLElem:
         return g
 
     def _set_logs(self, ctx: FieldCtx, M):
-        _, exp, red, _ = ctx._zech()
-        lead = next(x for row in M for x in row if x != ctx._log_zero)
-        k = ctx.order - 1 - lead                # times 1/lead
+        t = ctx.zech
+        exp, flat = t.exp, t.scaled([x for row in M for x in row])
         self.ctx = ctx
-        self.logs = tuple(tuple(red[x + k] for x in row) for row in M)
+        self.logs = tuple(flat[i:i + 4] for i in (0, 4, 8, 12))
         self.key = tuple(tuple(exp[x] for x in row) for row in self.logs)
 
     @cached_property
@@ -341,7 +326,7 @@ class PGLElem:
         return f"PGL{self.rows}"
 
     def is_identity(self) -> bool:
-        Z = self.ctx._log_zero
+        Z = self.ctx.zech.Z
         return all(
             x == (0 if i == j else Z)           # log 1 is 0
             for i, row in enumerate(self.logs) for j, x in enumerate(row)
@@ -358,12 +343,12 @@ class PGLElem:
         if p.ctx is not ctx:
             raise GroupError("mixed contexts")
         _require_p3(p)
-        log, exp, _, _ = ctx._zech()
+        log, exp, *_ = ctx.zech
         image = _mat_mul(ctx, self.logs, [[log[c]] for c in p.key])
         return ProjPoint(ctx, [FieldElem(ctx, exp[x]) for (x,) in image])
 
     def det(self) -> FieldElem:
-        return FieldElem(self.ctx, self.ctx._zech()[1][_det4(self.ctx, self.logs)])
+        return FieldElem(self.ctx, self.ctx.zech.exp[_det4(self.ctx, self.logs)])
 
 
 def is_orthogonal_mod_scalar(
@@ -376,7 +361,7 @@ def is_orthogonal_mod_scalar(
     lam = _congruence_ratio(M.logs, Q, Q)
     if lam is None:
         return False, None
-    return True, FieldElem(M.ctx, M.ctx._zech()[1][lam])
+    return True, FieldElem(M.ctx, M.ctx.zech.exp[lam])
 
 
 def _reflection_vector(Q: QuadricForm, x: ProjPoint, v) -> List[int]:
@@ -384,21 +369,15 @@ def _reflection_vector(Q: QuadricForm, x: ProjPoint, v) -> List[int]:
     the reflection in x sends u to u + (w . u) x (see `gamma_x`).  Raises
     PointOnQuadric for x on Q."""
     ctx = Q.ctx
-    log, _, red, zech = ctx._zech()
-    Z = ctx._log_zero
-    bx = [Z] * 4
-    for i, j, b in _entry_logs(Q):
-        term = red[b + v[j]]
-        bx[i] = red[bx[i] + zech[term - bx[i] + Z]]
-    qx = Z
-    for vi, bi in zip(v, bx):
-        term = red[vi + bi]
-        qx = red[qx + zech[term - qx + Z]]
+    t = ctx.zech
+    red, Z = t.red, t.Z
+    entries = _entry_logs(Q)
+    bx = [t.total(red[b + v[j]] for i, j, b in entries if i == k) for k in range(4)]
+    qx = t.form(entries, v, v)
     if qx == Z:
         raise PointOnQuadric(f"{x} lies on the quadric")
-    # 2 < p, so the code of 2 is 2 p^(n-1); Z / 2 is q - 1
-    minus_two = red[log[2 * ctx._unit] + ctx._log_minus_one]
-    c = red[minus_two + (Z >> 1) - qx]
+    minus_two = red[t.log[ctx.elem(2).code] + t.m1]
+    c = red[minus_two + (Z >> 1) - qx]          # Z / 2 is q - 1
     return [red[c + b] for b in bx]
 
 
@@ -410,13 +389,13 @@ def _reflection_logs(x: ProjPoint, Q: QuadricForm):
     if Q.ctx is not ctx:
         raise GroupError("mixed contexts")
     _require_p3(x)
-    log, _, red, zech = ctx._zech()
+    log, _, red, zech, Z, _ = ctx.zech
     v = [log[c] for c in x.key]
     w = _reflection_vector(Q, x, v)
     # entry (i, j) is [i = j] + v_i w_j; adding 1 (log code 0) to t is
     # red[zech[t + Z]]
     return tuple(
-        tuple(red[zech[red[vi + wj] + ctx._log_zero]] if i == j else red[vi + wj]
+        tuple(red[zech[red[vi + wj] + Z]] if i == j else red[vi + wj]
               for j, wj in enumerate(w))
         for i, vi in enumerate(v)
     )
@@ -475,65 +454,33 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
     S, X = PointSet.of(S), PointSet.of(X)
     if S and S.ctx is not ctx or X and X.ctx is not ctx:
         raise MixedContexts("point set from a different field")
-    _, exp, red, zech = ctx._zech()
-    Z, m1 = ctx._log_zero, ctx._log_minus_one
-    q1 = Z >> 1
+    t = ctx.zech
+    exp, red, zech, Z = t.exp, t.red, t.zech, t.Z
     entries = _entry_logs(Q)
-
-    def form(u, v):
-        # log of <u, v>
-        acc = Z
-        for i, j, b in entries:
-            term = red[red[b + u[i]] + v[j]]
-            acc = red[acc + zech[term - acc + Z]]
-        return acc
 
     def image(s, w, v):
         # gamma_s(v) scaled to a first nonzero entry 1, or None for 0;
-        # w is (-2/<s, s>) B s, so t = sum_i v_i w_i
-        v0, v1, v2, v3 = v
-        w0, w1, w2, w3 = w
-        t = red[v0 + w0]
-        for u in (red[v1 + w1], red[v2 + w2], red[v3 + w3]):
-            t = red[t + zech[u - t + Z]]
-        s0, s1, s2, s3 = s
-        v0 = red[v0 + zech[red[t + s0] - v0 + Z]]
-        v1 = red[v1 + zech[red[t + s1] - v1 + Z]]
-        v2 = red[v2 + zech[red[t + s2] - v2 + Z]]
-        v3 = red[v3 + zech[red[t + s3] - v3 + Z]]
-        lead = v0 if v0 != Z else v1 if v1 != Z else v2 if v2 != Z else v3
-        if lead == Z:
-            return None
-        if not lead:                    # log 1 is 0: already canonical
-            return v0, v1, v2, v3
-        k = q1 - lead
-        return red[v0 + k], red[v1 + k], red[v2 + k], red[v3 + k]
+        # w is (-2/<s, s>) B s, so v + (sum_i v_i w_i) s
+        c = t.form(_DOT, v, w)
+        return t.scaled([red[vi + zech[red[c + si] - vi + Z]] for vi, si in zip(v, s)])
 
     def rank_two(a, b, c):
         # the minors m_ij of (a, b), then c_i m_jk + c_k m_ij = c_j m_ik
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
+        m01, m02, m03, m12, m13, m23 = [
+            t.minus(red[a[i] + b[j]], red[a[j] + b[i]])
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        ]
         c0, c1, c2, c3 = c
-        m01, m02, m03, m12, m13, m23 = (
-            red[x + zech[red[y + m1] - x + Z]]
-            for x, y in (
-                (red[a0 + b1], red[a1 + b0]), (red[a0 + b2], red[a2 + b0]),
-                (red[a0 + b3], red[a3 + b0]), (red[a1 + b2], red[a2 + b1]),
-                (red[a1 + b3], red[a3 + b1]), (red[a2 + b3], red[a3 + b2]),
-            )
-        )
         return all(
             red[x + zech[red[y] - x + Z]] == red[z]
             for x, y, z in (
-                (red[c0 + m12], c2 + m01, c1 + m02),
-                (red[c0 + m13], c3 + m01, c1 + m03),
-                (red[c0 + m23], c3 + m02, c2 + m03),
-                (red[c1 + m23], c3 + m12, c2 + m13),
+                (red[c0 + m12], c2 + m01, c1 + m02), (red[c0 + m13], c3 + m01, c1 + m03),
+                (red[c0 + m23], c3 + m02, c2 + m03), (red[c1 + m23], c3 + m12, c2 + m13),
             )
         )
 
     for x, v in zip(X, X.logs):
-        if form(v, v) != Z:
+        if t.form(entries, v, v) != Z:
             raise PointOffQuadric(f"{x} is not on the quadric")
     for s, sv in zip(S, S.logs):
         w = _reflection_vector(Q, s, sv)
@@ -541,7 +488,7 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
         for x, xv in zip(X, X.logs):
             y = image(sv, w, xv)
             if not (
-                y and form(y, y) == Z and rank_two(sv, xv, y)
+                y and t.form(entries, y, y) == Z and rank_two(sv, xv, y)
                 and image(sv, w, y) == xv
             ):
                 raise VerificationFailure(f"quadric involution failed at ({s}, {x})")

@@ -8,7 +8,7 @@ by the canonical line they span.  They must agree exactly; the hash
 kernel is the fast one.  Neither builds a field element: prime fields
 run both on the points' int code tuples, F_{p^n} on their tuples of
 Zech log codes (products as one table lookup, sums through the Zech
-table, see `FieldCtx._zech`).  Each code domain has one brute kernel and
+table, see `field.ZechTables`).  Each code domain has one brute kernel and
 one unrolled RREF line key, which takes every pair of distinct canonical
 points (first nonzero entry 1), those on {x0 = 0} included.  Both keys are
 the flat 8-tuple of int codes that `ProjLine.key` is, so the hash kernel,
@@ -161,20 +161,13 @@ def _count_brute_int(p: int, X1, X2, X3):
     return total, per_line
 
 
-def _log_tables(ctx: FieldCtx):
-    """(exp, red, zech, Z, l(-1)) of ctx's Zech-log arrays (see
-    `FieldCtx._zech`), the tables the log-code kernels read."""
-    _, exp, red, zech = ctx._zech()
-    return exp, red, zech, ctx._log_zero, ctx._log_minus_one
-
-
 def _rref_key_log(t, v1, v2):
     """`_rref_key_int` on log codes: the canonical RREF key, as the flat
     8-tuple of int codes, of the span of two distinct canonical points
     given as tuples of log codes over F_{p^n} (first non-Z entry 0, the
-    log of 1).  t is `_log_tables(ctx)`: x * y has log red[x + y], -x has
-    log red[x + l(-1)], and x + y has log red[x + zech[y - x + Z]]."""
-    exp, red, zech, Z, m1 = t
+    log of 1).  t is the field's `ZechTables`: x * y has log red[x + y],
+    -x has log red[x + m1], and x + y has log red[x + zech[y - x + Z]]."""
+    _, exp, red, zech, Z, m1 = t
     if v1[0] != Z:
         _, a1, a2, a3 = v1
         b0, b1, b2, b3 = v2
@@ -224,15 +217,11 @@ def _count_brute_generic(ctx, X1, X2, X3):
     """`_count_brute_int` over F_{p^n}, on log codes (see `_keyed`).  Each
     minor test c_i m_jk - c_j m_ik + c_k m_ij = 0 compares the logs of
     c_i m_jk + c_k m_ij and c_j m_ik, so it needs no negation."""
-    t = _log_tables(ctx)
-    _, red, zech, Z, m1 = t
+    t = ctx.zech
+    _, _, red, zech, Z, _ = t
+    minor = t.minus
     per_line: Dict[tuple, int] = {}
     total = 0
-
-    def minor(x, y):
-        # log of x - y from the logs of the products x and y
-        return red[x + zech[red[y + m1] - x + Z]]
-
     for v1 in X1:
         a0, a1, a2, a3 = v1
         for v2 in X2:
@@ -307,7 +296,7 @@ def _keyed(ctx: FieldCtx, *sets: PointSet):
     if ctx.n == 1:
         p = ctx.p
         return partial(_rref_key_int, p, _inv_table(p)), [X.keys for X in sets]
-    return partial(_rref_key_log, _log_tables(ctx)), [X.logs for X in sets]
+    return partial(_rref_key_log, ctx.zech), [X.logs for X in sets]
 
 
 def _line_from_key(ctx: FieldCtx, key) -> ProjLine:

@@ -10,7 +10,7 @@ L^2 quantities are always handled squared to stay rational.
 
 The group is G_a^2 x| G_m over F_q, which composed plane projections
 give.  It keys each `groups.AffElem` (a, b, c) as one int built from the
-Zech-log codes of a, b and c (see `field.FieldCtx._zech`); a convolution
+Zech-log codes of a, b and c (see `field.ZechTables`); a convolution
 splits each atom's key into its codes once, so each of its terms and each
 key inverse is a few lookups in arrays of length O(q).
 """
@@ -58,7 +58,7 @@ class AffineGroupOps:
 
     Measures store atom g under `key(g)`: (a, b, c) has key
     (l(a) Q + l(b)) R + l(c), where l is the Zech-log code of
-    `FieldCtx._zech` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1; keys
+    `field.ZechTables` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1; keys
     decode with divmod (`element`, and once per atom in `convolve`), and
     `key_inverse` works on keys alone.  The arrays live on the interned
     field context, so two groups over one field compare equal and share them.
@@ -77,13 +77,13 @@ class AffineGroupOps:
         ctx = self.ctx
         if not isinstance(g, AffElem) or g.ctx is not ctx:
             raise MixedGroups(f"{g!r} is not an element of the affine group over {ctx}")
-        log = ctx._zech()[0]
+        log = ctx.zech.log
         q = ctx.order
         return (log[g.a.code] * (2 * q - 1) + log[g.b.code]) * (q - 1) + log[g.c.code]
 
     def element(self, k: int) -> AffElem:
         ctx = self.ctx
-        exp = ctx._zech()[1]
+        exp = ctx.zech.exp
         q = ctx.order
         ab, c = divmod(k, q - 1)
         a, b = divmod(ab, 2 * q - 1)
@@ -92,13 +92,13 @@ class AffineGroupOps:
     def key_inverse(self, k: int) -> int:
         # (a, b, c)^-1 = (-a/c, -b/c, 1/c)
         ctx = self.ctx
-        _, _, red, _ = ctx._zech()
+        _, _, red, _, _, m1 = ctx.zech
         R = ctx.order - 1
         Q = 2 * R + 1
         ab, c = divmod(k, R)
         a, b = divmod(ab, Q)
         c_inv = red[R - c]
-        scale = red[ctx._log_minus_one + c_inv]     # l(-1/c)
+        scale = red[m1 + c_inv]                     # l(-1/c)
         return (red[a + scale] * Q + red[b + scale]) * R + c_inv
 
 
@@ -227,9 +227,8 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     group = f.group
     # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
     # log codes are red[x + y], sums red[x + zech[y - x + Z]]
-    _, _, red, zech = group.ctx._zech()
-    R = group.ctx.order - 1
-    Z = 2 * R
+    _, _, red, zech, Z, _ = group.ctx.zech
+    R = Z >> 1
     Q = Z + 1
     h_atoms = [(*divmod(z // R, Q), z % R, hz) for z, hz in h.nums.items()]
     out: Dict = {}

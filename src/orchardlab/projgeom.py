@@ -148,15 +148,6 @@ class ProjLine:
     def __repr__(self):
         return f"Line{self.basis}"
 
-    def points(self) -> List[ProjPoint]:
-        """All q + 1 points of the line."""
-        ctx = self.ctx
-        u, v = self.basis
-        out = [ProjPoint(ctx, u)]
-        for t in ctx.elements():
-            out.append(ProjPoint(ctx, [a * t + b for a, b in zip(u, v)]))
-        return out
-
 
 class ProjPlane:
     """A plane in P^3 by its canonical dual vector."""
@@ -275,9 +266,6 @@ class QuadricForm:
             if not b.is_zero()
         )
 
-    def evaluate(self, v: Sequence[FieldElem]) -> FieldElem:
-        return self.bilinear(v, v)
-
     def bilinear(self, u, v) -> FieldElem:
         acc = self.ctx.zero()
         for i, j, b in self.entries:
@@ -286,7 +274,7 @@ class QuadricForm:
 
     def det(self) -> FieldElem:
         ctx = self.ctx
-        return FieldElem(ctx, ctx._zech()[1][_det4(ctx, _matrix_logs(ctx, self.B))])
+        return FieldElem(ctx, ctx.zech.exp[_det4(ctx, _matrix_logs(ctx, self.B))])
 
     def is_smooth(self) -> bool:
         return not self.det().is_zero()
@@ -318,22 +306,32 @@ def _require_p3(*points: ProjPoint) -> None:
 
 
 def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
+    """Whether p lies on Q, by the form on log codes (see `_entry_logs`)."""
     if p.ctx is not Q.ctx:
         raise MixedContexts("point from a different field")
     _require_p3(p)
-    return Q.evaluate(p.coords).is_zero()
+    t = p.ctx.zech
+    v = [t.log[c] for c in p.key]
+    return t.form(_entry_logs(Q), v, v) == t.Z
 
 
 # -- 4x4 matrices on Zech log codes ------------------------------------------
 #
-# A matrix is four rows of log codes (see `FieldCtx._zech`): with Z the
+# A matrix is four rows of log codes (see `field.ZechTables`): with Z the
 # code of 0, the product of codes x, y is red[x + y] and their sum
 # red[x + zech[y - x + Z]], and -x is red[x + l(-1)].
 
 def _matrix_logs(ctx: FieldCtx, rows) -> Tuple[Tuple[int, ...], ...]:
     """The log codes of a matrix of FieldElems over ctx."""
-    log = ctx._zech()[0]
+    log = ctx.zech.log
     return tuple(tuple(log[x.code] for x in row) for row in rows)
+
+
+def _entry_logs(Q: QuadricForm):
+    """The nonzero entries (i, j, b) of Q's matrix with b as a log code,
+    the entries `ZechTables.form` takes."""
+    log = Q.ctx.zech.log
+    return [(i, j, log[b.code]) for i, j, b in Q.entries]
 
 
 def _det4(ctx: FieldCtx, M) -> int:
@@ -341,23 +339,18 @@ def _det4(ctx: FieldCtx, M) -> int:
     the Laplace expansion along its top two rows: the sum of the six
     products of a 2x2 minor of rows 0, 1 with the complementary minor of
     rows 2, 3, signed."""
-    _, _, red, zech = ctx._zech()
-    Z, m1 = ctx._log_zero, ctx._log_minus_one
+    t = ctx.zech
+    red, minus, m1 = t.red, t.minus, t.m1
     a, b, c, d = M
-
-    def minor(r, s, i, j):
-        # r_i s_j - r_j s_i
-        x = red[r[i] + s[j]]
-        return red[x + zech[red[red[r[j] + s[i]] + m1] - x + Z]]
-
-    acc = Z
-    for i, j, k, l, sign in (
-        (0, 1, 2, 3, 0), (0, 2, 1, 3, m1), (0, 3, 1, 2, 0),
-        (1, 2, 0, 3, 0), (1, 3, 0, 2, m1), (2, 3, 0, 1, 0),
-    ):
-        term = red[red[minor(a, b, i, j) + minor(c, d, k, l)] + sign]
-        acc = red[acc + zech[term - acc + Z]]
-    return acc
+    return t.total(
+        # (a_i b_j - a_j b_i)(c_k d_l - c_l d_k), signed
+        red[red[minus(red[a[i] + b[j]], red[a[j] + b[i]])
+                + minus(red[c[k] + d[l]], red[c[l] + d[k]])] + sign]
+        for i, j, k, l, sign in (
+            (0, 1, 2, 3, 0), (0, 2, 1, 3, m1), (0, 3, 1, 2, 0),
+            (1, 2, 0, 3, 0), (1, 3, 0, 2, m1), (2, 3, 0, 1, 0),
+        )
+    )
 
 
 # -- point sets ---------------------------------------------------------
@@ -365,7 +358,7 @@ def _det4(ctx: FieldCtx, M) -> int:
 class PointSet(tuple):
     """An immutable sequence of distinct points of P^3 over one field ctx
     (None when empty), with their code tuples `keys` (`ProjPoint.key`)
-    and Zech log-code tuples `logs` (see `FieldCtx._zech`, built on first
+    and Zech log-code tuples `logs` (see `field.ZechTables`, built on first
     use).  Raises MixedContexts, GeometryError (not in P^3) or EqualPoints
     with `index`, the first bad point's position.  Equal to a list or
     tuple of the same points in the same order."""
@@ -396,7 +389,7 @@ class PointSet(tuple):
 
     @cached_property
     def logs(self) -> Tuple[Tuple[int, ...], ...]:
-        log = self.ctx._zech()[0] if self else None
+        log = self.ctx.zech.log if self else None
         return tuple(tuple(log[c] for c in key) for key in self.keys)
 
     def __eq__(self, other):

@@ -31,7 +31,8 @@ check that path (see test_oracles.py):
 - `involution_images`: `groups.gamma_x` and `projgeom.collinear` on
   `FieldElem`s per pair, for `groups.check_quadric_involutions`;
 - `zech_powers_by_matrix`: the generator powers by one matrix-vector
-  product of lists per element, for the unrolled step of `FieldCtx._zech`;
+  product of lists per element, for the unrolled step that builds
+  `field.ZechTables`;
 - `least_root_by_scan`: the least code whose square is a, for the
   Tonelli-Shanks root of `FieldCtx.sqrt`;
 - `pencil_scan`: the count on every plane of the pencil, for
@@ -44,8 +45,9 @@ The helpers, one copy each, build what the tests feed the library:
 `affine_group_elements` (all of G_a^2 x| G_m), `mulclose` (a capped
 closure), `segre_quadric_points`, `pencil_planes` (in the order
 `incidence.pencil_plane_concentration` takes them), `family_triple` (one
-triple of the extremal example), `random_measure`, `random_smooth_form`
-and `on_line` (the rank test of a point against a line's basis).
+triple of the extremal example), `random_measure`, `random_smooth_form`,
+`on_line` (the rank test of a point against a line's basis) and
+`line_points` (the q + 1 points of a line).
 """
 
 import operator
@@ -144,6 +146,16 @@ def random_measure(group, elements, rng, max_support=8):
 def on_line(line: ProjLine, p: ProjPoint) -> bool:
     """Whether p lies on the line: its basis plus p has rank 2."""
     return matrix_rank([*line.basis, p.coords]) == 2
+
+
+def line_points(line: ProjLine) -> List[ProjPoint]:
+    """All q + 1 points of the line: its first basis row u, then
+    t u + v for t in `ctx.elements()`."""
+    ctx = line.ctx
+    u, v = line.basis
+    return [ProjPoint(ctx, u)] + [
+        ProjPoint(ctx, [a * t + b for a, b in zip(u, v)]) for t in ctx.elements()
+    ]
 
 
 def random_smooth_form(ctx, rng):
@@ -352,7 +364,7 @@ def full_lines_by_scan(points):
             if line.key in seen:
                 continue
             seen.add(line.key)
-            if all(x in pts for x in line.points()):
+            if all(x in pts for x in line_points(line)):
                 found.append(line)
     return found
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import family_triple, random_smooth_form
+from oracles import family_triple, line_points, random_smooth_form
 from orchardlab import constructions
 from orchardlab.constructions import (
     DegenerateParameters,
@@ -232,7 +232,7 @@ def test_classify_two_lines_example():
     assert len(cls.fixed_points) == 12
     covered = set()
     for line in cls.lines:
-        covered.update(line.points())
+        covered.update(line_points(line))
     assert covered == set(cls.fixed_points)
 
 

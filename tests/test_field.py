@@ -238,6 +238,45 @@ def test_table_arithmetic_matches_poly_oracle_f625(x, y):
         assert _oracle_mul(a, inv(a)) == F625.one().coeffs
 
 
+ZECH_FIELDS = [FieldCtx(2), F3, FieldCtx(2, 2), F5, F9, F25, FieldCtx(3, 3), FieldCtx(101)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ZECH_FIELDS), st.data())
+def test_zech_table_operations_match_fieldelem_arithmetic(ctx, data):
+    """`ZechTables.total`, `minus`, `scaled` and `form` against FieldElem
+    arithmetic (int arithmetic mod p on prime fields), with zero operands
+    (log code Z) and the zero vector drawn often."""
+    t = ctx.zech
+    assert t.Z == 2 * (ctx.order - 1)
+    assert t.m1 == t.log[(-ctx.one()).code] == (0 if ctx.p == 2 else (ctx.order - 1) // 2)
+    elem = st.one_of(st.just(0), st.integers(0, ctx.order - 1)).map(lambda c: FieldElem(ctx, c))
+    vec = st.lists(elem, min_size=4, max_size=4)
+    u, v = data.draw(vec), data.draw(vec)
+    if data.draw(st.booleans()):
+        u = [ctx.zero()] * 4
+    lu, lv = [t.log[a.code] for a in u], [t.log[a.code] for a in v]
+
+    def value(code):
+        return FieldElem(ctx, t.exp[code])
+
+    for x, y, a, b in zip(lu, lv, u, v):
+        assert value(t.minus(x, y)) == a - b
+    assert value(t.total(lu)) == sum(u, ctx.zero())
+    assert t.total([]) == t.Z
+    scaled = t.scaled(lu)
+    if all(a.is_zero() for a in u):
+        assert scaled is None
+    else:
+        lead = next(a for a in u if not a.is_zero())
+        assert [value(x) for x in scaled] == [a / lead for a in u]
+    nonzero = st.integers(1, ctx.order - 1).map(lambda c: FieldElem(ctx, c))
+    pairs = st.tuples(st.integers(0, 3), st.integers(0, 3), nonzero)
+    entries = data.draw(st.lists(pairs, max_size=6))
+    logs = [(i, j, t.log[b.code]) for i, j, b in entries]
+    assert value(t.form(logs, lu, lv)) == sum((u[i] * b * v[j] for i, j, b in entries), ctx.zero())
+
+
 @pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
 def test_code_order_is_coefficient_order(p, n):
     ctx = FieldCtx(p, n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import affine_group_elements, mulclose, on_line, pencil_planes
+from oracles import affine_group_elements, line_points, mulclose, on_line, pencil_planes
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
     AffElem,
@@ -280,7 +280,7 @@ def test_line_concentration_examples():
     assert rep.witness is not None
     assert sum(1 for p in pts if on_line(_line_from_key(F5, rep.witness), p)) == 3
     line = line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]))
-    assert line_concentration(line.points()).max_count == 6
+    assert line_concentration(line_points(line)).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1
     assert line_concentration([]).max_count == 0
     # a tie: two lines of 3 points each; the larger key is the witness

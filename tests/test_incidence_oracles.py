@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_concentration_by_lines, pencil_scan
+from oracles import line_concentration_by_lines, line_points, pencil_scan
 from orchardlab.constructions import build_example
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.incidence import (
@@ -105,7 +105,7 @@ def overlapping_sets(draw):
     for _ in range(draw(st.integers(1, 3))):
         u, v = draw(pick), draw(pick)
         if u != v:
-            line = ProjLine(ctx, [u.coords, v.coords]).points()
+            line = line_points(ProjLine(ctx, [u.coords, v.coords]))
             pool += draw(st.lists(st.sampled_from(line), max_size=6))
     pool += draw(st.lists(st.sampled_from([x for x in pts if x.coords[0].is_zero()
                                            and x.coords[1].is_zero()]), max_size=4))

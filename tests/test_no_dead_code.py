@@ -4,7 +4,8 @@ Every top-level function and class, and every method of a public class,
 must be referenced by name or attribute somewhere in `src/` outside its
 own definition (imports do not count). Dunder methods are exempt, and so
 is the library API the README lists, which no subcommand calls. Oracles
-and helpers that only tests call belong in `tests/oracles.py`.
+and helpers that only tests call belong in `tests/oracles.py`.  Outside
+`field.py`, no module reads the private state of a field context.
 
 Uses are matched by bare name, not by owner: a method passes as soon as
 any name or attribute in `src/` spells the same word, so a method that
@@ -95,3 +96,22 @@ def test_every_parameter_is_read():
                 and arg.arg not in read
             ]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+# the private state of `field.FieldCtx` behind its public `zech` tables:
+# its code of 1 and the names its tables had before `ZechTables`
+PRIVATE_FIELD_NAMES = {"_" + name for name in
+                       ("unit", "zech", "zech_arrays", "log_zero", "log_minus_one")}
+
+
+def test_only_field_reads_private_field_state():
+    """Modules other than `field` read Zech log codes through the public
+    `FieldCtx.zech` (`field.ZechTables`), never a field's private
+    attributes, so the log-code format has one owner."""
+    reads = [
+        f"{module}.py:{n.lineno} .{n.attr}"
+        for module, tree in TREES.items() if module != "field"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in PRIVATE_FIELD_NAMES
+    ]
+    assert not reads, "private field attributes read outside field.py: " + ", ".join(reads)

@@ -24,6 +24,7 @@ from oracles import (
     full_lines_by_scan,
     involution_images,
     line_concentration_by_lines,
+    line_points,
     mat_mul,
     orthogonal_by_triple_sums,
     pair_stabilizer_scan,
@@ -207,7 +208,7 @@ def test_full_lines_of_a_large_fixed_set():
     assert cls.kind == "TWO_LINES" and len(cls.fixed_points) == 64
     assert cls.lines == full_lines_by_scan(cls.fixed_points)
     # a line and a lone point: one full line, and order by first pair
-    pts = cls.lines[1].points() + [ProjPoint(F31, [0, 1, 0, 0])]
+    pts = line_points(cls.lines[1]) + [ProjPoint(F31, [0, 1, 0, 0])]
     assert _full_lines_within(F31, pts) == full_lines_by_scan(pts) == [cls.lines[1]]
 
 
@@ -279,8 +280,8 @@ def test_det4_matches_laplace(ctx, data):
         rows[3] = [s * a + t * b for a, b in zip(rows[0], rows[1])]
     det = _det4(ctx, _matrix_logs(ctx, rows))      # on log codes
     if singular:
-        assert det == ctx._log_zero
-    assert FieldElem(ctx, ctx._zech()[1][det]) == det_laplace(ctx, rows)
+        assert det == ctx.zech.Z
+    assert FieldElem(ctx, ctx.zech.exp[det]) == det_laplace(ctx, rows)
 
 
 @settings(max_examples=120, deadline=None)
@@ -341,7 +342,25 @@ def test_sparse_forms_match_dense_sum(ctx, kind, data):
     vec = st.lists(entry, min_size=4, max_size=4)
     u, v = data.draw(vec), data.draw(vec)
     assert Q.bilinear(u, v) == dense_bilinear(Q, u, v)
-    assert Q.evaluate(u) == dense_bilinear(Q, u, u)
+    assert Q.bilinear(u, u) == dense_bilinear(Q, u, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F3, F5, F9, F25]), st.sampled_from(["random", "identity", "segre"]),
+       st.data())
+def test_on_quadric_matches_dense_form(ctx, kind, data):
+    """`on_quadric` on log codes against the dense form on FieldElems, on
+    every point of a random line, which meets Q in 0, 1, 2 or all points."""
+    if kind == "identity":
+        Q = QuadricForm.identity(ctx)
+    elif kind == "segre":
+        Q = QuadricForm.segre(ctx)
+    else:
+        Q = random_smooth_form(ctx, random.Random(data.draw(st.integers(0, 2**16))))
+    a, b = data.draw(ext_points(ctx)), data.draw(ext_points(ctx))
+    assume(a != b)
+    for x in line_points(line_through(a, b)):
+        assert on_quadric(x, Q) == dense_bilinear(Q, x.coords, x.coords).is_zero()
 
 
 # -- the log-code kernels of F_{p^n} ---------------------------------------
@@ -448,7 +467,7 @@ def quadric_case(draw):
     r, u = draw(point), draw(point)
     v = [Q.bilinear(x.coords, u.coords) * a - Q.bilinear(x.coords, r.coords) * b
          for a, b in zip(r.coords, u.coords)]
-    if any(not c.is_zero() for c in v) and not Q.evaluate(v).is_zero():
+    if any(not c.is_zero() for c in v) and not Q.bilinear(v, v).is_zero():
         S.append(ProjPoint(ctx, v))
     assume(S)
     S, X = (list(dict.fromkeys(Y)) for Y in (S, X))     # point sets: no repeats
@@ -496,7 +515,7 @@ def test_involution_check_errors():
     bent = QuadricForm.segre(F5)
     bent.entries = ((0, 3, F5.elem(2)),) + bent.entries[1:3]
     x, s = ProjPoint(F5, [1, 1, 1, 1]), ProjPoint(F5, [1, 0, 0, 2])
-    assert bent.evaluate(x.coords) == Q.evaluate(x.coords) == F5.zero()
+    assert bent.bilinear(x.coords, x.coords) == Q.bilinear(x.coords, x.coords) == F5.zero()
     assert check_quadric_involutions(bent, [off], [on]) == 1
     with pytest.raises(VerificationFailure, match=re.escape(f"failed at ({s}, {x})")):
         check_quadric_involutions(bent, [off, s], [on, x])
@@ -527,5 +546,5 @@ def test_involution_check_builds_no_elements_per_pair(monkeypatch):
                                  (5, 3), (7, 4), (11, 2)])
 def test_zech_powers_match_matrix_loop(p, n):
     ctx = FieldCtx(p, n)
-    assert ctx._zech()[1][:ctx.order - 1] == zech_powers_by_matrix(ctx)
+    assert ctx.zech.exp[:ctx.order - 1] == zech_powers_by_matrix(ctx)
 

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from oracles import segre_quadric_points
+from oracles import line_points, segre_quadric_points
 from orchardlab import cli
 from orchardlab.field import FieldCtx
 from orchardlab.projgeom import (
@@ -95,7 +95,7 @@ def _lines_and_scatter(ctx, seed, lines, per_line, scatter):
         u, v = point(), point()
         if u != v:
             line = ProjLine(ctx, [u.coords, v.coords])
-            for x in rng.sample(line.points(), min(per_line, q + 1)):
+            for x in rng.sample(line_points(line), min(per_line, q + 1)):
                 add(x)
     while len(out) < lines * per_line + scatter:
         add(point())

@@ -40,7 +40,7 @@ def test_point_set_holds_codes_and_passes_through():
     X = PointSet(pts)
     assert X == pts and X == tuple(pts) and not X != pts and X.ctx is F9
     assert X.keys == tuple(p.key for p in pts)
-    log = F9._zech()[0]
+    log = F9.zech.log
     assert X.logs == tuple(tuple(log[c] for c in p.key) for p in pts)
     assert PointSet.of(X) is X and PointSet.of(pts) == X
     assert hash(X) == hash(tuple(pts)) and X[1:] == tuple(pts[1:])
