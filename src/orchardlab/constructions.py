@@ -541,6 +541,7 @@ def _full_lines_within(ctx, points) -> List[ProjLine]:
     ordered = PointSet(sorted(points, key=lambda p: p.key))
     return [
         _line_from_key(ctx, key)
-        for key, m in _later_points_by_line(ctx, ordered)
+        for bucket in _later_points_by_line(ctx, ordered)
+        for key, m in bucket.items()
         if m == ctx.order
     ]

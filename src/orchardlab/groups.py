@@ -455,20 +455,40 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
     if S and S.ctx is not ctx or X and X.ctx is not ctx:
         raise MixedContexts("point set from a different field")
     t = ctx.zech
-    exp, red, zech, Z = t.exp, t.red, t.zech, t.Z
+    _, exp, red, zech, Z, m1 = t
+    q1 = Z >> 1                     # q - 1: x * y^-1 has log red[x + q1 - y]
     entries = _entry_logs(Q)
 
     def image(s, w, v):
         # gamma_s(v) scaled to a first nonzero entry 1, or None for 0;
         # w is (-2/<s, s>) B s, so v + (sum_i v_i w_i) s
-        c = t.form(_DOT, v, w)
-        return t.scaled([red[vi + zech[red[c + si] - vi + Z]] for vi, si in zip(v, s)])
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        c = red[v0 + w0]
+        for u in (red[v1 + w1], red[v2 + w2], red[v3 + w3]):
+            c = red[c + zech[u - c + Z]]
+        s0, s1, s2, s3 = s
+        v0 = red[v0 + zech[red[c + s0] - v0 + Z]]
+        v1 = red[v1 + zech[red[c + s1] - v1 + Z]]
+        v2 = red[v2 + zech[red[c + s2] - v2 + Z]]
+        v3 = red[v3 + zech[red[c + s3] - v3 + Z]]
+        lead = v0 if v0 != Z else v1 if v1 != Z else v2 if v2 != Z else v3
+        if lead == Z:
+            return None
+        k = q1 - lead
+        return red[v0 + k], red[v1 + k], red[v2 + k], red[v3 + k]
 
     def rank_two(a, b, c):
         # the minors m_ij of (a, b), then c_i m_jk + c_k m_ij = c_j m_ik
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
         m01, m02, m03, m12, m13, m23 = [
-            t.minus(red[a[i] + b[j]], red[a[j] + b[i]])
-            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+            red[x + zech[red[y + m1] - x + Z]]
+            for x, y in (
+                (red[a0 + b1], red[a1 + b0]), (red[a0 + b2], red[a2 + b0]),
+                (red[a0 + b3], red[a3 + b0]), (red[a1 + b2], red[a2 + b1]),
+                (red[a1 + b3], red[a3 + b1]), (red[a2 + b3], red[a3 + b2]),
+            )
         ]
         c0, c1, c2, c3 = c
         return all(
@@ -479,8 +499,9 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
             )
         )
 
+    form = t.form
     for x, v in zip(X, X.logs):
-        if t.form(entries, v, v) != Z:
+        if form(entries, v, v) != Z:
             raise PointOffQuadric(f"{x} is not on the quadric")
     for s, sv in zip(S, S.logs):
         w = _reflection_vector(Q, s, sv)
@@ -488,7 +509,7 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
         for x, xv in zip(X, X.logs):
             y = image(sv, w, xv)
             if not (
-                y and t.form(entries, y, y) == Z and rank_two(sv, xv, y)
+                y and form(entries, y, y) == Z and rank_two(sv, xv, y)
                 and image(sv, w, y) == xv
             ):
                 raise VerificationFailure(f"quadric involution failed at ({s}, {x})")

@@ -18,11 +18,12 @@ through `PointSet.of`, which raises for a set that is not one.
 - The brute kernels run the four 3x3 minor tests before excluding a
   repeated point: the two points of the pair pass every minor, so they
   are dropped only after a hit.
-- The hash kernel takes one X1 point at a time: it counts that point's
-  X2 partners by line key in a bucket of its own, and each X3 point then
-  reads its line's count, so memory beyond the per-line result is
-  O(|X2|).  `line_concentration` and the full-line search use the same
-  per-point bucket over the points after each one.
+- The hash kernel takes one X1 point at a time: a `Counter` over the
+  `map` of that point's line key on X2 is its bucket, the same `map` on
+  X3 gives each X3 point's key, and Python steps in only for the X3
+  points whose key is in the bucket.  Memory beyond the per-line result
+  is O(|X2| + |X3|).  `line_concentration` and the full-line search use
+  the same per-point `Counter` over the points after each one.
 - Lines are reported, and the `line_concentration` witness given, by
   their kernel keys, which are already in canonical RREF: `line_text`
   writes a key's text and `_line_from_key` builds its checked `ProjLine`.
@@ -35,8 +36,10 @@ through `PointSet.of`, which raises for a set that is not one.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
 
 from .errors import OrchardError, VerificationFailure
@@ -81,46 +84,42 @@ def _inv_table(p: int):
 
 def _rref_key_int(p: int, inv, v1, v2):
     """Canonical RREF key of the 2x4 span of two distinct canonical point
-    code tuples (first nonzero entry 1), unrolled.  When both rows start
-    with 0, their s shared leading zero columns move to the end: zero
-    columns never pivot and the others keep their order, so the RREF of
-    the rotated rows, rotated back, is the key."""
-    if v1[0]:
-        _, a1, a2, a3 = v1
-        b0, b1, b2, b3 = v2
-        s = 0
-    elif v2[0]:
-        _, a1, a2, a3 = v2
-        b0, b1, b2, b3 = v1
-        s = 0
-    else:
-        s = 1 if v1[1] or v2[1] else 2
-        if not v1[s]:
-            v1, v2 = v2, v1
-        _, a1, a2, a3 = v1[s:] + (0,) * s
-        b0, b1, b2, b3 = v2[s:] + (0,) * s
+    code tuples (first nonzero entry 1), unrolled.  The pivot row a is a
+    point with x0 = 1 when there is one; the other row b then has b0 in
+    {0, 1}, so eliminating b0 is a subtraction.  Two points on {x0 = 0}
+    span a line of {x0 = 0}: the RREF of their last three entries after
+    a 0 column, the same steps one place on."""
+    if not v1[0]:
+        if not v2[0]:
+            if not v1[1]:
+                if not v2[1]:
+                    return (0, 0, 1, 0, 0, 0, 0, 1)     # both on {x0 = x1 = 0}
+                v1, v2 = v2, v1
+            _, _, a2, a3 = v1
+            _, b1, b2, b3 = v2
+            if b1:
+                b2, b3 = (b2 - a2) % p, (b3 - a3) % p
+            if b2:
+                if b2 != 1:
+                    b3 = b3 * inv[b2] % p
+                return (0, 1, 0, (a3 - a2 * b3) % p, 0, 0, 1, b3)
+            return (0, 1, a2, 0, 0, 0, 0, 1)
+        v1, v2 = v2, v1
+    _, a1, a2, a3 = v1
+    b0, b1, b2, b3 = v2
     if b0:
-        b1, b2, b3 = (b1 - b0 * a1) % p, (b2 - b0 * a2) % p, (b3 - b0 * a3) % p
+        b1, b2, b3 = (b1 - a1) % p, (b2 - a2) % p, (b3 - a3) % p
     if b1:
         if b1 != 1:
             t = inv[b1]
             b2, b3 = b2 * t % p, b3 * t % p
-        if a1:
-            a2, a3 = (a2 - a1 * b2) % p, (a3 - a1 * b3) % p
-        key = (1, 0, a2, a3, 0, 1, b2, b3)
-    elif b2:
+        return (1, 0, (a2 - a1 * b2) % p, (a3 - a1 * b3) % p, 0, 1, b2, b3)
+    if b2:
         if b2 != 1:
             b3 = b3 * inv[b2] % p
-        if a2:
-            a3 = (a3 - a2 * b3) % p
-        key = (1, a1, 0, a3, 0, 0, 1, b3)
-    else:
-        # b3 must be nonzero: the points are distinct (and s is 0)
-        return (1, a1, a2, 0, 0, 0, 0, 1)
-    if s:
-        z = (0,) * s
-        return z + key[:4 - s] + z + key[4:8 - s]
-    return key
+        return (1, a1, 0, (a3 - a2 * b3) % p, 0, 0, 1, b3)
+    # b3 must be nonzero: the points are distinct
+    return (1, a1, a2, 0, 0, 0, 0, 1)
 
 
 def _count_brute_int(p: int, X1, X2, X3):
@@ -141,8 +140,7 @@ def _count_brute_int(p: int, X1, X2, X3):
             m13 = (a1 * b3 - a3 * b1) % p
             m23 = (a2 * b3 - a3 * b2) % p
             hits = 0
-            for v3 in X3:
-                c0, c1, c2, c3 = v3
+            for c0, c1, c2, c3 in X3:
                 if (c0 * m12 - c1 * m02 + c2 * m01) % p:
                     continue
                 if (c0 * m13 - c1 * m03 + c3 * m01) % p:
@@ -152,7 +150,7 @@ def _count_brute_int(p: int, X1, X2, X3):
                 if (c1 * m23 - c2 * m13 + c3 * m12) % p:
                     continue
                 # v1 and v2 pass every minor; drop them only after a hit
-                if v3 != v1 and v3 != v2:
+                if (c0, c1, c2, c3) not in (v1, v2):
                     hits += 1
             if hits:
                 total += hits
@@ -166,7 +164,10 @@ def _rref_key_log(t, v1, v2):
     8-tuple of int codes, of the span of two distinct canonical points
     given as tuples of log codes over F_{p^n} (first non-Z entry 0, the
     log of 1).  t is the field's `ZechTables`: x * y has log red[x + y],
-    -x has log red[x + m1], and x + y has log red[x + zech[y - x + Z]]."""
+    -x has log red[x + m1], and x + y has log red[x + zech[y - x + Z]].
+    When both rows start with 0, their s shared leading zero columns move
+    to the end: zero columns never pivot and the others keep their order,
+    so the RREF of the rotated rows, rotated back, is the key."""
     _, exp, red, zech, Z, m1 = t
     if v1[0] != Z:
         _, a1, a2, a3 = v1
@@ -235,8 +236,7 @@ def _count_brute_generic(ctx, X1, X2, X3):
             m13 = minor(red[a1 + b3], red[a3 + b1])
             m23 = minor(red[a2 + b3], red[a3 + b2])
             hits = 0
-            for v3 in X3:
-                c0, c1, c2, c3 = v3
+            for c0, c1, c2, c3 in X3:
                 x = red[c0 + m12]
                 if red[x + zech[red[c2 + m01] - x + Z]] != red[c1 + m02]:
                     continue
@@ -250,7 +250,7 @@ def _count_brute_generic(ctx, X1, X2, X3):
                 if red[x + zech[red[c3 + m12] - x + Z]] != red[c2 + m13]:
                     continue
                 # v1 and v2 pass every minor; drop them only after a hit
-                if v3 != v1 and v3 != v2:
+                if (c0, c1, c2, c3) not in (v1, v2):
                     hits += 1
             if hits:
                 total += hits
@@ -261,28 +261,23 @@ def _count_brute_generic(ctx, X1, X2, X3):
 
 def _count_hash(key_of, X1, X2, X3):
     """Line-hash kernel over points in the form `key_of` takes (see
-    `_keyed`), one pass per X1 point v1: its X2 points are counted by the
-    line key each spans with v1, then each X3 point adds the count of its
-    own line through v1, less one when it is in X2 itself (v2 = v3)."""
-    in_x2 = set(X2)
+    `_keyed`), one pass per X1 point v1: a Counter of the line keys its
+    X2 points span with v1, then each X3 point whose key is in it adds
+    that count, less one when it is in X2 itself (v2 = v3).  `map` and
+    `Counter` key and count in C: Python runs once per X1 point and hit."""
+    in_x2, in_x3 = set(X2), set(X3)
     total = 0
     per_line: Dict[tuple, int] = {}
     for v1 in X1:
-        bucket: Dict[tuple, int] = {}
-        for v2 in X2:
-            if v1 != v2:
-                key = key_of(v1, v2)
-                bucket[key] = bucket.get(key, 0) + 1
-        for v3 in X3:
-            if v1 == v3:
-                continue
-            key = key_of(v1, v3)
-            hits = bucket.get(key)
-            if hits and v3 in in_x2:
-                hits -= 1
+        key = partial(key_of, v1)
+        bucket = Counter(map(key, filter(v1.__ne__, X2) if v1 in in_x2 else X2))
+        others = list(filter(v1.__ne__, X3)) if v1 in in_x3 else X3
+        keys = list(map(key, others))
+        for v3, k in compress(zip(others, keys), map(bucket.__contains__, keys)):
+            hits = bucket[k] - (v3 in in_x2)
             if hits:
                 total += hits
-                per_line[key] = per_line.get(key, 0) + hits
+                per_line[k] = per_line.get(k, 0) + hits
     return total, per_line
 
 
@@ -356,17 +351,13 @@ class ConcentrationReport(NamedTuple):
 
 
 def _later_points_by_line(ctx: FieldCtx, X: PointSet):
-    """(key, m) for each point of X and each line key (see `_keyed`) it
-    spans with the points after it in X, m of them.  A line holding a
-    points of X yields m = a - 1 from its first point and less from the
-    later ones, so its first yield comes in the order of its first pair."""
+    """For each point of X but the last, a Counter of the line keys (see
+    `_keyed`) it spans with the points after it in X, in the order of
+    their first pair.  A line holding a points of X counts a - 1 in its
+    first point's Counter and less in the later ones."""
     key_of, [pts] = _keyed(ctx, X)
-    for i, v1 in enumerate(pts):
-        bucket: Dict[tuple, int] = {}
-        for v2 in pts[i + 1:]:
-            key = key_of(v1, v2)
-            bucket[key] = bucket.get(key, 0) + 1
-        yield from bucket.items()
+    for i in range(len(pts) - 1):
+        yield Counter(map(partial(key_of, pts[i]), pts[i + 1:]))
 
 
 def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
@@ -375,14 +366,22 @@ def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
 
     A line meeting X in at most one point never beats a spanned line once
     |X| >= 2, so the spanned lines suffice; singletons report 1.  The max
-    is 1 + the largest count `_later_points_by_line` yields, which comes
-    from the first point of a line reaching it.
+    is 1 + the largest count in the Counters of `_later_points_by_line`,
+    where keys are compared only in a Counter that reaches the running
+    max.  Raises TooLarge when |X| (|X| - 1) / 2 exceeds PAIR_PRODUCT_CAP,
+    before any pair is keyed, then what `PointSet.of` raises.
     """
+    if len(X) * (len(X) - 1) // 2 > PAIR_PRODUCT_CAP:
+        raise TooLarge("pair count exceeds the counting guard")
     X = PointSet.of(X)
     if len(X) < 2:
         return ConcentrationReport(len(X))
-    m, key = max((m, key) for key, m in _later_points_by_line(X.ctx, X))
-    return ConcentrationReport(m + 1, key)
+    best = (0, None)
+    for bucket in _later_points_by_line(X.ctx, X):
+        m = max(bucket.values())
+        if m >= best[0]:
+            best = max(best, (m, max(k for k, c in bucket.items() if c == m)))
+    return ConcentrationReport(best[0] + 1, best[1])
 
 
 class EqualPlanes(OrchardError):

@@ -59,6 +59,29 @@ def test_orchard_threeplanes(tmp_path):
     assert doc["witness"]["x1"].count("|") == 1
 
 
+def test_orchard_threeplanes_line_concentration_guard(tmp_path, capsys, monkeypatch):
+    from orchardlab import incidence
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    # |X1| |X2| = 2 passes the triple count's guard, but X3 has 15 pairs
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 10)
+    ctx = FieldCtx(5)
+    line = [ProjPoint(ctx, [1, i, 0, 0]) for i in range(5)]
+    X3 = line + [ProjPoint(ctx, [0, 0, 1, 0])]
+    for name, X in (("x1", line[:1]), ("x2", line[1:3]), ("x3", X3)):
+        save_point_set(tmp_path / f"{name}.pts", ctx, X)
+    report = tmp_path / "t.json"
+    assert run([
+        "orchard-threeplanes", "--x1", tmp_path / "x1.pts", "--x2", tmp_path / "x2.pts",
+        "--x3", tmp_path / "x3.pts", "--report", report,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_orchard_threeplanes_field_mismatch(tmp_path, capsys):
     prefix = tmp_path / "ex_"
     run(["example-build", "--p", 7, "--k", 2, "--out-prefix", prefix,

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import affine_group_elements, line_points, mulclose, on_line, pencil_planes
+from oracles import (
+    affine_group_elements,
+    line_concentration_by_lines,
+    line_points,
+    mulclose,
+    on_line,
+    pencil_planes,
+)
+from orchardlab import incidence
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
     AffElem,
@@ -291,6 +299,99 @@ def test_line_concentration_examples():
     for X in (a + b, b + a, [a[0], b[0], a[1], b[1], b[2], a[2]]):
         rep = line_concentration(X)
         assert (rep.max_count, rep.witness) == (3, max(keys))
+
+
+def test_line_concentration_guard(monkeypatch):
+    """More than PAIR_PRODUCT_CAP pairs raise TooLarge before any pair is
+    keyed, even when the triple count's |X1| |X2| guard would pass."""
+    keyed = []
+    key = incidence._rref_key_int
+    monkeypatch.setattr(incidence, "_rref_key_int", lambda *a: keyed.append(a) or key(*a))
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 10)
+    pts = [ProjPoint(F5, [1, i, 0, 0]) for i in range(5)] + [ProjPoint(F5, [0, 0, 1, 0])]
+    assert line_concentration(pts[:5]).max_count == 5          # 10 pairs
+    assert len(keyed) == 10
+    keyed.clear()
+    with pytest.raises(TooLarge):
+        line_concentration(pts)                                 # 15 pairs
+    with pytest.raises(TooLarge):
+        line_concentration(pts[:5] + pts[:1])                   # before the repeat
+    assert keyed == []
+    assert count_collinear_triples(pts[:1], pts[:5], pts).total == 12
+
+
+class Visits(list):
+    """A brute kernel's X3 that counts the points its iterators hand out."""
+
+    visits = 0
+
+    def __iter__(self):
+        for x in list.__iter__(self):
+            self.visits += 1
+            yield x
+
+
+def test_kernel_work_counts(monkeypatch):
+    """The work the benchmark's tracer counts (`incidence.pairs_keyed` as
+    calls of `_rref_key_int`, `incidence.triples_tested` as visits of a
+    brute kernel's X3), on F_101 sets with many collinear triples, both
+    disjoint and sharing points: the hash kernel keys each ordered pair
+    of distinct points of X1 x X2 and of X1 x X3, line_concentration
+    each of the C(n, 2) pairs, and the brute kernel visits X3 once per
+    pair of distinct points and keys the pairs with a hit."""
+    keyed = []
+    key = incidence._rref_key_int
+    monkeypatch.setattr(incidence, "_rref_key_int", lambda *a: keyed.append(a) or key(*a))
+    F101 = FieldCtx(101)
+    pts = [ProjPoint(F101, [1, a, b, 0]) for a in range(6) for b in range(6)]
+    pts += [ProjPoint(F101, [0, 1, a, 0]) for a in range(6)] + [ProjPoint(F101, [0, 0, 1, 0])]
+    random.Random(43).shuffle(pts)
+    for sets in ([pts[:14], pts[14:28], pts[28:]],
+                 [pts[:20], pts[10:30], pts[5:15] + pts[25:40]]):
+        X1, X2, X3 = map(PointSet, sets)
+        pairs12 = sum(u != v for u in X1 for v in X2)
+        pairs13 = sum(u != w for u in X1 for w in X3)
+        keyed.clear()
+        hashed = count_collinear_triples(X1, X2, X3, "hash")
+        assert len(keyed) == pairs12 + pairs13
+        for X in sets:
+            keyed.clear()
+            line_concentration(X)
+            assert len(keyed) == len(X) * (len(X) - 1) // 2
+        keyed.clear()
+        visits = Visits(X3.keys)
+        total, per_line = incidence._count_brute_int(101, X1.keys, X2.keys, visits)
+        assert (total, per_line) == hashed and total > 50
+        assert visits.visits == pairs12 * len(X3)
+        hit_pairs = sum(
+            1 for u in X1 for v in X2
+            if u != v and any(w not in (u, v) and collinear(u, v, w) for w in X3)
+        )
+        assert len(keyed) == hit_pairs
+
+
+def twisted_cubic(ctx, ts):
+    """[1 : t : t^2 : t^3] for t in ts, and [0 : 0 : 0 : 1]: no three
+    of them are collinear."""
+    one = ctx.one()
+    return [ProjPoint(ctx, [one, t, t * t, t * t * t]) for t in ts] + [
+        ProjPoint(ctx, [0, 0, 0, 1])
+    ]
+
+
+def test_line_concentration_witness_when_every_line_ties():
+    """On a set with no three collinear points every spanned line holds 2,
+    so the witness is the largest key over all pairs, in any order."""
+    rng = random.Random(47)
+    F101 = FieldCtx(101)
+    for X in (twisted_cubic(F101, [F101.elem(t) for t in range(39)]),
+              twisted_cubic(F9, list(F9.elements()))):
+        for _ in range(3):
+            rep = line_concentration(X)
+            assert (rep.max_count, rep.witness) == line_concentration_by_lines(X)
+            assert rep.max_count == 2
+            rng.shuffle(X)
+    assert len(X) == 10
 
 
 @pytest.mark.parametrize("ctx", [F5, F9])
