@@ -6,8 +6,10 @@ example-verify, flatten, bsg-verify, lemma-suite.  Reports are JSON
 rationals are emitted as "num/den" strings beside float approximations.
 
 Exit codes: 0 success, 1 usage or I/O error (any `OrchardError` or
-`OSError`), 2 a checked identity or inequality failed (this indicates a
-bug or a genuine counterexample).
+`OSError`, bad arguments included), 2 a checked identity or inequality
+failed (this indicates a bug or a genuine counterexample).  Either comes
+with one stderr line and no traceback; a failed `bsg-verify` instance or
+`lemma-suite` suite writes its report first, then the line.
 
 Each job is one fresh process, so each subcommand imports the modules it
 runs inside its own function: a triple count never loads the measure
@@ -31,6 +33,15 @@ SCHEMA_VERSION = 1
 
 class UsageError(OrchardError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors (exit 1 with one
+    line from `main`), not argparse's usage text and exit 2; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -140,32 +151,27 @@ def cmd_orchard_threeplanes(args) -> int:
 
 def cmd_orchard_quadric(args) -> int:
     from .groups import check_quadric_involutions
-    from .incidence import count_collinear_triples, line_concentration
+    from .incidence import line_concentration
     from .projgeom import QuadricForm, load_point_set
 
     ctx_x, X = load_point_set(args.x, args.allow_dup)
     ctx_s, S = load_point_set(args.s, args.allow_dup)
     if ctx_x is not ctx_s:
         raise UsageError("point sets live over different fields")
-    if ctx_x.p == 2:
-        # the Segre matrix of 2(x1 x4 - x2 x3) is zero there, and gamma_x
-        # needs odd characteristic
-        raise UsageError("orchard-quadric needs odd characteristic, not 2")
     Q = (
         QuadricForm.identity(ctx_x)
         if args.quadric == "identity"
         else QuadricForm.segre(ctx_x)
     )
-    # checks every x on Q and every s off it before anything is counted
-    involution_checks = check_quadric_involutions(Q, S, X)
-    count = count_collinear_triples(X, X, S, kernel=args.kernel)
+    # checks every x on Q and every s off it, and counts from the images
+    count = check_quadric_involutions(Q, S, X)
     write_json(
         args.report,
         {
-            "total": count.total,
+            "total": count.triples,
             "max_line_x": line_concentration(X).max_count,
             "max_line_s": line_concentration(S).max_count,
-            "involution_checks": involution_checks,
+            "involution_checks": count.pairs,
         },
     )
     return 0
@@ -299,7 +305,12 @@ def cmd_bsg_verify(args) -> int:
             "instances": instances,
         },
     )
-    return 2 if failures else 0
+    if failures:
+        raise VerificationFailure(
+            f"{len(failures)} of {args.count} instances failed, the first at "
+            f"indices {', '.join(map(str, failures[:5]))}"
+        )
+    return 0
 
 
 def _suite_projection_agreement():
@@ -464,21 +475,22 @@ def cmd_lemma_suite(args) -> int:
             f"unknown suite {', '.join(unknown)}; choose from {', '.join(LEMMA_SUITES)}"
         )
     results = {}
-    failed = False
     for name, fn in LEMMA_SUITES.items():
         if args.only and name not in args.only:
             continue
         ok, detail = fn()
         results[name] = {"pass": ok, "detail": detail}
-        failed = failed or not ok
     write_json(args.out, {"suites": results})
-    return 2 if failed else 0
+    failed = [name for name, result in results.items() if not result["pass"]]
+    if failed:
+        raise VerificationFailure(f"suites failed: {', '.join(failed)}")
+    return 0
 
 
 # -- argument wiring ---------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orchardlab",
         description="exact collinearity-counting experiments in P^3",
     )
@@ -511,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--quadric", choices=["identity", "segre"], default="identity")
-    p.add_argument("--kernel", choices=["hash", "brute", "both"], default="both")
     p.add_argument("--allow-dup", action="store_true")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_orchard_quadric)
@@ -543,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

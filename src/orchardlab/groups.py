@@ -11,7 +11,7 @@ sending y to the second intersection of the line x--y with the quadric;
 its linear lift is the reflection fixing the hyperplane orthogonal to x.
 `gamma_x` computes one image on `FieldElem`s; `check_quadric_involutions`
 checks many centres and points on Zech log codes (see `field.ZechTables`),
-for every field, prime fields included, building no element per pair.
+building no element per pair, and counts triples from the checked images.
 
 Projective linear elements (`PGLElem`) keep their 4x4 matrix as rows of
 the same log codes.  Products, determinants, the identity test, the
@@ -23,7 +23,7 @@ are decoded only when read (`PGLElem.rows`).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
@@ -517,17 +517,28 @@ def _involution_images(Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjP
         yield images
 
 
+class InvolutionCount(NamedTuple):
+    pairs: int
+    triples: int
+
+
 def check_quadric_involutions(
     Q: QuadricForm, S: Sequence[ProjPoint], X: Sequence[ProjPoint]
-) -> int:
+) -> InvolutionCount:
     """Check, for every centre s of S (off the quadric Q) and every point
     x of X (on Q), that y = gamma_s(x) is on Q and on the line s--x and
-    that gamma_s(y) = x; returns the number of pairs checked.  Runs on
-    Zech log codes for every field, prime fields included: the tables
-    are built once per field, B s once per centre.  Raises CharTwo,
-    MixedContexts, PointOffQuadric, PointOnQuadric or
-    VerificationFailure (see `_involution_images`)."""
-    return sum(len(images) for images in _involution_images(Q, S, X))
+    that gamma_s(y) = x; returns the pairs checked and the collinear
+    triples of X x X x S, one per pair whose y is in X and is not x
+    (exact: s is off Q and the characteristic odd, so the line s--x
+    meets Q in x and y only).  On Zech log codes: tables once per field,
+    B s once per centre.  Raises CharTwo, MixedContexts, PointOffQuadric,
+    PointOnQuadric or VerificationFailure (see `_involution_images`)."""
+    in_x = {x.key for x in X}
+    pairs = triples = 0
+    for images in _involution_images(Q, S, X):
+        pairs += len(images)
+        triples += sum(y != x.key and y in in_x for x, y in zip(X, images))
+    return InvolutionCount(pairs, triples)
 
 
 # -- the Segre map --------------------------------------------------------

@@ -311,13 +311,18 @@ def count_collinear_triples(
 
     kernel is "hash" (line bucketing), "brute" (rank test per triple) or
     "both" (run the two and insist on identical totals and per-line
-    counts).  Raises ValueError for any other kernel, TooLarge when
-    |X1| |X2| exceeds PAIR_PRODUCT_CAP, then MixedContexts when two
-    nonempty sets are over different fields, before any empty set gives 0.
+    counts).  Raises ValueError for any other kernel, TooLarge when the
+    hash kernel would key more than PAIR_PRODUCT_CAP pairs (each X1
+    point with every other point of X2 and of X3: |X1| (|X2| + |X3|),
+    less the points X1 shares with X2 and with X3), then MixedContexts
+    when two nonempty sets are over different fields, before any empty
+    set gives 0.
     """
     if kernel not in ("hash", "brute", "both"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    if len(X1) * len(X2) > PAIR_PRODUCT_CAP:
+    in_x1 = set(X1)
+    shared = sum(x in in_x1 for X in (X2, X3) for x in X)
+    if len(X1) * (len(X2) + len(X3)) - shared > PAIR_PRODUCT_CAP:
         raise TooLarge("pair product exceeds the counting guard")
     X1, X2, X3 = PointSet.of(X1), PointSet.of(X2), PointSet.of(X3)
     ctx = X1.ctx or X2.ctx or X3.ctx

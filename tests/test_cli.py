@@ -98,6 +98,7 @@ def test_orchard_threeplanes_field_mismatch(tmp_path, capsys):
 
 def test_orchard_quadric(tmp_path):
     from orchardlab.field import FieldCtx
+    from orchardlab.incidence import count_collinear_triples
     from oracles import segre_quadric_points
     from orchardlab.projgeom import (
         QuadricForm,
@@ -106,9 +107,10 @@ def test_orchard_quadric(tmp_path):
         save_point_set,
     )
 
+    # all 36 Segre points over F_5, so every image gamma_s(x) is in X
     ctx = FieldCtx(5)
     Q = QuadricForm.segre(ctx)
-    X = sorted(set(segre_quadric_points(ctx)), key=lambda p: p.key)[:12]
+    X = sorted(set(segre_quadric_points(ctx)), key=lambda p: p.key)
     S = [p for p in enumerate_space(ctx, 3) if not on_quadric(p, Q)][:10]
     save_point_set(tmp_path / "x.pts", ctx, X)
     save_point_set(tmp_path / "s.pts", ctx, S)
@@ -119,7 +121,7 @@ def test_orchard_quadric(tmp_path):
     ]) == 0
     doc = json.loads(report.read_text())
     assert doc["involution_checks"] == len(X) * len(S)
-    assert doc["total"] >= 0
+    assert doc["total"] == count_collinear_triples(X, X, S, "brute").total > 0
 
     # an off-quadric point in the x file is a usage error
     save_point_set(tmp_path / "bad.pts", ctx, S[:3])
@@ -254,6 +256,27 @@ def test_lemma_suite_subset(tmp_path):
     assert all(entry["pass"] for entry in doc["suites"].values())
 
 
+def test_failed_lemma_suite_writes_its_report_then_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LEMMA_SUITES", {"broken": lambda: (False, "always fails")})
+    out = tmp_path / "ls.json"
+    assert run(["lemma-suite", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and err.count("\n") == 1, err
+    assert "broken" in err
+    assert json.loads(out.read_text())["suites"]["broken"]["pass"] is False
+
+
+def test_failed_bsg_instance_writes_its_report_then_one_line(tmp_path, capsys, monkeypatch):
+    from orchardlab import bsg
+
+    monkeypatch.setattr(bsg, "all_pass", lambda checks: False)
+    out = tmp_path / "bsg.json"
+    assert run(["bsg-verify", "--field", 5, "--count", 3, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "verification failure: 3 of 3 instances failed, the first at indices 0, 1, 2\n"
+    assert json.loads(out.read_text())["failures"] == [0, 1, 2]
+
+
 def test_verification_failure_exit_code(monkeypatch):
     from orchardlab.incidence import VerificationFailure
 
@@ -353,6 +376,24 @@ def test_bad_point_file_is_usage_error(tmp_path, capsys, command, bad):
     err = _one_line_error(capsys, args + ["--report", tmp_path / "r.json"])
     lineno = 1 if bad.startswith("field 4") else 3
     assert f"bad.pts:{lineno}:" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["orchard-threeplanes", "--x1", "a", "--x2", "b", "--x3", "c", "--kernel", "foo"],
+    ["example-verify", "--p", "abc"],
+    ["orchard-threeplanes", "--x1", "a", "--x2", "b"],
+    ["orchard-quadric", "--x", "a", "--s", "b", "--kernel", "hash"],
+    [],
+], ids=["invalid-choice", "invalid-int", "missing-flag", "unknown-flag", "no-subcommand"])
+def test_bad_arguments_are_usage_errors(capsys, args):
+    _one_line_error(capsys, args)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["orchard-quadric", "--help"])
+    assert exc.value.code == 0
+    assert "--quadric" in capsys.readouterr().out
 
 
 def test_malformed_field_flag_is_usage_error(tmp_path, capsys):

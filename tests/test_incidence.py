@@ -276,6 +276,22 @@ def test_pair_product_guard():
         count_collinear_triples(pts * 600, pts * 600, pts, "hash")
 
 
+@pytest.mark.parametrize("kernel", ["hash", "brute"])
+def test_pair_product_guard_counts_the_x3_pairs(monkeypatch, kernel):
+    """The hash kernel keys each X1 point with X2 and with X3: 4 (1 + 4)
+    pairs exceed a cap of 10 though |X1| |X2| = 4 does not, and both
+    kernels raise before any key is computed."""
+    keyed = []
+    key = incidence._rref_key_int
+    monkeypatch.setattr(incidence, "_rref_key_int", lambda *a: keyed.append(a) or key(*a))
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 10)
+    X1 = [ProjPoint(F5, [1, i, 0, 0]) for i in range(4)]
+    X3 = [ProjPoint(F5, [0, 1, i, 0]) for i in range(4)]
+    with pytest.raises(TooLarge):
+        count_collinear_triples(X1, [ProjPoint(F5, [0, 0, 0, 1])], X3, kernel)
+    assert keyed == []
+
+
 def test_line_concentration_examples():
     pts = [
         ProjPoint(F5, [1, 0, 0, 0]),

@@ -480,7 +480,8 @@ def test_involution_check_matches_gamma_x_oracle(case):
     Q, S, X = case
     for s, images in zip(S, _involution_images(Q, S, X)):
         assert images == involution_images(Q, s, X)
-    assert check_quadric_involutions(Q, S, X) == len(S) * len(X)
+    assert check_quadric_involutions(Q, S, X) == (
+        len(S) * len(X), count_collinear_triples(X, X, S, "brute").total)
 
 
 @pytest.mark.parametrize("ctx", [F5, F9, F25], ids=str)
@@ -493,6 +494,22 @@ def test_involution_check_tangent_and_leading_zeros(ctx):
     assert any(Q.bilinear(s.coords, x.coords).is_zero() for s in S for x in X)
     for s, images in zip(S, _involution_images(Q, S, X)):
         assert images == involution_images(Q, s, X)
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F9], ids=str)
+@pytest.mark.parametrize("form", ["identity", "segre"])
+def test_involution_count_on_the_whole_quadric(ctx, form):
+    """X is every point of Q, so every image is in X and the triples are
+    the pairs off the tangent planes (<s, x> != 0, so gamma_s(x) != x)."""
+    Q = getattr(QuadricForm, form)(ctx)
+    space = enumerate_space(ctx, 3)
+    X = [p for p in space if on_quadric(p, Q)]
+    S = [p for p in space if not on_quadric(p, Q)][::7][:20]
+    tangent = sum(Q.bilinear(s.coords, x.coords).is_zero() for s in S for x in X)
+    assert 0 < tangent < len(S) * len(X)
+    count = check_quadric_involutions(Q, S, X)
+    assert count == (len(S) * len(X), len(S) * len(X) - tangent)
+    assert count.triples == count_collinear_triples(X, X, S, "brute").total
 
 
 def test_involution_check_errors():
@@ -508,7 +525,7 @@ def test_involution_check_errors():
     for ctx in (FieldCtx(2), F4):
         with pytest.raises(CharTwo):
             check_quadric_involutions(QuadricForm.identity(ctx), [], [])
-    assert check_quadric_involutions(Q, [], [on]) == 0
+    assert check_quadric_involutions(Q, [], [on]) == (0, 0)
     # entries 2 x0 x3 - x1 x2 - x2 x1 give the Segre form's values, but
     # <s, x> read off B s is then not its polar form: y leaves Q, and the
     # pair fails by name
@@ -516,7 +533,7 @@ def test_involution_check_errors():
     bent.entries = ((0, 3, F5.elem(2)),) + bent.entries[1:3]
     x, s = ProjPoint(F5, [1, 1, 1, 1]), ProjPoint(F5, [1, 0, 0, 2])
     assert bent.bilinear(x.coords, x.coords) == Q.bilinear(x.coords, x.coords) == F5.zero()
-    assert check_quadric_involutions(bent, [off], [on]) == 1
+    assert check_quadric_involutions(bent, [off], [on]) == (1, 0)
     with pytest.raises(VerificationFailure, match=re.escape(f"failed at ({s}, {x})")):
         check_quadric_involutions(bent, [off, s], [on, x])
 
@@ -527,6 +544,7 @@ def test_involution_check_builds_no_elements_per_pair(monkeypatch):
     Q = QuadricForm.segre(F9)
     X = [p for p in enumerate_space(F9, 3) if on_quadric(p, Q)]
     S = off_segre(F9)[:40]
+    triples = count_collinear_triples(X, X, S, "brute").total
     calls = 0
     init = FieldElem.__init__
 
@@ -536,7 +554,7 @@ def test_involution_check_builds_no_elements_per_pair(monkeypatch):
         init(self, ctx, code)
 
     monkeypatch.setattr(FieldElem, "__init__", counting_init)
-    assert check_quadric_involutions(Q, S, X) == 4000
+    assert check_quadric_involutions(Q, S, X) == (4000, triples)
     assert calls <= 2 * (len(X) + len(S))
 
 
