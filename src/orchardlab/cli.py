@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", required=True)
     p.add_argument("--x3", required=True)
     p.add_argument("--field", default=None)
-    p.add_argument("--kernel", choices=["hash", "brute", "both"], default="both")
+    p.add_argument("--kernel", choices=["hash", "brute", "both"], default="hash")
     p.add_argument("--allow-dup", action="store_true")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=cmd_orchard_threeplanes)

@@ -5,8 +5,8 @@ modulo a monic irreducible polynomial (absent for prime fields), read as
 base-p digits with coeffs[0] the most significant.  Code order is thus
 the lexicographic order of the coefficient tuples, the order of
 `elements_sorted()`.  Everything is kept at desk scale: n <= 4 and
-p^n <= 10**6, which lets irreducibility, nonresidue and generator
-searches be settled by direct enumeration.
+p^n <= 10**6, which lets irreducibility and generator searches be
+settled by direct enumeration.
 
 Each field has exactly one `FieldCtx`: the constructor interns contexts
 by their normalized (p, n, modulus), so elements of the same field share
@@ -19,7 +19,8 @@ inverse.  `ZechTables` is the one owner of the log-code format: the
 linear algebra of `projgeom`, `groups` and `constructions` calls its
 operations, and the hot loops (the triple kernels and line keys of
 `incidence`, `measures.convolve` and the `FieldElem` operators) unpack
-its arrays and inline the lookups.
+its arrays and inline the lookups.  Every field, prime or not, takes
+square roots from the parity of the log code (`FieldCtx.sqrt`).
 """
 
 from __future__ import annotations
@@ -399,14 +400,21 @@ class FieldCtx:
     # -- square roots ---------------------------------------------------
 
     def sqrt(self, a: "FieldElem") -> "FieldElem":
-        """Canonical square root: the lexicographically least of {r, -r},
-        by Tonelli-Shanks; raises NonResidue when no root exists."""
+        """Canonical square root: the least code of {r, -r}, where r =
+        g^(l/2) for a = g^l; raises NonResidue when no root exists.  A
+        nonzero a is a square exactly when l is even, or always in
+        characteristic 2, where q - 1 is odd and l + (q - 1) is even."""
         if a.ctx is not self:
             raise FieldError("element from a different field")
-        if self.p == 2:
-            # Frobenius is bijective in characteristic 2
-            return a ** (2 ** (self.n - 1))
-        r = _tonelli_shanks(self, a)
+        if a.code == 0:
+            return a
+        log, exp, _, _, _, _ = self.zech
+        l = log[a.code]
+        if l % 2:
+            if self.p > 2:
+                raise NonResidue(f"{a} is not a square in {self}")
+            l += self.order - 1
+        r = FieldElem(self, exp[l // 2])
         return min(r, -r, key=lambda e: e.code)
 
     def try_sqrt(self, a: "FieldElem") -> Optional["FieldElem"]:
@@ -414,11 +422,6 @@ class FieldCtx:
             return self.sqrt(a)
         except NonResidue:
             return None
-
-    def is_square(self, a: "FieldElem") -> bool:
-        if a.is_zero() or self.p == 2:
-            return True
-        return (a ** ((self.order - 1) // 2)).is_one()
 
     # -- text form -------------------------------------------------------
 
@@ -583,35 +586,6 @@ def inv(a: FieldElem) -> FieldElem:
         return FieldElem(ctx, pow(a.code, ctx.p - 2, ctx.p))
     log, exp, _, _, _, _ = ctx.zech
     return FieldElem(ctx, exp[ctx.order - 1 - log[a.code]])
-
-
-def _tonelli_shanks(ctx: FieldCtx, a: FieldElem) -> FieldElem:
-    """Square root in a finite field of odd order, via a nonresidue."""
-    if a.is_zero():
-        return a
-    q = ctx.order
-    if not ctx.is_square(a):
-        raise NonResidue(f"{a} is not a square in {ctx}")
-    s, m = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
-    z = next(e for e in ctx.elements() if not e.is_zero() and not ctx.is_square(e))
-    c = z**s
-    t = a**s
-    r = a ** ((s + 1) // 2)
-    while not t.is_one():
-        i = 0
-        t2 = t
-        while not t2.is_one():
-            t2 = t2 * t2
-            i += 1
-        b = c ** (2 ** (m - i - 1))
-        m = i
-        c = b * b
-        t = t * c
-        r = r * b
-    return r
 
 
 def adjoin_sqrt(ctx: FieldCtx, d: FieldElem):

@@ -28,12 +28,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .projgeom import (
+    PAIR_PRODUCT_CAP,
     MixedContexts,
     NotOnSegreQuadric,
     PointSet,
     ProjPlane,
     ProjPoint,
     QuadricForm,
+    TooLarge,
     _det4,
     _entry_logs,
     _matrix_logs,
@@ -531,8 +533,12 @@ def check_quadric_involutions(
     triples of X x X x S, one per pair whose y is in X and is not x
     (exact: s is off Q and the characteristic odd, so the line s--x
     meets Q in x and y only).  On Zech log codes: tables once per field,
-    B s once per centre.  Raises CharTwo, MixedContexts, PointOffQuadric,
-    PointOnQuadric or VerificationFailure (see `_involution_images`)."""
+    B s once per centre.  Raises TooLarge when |S| |X| exceeds
+    PAIR_PRODUCT_CAP, before any pair, then CharTwo, MixedContexts,
+    PointOffQuadric, PointOnQuadric or VerificationFailure (see
+    `_involution_images`)."""
+    if len(S) * len(X) > PAIR_PRODUCT_CAP:
+        raise TooLarge(f"{len(S)} x {len(X)} involution pairs exceed the counting guard")
     in_x = {x.key for x in X}
     pairs = triples = 0
     for images in _involution_images(Q, S, X):

@@ -46,6 +46,7 @@ from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .groups import PointOffPlane
 from .projgeom import (
+    PAIR_PRODUCT_CAP,
     MixedContexts,
     PointSet,
     ProjLine,
@@ -54,8 +55,6 @@ from .projgeom import (
     TooLarge,
     line_through,  # not called here; perfbench/tracing.py wraps it here by name
 )
-
-PAIR_PRODUCT_CAP = 10**8
 
 
 # -- collinear triple counting -------------------------------------------

@@ -11,12 +11,16 @@ dictionary lookups.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem, FieldError, inv
 
 ENUMERATION_CAP = 10**8
+# the most pairs one pass may visit (incidence's kernels and censuses,
+# the quadric involution check)
+PAIR_PRODUCT_CAP = 10**8
 
 
 class GeometryError(OrchardError):
@@ -219,29 +223,20 @@ def meet_line_plane(line: ProjLine, plane: ProjPlane) -> ProjPoint:
 
 
 def enumerate_space(ctx: FieldCtx, dim: int) -> List[ProjPoint]:
-    """All canonical points of P^dim, each once, lexicographic order."""
+    """All canonical points of P^dim, each once, in key order: a point
+    with more leading zeros has the smaller key, and the free coordinates
+    after the leading 1 run through code order."""
     if dim not in (1, 3):
         raise GeometryError("only P^1 and P^3 are supported")
     if ctx.order ** (dim + 1) > ENUMERATION_CAP:
         raise TooLarge("projective space too large to enumerate")
-    elems = list(ctx.elements())
-    points = []
-    one = ctx.one()
-    zero = ctx.zero()
-    for lead in range(dim + 1):
-        prefix = [zero] * lead + [one]
-        free = dim - lead
-
-        def rec(acc, remaining):
-            if remaining == 0:
-                points.append(ProjPoint(ctx, acc))
-                return
-            for e in elems:
-                rec(acc + [e], remaining - 1)
-
-        rec(prefix, free)
-    points.sort(key=lambda p: p.key)
-    return points
+    elems = ctx.elements_sorted()
+    zero, one = ctx.zero(), ctx.one()
+    return [
+        ProjPoint(ctx, [zero] * lead + [one, *free])
+        for lead in range(dim, -1, -1)
+        for free in product(elems, repeat=dim - lead)
+    ]
 
 
 class QuadricForm:

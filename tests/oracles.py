@@ -34,7 +34,7 @@ check that path (see test_oracles.py):
   product of lists per element, for the unrolled step that builds
   `field.ZechTables`;
 - `least_root_by_scan`: the least code whose square is a, for the
-  Tonelli-Shanks root of `FieldCtx.sqrt`;
+  log-parity root of `FieldCtx.sqrt`;
 - `pencil_scan`: the count on every plane of the pencil, for
   `incidence.pencil_plane_concentration`;
 - `oracle_convolve`, `oracle_reverse`, `oracle_l2_sq`, `oracle_decompose`

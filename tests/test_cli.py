@@ -38,18 +38,26 @@ def test_example_degenerate_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_orchard_threeplanes(tmp_path):
+def test_orchard_threeplanes(tmp_path, monkeypatch):
+    from orchardlab import incidence
+
+    def brute(*args):
+        raise AssertionError("the brute kernel ran")
+
+    # the default kernel is hash: the brute kernel is never reached
+    monkeypatch.setattr(incidence, "_count_brute_int", brute)
     prefix = tmp_path / "ex_"
     assert run(["example-build", "--p", 7, "--k", 2, "--out-prefix", prefix,
                 "--out", tmp_path / "m.json"]) == 0
     report = tmp_path / "t.json"
-    assert run([
+    args = [
         "orchard-threeplanes",
         "--x1", f"{prefix}x1.pts",
         "--x2", f"{prefix}x2.pts",
         "--x3", f"{prefix}x3.pts",
         "--report", report,
-    ]) == 0
+    ]
+    assert run(args) == 0
     doc = json.loads(report.read_text())
     assert doc["total"] == 1029
     assert doc["max_line"] == {"x1": 7, "x2": 7, "x3": 7}
@@ -57,6 +65,8 @@ def test_orchard_threeplanes(tmp_path):
     assert doc["census"]["nontrivial_pairs"] == 35
     assert sum(entry["count"] for entry in doc["by_line"]) == doc["total"]
     assert doc["witness"]["x1"].count("|") == 1
+    with pytest.raises(AssertionError, match="brute kernel ran"):
+        run(args + ["--kernel", "both"])
 
 
 def test_orchard_threeplanes_line_concentration_guard(tmp_path, capsys, monkeypatch):
@@ -169,7 +179,8 @@ def test_orchard_quadric_segre_char_two_names_characteristic(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_orchard_quadric_s_point_on_quadric_fails_before_counting(tmp_path, capsys):
+def test_orchard_quadric_s_point_on_quadric_fails_before_counting(tmp_path, capsys, monkeypatch):
+    from orchardlab import groups
     from orchardlab.field import FieldCtx
     from orchardlab.projgeom import ProjPoint, save_point_set
 
@@ -180,13 +191,22 @@ def test_orchard_quadric_s_point_on_quadric_fails_before_counting(tmp_path, caps
     save_point_set(tmp_path / "x.pts", ctx, X)
     save_point_set(tmp_path / "s.pts", ctx, S)
     report = tmp_path / "q.json"
-    assert run([
+    args = [
         "orchard-quadric", "--x", tmp_path / "x.pts", "--s", tmp_path / "s.pts",
         "--quadric", "segre", "--report", report,
-    ]) == 1
+    ]
+    assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "1:0:0:0" in err and "lies on the quadric" in err
+    assert not report.exists()
+
+    # 2 x 3 pairs over a cap of 5 are refused before the centre on Q is read
+    monkeypatch.setattr(groups, "PAIR_PRODUCT_CAP", 5)
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "counting guard" in err
     assert not report.exists()
 
 
@@ -459,3 +479,44 @@ def test_subcommands_load_only_their_modules(tmp_path):
                              "--out", "f.csv"], tmp_path)
     assert "orchardlab.measures" in loaded
     assert not loaded & {"orchardlab.incidence", "orchardlab.constructions"}
+
+
+# every subcommand's options and their defaults, so that an added or
+# removed option or a changed default shows as a change to this table
+OPTION_INVENTORY = {
+    "example-build": {"--p": None, "--k": "2", "--out-prefix": "example_", "--out": None},
+    "example-verify": {"--p": None, "--k": "2", "--out": None},
+    "orchard-threeplanes": {
+        "--x1": None, "--x2": None, "--x3": None, "--field": None,
+        "--kernel": "hash", "--allow-dup": False, "--report": None,
+    },
+    "orchard-quadric": {
+        "--x": None, "--s": None, "--quadric": "identity", "--allow-dup": False,
+        "--report": None,
+    },
+    "flatten": {
+        "--group": "affine", "--field": None, "--gen-count": 2, "--m-max": 4,
+        "--seed": 0, "--out": None,
+    },
+    "bsg-verify": {
+        "--field": None, "--count": 100, "--max-support": 12, "--K": "1",
+        "--seed": 0, "--out": None,
+    },
+    "lemma-suite": {"--only": None, "--out": None},
+}
+
+
+def test_option_inventory():
+    import argparse
+
+    def options(parser):
+        return {
+            " ".join(a.option_strings): a.default
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+
+    parser = cli.build_parser()
+    assert options(parser) == {}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: options(p) for name, p in sub.choices.items()} == OPTION_INVENTORY

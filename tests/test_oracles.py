@@ -67,6 +67,7 @@ from orchardlab.projgeom import (
     PointSet,
     ProjPoint,
     QuadricForm,
+    TooLarge,
     _det4,
     _matrix_logs,
     collinear,
@@ -180,7 +181,7 @@ def _assert_matches_enumeration(g, ctx):
 def _no_root(ctx):
     """A 2x2 matrix with no eigenvalue in ctx: the companion of x^2 - s
     for a non-square s."""
-    s = next(e for e in ctx.elements() if not ctx.is_square(e))
+    s = next(e for e in ctx.elements() if ctx.try_sqrt(e) is None)
     return [[ctx.zero(), s], [ctx.one(), ctx.zero()]]
 
 
@@ -536,6 +537,26 @@ def test_involution_check_errors():
     assert check_quadric_involutions(bent, [off], [on]) == (1, 0)
     with pytest.raises(VerificationFailure, match=re.escape(f"failed at ({s}, {x})")):
         check_quadric_involutions(bent, [off, s], [on, x])
+
+
+def test_involution_check_guard(monkeypatch):
+    """More than PAIR_PRODUCT_CAP pairs raise TooLarge before any pair is
+    checked: the centre on Q is never reached and F_1013's tables are
+    never built."""
+    from orchardlab import groups
+
+    monkeypatch.setattr(groups, "PAIR_PRODUCT_CAP", 5)
+    ctx = FieldCtx(1013)
+    Q = QuadricForm.segre(ctx)
+    X = [ProjPoint(ctx, c) for c in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]
+    S = [ProjPoint(ctx, [1, 0, 0, 1]), X[0]]
+    with pytest.raises(TooLarge):
+        check_quadric_involutions(Q, S, X)
+    assert "zech" not in ctx.__dict__
+    # at the cap the pass runs, and stops at the centre on Q
+    monkeypatch.setattr(groups, "PAIR_PRODUCT_CAP", 6)
+    with pytest.raises(PointOnQuadric):
+        check_quadric_involutions(Q, S, X)
 
 
 def test_involution_check_builds_no_elements_per_pair(monkeypatch):

@@ -143,13 +143,16 @@ def test_meet_line_plane_uniqueness_by_exhaustion():
 def test_enumerate_space_counts():
     assert len(enumerate_space(F2, 3)) == 15
     assert len(enumerate_space(F3, 1)) == 4
-    pts = enumerate_space(F5, 3)
-    assert len(pts) == 156
-    assert len(set(pts)) == 156
-    assert pts == sorted(pts, key=lambda p: p.key)
-    for p in pts[:20]:
-        lead = next(c for c in p.coords if not c.is_zero())
-        assert lead.is_one()
+    # over F_4, F_8 and F_9 code order differs from elements() order
+    for ctx in (F5, FieldCtx(2, 2), FieldCtx(2, 3), FieldCtx(3, 2)):
+        q = ctx.order
+        for dim in (1, 3):
+            pts = enumerate_space(ctx, dim)
+            assert len(pts) == len(set(pts)) == (q ** (dim + 1) - 1) // (q - 1)
+            assert pts == sorted(pts, key=lambda p: p.key)
+            for p in pts:
+                lead = next(c for c in p.coords if not c.is_zero())
+                assert lead.is_one()
     with pytest.raises(TooLarge):
         enumerate_space(FieldCtx(101), 3)
 
