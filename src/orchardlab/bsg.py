@@ -8,13 +8,15 @@ delta ||nu||_2^2, where M = 2^4 K and delta = 1/M^2:
     nu_2 = nu restricted to {nu <= delta ||nu||_2^2}  (diffuse part)
     nu_str = nu - nu_1 - nu_2                         (structured part)
 
-All inequality checks are exact rational comparisons; conditional ones
+Each check is one `InequalityCheck` row, made by `InequalityCheck.compare`
+as an exact rational comparison on "<=", ">=" or "=="; conditional rows
 are gated on the linear-form hypothesis ||nu*nu||_2 >= K^-1 ||nu||_2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Set
 
@@ -29,19 +31,23 @@ from .measures import (
     l2_norm_sq,
 )
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
 
 class InequalityCheck(NamedTuple):
     name: str
     lhs: Fraction
-    relation: str                  # "<=" or ">="
+    relation: str                  # a key of _RELATIONS: "<=", ">=" or "=="
     rhs: Fraction
-    passed: bool
+    passed: bool                   # the relation applied to lhs and rhs
     hypothesis_met: Optional[bool]  # None for unconditional checks
 
     @staticmethod
     def compare(name, lhs, relation, rhs, hypothesis_met=None) -> "InequalityCheck":
+        """The only way a row is made: its verdict is `relation` applied
+        to the exact values of lhs and rhs (a bool reads 0 or 1)."""
         lhs, rhs = Fraction(lhs), Fraction(rhs)
-        ok = lhs <= rhs if relation == "<=" else lhs >= rhs
+        ok = _RELATIONS[relation](lhs, rhs)
         return InequalityCheck(name, lhs, relation, rhs, ok, hypothesis_met)
 
     def as_dict(self) -> dict:
@@ -148,7 +154,7 @@ def restrict_open_band(nu: GroupMeasure, K) -> GroupMeasure:
 
 
 def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
-    """Exact evaluation of the decomposition inequalities.
+    """Exact evaluation of the decomposition inequalities, one row each.
 
     Unconditional: the heavy part is light in L^1, the diffuse part light
     in squared L^2, pointwise reconstruction, the strict-band measure
@@ -161,91 +167,33 @@ def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
     the pointwise upper bound.
     """
     dec = decompose(nu, K)
-    K = dec.K
-    checks: List[InequalityCheck] = []
-
-    conv = convolve(nu, nu)
-    conv_l2 = l2_norm_sq(conv)
-    l2 = dec.l2_sq
-    # hypothesis forms, both reported; the linear one gates the rest
+    K, l2 = dec.K, dec.l2_sq
+    conv_l2 = l2_norm_sq(convolve(nu, nu))
     hyp_lin = conv_l2 >= l2 / (K * K)
-    hyp_sq = conv_l2 >= (l2 * l2) / (K * K)
-    checks.append(
-        InequalityCheck("hyp_lin", conv_l2, ">=", l2 / (K * K), hyp_lin, None)
-    )
-    checks.append(
-        InequalityCheck("hyp_sq", conv_l2, ">=", (l2 * l2) / (K * K), hyp_sq, None)
-    )
-
-    checks.append(
-        InequalityCheck.compare("nu1_l1", l1_norm(dec.nu1), "<=", Fraction(1) / dec.M)
-    )
-    checks.append(
-        InequalityCheck.compare(
-            "nu2_l2_sq", l2_norm_sq(dec.nu2), "<=", dec.delta * l2
-        )
-    )
-    recon = dec.reconstruction_exact()
-    checks.append(
-        InequalityCheck("reconstruction", Fraction(recon), "==", Fraction(1), recon, None)
-    )
-    band_equal = restrict_open_band(nu, K) == dec.nu_str
-    checks.append(
-        InequalityCheck(
-            "strict_band_eq_structured",
-            Fraction(band_equal),
-            "==",
-            Fraction(1),
-            band_equal,
-            None,
-        )
-    )
-
     size = len(dec.nu_str)     # |A| for A = supp(nu_str)
-    size_stat = size * l2
-    checks.append(
-        InequalityCheck.compare("support_stat_upper", size_stat, "<=", (2**16) * K**4)
-    )
-    checks.append(
-        InequalityCheck.compare(
-            "support_stat_lower",
-            size_stat,
-            ">=",
-            Fraction(1, 2**10) / K**4,
-            hypothesis_met=hyp_lin,
-        )
-    )
-
+    # (name, lhs, relation, rhs[, hypothesis]); the two equalities read 1 for true
+    rows = [
+        ("hyp_lin", conv_l2, ">=", l2 / (K * K)),
+        ("hyp_sq", conv_l2, ">=", l2 * l2 / (K * K)),
+        ("nu1_l1", l1_norm(dec.nu1), "<=", 1 / dec.M),
+        ("nu2_l2_sq", l2_norm_sq(dec.nu2), "<=", dec.delta * l2),
+        ("reconstruction", dec.reconstruction_exact(), "==", 1),
+        ("strict_band_eq_structured", restrict_open_band(nu, K) == dec.nu_str, "==", 1),
+        ("support_stat_upper", size * l2, "<=", 2**16 * K**4),
+        ("support_stat_lower", size * l2, ">=", Fraction(1, 2**10) / K**4, hyp_lin),
+    ]
     if size:
         # mu_A / nu = den / (|A| n) over the atoms of A, n their numerators in nu
         on_a = [nu.nums[k] for k in dec.nu_str.nums]
-        worst_lower = Fraction(nu.den, size * max(on_a))
-        worst_upper = Fraction(nu.den, size * min(on_a))
-        checks.append(
-            InequalityCheck.compare(
-                "pointwise_lower", Fraction(1, 2**20) / K**5, "<=", worst_lower
-            )
-        )
-        checks.append(
-            InequalityCheck.compare(
-                "pointwise_upper",
-                worst_upper,
-                "<=",
-                (2**18) * K**6,
-                hypothesis_met=hyp_lin,
-            )
-        )
-    str_conv = convolve(dec.nu_str, dec.nu_str)
-    checks.append(
-        InequalityCheck.compare(
-            "str_conv_lower",
-            l2_norm_sq(str_conv),
-            ">=",
-            l2 / (4 * K * K),
-            hypothesis_met=hyp_lin,
-        )
-    )
-    return checks
+        rows += [
+            ("pointwise_lower", Fraction(1, 2**20) / K**5, "<=",
+             Fraction(nu.den, size * max(on_a))),
+            ("pointwise_upper", Fraction(nu.den, size * min(on_a)), "<=",
+             2**18 * K**6, hyp_lin),
+        ]
+    rows.append(("str_conv_lower", l2_norm_sq(convolve(dec.nu_str, dec.nu_str)), ">=",
+                 l2 / (4 * K * K), hyp_lin))
+    return [InequalityCheck.compare(*row) for row in rows]
 
 
 def all_pass(checks: Iterable[InequalityCheck]) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, adjoin_sqrt, inv, least_primitive_root
@@ -229,28 +229,23 @@ def _collinear_mod_p(p: int, a, b, c) -> bool:
 
 # -- quadric normalization ---------------------------------------------------
 
+def _identity(x):
+    return x
+
+
 class QuadricNormalization(NamedTuple):
     source: QuadricForm
     target_tag: str                      # "identity" or "segre"
-    ctx: FieldCtx                        # final field, after extensions
-    extensions: List[str]                # descriptors of each extension step
+    ctx: FieldCtx                        # final field, after the extension
+    extensions: List[str]                # the extension's descriptor, if any
     transform: List[List[FieldElem]]     # M with M^T B M = scalar * target
     scalar: FieldElem
     verified: bool
-    embed_source: Callable = lambda x: x  # source field into final field
+    embed_source: Callable = _identity   # source field into final field
 
 
 def _embed_matrix(rows, embed):
     return [[embed(x) for x in row] for row in rows]
-
-
-def _compose_embeds(embeds: Sequence[Callable]) -> Callable:
-    def run(x):
-        for e in embeds:
-            x = e(x)
-        return x
-
-    return run
 
 
 def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
@@ -301,25 +296,22 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
                 add_col(j, i, -mat[i][j] / pivot_val)
 
     extensions: List[str] = []
-    embeds: List[Callable] = []
-    diag = [mat[i][i] for i in range(4)]
+    embed = _identity
     for i in range(4):
-        entry = diag[i]
+        # the diagonal stays in the source field; the one extension
+        # makes every element of it a square, so none follows
+        entry = embed(mat[i][i])
         root = ctx.try_sqrt(entry)
         if root is None:
             ctx, embed, root = adjoin_sqrt(ctx, entry)
             extensions.append(ctx.descriptor())
-            embeds.append(embed)
-            diag = [embed(x) for x in diag]
             trans = _embed_matrix(trans, embed)
         scale = inv(root)
         for r in range(4):
             trans[r][i] = trans[r][i] * scale
-        diag[i] = diag[i] * scale * scale
 
     # re-verify on the final field: M^T B M = 1 * I
-    embed_all = _compose_embeds(embeds)
-    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed_all))
+    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed))
     if _congruence_ratio(_matrix_logs(ctx, trans), B_final, QuadricForm.identity(ctx)) != 0:
         raise VerificationFailure("diagonalization product is not the identity")
     return QuadricNormalization(
@@ -330,7 +322,7 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
         transform=trans,
         scalar=ctx.one(),
         verified=True,
-        embed_source=embed_all,
+        embed_source=embed,
     )
 
 
@@ -368,22 +360,20 @@ def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
 
 def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
     """Compose diagonalization with the Segre substitution: M with
-    M^T B M = scalar * (doubled Segre matrix), over at most two
-    quadratic extensions."""
+    M^T B M = scalar * (doubled Segre matrix), over at most one
+    quadratic extension."""
     diag = diagonalize_quadric(B)
-    ctx = diag.ctx
+    ctx, trans, embed = diag.ctx, diag.transform, diag.embed_source
     extensions = list(diag.extensions)
-    trans = diag.transform
-    embeds = [diag.embed_source]
+    # -1 lacks a root only when diagonalization did not extend: after
+    # that extension every element of the source field is a square
     if ctx.try_sqrt(-ctx.one()) is None:
         ctx, embed, _ = adjoin_sqrt(ctx, -ctx.one())
         extensions.append(ctx.descriptor())
         trans = _embed_matrix(trans, embed)
-        embeds.append(embed)
     seg = to_segre_form(ctx)
     M = _mat_mul(ctx, _matrix_logs(ctx, trans), _matrix_logs(ctx, seg.transform))
-    embed_all = _compose_embeds(embeds)
-    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed_all))
+    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed))
     if _congruence_ratio(M, B_final, QuadricForm.segre(ctx)) != ctx.zech.log[ctx.elem(2).code]:
         raise VerificationFailure("composite normalization failed")
     return QuadricNormalization(
@@ -394,7 +384,7 @@ def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
         transform=_matrix_elems(ctx, M),
         scalar=ctx.elem(4),
         verified=True,
-        embed_source=embed_all,
+        embed_source=embed,
     )
 
 

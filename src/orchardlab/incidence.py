@@ -483,9 +483,13 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     which is a sound over-approximation (it may flag pairs whose
     stabilizer is in fact trivial, never the reverse; a missed pair
     raises VerificationFailure), so the two differ by the pairs it flags
-    in excess.  Raises PointOffPlane (a `groups.GroupError`) when a point
-    of X is off {x0 = 0}.
+    in excess.  Raises TooLarge when |X|^2 exceeds PAIR_PRODUCT_CAP,
+    before any pair is visited, then what `PointSet.of` raises, then
+    PointOffPlane (a `groups.GroupError`) when a point of X is off
+    {x0 = 0}.
     """
+    if len(X) ** 2 > PAIR_PRODUCT_CAP:
+        raise TooLarge("pair count exceeds the census guard")
     X = PointSet.of(X)
     if not X:
         return CensusReport(0, 0)
@@ -515,10 +519,6 @@ class FreeTupleSet(NamedTuple):
     tuples: Set[tuple]
     complement_size: int
     closure_truncated: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.tuples)
 
 
 def free_tuples(
@@ -563,16 +563,6 @@ class OmegaReport(NamedTuple):
     t: Fraction
     mass_bound_ok: bool        # mass <= |Xt|^2
     size_bound_ok: bool        # |Omega| <= 2 |Xt|^(1+t), exact comparison
-
-    def as_dict(self) -> dict:
-        return {
-            "omega_size": len(self.elements),
-            "omega_mass": self.mass,
-            "tuple_count": self.tuple_count,
-            "t": f"{self.t.numerator}/{self.t.denominator}",
-            "mass_bound_ok": self.mass_bound_ok,
-            "size_bound_ok": self.size_bound_ok,
-        }
 
 
 def omega_set(

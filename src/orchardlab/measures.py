@@ -215,10 +215,6 @@ def uniform(group: AffineGroupOps, S: Iterable) -> GroupMeasure:
     return GroupMeasure.from_numerators(group, dict.fromkeys(keys, 1), len(keys))
 
 
-def delta(group: AffineGroupOps, g) -> GroupMeasure:
-    return GroupMeasure.from_numerators(group, {group.key(g): 1}, 1)
-
-
 def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     """(f*h)(x) = sum_y f(y) h(y^-1 x), computed exactly: numerators
     multiply over the denominator f.den * h.den."""

@@ -46,8 +46,8 @@ The helpers, one copy each, build what the tests feed the library:
 closure), `segre_quadric_points`, `pencil_planes` (in the order
 `incidence.pencil_plane_concentration` takes them), `family_triple` (one
 triple of the extremal example), `random_measure`, `random_smooth_form`,
-`on_line` (the rank test of a point against a line's basis) and
-`line_points` (the q + 1 points of a line).
+`on_line` (the rank test of a point against a line's basis),
+`line_points` (the q + 1 points of a line) and `delta` (a point mass).
 """
 
 import operator
@@ -141,6 +141,11 @@ def random_measure(group, elements, rng, max_support=8):
     return GroupMeasure(
         group, {g: Fraction(w, total) for g, w in zip(support, weights)}
     )
+
+
+def delta(group, g) -> GroupMeasure:
+    """The probability measure with all its mass on g."""
+    return GroupMeasure.from_numerators(group, {group.key(g): 1}, 1)
 
 
 def on_line(line: ProjLine, p: ProjPoint) -> bool:

@@ -420,11 +420,11 @@ def test_criterion_10_quadric_normalization():
         nz = diagonalize_quadric(form)   # re-verifies M^T B M = I inside
         if not nz.verified:
             failures.append(f"diagonalization unverified on trial {trial}")
-        if len(nz.extensions) > 2:
-            failures.append(f"more than two extensions on trial {trial}")
+        if len(nz.extensions) > 1:
+            failures.append(f"more than one extension on trial {trial}")
         if trial % 5 == 0:
             ns = normalize_to_segre(form)
-            if not ns.verified or len(ns.extensions) > 2:
+            if not ns.verified or len(ns.extensions) > 1:
                 failures.append(f"composite normalization failed on {trial}")
     seg = to_segre_form(F5)
     T = seg.transform

@@ -1,10 +1,13 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import affine_group_elements, mulclose, random_measure
+from oracles import affine_group_elements, delta, mulclose, random_measure
+from orchardlab import bsg
 from orchardlab.bsg import (
+    BsgDecomposition,
     all_pass,
     covering_number,
     decompose,
@@ -14,7 +17,7 @@ from orchardlab.bsg import (
 )
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
-from orchardlab.measures import AffineGroupOps, GroupMeasure, delta, uniform
+from orchardlab.measures import AffineGroupOps, GroupMeasure, uniform
 
 F5 = FieldCtx(5)
 G = AffineGroupOps(F5)
@@ -108,6 +111,53 @@ def test_verify_random_sweep():
                 assert named["support_stat_lower"].passed
                 assert named["str_conv_lower"].passed
     assert hyp_seen > 0
+
+
+ROWS = [
+    ("hyp_lin", ">="), ("hyp_sq", ">="), ("nu1_l1", "<="), ("nu2_l2_sq", "<="),
+    ("reconstruction", "=="), ("strict_band_eq_structured", "=="),
+    ("support_stat_upper", "<="), ("support_stat_lower", ">="),
+    ("pointwise_lower", "<="), ("pointwise_upper", "<="), ("str_conv_lower", ">="),
+]
+GATED = {"support_stat_lower", "pointwise_upper", "str_conv_lower"}
+HOLDS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def test_rows_in_order_with_their_relations_and_verdicts():
+    rng = random.Random(24)
+    for _ in range(40):
+        nu = random_measure(G, ELS, rng, 12)
+        for K in (1, 2, Fraction(3, 2)):
+            checks = verify_decomposition(nu, K)
+            rows = [
+                row for row in ROWS
+                if decompose(nu, K).nu_str or not row[0].startswith("pointwise_")
+            ]
+            assert [(c.name, c.relation) for c in checks] == rows
+            hyp = checks[0].passed
+            for c in checks:
+                assert type(c.lhs) is Fraction and type(c.rhs) is Fraction
+                assert c.passed == HOLDS[c.relation](c.lhs, c.rhs), c.name
+                assert c.hypothesis_met == (hyp if c.name in GATED else None), c.name
+
+
+@pytest.mark.parametrize("patch", ["band", "reconstruction"])
+def test_equality_rows_fail_when_their_sides_differ(monkeypatch, patch):
+    nu = uniform(G, [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)])
+    before = verify_decomposition(nu, 1)
+    assert all_pass(before)
+    if patch == "band":
+        name = "strict_band_eq_structured"
+        monkeypatch.setattr(bsg, "restrict_open_band",
+                            lambda nu, K: delta(G, AffElem.identity(F5)))
+    else:
+        name = "reconstruction"
+        monkeypatch.setattr(BsgDecomposition, "reconstruction_exact", lambda self: False)
+    after = verify_decomposition(nu, 1)
+    assert [c for c in after if c.name != name] == [c for c in before if c.name != name]
+    row = next(c for c in after if c.name == name)
+    assert (row.lhs, row.relation, row.rhs, row.passed) == (0, "==", 1, False)
+    assert not all_pass(after)
 
 
 def test_check_serialization():

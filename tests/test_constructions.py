@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import family_triple, line_points, random_smooth_form
+from oracles import family_triple, line_points, mat_mul, random_smooth_form
 from orchardlab import constructions
 from orchardlab.constructions import (
     DegenerateParameters,
@@ -185,7 +185,7 @@ def test_diagonalize_random_forms():
         form = random_smooth_form(ctx, rng)
         nz = diagonalize_quadric(form)
         assert nz.verified
-        assert len(nz.extensions) <= 2
+        assert len(nz.extensions) <= 1
 
 
 def test_to_segre_form_examples():
@@ -220,8 +220,44 @@ def test_normalize_to_segre_random():
         form = random_smooth_form(ctx, rng)
         nz = normalize_to_segre(form)
         assert nz.verified
-        assert len(nz.extensions) <= 2
+        assert len(nz.extensions) <= 1
         assert nz.target_tag == "segre"
+
+
+@pytest.mark.parametrize("ctx", [F9, FieldCtx(5, 2)], ids=["F9", "F25"])
+def test_normalize_to_segre_over_extension_fields(ctx):
+    """Forms whose entries range over every code of F_9 and F_25, not only
+    the prime subfield: one extension at most, an embedding that is a ring
+    map, and M^T B M = 2 * (Segre matrix) checked on `FieldElem`s."""
+    rng = random.Random(25)
+    prime_subfield = {ctx.elem(i) for i in range(ctx.p)}
+    forms = []
+    while len(forms) < 12:
+        rows = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                rows[i][j] = rows[j][i] = FieldElem(ctx, rng.randrange(ctx.order))
+        form = QuadricForm(ctx, rows)
+        if form.is_smooth() and not set(form.B[0]) <= prime_subfield:
+            forms.append(form)
+    elements = ctx.elements_sorted()
+    for form in forms:
+        nz = normalize_to_segre(form)
+        assert nz.verified and nz.target_tag == "segre"
+        assert len(nz.extensions) <= 1
+        assert nz.ctx.n == ctx.n * (1 + len(nz.extensions))
+        embed = nz.embed_source
+        for a, b in zip(elements, rng.sample(elements, len(elements))):
+            assert embed(a + b) == embed(a) + embed(b)
+            assert embed(a * b) == embed(a) * embed(b)
+        big = nz.ctx
+        M = nz.transform
+        MT = [list(col) for col in zip(*M)]
+        B = [[embed(x) for x in row] for row in form.B]
+        two = big.elem(2)
+        assert mat_mul(big, mat_mul(big, MT, B), M) == [
+            [two * x for x in row] for row in QuadricForm.segre(big).B
+        ]
 
 
 def test_classify_two_lines_example():

@@ -460,6 +460,25 @@ def test_census_rejects_repeated_points():
         stabilizer_census_affine([a, ProjPoint(F5, [0, 1, 2, 3]), a])
 
 
+def test_census_pair_guard(monkeypatch):
+    """More than PAIR_PRODUCT_CAP ordered pairs raise TooLarge before the
+    points are checked and before any pair is visited."""
+    pts = [ProjPoint(F5, c) for c in ([0, 0, 1, 0], [0, 1, 1, 1], [0, 1, 2, 3])]
+
+    def visited(*a):
+        raise AssertionError("a pair was visited")
+
+    with monkeypatch.context() as m:
+        m.setattr(incidence, "PAIR_PRODUCT_CAP", 8)
+        m.setattr(incidence, "_pair_stabilizer_nontrivial", visited)
+        with pytest.raises(TooLarge):
+            stabilizer_census_affine(pts)                       # 9 pairs
+        with pytest.raises(TooLarge):
+            stabilizer_census_affine(pts[:2] + pts[:1])         # before the repeat
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 9)
+    assert stabilizer_census_affine(pts) == (7, 7)
+
+
 def test_census_rejects_off_plane_point_as_point_off_plane():
     off = ProjPoint(F5, [1, 0, 0, 0])
     with pytest.raises(PointOffPlane) as info:
@@ -486,7 +505,7 @@ def test_census_soundness_exhaustive_plane_f5():
 def test_free_tuples_trivial_group():
     pts = [p for p in enumerate_space(F3, 3) if p.coords[0].is_zero()][:5]
     ft = free_tuples(pts, [AffElem.identity(F3)], 2, aff_act)
-    assert ft.size == len(pts) ** 2
+    assert len(ft.tuples) == len(pts) ** 2
     assert ft.complement_size == 0
 
 
@@ -494,7 +513,7 @@ def test_free_tuples_globally_fixed_point():
     fixed = ProjPoint(F3, [0, 0, 1, 0])
     group = affine_group_elements(F3)
     ft = free_tuples([fixed], group, 1, aff_act)
-    assert ft.size == 0 and ft.complement_size == 1
+    assert len(ft.tuples) == 0 and ft.complement_size == 1
 
 
 def test_free_tuples_matches_per_tuple_scan():
@@ -527,10 +546,10 @@ def test_omega_identity_always_in():
     group = affine_group_elements(F5)
     ft = free_tuples(pts, group, 2, aff_act)
     # distinct pairs of points with nonzero leading plane coordinate are free
-    assert ft.size == len(pts) * (len(pts) - 1)
+    assert len(ft.tuples) == len(pts) * (len(pts) - 1)
     report = omega_set(ft, [AffElem.identity(F5)], Fraction(1, 2), aff_act)
     assert AffElem.identity(F5) in report.elements
-    assert report.mass == ft.size
+    assert report.mass == len(ft.tuples)
     assert report.mass_bound_ok and report.size_bound_ok
 
 

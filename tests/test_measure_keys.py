@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     affine_group_elements,
+    delta,
     oracle_convolve,
     oracle_decompose,
     oracle_flattening,
@@ -32,7 +33,6 @@ from orchardlab.measures import (
     MeasureError,
     MixedGroups,
     convolve,
-    delta,
     flattening_report,
     is_symmetric,
     l1_norm,

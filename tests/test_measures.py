@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_group_elements, random_measure
+from oracles import affine_group_elements, delta, random_measure
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
 from orchardlab.measures import (
@@ -20,7 +20,6 @@ from orchardlab.measures import (
     SupportBlowup,
     convolve,
     coset_mass,
-    delta,
     flattening_report,
     is_symmetric,
     l1_norm,

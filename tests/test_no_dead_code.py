@@ -7,10 +7,15 @@ is the library API the README lists, which no subcommand calls. Oracles
 and helpers that only tests call belong in `tests/oracles.py`.  Outside
 `field.py`, no module reads the private state of a field context.
 
-Uses are matched by bare name, not by owner: a method passes as soon as
-any name or attribute in `src/` spells the same word, so a method that
-shares its name with a used one (say `identity` or `contains`) is not
-caught when it has no caller of its own.
+A top-level function or class is used when its name is read (loaded)
+outside its definition, either in its own module or, under the name it
+is imported as, in a module that imports it from there; a read of the
+same spelling in a module that does not import it, or an attribute of
+that spelling, does not count. Methods are still matched by bare name,
+not by owner: a method passes as soon as any name or attribute in `src/`
+spells the same word, so a method that shares its name with a used one
+(say `identity` or `contains`) is not caught when it has no caller of
+its own.
 """
 
 import ast
@@ -48,19 +53,52 @@ def _definitions():
                         yield module, f"{node.name}.{m.name}", m
 
 
-def test_every_definition_is_used():
+def _loads(tree):
+    """name -> ids of the nodes that read it in `tree`."""
+    loads = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            loads.setdefault(n.id, set()).add(id(n))
+    return loads
+
+
+def _top_level_uses():
+    """(module, name) -> ids of the reads of that module's top-level name:
+    in the module itself, and in each module that imports it from there
+    under the name it is bound to."""
+    loads = {module: _loads(tree) for module, tree in TREES.items()}
     uses = {}
+    for module, tree in TREES.items():
+        for name, ids in loads[module].items():
+            uses.setdefault((module, name), set()).update(ids)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module in TREES:
+                for a in n.names:
+                    ids = loads[module].get(a.asname or a.name, set())
+                    uses.setdefault((n.module, a.name), set()).update(ids)
+    return uses
+
+
+def test_every_definition_is_used():
+    top = _top_level_uses()
+    bare = {}
     for tree in TREES.values():
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                uses.setdefault(n.id, set()).add(id(n))
+                bare.setdefault(n.id, set()).add(id(n))
             elif isinstance(n, ast.Attribute):
-                uses.setdefault(n.attr, set()).add(id(n))
+                bare.setdefault(n.attr, set()).add(id(n))
+
+    def uses(module, qualname, node):
+        if "." in qualname:                    # a method: by bare name
+            return bare.get(node.name, set())
+        return top.get((module, qualname), set())
+
     dead = [
         f"{module}.{qualname} (line {node.lineno})"
         for module, qualname, node in _definitions()
         if qualname not in API.get(module, ())
-        and not uses.get(node.name, set()) - {id(n) for n in ast.walk(node)}
+        and not uses(module, qualname, node) - {id(n) for n in ast.walk(node)}
     ]
     assert not dead, "defined in src/ but never used there: " + ", ".join(dead)
 
