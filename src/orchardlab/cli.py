@@ -117,16 +117,9 @@ def cmd_orchard_threeplanes(args) -> int:
         raise UsageError("point sets live over different fields")
     if args.field and FieldCtx.from_descriptor(args.field) is not ctx1:
         raise UsageError("field flag does not match the point files")
-    count = count_collinear_triples(X1, X2, X3, kernel=args.kernel)
     frame = StdThreePlaneFrame(ctx1)
-    max_line = {}
-    witness = {}
-    for name, X in (("x1", X1), ("x2", X2), ("x3", X3)):
-        rep = line_concentration(X)
-        max_line[name] = rep.max_count
-        witness[name] = line_text(ctx1, rep.witness) if rep.witness else None
-    pencil = pencil_plane_concentration(X3, frame.P1, frame.P2)
     census = None
+    # the census first: its |X1|^2 guard is the tightest of the passes
     if all(frame.P1.contains(x) for x in X1):
         c = stabilizer_census_affine(X1)
         census = {
@@ -134,6 +127,14 @@ def cmd_orchard_threeplanes(args) -> int:
             "closed_form_pairs": c.closed_form_count,
             "disagreements": c.closed_form_count - c.nontrivial_count,
         }
+    count = count_collinear_triples(X1, X2, X3, kernel=args.kernel)
+    max_line = {}
+    witness = {}
+    for name, X in (("x1", X1), ("x2", X2), ("x3", X3)):
+        rep = line_concentration(X)
+        max_line[name] = rep.max_count
+        witness[name] = line_text(ctx1, rep.witness) if rep.witness else None
+    pencil = pencil_plane_concentration(X3, frame.P1, frame.P2)
     by_line = sorted((line_text(ctx1, key), n) for key, n in count.by_line.items())
     write_json(
         args.report,
@@ -193,18 +194,15 @@ def _affine_element(ctx, index: int):
 
 
 def _random_affine_elements(ctx, rng, count):
-    from .groups import AffElem
-
-    elems = set()
-    nonzero = [e for e in ctx.elements_sorted() if not e.is_zero()]
-    all_elems = ctx.elements_sorted()
-    while len(elems) < count:
-        g = AffElem(
-            ctx, rng.choice(all_elems), rng.choice(all_elems), rng.choice(nonzero)
-        )
-        if not g.is_identity():
-            elems.add(g)
-    return sorted(elems, key=lambda g: g.key)
+    """count distinct non-identity elements, drawn by a, b, c, in key order."""
+    q = ctx.order
+    identity = ctx.one().code - 1   # a = b = 0, c = 1
+    indices = set()
+    while len(indices) < count:
+        index = (rng.randrange(q) * q + rng.randrange(q)) * (q - 1) + rng.randrange(q - 1)
+        if index != identity:
+            indices.add(index)
+    return [_affine_element(ctx, i) for i in sorted(indices)]
 
 
 def cmd_flatten(args) -> int:

@@ -251,64 +251,50 @@ def _embed_matrix(rows, embed):
 def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
     """Produce M with M^T B M = I exactly, adjoining square roots as
     needed (one quadratic extension suffices: after it, every base-field
-    residue class is a square)."""
+    residue class is a square).  Gram-Schmidt on the columns c_i of M from
+    the identity, by B(c_i, c_j), the entries of M^T B M (`B.bilinear`)."""
     ctx = B.ctx
     if ctx.p == 2:
         raise CharTwo("diagonalization divides by 2")
     if not B.is_smooth():
         raise SingularForm("the form is singular")
-    mat = [list(row) for row in B.B]
-    trans = [[ctx.one() if i == j else ctx.zero() for j in range(4)] for i in range(4)]
-
-    def add_col(dst, src, factor):
-        # column operation and the matching row operation keep congruence
-        for r in range(4):
-            mat[r][dst] = mat[r][dst] + factor * mat[r][src]
-        for c in range(4):
-            mat[dst][c] = mat[dst][c] + factor * mat[src][c]
-        for r in range(4):
-            trans[r][dst] = trans[r][dst] + factor * trans[r][src]
-
-    def swap_cols(i, j):
-        for r in range(4):
-            mat[r][i], mat[r][j] = mat[r][j], mat[r][i]
-        mat[i], mat[j] = mat[j], mat[i]
-        for r in range(4):
-            trans[r][i], trans[r][j] = trans[r][j], trans[r][i]
-
+    cols = [[ctx.one() if i == j else ctx.zero() for i in range(4)] for j in range(4)]
+    values = []
     for i in range(4):
-        if mat[i][i].is_zero():
-            pivot = next(
-                (j for j in range(i + 1, 4) if not mat[j][j].is_zero()), None
-            )
-            if pivot is not None:
-                swap_cols(i, pivot)
+        later = range(i + 1, 4)
+        value = B.bilinear(cols[i], cols[i])
+        if value.is_zero():
+            j = next((j for j in later if not B.bilinear(cols[j], cols[j]).is_zero()), None)
+            if j is not None:
+                cols[i], cols[j] = cols[j], cols[i]
             else:
-                j = next(
-                    (j for j in range(i + 1, 4) if not mat[i][j].is_zero()), None
-                )
+                j = next((j for j in later if not B.bilinear(cols[i], cols[j]).is_zero()), None)
                 if j is None:
                     raise SingularForm("zero row encountered; form is singular")
-                add_col(i, j, ctx.one())  # diagonal becomes 2*mat[i][j] != 0
-        pivot_val = mat[i][i]
-        for j in range(i + 1, 4):
-            if not mat[i][j].is_zero():
-                add_col(j, i, -mat[i][j] / pivot_val)
+                # every later column is isotropic: c_i + c_j has value 2 B(c_i, c_j)
+                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+            value = B.bilinear(cols[i], cols[i])
+        values.append(value)
+        for j in later:
+            cross = B.bilinear(cols[i], cols[j])
+            if not cross.is_zero():
+                factor = -cross / value
+                cols[j] = [x + factor * y for x, y in zip(cols[j], cols[i])]
 
     extensions: List[str] = []
     embed = _identity
-    for i in range(4):
-        # the diagonal stays in the source field; the one extension
-        # makes every element of it a square, so none follows
-        entry = embed(mat[i][i])
+    for i, value in enumerate(values):
+        # the values stay in the source field; the one extension makes
+        # every element of it a square, so none follows
+        entry = embed(value)
         root = ctx.try_sqrt(entry)
         if root is None:
             ctx, embed, root = adjoin_sqrt(ctx, entry)
             extensions.append(ctx.descriptor())
-            trans = _embed_matrix(trans, embed)
+            cols = _embed_matrix(cols, embed)
         scale = inv(root)
-        for r in range(4):
-            trans[r][i] = trans[r][i] * scale
+        cols[i] = [x * scale for x in cols[i]]
+    trans = [list(row) for row in zip(*cols)]
 
     # re-verify on the final field: M^T B M = 1 * I
     B_final = QuadricForm(ctx, _embed_matrix(B.B, embed))

@@ -29,6 +29,7 @@ from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, inv
 from .projgeom import (
     PAIR_PRODUCT_CAP,
+    Canonical,
     MixedContexts,
     NotOnSegreQuadric,
     PointSet,
@@ -92,10 +93,10 @@ class NotOnQuadricGroup(GroupError):
 
 # -- the affine group G_a^2 x| G_m ---------------------------------------
 
-class AffElem:
+class AffElem(Canonical):
     """Element (a, b, c) with c != 0 of G_a^2 x| G_m."""
 
-    __slots__ = ("ctx", "a", "b", "c", "key")
+    __slots__ = ("a", "b", "c")
 
     def __init__(self, ctx: FieldCtx, a, b, c):
         a, b, c = ctx.elem(a), ctx.elem(b), ctx.elem(c)
@@ -104,16 +105,6 @@ class AffElem:
         self.ctx = ctx
         self.a, self.b, self.c = a, b, c
         self.key = (a.code, b.code, c.code)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffElem)
-            and self.ctx is other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"({self.a},{self.b},{self.c})"
@@ -278,7 +269,7 @@ def _congruence_ratio(M, Q: QuadricForm, target: QuadricForm) -> Optional[int]:
     return None if lam in (None, Z) else lam
 
 
-class PGLElem:
+class PGLElem(Canonical):
     """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1.
 
     The matrix is kept as `logs`, its rows of Zech log codes (see
@@ -313,16 +304,6 @@ class PGLElem:
     @cached_property
     def rows(self) -> Tuple[Tuple[FieldElem, ...], ...]:
         return tuple(tuple(FieldElem(self.ctx, c) for c in row) for row in self.key)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PGLElem)
-            and self.ctx is other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"PGL{self.rows}"

@@ -5,7 +5,9 @@ Every object is stored in a unique canonical form so that structural
 equality and hashing are the containment test: points and plane duals
 scale their first nonzero coordinate to 1, lines keep a reduced
 row-echelon basis.  This is what makes the counting kernels a matter of
-dictionary lookups.
+dictionary lookups.  The one equality and hash live in `Canonical`,
+which points, lines and planes here and the group elements of `groups`
+subclass.
 """
 
 from __future__ import annotations
@@ -51,14 +53,33 @@ class NotOnSegreQuadric(GeometryError):
     pass
 
 
+class Canonical:
+    """An object held in its canonical form: its field `ctx` and `key`, a
+    tuple of int codes (or of rows of them) unique to it in that field.
+    Equal means the same class, the same field and the same key; the hash
+    is the key's."""
+
+    __slots__ = ("ctx", "key")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.ctx is other.ctx
+            and self.key == other.key
+        )
+
+    def __hash__(self):
+        return hash(self.key)
+
+
 def _as_elems(ctx: FieldCtx, coords) -> Tuple[FieldElem, ...]:
     return tuple(ctx.elem(c) for c in coords)
 
 
-class ProjPoint:
+class ProjPoint(Canonical):
     """A projective point; first nonzero coordinate normalized to 1."""
 
-    __slots__ = ("ctx", "coords", "key")
+    __slots__ = ("coords",)
 
     def __init__(self, ctx: FieldCtx, coords: Sequence):
         coords = _as_elems(ctx, coords)
@@ -71,16 +92,6 @@ class ProjPoint:
         self.ctx = ctx
         self.coords = coords
         self.key = tuple(c.code for c in coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPoint)
-            and self.ctx is other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return "[" + ":".join(c.text() for c in self.coords) + "]"
@@ -124,11 +135,11 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-class ProjLine:
+class ProjLine(Canonical):
     """A line in P^3 as the row span of a canonical RREF 2x4 basis; its
     key is the flat 8-tuple of the basis codes."""
 
-    __slots__ = ("ctx", "basis", "key")
+    __slots__ = ("basis",)
 
     def __init__(self, ctx: FieldCtx, rows):
         rref, rank = _rref2([list(r) for r in rows])
@@ -139,40 +150,20 @@ class ProjLine:
         self.basis = basis
         self.key = tuple(e.code for row in basis for e in row)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjLine)
-            and self.ctx is other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"Line{self.basis}"
 
 
-class ProjPlane:
+class ProjPlane(Canonical):
     """A plane in P^3 by its canonical dual vector."""
 
-    __slots__ = ("ctx", "dual", "key")
+    __slots__ = ("dual",)
 
     def __init__(self, ctx: FieldCtx, dual: Sequence):
         pt = ProjPoint(ctx, dual)  # reuse the same canonicalization
         self.ctx = ctx
         self.dual = pt.coords
         self.key = pt.key
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPlane)
-            and self.ctx is other.ctx
-            and self.key == other.key
-        )
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return "Plane(" + ":".join(c.text() for c in self.dual) + ")"

@@ -92,6 +92,53 @@ def test_orchard_threeplanes_line_concentration_guard(tmp_path, capsys, monkeypa
     assert not report.exists()
 
 
+def test_orchard_threeplanes_census_guard_runs_before_the_count(tmp_path, capsys, monkeypatch):
+    from orchardlab import incidence
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    def count(*args):
+        raise AssertionError("the triple count ran")
+
+    # |X1|^2 = 16 trips the census guard; every other pass is within 9
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 9)
+    monkeypatch.setattr(incidence, "_count_hash", count)
+    ctx = FieldCtx(5)
+    X1 = [ProjPoint(ctx, [0, 1, i, 0]) for i in range(4)]
+    for name, X in (("x1", X1), ("x2", [ProjPoint(ctx, [1, 0, 0, 0])]),
+                    ("x3", [ProjPoint(ctx, [1, 1, 1, 1])])):
+        save_point_set(tmp_path / f"{name}.pts", ctx, X)
+    report = tmp_path / "t.json"
+    assert run([
+        "orchard-threeplanes", "--x1", tmp_path / "x1.pts", "--x2", tmp_path / "x2.pts",
+        "--x3", tmp_path / "x3.pts", "--report", report,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: pair count exceeds the census guard\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("orchard-threeplanes", ("--x1", "--x2", "--x3")),
+    ("orchard-quadric", ("--x", "--s")),
+])
+def test_point_sets_over_different_fields_are_a_usage_error(tmp_path, capsys, command, flags):
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    # the last file is over F_7, the others over F_5
+    args = [command]
+    for flag, p in zip(flags, [5] * (len(flags) - 1) + [7]):
+        ctx = FieldCtx(p)
+        path = tmp_path / f"{flag[2:]}.pts"
+        save_point_set(path, ctx, [ProjPoint(ctx, [1, 1, 1, 1])])
+        args += [flag, path]
+    report = tmp_path / "r.json"
+    assert run(args + ["--report", report]) == 1
+    assert capsys.readouterr().err == "error: point sets live over different fields\n"
+    assert not report.exists()
+
+
 def test_orchard_threeplanes_field_mismatch(tmp_path, capsys):
     prefix = tmp_path / "ex_"
     run(["example-build", "--p", 7, "--k", 2, "--out-prefix", prefix,
@@ -274,6 +321,21 @@ def test_lemma_suite_subset(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["suites"]) == {"segre-roundtrip", "commutator-formula"}
     assert all(entry["pass"] for entry in doc["suites"].values())
+
+
+def test_lemma_suite_runs_every_suite(tmp_path):
+    out = tmp_path / "ls.json"
+    assert run(["lemma-suite", "--out", out]) == 0
+    assert json.loads(out.read_text())["suites"] == {
+        name: {"pass": True, "detail": detail} for name, detail in {
+            "projection-vs-algebra": "4212 exhaustive checks over F3",
+            "commutator-formula": "162 exhaustive checks over F3",
+            "centralizer-formula": "7500 exhaustive checks over F5",
+            "quadric-reflection": "4320 exhaustive checks over F5, B = I",
+            "segre-roundtrip": "16 exhaustive checks over F3",
+            "fixed-point-classification": "outcomes {'FINITE': 100}",
+        }.items()
+    }
 
 
 def test_failed_lemma_suite_writes_its_report_then_one_line(tmp_path, capsys, monkeypatch):

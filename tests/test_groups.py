@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import affine_group_elements, mulclose, segre_quadric_points
+from orchardlab.constructions import classify_fixed_points
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
     AffElem,
@@ -40,6 +41,7 @@ from orchardlab.projgeom import (
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
+F7 = FieldCtx(7)
 
 
 def plane_points(ctx):
@@ -268,3 +270,30 @@ def test_mulclose_subgroup_and_cap():
 def test_element_text_roundtrips():
     g = AffElem(F5, 1, 2, 3)
     assert AffElem.parse(F5, g.text()) == g
+
+
+def _pgl_identity(ctx):
+    return PGLElem(ctx, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+# name -> a call with one argument over F_5 and one over F_7
+MIXED_CONTEXTS = {
+    "aff_compose": lambda: aff_compose(AffElem(F5, 1, 2, 3), AffElem(F7, 1, 2, 3)),
+    "aff_act": lambda: aff_act(AffElem(F5, 1, 2, 3), ProjPoint(F7, [0, 1, 0, 0])),
+    "aff_centralizer_member": lambda: aff_centralizer_member(
+        AffElem(F5, 0, 0, 2), AffElem(F7, 0, 0, 2)),
+    "PGLElem.__mul__": lambda: _pgl_identity(F5) * _pgl_identity(F7),
+    "PGLElem.act": lambda: _pgl_identity(F5).act(ProjPoint(F7, [1, 0, 0, 0])),
+    "is_orthogonal_mod_scalar": lambda: is_orthogonal_mod_scalar(
+        _pgl_identity(F5), QuadricForm.identity(F7)),
+    "reflection_lift": lambda: reflection_lift(
+        ProjPoint(F5, [1, 0, 0, 0]), QuadricForm.identity(F7)),
+    "segre": lambda: segre(ProjPoint(F5, [1, 0]), ProjPoint(F7, [1, 0])),
+    "classify_fixed_points": lambda: classify_fixed_points(_pgl_identity(F5), F7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_CONTEXTS))
+def test_mixed_contexts_raise_group_error(name):
+    with pytest.raises(GroupError, match="mixed contexts"):
+        MIXED_CONTEXTS[name]()

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import line_points, on_line
 from orchardlab.field import FieldCtx
-from orchardlab.groups import PGLElem
+from orchardlab.groups import AffElem, PGLElem, aff_compose
 from orchardlab.projgeom import (
     EqualPoints,
     LineInPlane,
@@ -28,6 +28,7 @@ from orchardlab.projgeom import (
 F2 = FieldCtx(2)
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
+F7 = FieldCtx(7)
 F9 = FieldCtx(3, 2)
 
 
@@ -198,3 +199,49 @@ def test_point_set_file_format(tmp_path):
     bad.write_text("0:1:2:1\n")
     with pytest.raises(PointSetFormatError):
         load_point_set(bad)
+
+
+def _row(ctx, xs, scale=1):
+    """The FieldElems of scale * x for the ints x of xs."""
+    return [ctx.elem(scale) * ctx.elem(x) for x in xs]
+
+
+IDENTITY = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+SHEAR = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+# kind -> (one object, the same object built another way, another object),
+# each made over a given field
+CANONICAL = {
+    "point": (lambda ctx: ProjPoint(ctx, [0, 1, 2, 1]),
+              lambda ctx: ProjPoint(ctx, _row(ctx, [0, 1, 2, 1], 2)),
+              lambda ctx: ProjPoint(ctx, [0, 1, 2, 3])),
+    "line": (lambda ctx: ProjLine(ctx, [_row(ctx, [1, 0, 0, 0]), _row(ctx, [0, 1, 0, 0])]),
+             lambda ctx: ProjLine(ctx, [_row(ctx, [1, 1, 0, 0]), _row(ctx, [1, 2, 0, 0])]),
+             lambda ctx: ProjLine(ctx, [_row(ctx, [1, 0, 0, 0]), _row(ctx, [0, 0, 1, 0])])),
+    "plane": (lambda ctx: ProjPlane(ctx, [0, 1, 2, 1]),
+              lambda ctx: ProjPlane(ctx, _row(ctx, [0, 1, 2, 1], 2)),
+              lambda ctx: ProjPlane(ctx, [0, 1, 2, 3])),
+    "affine": (lambda ctx: AffElem(ctx, 1, 2, 3),
+               lambda ctx: aff_compose(AffElem(ctx, 1, 2, 3), AffElem.identity(ctx)),
+               lambda ctx: AffElem(ctx, 1, 2, 4)),
+    "pgl": (lambda ctx: PGLElem(ctx, SHEAR),
+            lambda ctx: PGLElem(ctx, [_row(ctx, r, 2) for r in SHEAR]) * PGLElem(ctx, IDENTITY),
+            lambda ctx: PGLElem(ctx, IDENTITY)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CANONICAL))
+def test_canonical_equality(kind):
+    make, make_apart, make_other = CANONICAL[kind]
+    x, y = make(F5), make_apart(F5)
+    assert x is not y and x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != make_other(F5) and x.key != make_other(F5).key
+    # the same codes over another field
+    z = make(F7)
+    assert z.key == x.key and x != z and z != x and len({x, z}) == 2
+
+
+def test_canonical_point_is_not_the_plane_of_its_key():
+    point, plane = ProjPoint(F5, [0, 1, 2, 1]), ProjPlane(F5, [0, 1, 2, 1])
+    assert point.key == plane.key and point != plane and plane != point
+    assert len({point, plane}) == 2
