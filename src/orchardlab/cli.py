@@ -11,9 +11,12 @@ failed (this indicates a bug or a genuine counterexample).  Either comes
 with one stderr line and no traceback; a failed `bsg-verify` instance or
 `lemma-suite` suite writes its report first, then the line.
 
-Each job is one fresh process, so each subcommand imports the modules it
-runs inside its own function: a triple count never loads the measure
-code, and a measure job never loads the point-counting code.
+Each job is one fresh process that compiles every module it imports, so
+each subcommand imports the modules it runs inside its own function, and
+the library does the same below it: a triple count never loads the
+measure code or `groups`, a measure job never loads the point-counting
+code, and `fractions` is loaded only where a fraction is parsed, built
+or reported.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ import contextlib
 import itertools
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,7 +108,6 @@ def cmd_example_verify(args) -> int:
 
 
 def cmd_orchard_threeplanes(args) -> int:
-    from .groups import StdThreePlaneFrame
     from .incidence import (
         count_collinear_triples,
         line_concentration,
@@ -108,7 +115,7 @@ def cmd_orchard_threeplanes(args) -> int:
         pencil_plane_concentration,
         stabilizer_census_affine,
     )
-    from .projgeom import load_point_set
+    from .projgeom import StdThreePlaneFrame, load_point_set
 
     ctx1, X1 = load_point_set(args.x1, args.allow_dup)
     ctx2, X2 = load_point_set(args.x2, args.allow_dup)
@@ -250,6 +257,7 @@ def cmd_flatten(args) -> int:
 
 def cmd_bsg_verify(args) -> int:
     import random
+    from fractions import Fraction
 
     from .bsg import all_pass, verify_decomposition
     from .measures import AffineGroupOps, GroupMeasure
@@ -312,8 +320,8 @@ def cmd_bsg_verify(args) -> int:
 
 
 def _suite_projection_agreement():
-    from .groups import StdThreePlaneFrame, aff_act, eta_composed, gamma_xy
-    from .projgeom import enumerate_space
+    from .groups import aff_act, eta_composed, gamma_xy
+    from .projgeom import StdThreePlaneFrame, enumerate_space
 
     ctx = FieldCtx(3)
     frame = StdThreePlaneFrame(ctx)

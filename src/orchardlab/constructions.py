@@ -2,33 +2,21 @@
 point sets and their lazy index family, quadric diagonalization over
 quadratic extensions, the Segre change of variables, and the fixed-point
 classifier for special orthogonal elements acting on the Segre quadric.
+
+Each CLI job is one fresh process that compiles every module it imports,
+so the names of `groups`, `incidence` and `fractions` are imported inside
+the functions that use them: building the example loads neither `groups`
+nor `incidence`, and the fixed-point classifier loads `incidence` only
+for a fixed set of more than four points.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, adjoin_sqrt, inv, least_primitive_root
-from .groups import (
-    CharTwo,
-    GroupError,
-    IdentityElement,
-    NotOnQuadricGroup,
-    PGLElem,
-    _congruence_ratio,
-    _mat_mul,
-    _matrix_elems,
-    is_orthogonal_mod_scalar,
-)
-from .incidence import (
-    _line_from_key,
-    _later_points_by_line,
-    count_collinear_triples,
-    line_concentration,
-)
 from .projgeom import (
     PointSet,
     ProjLine,
@@ -37,6 +25,11 @@ from .projgeom import (
     _det4,
     _matrix_logs,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .groups import PGLElem
 
 
 class DegenerateParameters(OrchardError):
@@ -88,6 +81,8 @@ def build_example(p: int, k) -> ExampleConfig:
     with d the least generator of F_p^* and N = floor(p^(1/k)).  Exponent
     collisions inside [-N, N] (that is 2N+1 > p-1) are an error.
     """
+    from fractions import Fraction
+
     k = Fraction(k)
     if k <= 1:
         raise DegenerateParameters("k must exceed 1")
@@ -163,6 +158,8 @@ def verify_example(cfg: ExampleConfig) -> ExampleReport:
       exactly when (i+j) mod p-1 is some e in [-N, N] mod p-1: then all
       p^2 triples of the pair are in the sets, else none is.
     """
+    from .incidence import count_collinear_triples, line_concentration
+
     p, span = cfg.p, range(-cfg.N, cfg.N + 1)
     power = [pow(cfg.d, e, p) for e in range(p - 1)]      # d^e at e mod p-1
     exponents = {e % (p - 1) for e in span}
@@ -253,6 +250,8 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
     needed (one quadratic extension suffices: after it, every base-field
     residue class is a square).  Gram-Schmidt on the columns c_i of M from
     the identity, by B(c_i, c_j), the entries of M^T B M (`B.bilinear`)."""
+    from .groups import CharTwo, _congruence_ratio
+
     ctx = B.ctx
     if ctx.p == 2:
         raise CharTwo("diagonalization divides by 2")
@@ -268,9 +267,8 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
             if j is not None:
                 cols[i], cols[j] = cols[j], cols[i]
             else:
-                j = next((j for j in later if not B.bilinear(cols[i], cols[j]).is_zero()), None)
-                if j is None:
-                    raise SingularForm("zero row encountered; form is singular")
+                # smooth B: isotropic c_i, orthogonal to c_0..c_(i-1), pairs with a later c_j
+                j = next(j for j in later if not B.bilinear(cols[i], cols[j]).is_zero())
                 # every later column is isotropic: c_i + c_j has value 2 B(c_i, c_j)
                 cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
             value = B.bilinear(cols[i], cols[i])
@@ -315,6 +313,8 @@ def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
 def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
     """The substitution x1 = x+z, x2 = ix-iz, x3 = w-y, x4 = iw+iy, which
     carries the sum of four squares to 4*(xz - yw); needs i = sqrt(-1)."""
+    from .groups import CharTwo, _congruence_ratio
+
     if ctx.p == 2:
         raise CharTwo("substitution divides by 2")
     i_root = ctx.try_sqrt(-ctx.one())
@@ -348,6 +348,8 @@ def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
     """Compose diagonalization with the Segre substitution: M with
     M^T B M = scalar * (doubled Segre matrix), over at most one
     quadratic extension."""
+    from .groups import _congruence_ratio, _mat_mul, _matrix_elems
+
     diag = diagonalize_quadric(B)
     ctx, trans, embed = diag.ctx, diag.transform, diag.embed_source
     extensions = list(diag.extensions)
@@ -391,6 +393,8 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
     M; det(M) = -lambda^2 is the non-special coset.  The test tells the
     two apart only in odd characteristic, so in characteristic 2 no
     element is reported special."""
+    from .groups import is_orthogonal_mod_scalar
+
     ok, lam = is_orthogonal_mod_scalar(g, Q)
     if not ok:
         return False, None, False
@@ -411,6 +415,8 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     records whether the determinant test certifies the special part.
     For a verified element an OTHER outcome is impossible and raises.
     """
+    from .groups import GroupError, IdentityElement, NotOnQuadricGroup
+
     if g.ctx is not ctx:
         raise GroupError("mixed contexts")
     if g.is_identity():
@@ -514,6 +520,8 @@ def _full_lines_within(ctx, points) -> List[ProjLine]:
     """Lines all of whose q+1 points belong to the given set, in the order
     of their first pair with the points sorted by key: those whose first
     point sees the q others after it (see `_later_points_by_line`)."""
+    from .incidence import _later_points_by_line, _line_from_key
+
     ordered = PointSet(sorted(points, key=lambda p: p.key))
     return [
         _line_from_key(ctx, key)

@@ -36,6 +36,7 @@ from .projgeom import (
     ProjPlane,
     ProjPoint,
     QuadricForm,
+    StdThreePlaneFrame,
     TooLarge,
     _det4,
     _entry_logs,
@@ -173,18 +174,6 @@ def aff_centralizer_member(h: AffElem, g: AffElem) -> bool:
         raise NotApplicable("closed form needs third component != 1")
     ratio = (h.c - 1) / (g.c - 1)
     return h.a == g.a * ratio and h.b == g.b * ratio
-
-
-class StdThreePlaneFrame:
-    """The fixed frame P1 = {x0 = 0}, P2 = {x1 = 0}."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.P1 = ProjPlane(ctx, [1, 0, 0, 0])
-        self.P2 = ProjPlane(ctx, [0, 1, 0, 0])
-
-    def off_both(self, x: ProjPoint) -> bool:
-        return not (self.P1.contains(x) or self.P2.contains(x))
 
 
 def eta(x: ProjPoint, p_from: ProjPlane, p_to: ProjPlane, a: ProjPoint) -> ProjPoint:

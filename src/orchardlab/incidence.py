@@ -37,14 +37,13 @@ through `PointSet.of`, which raises for a set that is not one.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
+from operator import mul
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
 
 from .errors import OrchardError, VerificationFailure
-from .field import FieldCtx, FieldElem, inv
-from .groups import PointOffPlane
+from .field import FieldCtx, FieldElem, _digits
 from .projgeom import (
     PAIR_PRODUCT_CAP,
     MixedContexts,
@@ -55,6 +54,9 @@ from .projgeom import (
     TooLarge,
     line_through,  # not called here; perfbench/tracing.py wraps it here by name
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # -- collinear triple counting -------------------------------------------
@@ -392,6 +394,28 @@ class EqualPlanes(OrchardError):
     pass
 
 
+def _pencil_planes_of(ctx: FieldCtx, X: PointSet, P1: ProjPlane, P2: ProjPlane):
+    """For each point of X, with s and r its values on P1 and P2: the int
+    code of t = -r/s when s != 0 (the point is on t*P1 + P2 alone), P1 when
+    s = 0 != r, and None when s = r = 0 (it is on every plane).  Prime
+    fields compute on the points' `keys` mod p, F_{p^n} on their `logs`."""
+    if ctx.n == 1:
+        p, d1, d2 = ctx.p, P1.key, P2.key
+        for x in X.keys:
+            s = sum(map(mul, d1, x)) % p
+            r = sum(map(mul, d2, x)) % p
+            yield -r * pow(s, -1, p) % p if s else (P1 if r else None)
+        return
+    t = ctx.zech
+    _, exp, red, _, Z, m1 = t
+    ones = (0,) * 4                     # log codes of 1
+    e1, e2 = ([(k, k, t.log[c]) for k, c in enumerate(P.key) if c] for P in (P1, P2))
+    for x in X.logs:
+        s, r = t.form(e1, x, ones), t.form(e2, x, ones)
+        # -r/s has log red[l(-r) + (q - 1) - l(s)], and Z >> 1 is q - 1
+        yield exp[red[red[r + m1] + (Z >> 1) - s]] if s != Z else (P1 if r != Z else None)
+
+
 def pencil_plane_concentration(
     X3: Sequence[ProjPoint],
     P1: ProjPlane,
@@ -402,9 +426,9 @@ def pencil_plane_concentration(
     The planes are taken in this order: P1, then the plane t*P1 + P2 for
     each t of ctx.elements() (t = 0 gives P2).  The witness is the key of
     the first plane in that order to reach the max (P1 for an empty X3).
-    One pass over X3: with s = P1.x and r = P2.x, a point lies on every
-    plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise on
-    the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
+    One pass over X3 on codes: with s = P1.x and r = P2.x, a point lies on
+    every plane when s = r = 0, on P1 alone when s = 0 != r, and otherwise
+    on the plane t = -r/s alone.  Raises EqualPlanes when P1 == P2 and
     MixedContexts when a plane or X3 is over another field.
     """
     if P1 == P2:
@@ -413,31 +437,17 @@ def pencil_plane_concentration(
     X3 = PointSet.of(X3)
     if P2.ctx is not ctx or X3 and X3.ctx is not ctx:
         raise MixedContexts("planes or points from different fields")
-    d1, d2 = P1.dual, P2.dual
-    on_all = on_p1 = 0
-    on_t: Dict[int, int] = {}
-    for x in X3:
-        s = r = ctx.zero()
-        for a, b, c in zip(d1, d2, x.coords):
-            s = s + a * c
-            r = r + b * c
-        if not s.is_zero():
-            t = (-r * inv(s)).code
-            on_t[t] = on_t.get(t, 0) + 1
-        elif r.is_zero():
-            on_all += 1
-        else:
-            on_p1 += 1
-    best = on_all + on_p1
-    witness_t = None
-    for t in ctx.elements():
-        hit = on_all + on_t.get(t.code, 0)
-        if hit > best:
-            best, witness_t = hit, t
-    witness = P1 if witness_t is None else ProjPlane(
-        ctx, [a * witness_t + b for a, b in zip(d1, d2)]
-    )
-    return ConcentrationReport(best, witness.key)
+    on_t = Counter(_pencil_planes_of(ctx, X3, P1, P2)) if X3 else Counter()
+    on_all, on_p1 = on_t.pop(None, 0), on_t.pop(P1, 0)
+    top = max(on_t.values(), default=0)
+    if top <= on_p1:
+        return ConcentrationReport(on_all + on_p1, P1.key)
+    # ctx.elements() runs through the codes in the order of their base-p
+    # digits, least significant first
+    t = FieldElem(ctx, min((c for c, m in on_t.items() if m == top),
+                           key=lambda c: _digits(c, ctx.p, ctx.n)))
+    witness = ProjPlane(ctx, [a * t + b for a, b in zip(P1.dual, P2.dual)])
+    return ConcentrationReport(on_all + top, witness.key)
 
 
 # -- stabilizer census on the standard plane -------------------------------
@@ -496,6 +506,8 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     ctx = X.ctx
     for x in X:
         if not x.coords[0].is_zero():
+            from .groups import PointOffPlane   # the census runs without groups
+
             raise PointOffPlane(f"{x} is not on the plane x0 = 0")
     exact = 0
     closed = 0
@@ -579,6 +591,8 @@ def omega_set(
     bound mass <= |Xt|^2 and the size bound |Omega_t| <= 2 |Xt|^(1+t)
     are checked and a violation raises (it would mean a bug).
     """
+    from fractions import Fraction
+
     t = Fraction(t)
     if not (0 < t < 1):
         raise ValueError("t must lie strictly between 0 and 1")

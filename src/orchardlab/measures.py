@@ -27,6 +27,8 @@ from .field import FieldCtx, FieldElem
 from .groups import AffElem, aff_compose, aff_inverse
 
 SUPPORT_CAP = 10**6
+# the most terms |supp f| |supp h| one convolution may compute
+TERMS_CAP = 10**7
 
 
 class MeasureError(OrchardError):
@@ -217,9 +219,17 @@ def uniform(group: AffineGroupOps, S: Iterable) -> GroupMeasure:
 
 def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     """(f*h)(x) = sum_y f(y) h(y^-1 x), computed exactly: numerators
-    multiply over the denominator f.den * h.den."""
+    multiply over the denominator f.den * h.den.  Raises MixedGroups for
+    measures on different groups, then SupportBlowup before the first
+    term when |supp f| |supp h| exceeds TERMS_CAP, and as soon as the
+    support of f*h exceeds SUPPORT_CAP."""
     if f.group != h.group:
         raise MixedGroups("convolution across different groups")
+    if len(f.nums) * len(h.nums) > TERMS_CAP:
+        raise SupportBlowup(
+            f"convolution of supports {len(f.nums)} x {len(h.nums)} exceeds the "
+            f"terms guard of {TERMS_CAP} terms"
+        )
     group = f.group
     # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
     # log codes are red[x + y], sums red[x + zech[y - x + Z]]

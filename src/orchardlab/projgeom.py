@@ -177,6 +177,18 @@ class ProjPlane(Canonical):
         return acc.is_zero()
 
 
+class StdThreePlaneFrame:
+    """The fixed frame P1 = {x0 = 0}, P2 = {x1 = 0}."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self.P1 = ProjPlane(ctx, [1, 0, 0, 0])
+        self.P2 = ProjPlane(ctx, [0, 1, 0, 0])
+
+    def off_both(self, x: ProjPoint) -> bool:
+        return not (self.P1.contains(x) or self.P2.contains(x))
+
+
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points."""
     if p.ctx is not q.ctx:

@@ -483,6 +483,17 @@ def test_malformed_field_flag_is_usage_error(tmp_path, capsys):
     assert "4/1,1" in err
 
 
+def test_flatten_refuses_a_squaring_past_the_terms_guard(tmp_path, capsys):
+    """Over F_25 the supports are 132 and then 9,612: the second squaring
+    would compute 9,612^2 terms, past the 10^7 guard (without the guard
+    the job ran for minutes).  It exits 1 with one line and no CSV."""
+    out = tmp_path / "f.csv"
+    err = _one_line_error(capsys, ["flatten", "--field", "5^2", "--gen-count", 12,
+                                   "--m-max", 2, "--seed", 1, "--out", out])
+    assert "9612 x 9612 exceeds the terms guard" in err
+    assert not out.exists()
+
+
 def test_flatten_negative_m_max_is_usage_error(tmp_path, capsys):
     _one_line_error(capsys, ["flatten", "--field", 5, "--m-max", -1, "--out", tmp_path / "f.csv"])
 
@@ -526,16 +537,33 @@ def test_subcommands_load_only_their_modules(tmp_path):
     # a fresh interpreter, since this one has loaded every module already
     loaded = modules_loaded([], tmp_path)
     assert "orchardlab.cli" in loaded
-    assert not loaded & {"dataclasses", "orchardlab.incidence", "orchardlab.constructions",
-                         "orchardlab.measures", "orchardlab.bsg"}
+    assert not loaded & {"dataclasses", "fractions", "orchardlab.incidence",
+                         "orchardlab.constructions", "orchardlab.measures", "orchardlab.bsg"}
 
     for name, points in (("a", ["0:1:1:1", "0:1:2:3"]), ("b", ["1:0:1:1", "1:0:2:3"]),
-                         ("c", ["1:1:1:1", "2:1:3:3"])):
+                         ("c", ["1:1:1:1", "2:1:3:3"]), ("q", ["0:0:0:1", "1:0:0:0"]),
+                         ("s", ["1:0:0:1"])):
         (tmp_path / f"{name}.pts").write_text("field 5\n" + "\n".join(points) + "\n")
     loaded = modules_loaded(["orchard-threeplanes", "--x1", "a.pts", "--x2", "b.pts",
                              "--x3", "c.pts", "--report", "t.json"], tmp_path)
     assert "orchardlab.incidence" in loaded
-    assert not loaded & {"orchardlab.measures", "orchardlab.bsg", "orchardlab.constructions"}
+    assert not loaded & {"orchardlab.measures", "orchardlab.bsg", "orchardlab.constructions",
+                         "orchardlab.groups", "fractions"}
+
+    loaded = modules_loaded(["orchard-quadric", "--x", "q.pts", "--s", "s.pts",
+                             "--quadric", "segre", "--report", "q.json"], tmp_path)
+    assert "orchardlab.groups" in loaded
+    assert "fractions" not in loaded
+
+    loaded = modules_loaded(["example-build", "--p", 7, "--out-prefix", "ex_",
+                             "--out", "m.json"], tmp_path)
+    assert "orchardlab.constructions" in loaded
+    assert not loaded & {"orchardlab.groups", "orchardlab.incidence"}
+
+    loaded = modules_loaded(["lemma-suite", "--only", "fixed-point-classification",
+                             "--out", "l.json"], tmp_path)
+    assert "orchardlab.constructions" in loaded
+    assert "orchardlab.incidence" not in loaded
 
     loaded = modules_loaded(["flatten", "--field", 3, "--gen-count", 2, "--m-max", 1,
                              "--out", "f.csv"], tmp_path)

@@ -37,7 +37,8 @@ from orchardlab.projgeom import (
     line_through,
 )
 
-PENCIL_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2)]
+PENCIL_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7), FieldCtx(3, 2),
+                 FieldCtx(2, 3)]
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +70,22 @@ def test_pencil_count_matches_plane_scan(case):
     best, witness = pencil_scan(X3, P1, P2)
     assert rep.max_count == best
     assert rep.witness == witness.key
+
+
+def test_pencil_ties_go_to_the_first_plane_in_elements_order():
+    """Over F_9, `ctx.elements()` gives the code 3 before the code 1: with
+    one point on each of the planes t*P1 + P2 for those two t, the witness
+    is the plane of the code 3, as in the scan, not the lesser code."""
+    ctx = FieldCtx(3, 2)
+    codes = [t.code for t in ctx.elements()]
+    assert codes.index(3) < codes.index(1)
+    P1, P2 = ProjPlane(ctx, [1, 0, 0, 0]), ProjPlane(ctx, [0, 1, 0, 0])
+    ts = [FieldElem(ctx, 1), FieldElem(ctx, 3)]
+    X3 = [ProjPoint(ctx, [ctx.one(), -t, ctx.zero(), ctx.zero()]) for t in ts]
+    rep = pencil_plane_concentration(X3, P1, P2)
+    best, witness = pencil_scan(X3, P1, P2)
+    assert (rep.max_count, rep.witness) == (best, witness.key)
+    assert rep == (1, ProjPlane(ctx, [ts[1], ctx.one(), 0, 0]).key)
 
 
 @pytest.mark.parametrize("ctx", PENCIL_FIELDS, ids=str)

@@ -131,6 +131,23 @@ def test_support_blowup_guard():
         measures.SUPPORT_CAP = old_cap
 
 
+def test_terms_guard_refuses_before_the_first_term(monkeypatch):
+    """|supp f| |supp h| above TERMS_CAP is refused before any term: with
+    the support cap at 0 as well, a computed row would raise the support
+    guard's error instead."""
+    import orchardlab.measures as measures
+
+    f, h = uniform(G5, ELS5[:20]), uniform(G5, ELS5[20:39])
+    monkeypatch.setattr(measures, "TERMS_CAP", 20 * 19)
+    assert len(convolve(f, h)) > 0
+    monkeypatch.setattr(measures, "TERMS_CAP", 20 * 19 - 1)
+    monkeypatch.setattr(measures, "SUPPORT_CAP", 0)
+    with pytest.raises(SupportBlowup, match="20 x 19 exceeds the terms guard of 379"):
+        convolve(f, h)
+    with pytest.raises(SupportBlowup, match="terms guard"):
+        flattening_report(f, 0)
+
+
 def test_coset_mass():
     H = [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)]
     muH = uniform(G5, H)
