@@ -69,6 +69,41 @@ def test_orchard_threeplanes(tmp_path, monkeypatch):
         run(args + ["--kernel", "both"])
 
 
+@pytest.mark.parametrize("patch", ["total", "by_line"])
+def test_orchard_threeplanes_kernel_disagreement_is_one_line(tmp_path, capsys, monkeypatch, patch):
+    """--kernel both with a brute kernel that shifts the total, or moves
+    one line's count onto another, exits 2 with the one line of the
+    VerificationFailure and writes no report."""
+    from orchardlab import incidence
+    from orchardlab.field import FieldCtx
+    from orchardlab.projgeom import ProjPoint, save_point_set
+
+    ctx = FieldCtx(5)
+    sets = {"x1": [[1, 0, 0, 0]], "x2": [[1, 1, 0, 0], [1, 0, 1, 0]],
+            "x3": [[1, 2, 0, 0], [1, 0, 2, 0]]}
+    for name, X in sets.items():
+        save_point_set(tmp_path / f"{name}.pts", ctx, [ProjPoint(ctx, x) for x in X])
+    brute = incidence._count_brute_int
+
+    def wrong(*args):
+        total, per_line = brute(*args)
+        if patch == "total":
+            return total + 1, per_line
+        first, second = sorted(per_line)
+        return total, {first: per_line[first] + per_line[second]}
+
+    monkeypatch.setattr(incidence, "_count_brute_int", wrong)
+    report = tmp_path / "t.json"
+    assert run([
+        "orchard-threeplanes", "--x1", tmp_path / "x1.pts", "--x2", tmp_path / "x2.pts",
+        "--x3", tmp_path / "x3.pts", "--kernel", "both", "--report", report,
+    ]) == 2
+    assert capsys.readouterr().err == "verification failure: kernel disagreement" + (
+        ": brute 3 vs hash 2\n" if patch == "total"
+        else " on line 1:0:0:0|0:0:1:0: brute 2 vs hash 1\n")
+    assert not report.exists()
+
+
 def test_orchard_threeplanes_line_concentration_guard(tmp_path, capsys, monkeypatch):
     from orchardlab import incidence
     from orchardlab.field import FieldCtx

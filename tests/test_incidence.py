@@ -13,6 +13,7 @@ from oracles import (
     pencil_planes,
 )
 from orchardlab import incidence
+from orchardlab.errors import VerificationFailure
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import (
     AffElem,
@@ -23,6 +24,7 @@ from orchardlab.groups import (
     aff_compose,
 )
 from orchardlab.incidence import (
+    CensusReport,
     _inv_table,
     _keyed,
     _line_from_key,
@@ -66,6 +68,42 @@ def test_triple_count_tiny_examples():
     assert out.total == 1
     assert list(out.by_line.values()) == [1]
     assert count_collinear_triples([], X2, X3).total == 0
+
+
+def _shift_total(result):
+    total, per_line = result
+    return total + 1, per_line
+
+
+def _move_count(result):
+    """The count of the largest line key moved onto the least one."""
+    total, per_line = result
+    moved = dict(per_line)
+    moved[min(moved)] += moved.pop(max(moved))
+    return total, moved
+
+
+# one triple on the line {x2 = x3 = 0} and one on {x1 = x3 = 0}
+TWO_LINES = ([ProjPoint(F5, [1, 0, 0, 0])],
+             [ProjPoint(F5, [1, 1, 0, 0]), ProjPoint(F5, [1, 0, 1, 0])],
+             [ProjPoint(F5, [1, 2, 0, 0]), ProjPoint(F5, [1, 0, 2, 0])])
+DISAGREEMENTS = [
+    (_shift_total, "kernel disagreement: brute 3 vs hash 2"),
+    (_move_count, "kernel disagreement on line 1:0:0:0|0:0:1:0: brute 2 vs hash 1"),
+]
+
+
+@pytest.mark.parametrize("patch, message", DISAGREEMENTS)
+def test_kernel_disagreement_names_what_differs(monkeypatch, patch, message):
+    """A brute kernel that disagrees with the hash kernel raises under
+    "both": on the totals when they differ, else on the least line key
+    whose counts differ, by its text."""
+    assert count_collinear_triples(*TWO_LINES, "both").total == 2
+    brute = incidence._count_brute_int
+    monkeypatch.setattr(incidence, "_count_brute_int", lambda *a: patch(brute(*a)))
+    with pytest.raises(VerificationFailure) as exc:
+        count_collinear_triples(*TWO_LINES, "both")
+    assert type(exc.value) is VerificationFailure and str(exc.value) == message
 
 
 def test_triple_count_rejects_unknown_kernel_on_empty_input():
@@ -450,6 +488,9 @@ def test_census_examples():
     assert rep.closed_form_count == 4
     assert rep.nontrivial_count == 2
 
+
+def test_census_of_no_points():
+    assert stabilizer_census_affine([]) == CensusReport(0, 0)
 
 
 def test_census_rejects_repeated_points():

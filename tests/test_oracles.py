@@ -3,8 +3,9 @@ the O(1) pair-stabilizer test, the closed-form family check, the
 eigenspace fixed points and the full lines of a fixed set, the
 two-product orthogonality test, the 2x2-minor determinant, the sparse
 quadric forms, the log-code triple kernels, line key and line
-concentration of F_{p^n}, the log-code quadric involution check, and the
-unrolled generator powers of the Zech arrays.
+concentration of F_{p^n}, the prime-field brute kernel's first-minor
+filter, the log-code quadric involution check, and the unrolled
+generator powers of the Zech arrays.
 """
 
 import random
@@ -78,7 +79,7 @@ from orchardlab.projgeom import (
 
 F2, F3, F4, F5, F7, F8, F9 = (FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5),
                               FieldCtx(7), FieldCtx(2, 3), FieldCtx(3, 2))
-F25, F27, F31 = FieldCtx(5, 2), FieldCtx(3, 3), FieldCtx(31)
+F25, F27, F31, F101 = FieldCtx(5, 2), FieldCtx(3, 3), FieldCtx(31), FieldCtx(101)
 
 
 @lru_cache(maxsize=None)
@@ -378,12 +379,25 @@ def ext_points(draw, ctx):
     return ProjPoint(ctx, [FieldElem(ctx, c) for c in codes])
 
 
+def _three_overlapping(draw, pool):
+    """X1, X2, X3 cut from a pool of at least 4 distinct points: seven
+    disjoint groups, one per nonempty subset of {X1, X2, X3}, the shared
+    ones never empty."""
+    pool = draw(st.permutations(list(dict.fromkeys(pool))))
+    cuts = sorted(draw(st.lists(st.integers(4, len(pool)), min_size=2, max_size=2)))
+    bounds = [0, 1, 2, 3, 4] + cuts + [len(pool)]
+    g123, g12, g13, g23, g1, g2, g3 = (pool[a:b] for a, b in zip(bounds, bounds[1:]))
+    X1 = draw(st.permutations(g123 + g12 + g13 + g1))
+    X2 = draw(st.permutations(g123 + g12 + g23 + g2))
+    X3 = draw(st.permutations(g123 + g13 + g23 + g3))
+    return X1, X2, X3
+
+
 @st.composite
 def ext_overlapping_sets(draw):
-    """X1, X2, X3 over an extension field, cut from a pool of points on a
-    few lines (some inside {x0 = 0} or {x0 = x1 = 0}) and scattered
-    points: seven disjoint groups, one per nonempty subset of {X1, X2,
-    X3}, the shared ones never empty."""
+    """X1, X2, X3 over an extension field, cut by `_three_overlapping`
+    from a pool of points on a few lines (some inside {x0 = 0} or
+    {x0 = x1 = 0}) and scattered points."""
     ctx = draw(st.sampled_from(EXT_FIELDS))
     point = ext_points(ctx)
     pool = []
@@ -395,14 +409,7 @@ def ext_overlapping_sets(draw):
                 t = FieldElem(ctx, t)
                 pool.append(ProjPoint(ctx, [a + t * b for a, b in zip(u.coords, v.coords)]))
     pool += draw(st.lists(point, min_size=7, max_size=12, unique=True))
-    pool = draw(st.permutations(list(dict.fromkeys(pool))))
-    cuts = sorted(draw(st.lists(st.integers(4, len(pool)), min_size=2, max_size=2)))
-    bounds = [0, 1, 2, 3, 4] + cuts + [len(pool)]
-    g123, g12, g13, g23, g1, g2, g3 = (pool[a:b] for a, b in zip(bounds, bounds[1:]))
-    X1 = draw(st.permutations(g123 + g12 + g13 + g1))
-    X2 = draw(st.permutations(g123 + g12 + g23 + g2))
-    X3 = draw(st.permutations(g123 + g13 + g23 + g3))
-    return X1, X2, X3
+    return _three_overlapping(draw, pool)
 
 
 @settings(max_examples=120, deadline=None)
@@ -418,6 +425,56 @@ def test_log_kernels_match_fieldelem_oracle(sets):
         if len(X) >= 2:
             rep = line_concentration(X)
             assert (rep.max_count, rep.witness) == line_concentration_by_lines(X)
+
+
+# -- the prime-field brute kernel's first-minor filter -------------------------
+
+@st.composite
+def prime_filter_sets(draw):
+    """X1, X2, X3 over a prime field, cut by `_three_overlapping` from a
+    pool that reaches each branch of `_count_brute_int`'s filter on
+    pi(x) = (x0, x1, x2): e3 = [0:0:0:1], where pi is 0 and every pair's
+    code is 0; points on lines through e3, whose pi are multiples of one
+    another (code 0 against each other); points on {x0 = 0} and on
+    {x0 = x1 = 0}; lines through two points; and, half the time, every
+    point on one plane through e3, where no X3 point is filtered out."""
+    ctx = draw(st.sampled_from([F2, F3, F5, F7, F101]))
+    p = ctx.p
+    coord = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        base = draw(st.tuples(coord, coord, coord)), draw(st.tuples(coord, coord, coord))
+        vec = st.tuples(coord, coord, coord).map(
+            lambda t: [(t[0] * a + t[1] * b) % p for a, b in zip(*base)] + [t[2]])
+    else:
+        lead = st.sampled_from([0, 0, 1, 2])
+        vec = st.tuples(lead, coord, coord, coord, coord).map(
+            lambda t: [0] * t[0] + list(t[1:5 - t[0]]))
+    point = vec.filter(any).map(lambda x: ProjPoint(ctx, x))
+    e3 = ProjPoint(ctx, [0, 0, 0, 1])
+    pool = [e3]
+    for _ in range(draw(st.integers(1, 3))):
+        u, v = draw(point), draw(st.one_of(point, st.just(e3)))
+        if u != v:
+            pool += [u, v]
+            for t in draw(st.lists(coord, max_size=5)):
+                pool.append(ProjPoint(ctx, [(a + t * b) % p for a, b in
+                                            zip(u.key, v.key)]))
+    pool += draw(st.lists(point, min_size=4, max_size=10))
+    assume(len(set(pool)) >= 4)
+    return _three_overlapping(draw, pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_filter_sets())
+def test_prime_brute_kernel_matches_fieldelem_oracle(sets):
+    """The int kernel runs only three minor tests on the points its filter
+    keeps, so a kept point off the plane of e3, v1 and v2 can be miscounted
+    and a dropped hit is lost: either shows as a count unlike the rank
+    test's on `FieldElem`s."""
+    X1, X2, X3 = sets
+    total, per_line = brute_triples_on_points(X1, X2, X3)
+    got = count_collinear_triples(X1, X2, X3, "brute")
+    assert (got.total, got.by_line) == (total, per_line)
 
 
 @settings(max_examples=200, deadline=None)
