@@ -20,7 +20,8 @@ through `PointSet.of`, which raises for a set that is not one.
   are dropped only after a hit.  The int kernel decides the first minor,
   det(pi v1, pi v2, pi v3) with pi dropping x3, in C: each X3 point gets
   an int code of pi v1 x pi v3 once per v1, and each pair, in one walk
-  of X3, keeps the points whose code is 0 or its own.  On sets in general
+  of X3, keeps the points whose code is its own, the code of
+  pi v1 x pi v2, which every counted point has.  On sets in general
   position about one point in p survives; on a plane through [0:0:0:1]
   every point does, and the codes and the filter cost about what the
   skipped minor saves.
@@ -132,15 +133,16 @@ def _rref_key_int(p: int, inv, v1, v2):
 def _count_brute_int(p: int, X1, X2, X3):
     """All ordered triples, rank test expanded into 3x3 minors, the first
     minor decided in C.  With pi dropping the last coordinate (projection
-    from e3 = [0:0:0:1]) and k the `_cross_code` of pi v1 x pi v2, the
-    first minor det(pi v1, pi v2, pi c) vanishes iff the code of
-    pi v1 x pi c is 0 or k, or k is 0 (v1 = e3, or pi v2 a multiple of
-    pi v1).  Each X3 point is coded once per v1; per pair, `compress` keeps
-    the points whose code is in {k, 0}, all of them when k is 0, and only
-    those run the other three minor tests in Python.  X3 is walked once
-    per pair of distinct points.  The worst case is a plane through e3:
-    every code is in {k, 0}, so nothing is filtered, and the coding and
-    the filter cost about what the skipped minor saves."""
+    from e3 = [0:0:0:1]) and k the `_cross_code` of pi v1 x pi v2, a
+    counted c is on the line v1 v2 and is not v1, so c = a v1 + b v2 with
+    b != 0, and pi v1 x pi c = b (pi v1 x pi v2) has the code k.  Each X3
+    point is coded once per v1; per pair, `compress` keeps the points
+    whose code is k, and only those run the other three minor tests in
+    Python.  X3 is walked once per pair of distinct points.  The worst
+    case is a plane through e3: pi maps it into one line, so every code is
+    k but those of the points on the line v1 e3, nearly nothing is
+    filtered, and the coding and the filter cost about what the skipped
+    minor saves."""
     per_line: Dict[tuple, int] = {}
     total = 0
     inv = _inv_table(p)
@@ -158,9 +160,7 @@ def _count_brute_int(p: int, X1, X2, X3):
             else:
                 walk = X3
             b0, b1, b2, b3 = v2
-            k = cross(b0, b1, b2)
-            if k:
-                walk = compress(walk, map({k, 0}.__contains__, codes))
+            walk = compress(walk, map(cross(b0, b1, b2).__eq__, codes))
             m01 = (a0 * b1 - a1 * b0) % p
             m02 = (a0 * b2 - a2 * b0) % p
             m03 = (a0 * b3 - a3 * b0) % p

@@ -437,7 +437,8 @@ def prime_filter_sets(draw):
     code is 0; points on lines through e3, whose pi are multiples of one
     another (code 0 against each other); points on {x0 = 0} and on
     {x0 = x1 = 0}; lines through two points; and, half the time, every
-    point on one plane through e3, where no X3 point is filtered out."""
+    point on one plane through e3, where the filter keeps every X3 point
+    off the line through v1 and e3."""
     ctx = draw(st.sampled_from([F2, F3, F5, F7, F101]))
     p = ctx.p
     coord = st.integers(0, p - 1)
