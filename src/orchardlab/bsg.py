@@ -20,7 +20,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Set
 
-from .groups import AffElem, aff_compose, aff_inverse
 from .measures import (
     AffineGroupOps,
     GroupMeasure,
@@ -212,6 +211,8 @@ def covering_number(A: Iterable, B: Iterable) -> int:
     """Greedy upper bound for the number of left translates of B needed
     to cover A; candidate centers range over A B^-1 and ties break on the
     least `AffElem.key`.  Always at least ceil(|A|/|B|)."""
+    from .groups import aff_compose, aff_inverse
+
     A = set(A)
     B = list(set(B))
     if not B:
@@ -228,16 +229,10 @@ def covering_number(A: Iterable, B: Iterable) -> int:
     uncovered = set(A)
     used = 0
     while uncovered:
-        best_x = None
-        best_gain = -1
-        for x in centers:
-            gain = len(uncovered & translates[x])
-            if gain > best_gain:
-                best_gain = gain
-                best_x = x
-        if best_gain <= 0:
-            raise MeasureError("greedy covering stalled")  # cannot happen
-        uncovered -= translates[best_x]
+        # the first center of largest gain; a gain is never 0, since the
+        # translate by a b^-1 covers a
+        best = max(centers, key=lambda x: len(uncovered & translates[x]))
+        uncovered -= translates[best]
         used += 1
     return used
 
@@ -256,6 +251,8 @@ def is_approximate_group(group: AffineGroupOps, H: Iterable, K: int) -> ApproxGr
     The covering test is the greedy upper bound, so a positive answer is
     sound while a negative one may be spurious (flagged greedy-fail).
     """
+    from .groups import AffElem, aff_compose, aff_inverse
+
     H = list(set(H))
     hs = set(H)
     if AffElem.identity(group.ctx) not in hs:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 from typing import TYPE_CHECKING
 
 from .errors import OrchardError, VerificationFailure
-from .field import FieldCtx, FieldElem
+from .field import FieldCtx
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -63,14 +62,80 @@ def frac_fields(x: Fraction) -> dict:
     return {"exact": f"{x.numerator}/{x.denominator}", "float": float(x)}
 
 
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+# the JSON text of a scalar by its exact type; subclasses go by isinstance
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(x):
+    """The JSON text of a scalar, or None for a list, tuple or dict."""
+    text = _SCALAR_TEXT.get(type(x))
+    if text:
+        return text(x)
+    for kind in (str, int, float):
+        if isinstance(x, kind):
+            return _SCALAR_TEXT[kind](x)
+    if isinstance(x, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
 def write_json(path: str | None, doc: dict) -> None:
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
-        {"schema": SCHEMA_VERSION, **doc})
+    """Writes {"schema": SCHEMA_VERSION, **doc} and a newline to path, or
+    to stdout for None: the bytes `json.JSONEncoder(indent=2,
+    sort_keys=True)` gives, made in one recursive pass and written in
+    pieces of about 512 lines each."""
     out = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
-        # 4096 chunks a write: on an unbuffered stdout each write is a syscall
-        fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 4096)), ""))
-        fh.write("\n")
+        parts = []
+        append = parts.append
+        escape = _SCALAR_TEXT[str]
+        exact = _SCALAR_TEXT.get
+
+        def emit(x, nl):
+            # x, a list, tuple or dict, starts mid-line on a line whose
+            # newline and indent are nl
+            is_dict = isinstance(x, dict)
+            if not x:
+                append("{}" if is_dict else "[]")
+                return
+            inner = nl + "  "
+            sep = ("{" if is_dict else "[") + inner
+            for item in sorted(x.items()) if is_dict else x:
+                if is_dict:
+                    key, item = item
+                    sep += escape(key if isinstance(key, str) else _scalar_text(key)) + ": "
+                to_text = exact(type(item))
+                text = to_text(item) if to_text else _scalar_text(item)
+                if text is None:
+                    append(sep)
+                    emit(item, inner)
+                else:
+                    append(sep + text)
+                sep = "," + inner
+                if len(parts) > 512:
+                    # one write a piece: on an unbuffered stdout each is a
+                    # syscall, and larger pieces raise the job's peak RSS
+                    fh.write("".join(parts))
+                    parts.clear()
+            append(nl + ("}" if is_dict else "]"))
+
+        emit({"schema": SCHEMA_VERSION, **doc}, "\n")
+        append("\n")
+        fh.write("".join(parts))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -190,18 +255,10 @@ def _affine_group_order(ctx) -> int:
     return q * q * (q - 1)
 
 
-def _affine_element(ctx, index: int):
-    """The index-th affine group element in `AffElem.key` order: a and b
-    run over the element codes, c over the nonzero ones."""
-    from .groups import AffElem
-
-    ab, c = divmod(index, ctx.order - 1)
-    a, b = divmod(ab, ctx.order)
-    return AffElem(ctx, FieldElem(ctx, a), FieldElem(ctx, b), FieldElem(ctx, c + 1))
-
-
-def _random_affine_elements(ctx, rng, count):
-    """count distinct non-identity elements, drawn by a, b, c, in key order."""
+def _random_affine_keys(group, rng, count):
+    """The keys of count distinct non-identity elements, drawn by a, b, c,
+    in `AffElem.key` order."""
+    ctx = group.ctx
     q = ctx.order
     identity = ctx.one().code - 1   # a = b = 0, c = 1
     indices = set()
@@ -209,14 +266,26 @@ def _random_affine_elements(ctx, rng, count):
         index = (rng.randrange(q) * q + rng.randrange(q)) * (q - 1) + rng.randrange(q - 1)
         if index != identity:
             indices.add(index)
-    return [_affine_element(ctx, i) for i in sorted(indices)]
+    return [group.index_key(i) for i in sorted(indices)]
+
+
+def _random_measure(group, rng, max_support):
+    """A probability measure on 1 to max_support distinct elements with
+    weights 1 to 20, drawn by index: sampling indices draws what sampling
+    the key-sorted group would."""
+    from .measures import GroupMeasure
+
+    support = rng.sample(range(_affine_group_order(group.ctx)), rng.randint(1, max_support))
+    weights = [rng.randint(1, 20) for _ in support]
+    return GroupMeasure.from_numerators(
+        group, dict(zip(map(group.index_key, support), weights)), sum(weights))
 
 
 def cmd_flatten(args) -> int:
     import csv
     import random
 
-    from .measures import AffineGroupOps, flattening_report, uniform
+    from .measures import AffineGroupOps, GroupMeasure, flattening_report
 
     if args.group != "affine":
         raise UsageError("only the affine group is wired to the runner")
@@ -229,9 +298,9 @@ def cmd_flatten(args) -> int:
             f"--gen-count must be in 1..{order - 1}: the affine group over "
             f"{ctx} has {order - 1} non-identity elements"
         )
-    rng = random.Random(args.seed)
-    gens = _random_affine_elements(ctx, rng, args.gen_count)
-    mu = uniform(AffineGroupOps(ctx), gens)
+    group = AffineGroupOps(ctx)
+    gens = _random_affine_keys(group, random.Random(args.seed), args.gen_count)
+    mu = GroupMeasure.from_numerators(group, dict.fromkeys(gens, 1), len(gens))
     rows = flattening_report(mu, args.m_max)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -257,10 +326,9 @@ def cmd_flatten(args) -> int:
 
 def cmd_bsg_verify(args) -> int:
     import random
-    from fractions import Fraction
 
     from .bsg import all_pass, verify_decomposition
-    from .measures import AffineGroupOps, GroupMeasure
+    from .measures import AffineGroupOps
 
     if args.count < 0:
         raise UsageError("--count must be nonnegative")
@@ -279,17 +347,7 @@ def cmd_bsg_verify(args) -> int:
     failures = []
     instances = []
     for index in range(args.count):
-        # sampling indices draws what sampling the key-sorted group would
-        support = [
-            _affine_element(ctx, i)
-            for i in rng.sample(range(order), rng.randint(1, args.max_support))
-        ]
-        weights = [rng.randint(1, 20) for _ in support]
-        total = sum(weights)
-        nu = GroupMeasure(
-            group,
-            {g: Fraction(w, total) for g, w in zip(support, weights)},
-        )
+        nu = _random_measure(group, rng, args.max_support)
         checks = verify_decomposition(nu, K)
         ok = all_pass(checks)
         if not ok:

@@ -22,6 +22,7 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     QuadricForm,
+    TooLarge,
     _det4,
     _matrix_logs,
 )
@@ -72,26 +73,46 @@ class ExampleConfig(NamedTuple):
     family: ExampleFamily
 
 
+# the largest numerator or denominator of k that build_example takes: the
+# root search compares powers with these exponents
+K_PART_CAP = 10**4
+# the most points build_example makes, 3 p (2N+1) over the three sets
+# (about 0.5 KB a point)
+EXAMPLE_POINT_CAP = 10**6
+
+
 def build_example(p: int, k) -> ExampleConfig:
     """The three point sets on the planes {x0=0}, {x1=0}, {x2=x3}:
 
         X1 = [0 : d^i : t : t-1],  X2 = [-d^i : 0 : t : t-1],
         X3 = [d^i : 1 : t : t],    i in [-N, N], t in F_p,
 
-    with d the least generator of F_p^* and N = floor(p^(1/k)).  Exponent
-    collisions inside [-N, N] (that is 2N+1 > p-1) are an error.
+    with d the least generator of F_p^* and N = floor(p^(1/k)).  Raises
+    DegenerateParameters for k <= 1, p < 3 or exponent collisions inside
+    [-N, N] (that is 2N+1 > p-1), and TooLarge for a numerator or
+    denominator of k above K_PART_CAP or more than EXAMPLE_POINT_CAP
+    points; each before any point is built.
     """
     from fractions import Fraction
 
     k = Fraction(k)
     if k <= 1:
         raise DegenerateParameters("k must exceed 1")
-    if p == 2:
+    if p < 3:
         raise DegenerateParameters("p must be an odd prime")
-    N = _floor_root(p, k)
-    if 2 * N + 1 > p - 1:
+    if max(k.numerator, k.denominator) > K_PART_CAP:
+        raise TooLarge(f"k = {k} has a numerator or denominator above {K_PART_CAP}")
+    # the largest N with 2N+1 <= p-1, and with 3p(2N+1) <= EXAMPLE_POINT_CAP
+    collide, points = (p - 2) // 2, (EXAMPLE_POINT_CAP // (3 * p) - 1) // 2
+    N = _floor_root(p, k, min(collide, points))
+    if N > collide:
         raise DegenerateParameters(
-            f"2N+1 = {2 * N + 1} exceeds p-1 = {p - 1}: generator powers collide"
+            f"2N+1 >= {2 * N + 1} exceeds p-1 = {p - 1}: generator powers collide"
+        )
+    if N > points:
+        raise TooLarge(
+            f"the example would have at least {3 * p * (2 * N + 1)} points, "
+            f"over the guard of {EXAMPLE_POINT_CAP}"
         )
     ctx = FieldCtx(p)
     d = least_primitive_root(p)
@@ -103,10 +124,12 @@ def build_example(p: int, k) -> ExampleConfig:
     return ExampleConfig(p, k, N, d, ctx, X1, X2, X3, ExampleFamily(p, N))
 
 
-def _floor_root(p: int, k: Fraction) -> int:
-    """floor(p^(1/k)) for rational k > 1, by integer comparison."""
+def _floor_root(p: int, k: Fraction, n_max: int) -> int:
+    """floor(p^(1/k)) for rational k > 1, by integer comparison of the
+    n up to n_max only: n_max + 1 when the root is larger (1 when
+    n_max < 1)."""
     n = 1
-    while (n + 1) ** k.numerator <= p**k.denominator:
+    while n <= n_max and (n + 1) ** k.numerator <= p**k.denominator:
         n += 1
     return n
 

@@ -71,7 +71,9 @@ if TYPE_CHECKING:
 def line_text(ctx: FieldCtx, key) -> str:
     """Text form of the line with this line key: its two basis rows,
     point-style, joined by |."""
-    text = str if ctx.n == 1 else ctx.code_text
+    if ctx.n == 1:
+        return "%d:%d:%d:%d|%d:%d:%d:%d" % key
+    text = ctx.code_text
     return ":".join(map(text, key[:4])) + "|" + ":".join(map(text, key[4:]))
 
 

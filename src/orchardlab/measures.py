@@ -11,8 +11,13 @@ L^2 quantities are always handled squared to stay rational.
 The group is G_a^2 x| G_m over F_q, which composed plane projections
 give.  It keys each `groups.AffElem` (a, b, c) as one int built from the
 Zech-log codes of a, b and c (see `field.ZechTables`); a convolution
-splits each atom's key into its codes once, so each of its terms and each
-key inverse is a few lookups in arrays of length O(q).
+splits each atom's key into its codes once and groups the right factor's
+atoms by their G_m code, so each of its terms and each key inverse is a
+few lookups in arrays of length O(q).
+
+The CLI's measure jobs draw and convolve keys only, so `groups` (and
+`projgeom` below it), which each job would compile, is imported only by
+the functions that make or take `AffElem`s.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem
-from .groups import AffElem, aff_compose, aff_inverse
+
+if TYPE_CHECKING:
+    from .groups import AffElem
 
 SUPPORT_CAP = 10**6
 # the most terms |supp f| |supp h| one convolution may compute
@@ -61,9 +68,11 @@ class AffineGroupOps:
     Measures store atom g under `key(g)`: (a, b, c) has key
     (l(a) Q + l(b)) R + l(c), where l is the Zech-log code of
     `field.ZechTables` (l(0) = 2(q - 1)), Q = 2q - 1 and R = q - 1; keys
-    decode with divmod (`element`, and once per atom in `convolve`), and
-    `key_inverse` works on keys alone.  The arrays live on the interned
-    field context, so two groups over one field compare equal and share them.
+    decode with divmod (`element`, and once per atom in `convolve`),
+    `key_inverse` works on keys alone, and `index_key` keys an element by
+    its place in `AffElem.key` order without building it.  The arrays
+    live on the interned field context, so two groups over one field
+    compare equal and share them.
     """
 
     def __init__(self, ctx: FieldCtx):
@@ -76,6 +85,8 @@ class AffineGroupOps:
         return hash(self.ctx)
 
     def key(self, g) -> int:
+        from .groups import AffElem
+
         ctx = self.ctx
         if not isinstance(g, AffElem) or g.ctx is not ctx:
             raise MixedGroups(f"{g!r} is not an element of the affine group over {ctx}")
@@ -84,12 +95,25 @@ class AffineGroupOps:
         return (log[g.a.code] * (2 * q - 1) + log[g.b.code]) * (q - 1) + log[g.c.code]
 
     def element(self, k: int) -> AffElem:
+        from .groups import AffElem
+
         ctx = self.ctx
         exp = ctx.zech.exp
         q = ctx.order
         ab, c = divmod(k, q - 1)
         a, b = divmod(ab, 2 * q - 1)
         return AffElem(ctx, *(FieldElem(ctx, exp[x]) for x in (a, b, c)))
+
+    def index_key(self, index: int) -> int:
+        """The key of the index-th element in `AffElem.key` order: a and b
+        run over the element codes, c over the nonzero ones, so sampling
+        indices in [0, q^2 (q - 1)) samples the key-sorted group."""
+        ctx = self.ctx
+        log = ctx.zech.log
+        q = ctx.order
+        ab, c = divmod(index, q - 1)
+        a, b = divmod(ab, q)
+        return (log[a] * (2 * q - 1) + log[b]) * (q - 1) + log[c + 1]
 
     def key_inverse(self, k: int) -> int:
         # (a, b, c)^-1 = (-a/c, -b/c, 1/c)
@@ -236,16 +260,25 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     _, _, red, zech, Z, _ = group.ctx.zech
     R = Z >> 1
     Q = Z + 1
-    h_atoms = [(*divmod(z // R, Q), z % R, hz) for z, hz in h.nums.items()]
+    # h's atoms by their G_m code c', so that a c', b c' and c c' are
+    # looked up once per class in each row
+    classes: Dict = {}
+    for z, hz in h.nums.items():
+        hab, hc = divmod(z, R)
+        classes.setdefault(hc, []).append((*divmod(hab, Q), hz))
+    h_classes = list(classes.items())
     out: Dict = {}
     get = out.get
     for y, fy in f.nums.items():
         gab, gc = divmod(y, R)
         ga, gb = divmod(gab, Q)
-        for ha, hb, hc, hz in h_atoms:
-            x = (red[ha + zech[red[ga + hc] - ha + Z]] * Q
-                 + red[hb + zech[red[gb + hc] - hb + Z]]) * R + red[gc + hc]
-            out[x] = get(x, 0) + fy * hz
+        for hc, atoms in h_classes:
+            ac = red[ga + hc] + Z
+            bc = red[gb + hc] + Z
+            c = red[gc + hc]
+            for ha, hb, hz in atoms:
+                x = (red[ha + zech[ac - ha]] * Q + red[hb + zech[bc - hb]]) * R + c
+                out[x] = get(x, 0) + fy * hz
         # the support only grows, so checking once per row raises exactly
         # when checking every term would
         if len(out) > SUPPORT_CAP:
@@ -325,6 +358,8 @@ def is_symmetric(mu: GroupMeasure) -> bool:
 
 def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
     """Check closure under product and inverse plus the identity."""
+    from .groups import AffElem, aff_compose, aff_inverse
+
     elements = list(H)
     hs = set(elements)
     if len(hs) != len(elements):
@@ -342,6 +377,8 @@ def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
 
 def coset_mass(mu: GroupMeasure, g, H: Iterable) -> Fraction:
     """mu(gH) for an explicitly verified finite subgroup H."""
+    from .groups import aff_compose
+
     elements = verify_subgroup(mu.group, H)
     return sum((mu(aff_compose(g, h)) for h in elements), Fraction(0))
 
@@ -406,6 +443,8 @@ def load_measure(path, group: AffineGroupOps) -> GroupMeasure:
     """The measure of a file `save_measure` writes: one `a;b;c num/den`
     atom a line, `#` comments.  A malformed, negative or repeated atom
     raises MeasureError naming `path:line`."""
+    from .groups import AffElem
+
     masses: Dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

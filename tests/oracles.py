@@ -42,19 +42,21 @@ check that path (see test_oracles.py):
   `Fraction` masses, for the integer-keyed measures and `bsg.decompose`.
 
 The helpers, one copy each, build what the tests feed the library:
-`affine_group_elements` (all of G_a^2 x| G_m), `mulclose` (a capped
+`affine_group_elements` (all of G_a^2 x| G_m), `affine_element` (one
+element by its place in key order), `mulclose` (a capped
 closure), `segre_quadric_points`, `pencil_planes` (in the order
 `incidence.pencil_plane_concentration` takes them), `family_triple` (one
 triple of the extremal example), `random_measure`, `random_smooth_form`,
 `on_line` (the rank test of a point against a line's basis),
-`line_points` (the q + 1 points of a line) and `delta` (a point mass).
+`line_points` (the q + 1 points of a line), `indexed_measure` (weights
+on the first elements in key order) and `delta` (a point mass).
 """
 
 import operator
 from fractions import Fraction
 from typing import Dict, List
 
-from orchardlab.field import FieldCtx, _poly_mulmod, inv
+from orchardlab.field import FieldCtx, FieldElem, _poly_mulmod, inv
 from orchardlab.groups import AffElem, PGLElem, aff_act, aff_compose, aff_inverse, gamma_x, segre
 from orchardlab.incidence import VerificationFailure
 from orchardlab.measures import GroupMeasure
@@ -81,6 +83,16 @@ def affine_group_elements(ctx: FieldCtx) -> List[AffElem]:
         for c in ctx.elements()
         if not c.is_zero()
     ]
+
+
+def affine_element(ctx: FieldCtx, index: int) -> AffElem:
+    """The index-th affine group element in `AffElem.key` order: a and b
+    run over the element codes, c over the nonzero ones.  The CLI's
+    draws once built each atom this way; they now take its key by
+    `AffineGroupOps.index_key`."""
+    ab, c = divmod(index, ctx.order - 1)
+    a, b = divmod(ab, ctx.order)
+    return AffElem(ctx, FieldElem(ctx, a), FieldElem(ctx, b), FieldElem(ctx, c + 1))
 
 
 def mulclose(gens, compose, identity, cap: int = 10**6):
@@ -141,6 +153,13 @@ def random_measure(group, elements, rng, max_support=8):
     return GroupMeasure(
         group, {g: Fraction(w, total) for g, w in zip(support, weights)}
     )
+
+
+def indexed_measure(group, weights, den) -> GroupMeasure:
+    """The measure with mass w / den on the i-th element in key order,
+    for the i-th weight w (built by key, with no element)."""
+    return GroupMeasure.from_numerators(
+        group, {group.index_key(i): w for i, w in enumerate(weights)}, den)
 
 
 def delta(group, g) -> GroupMeasure:

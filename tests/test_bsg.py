@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import affine_group_elements, delta, mulclose, random_measure
+from oracles import affine_group_elements, delta, indexed_measure, mulclose, random_measure
 from orchardlab import bsg
 from orchardlab.bsg import (
     BsgDecomposition,
@@ -17,7 +17,7 @@ from orchardlab.bsg import (
 )
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
-from orchardlab.measures import AffineGroupOps, GroupMeasure, uniform
+from orchardlab.measures import AffineGroupOps, GroupMeasure, l2_norm_sq, uniform
 
 F5 = FieldCtx(5)
 G = AffineGroupOps(F5)
@@ -63,6 +63,45 @@ def test_decompose_diffuse_atoms():
     assert set(dec.nu2.masses) == set(tiny)
     assert ELS[0] in dec.nu_str.masses  # the spike is structured, not heavy
     assert dec.reconstruction_exact()
+
+
+def _open_band_check(nu, K):
+    """The `strict_band_eq_structured` row's comparison, and the same with
+    the non-strict cuts, which keep the atoms on a threshold."""
+    K = Fraction(K)
+    mass, l2 = nu.masses, l2_norm_sq(nu)
+    lo, hi = l2 / (256 * K * K), 16 * K * l2
+    closed = {g for g, m in mass.items() if lo <= m <= hi}
+    return restrict_open_band(nu, K) == decompose(nu, K).nu_str, closed
+
+
+def test_atom_on_the_heavy_threshold():
+    # 31/992 = 1/32 at one atom and 1/992 at 961 more: ||nu||_2^2 = 1/512,
+    # so the spike sits exactly on 16 ||nu||_2^2 (F11's group has 1,210)
+    group = AffineGroupOps(FieldCtx(11))
+    nu = indexed_measure(group, [31] + [1] * 961, 992)
+    spike = group.index_key(0)
+    dec = decompose(nu, 1)
+    assert dec.boundary_keys == [spike]
+    assert nu.masses[group.element(spike)] == 16 * l2_norm_sq(nu)
+    assert list(dec.nu1.nums) == [spike] and spike not in dec.nu_str.nums
+    strict_equal, closed = _open_band_check(nu, 1)
+    assert strict_equal and group.element(spike) in closed
+
+
+def test_atom_on_the_diffuse_threshold():
+    # weights 301, 12, 1 over 314 with K = 17/16: the weight-1 atom has
+    # mass ||nu||_2^2 / (16 K)^2 exactly, since 314 * 289 = 90,746
+    K = Fraction(17, 16)
+    nu = indexed_measure(G, [301, 12, 1], 314)
+    atom = G.index_key(2)
+    dec = decompose(nu, K)
+    assert dec.boundary_keys == [atom] and list(dec.nu2.nums) == [atom]
+    assert nu.masses[G.element(atom)] * (16 * K) ** 2 == l2_norm_sq(nu)
+    strict_equal, closed = _open_band_check(nu, K)
+    assert strict_equal and G.element(atom) in closed
+    named = {c.name: c for c in verify_decomposition(nu, K)}
+    assert named["strict_band_eq_structured"].passed
 
 
 def test_decompose_reconstruction_random():
@@ -226,6 +265,13 @@ def test_approximate_group_examples():
 
     rep = is_approximate_group(G, [g, aff_inverse(g)], 3)
     assert not rep.is_approximate and rep.reason == "identity-missing"
+
+
+def test_greedy_fail_when_the_cover_exceeds_k():
+    # H = {1, g, g^-1} for g of order 5: |H H| = 5 > |H|, so two translates
+    g = AffElem(F5, 1, 0, 1)
+    rep = is_approximate_group(G, [AffElem.identity(F5), g, aff_inverse(g)], 1)
+    assert rep == (False, "greedy-fail", None, 2)
 
 
 def test_full_closure_is_approximate():

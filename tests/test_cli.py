@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orchardlab import cli
 
@@ -414,6 +417,88 @@ def test_write_json_streams_the_dumps_text(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+class _Row(NamedTuple):
+    name: str
+    value: float
+
+
+# JSON scalars, with the values whose text the encoder special-cases
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60)
+            | st.floats() | st.sampled_from([-0.0, 1e16, 1e-7, 0.1, float("inf")])
+            | st.text())
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.builds(_Row, st.text(max_size=3), st.floats())
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), _DOCS, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_write_json_is_the_stdlib_encoder(doc):
+    """The one-pass writer gives the bytes of the stdlib encoder, its
+    oracle: nested empties, non-ASCII text, big ints, -0.0, 1e16, inf and
+    NaN, bools, None, tuples and NamedTuples included."""
+    import tempfile
+
+    want = json.JSONEncoder(indent=2, sort_keys=True).encode(
+        {"schema": cli.SCHEMA_VERSION, **doc}) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.json")
+        cli.write_json(path, doc)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+
+
+def test_write_json_writes_in_pieces(tmp_path, monkeypatch):
+    """A report of many entries reaches the file in several writes of
+    bounded size, each part of the stdlib encoder's text; keys that are
+    not strings are written as that encoder writes them."""
+    import io
+
+    doc = {"by_line": [{"line": f"{i}:0:0:0|0:1:0:0", "count": i} for i in range(5000)],
+           "keys": {2: "b", 10: "c", 1.5: None}, "flags": {True: 1}}
+    want = json.dumps({"schema": cli.SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(cli.sys, "stdout", Recorder())
+    cli.write_json(None, doc)
+    assert "".join(writes) == want
+    assert len(writes) > 3 and max(map(len, writes)) < len(want) // 3
+
+
+def test_write_json_subclasses_and_refusals(tmp_path):
+    """Subclasses of str, int and float are written by their base type's
+    text, as the stdlib encoder writes them, and a value that is no JSON
+    type raises the same TypeError."""
+    import enum
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    class Mass(float):
+        pass
+
+    doc = {"level": Level.HIGH, "name": Name("caf\u00e9"), "mass": Mass(0.25), "row": _Row("a", 1.0)}
+    want = json.dumps({"schema": cli.SCHEMA_VERSION, **doc}, indent=2, sort_keys=True) + "\n"
+    cli.write_json(str(tmp_path / "r.json"), doc)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == want
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        json.dumps({"x": object()})
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        cli.write_json(str(tmp_path / "bad.json"), {"x": object()})
+
+
 def test_missing_file_is_usage_error():
     assert run(["orchard-threeplanes", "--x1", "/nonexistent/a.pts",
                 "--x2", "/nonexistent/b.pts", "--x3", "/nonexistent/c.pts"]) == 1
@@ -429,18 +514,21 @@ def test_k_range_enforced():
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
 def test_affine_element_index_follows_key_order(p, n):
-    from oracles import affine_group_elements
+    from oracles import affine_element, affine_group_elements
     from orchardlab.field import FieldCtx
+    from orchardlab.measures import AffineGroupOps
 
     ctx = FieldCtx(p, n)
     group = sorted(affine_group_elements(ctx), key=lambda g: g.key)
-    assert [cli._affine_element(ctx, i) for i in range(len(group))] == group
+    assert [affine_element(ctx, i) for i in range(len(group))] == group
+    ops = AffineGroupOps(ctx)
+    assert [ops.index_key(i) for i in range(len(group))] == list(map(ops.key, group))
 
 
 def test_index_sample_draws_the_sorted_group_sample():
     import random
 
-    from oracles import affine_group_elements
+    from oracles import affine_element, affine_group_elements
     from orchardlab.field import FieldCtx
 
     ctx = FieldCtx(5)
@@ -451,7 +539,31 @@ def test_index_sample_draws_the_sorted_group_sample():
         for k in (3, 40):
             want = random.Random(seed).sample(group, k)
             got = random.Random(seed).sample(range(len(group)), k)
-            assert [cli._affine_element(ctx, i) for i in got] == want
+            assert [affine_element(ctx, i) for i in got] == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_keyed_draw_is_the_element_draw(p, n):
+    """`bsg-verify` draws each measure as keys and int weights; the old
+    draw of `AffElem`s and `Fraction` masses (`random_measure` on the
+    key-sorted group) gives the same keys in the same order, the same
+    numerators and the same denominator."""
+    import random
+
+    from oracles import affine_group_elements, random_measure
+    from orchardlab.field import FieldCtx
+    from orchardlab.measures import AffineGroupOps
+
+    ctx = FieldCtx(p, n)
+    group = AffineGroupOps(ctx)
+    elements = sorted(affine_group_elements(ctx), key=lambda g: g.key)
+    for seed in range(40):
+        for max_support in (1, 5, 20):
+            max_support = min(max_support, len(elements))
+            got = cli._random_measure(group, random.Random(seed), max_support)
+            want = random_measure(group, elements, random.Random(seed), max_support)
+            assert list(got.nums.items()) == list(want.nums.items())
+            assert got.den == want.den
 
 
 def test_bsg_verify_never_builds_the_group(tmp_path):
@@ -529,6 +641,29 @@ def test_flatten_refuses_a_squaring_past_the_terms_guard(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["1000001/1000000", "3000001/3000000", "10000001/10000000"])
+def test_example_k_with_large_parts_is_refused_at_once(tmp_path, capsys, k):
+    """These once ran for seconds to minutes of big-int powers before the
+    2N+1 check refused them; the k guard refuses them before any power."""
+    import time
+
+    t0 = time.perf_counter()
+    err = _one_line_error(capsys, ["example-build", "--p", 7, "--k", k,
+                                   "--out-prefix", tmp_path / "ex_"])
+    assert time.perf_counter() - t0 < 1
+    assert "above 10000" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_example_point_guard_is_usage_error(tmp_path, capsys):
+    """p = 10007 and k = 2 would build 3p(2N+1) = 6,034,221 points:
+    refused before the field is made, with one line."""
+    err = _one_line_error(capsys, ["example-build", "--p", 10007, "--k", 2,
+                                   "--out-prefix", tmp_path / "ex_"])
+    assert "over the guard of 1000000" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_flatten_negative_m_max_is_usage_error(tmp_path, capsys):
     _one_line_error(capsys, ["flatten", "--field", 5, "--m-max", -1, "--out", tmp_path / "f.csv"])
 
@@ -600,10 +735,13 @@ def test_subcommands_load_only_their_modules(tmp_path):
     assert "orchardlab.constructions" in loaded
     assert "orchardlab.incidence" not in loaded
 
-    loaded = modules_loaded(["flatten", "--field", 3, "--gen-count", 2, "--m-max", 1,
-                             "--out", "f.csv"], tmp_path)
-    assert "orchardlab.measures" in loaded
-    assert not loaded & {"orchardlab.incidence", "orchardlab.constructions"}
+    # the measure jobs draw and convolve group keys: no element code
+    for args in (["flatten", "--field", 3, "--gen-count", 2, "--m-max", 1, "--out", "f.csv"],
+                 ["bsg-verify", "--field", 3, "--count", 3, "--out", "b.json"]):
+        loaded = modules_loaded(args, tmp_path)
+        assert "orchardlab.measures" in loaded
+        assert not loaded & {"orchardlab.incidence", "orchardlab.constructions",
+                             "orchardlab.groups", "orchardlab.projgeom"}
 
 
 # every subcommand's options and their defaults, so that an added or

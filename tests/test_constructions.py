@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,7 @@ from orchardlab.incidence import count_collinear_triples
 from orchardlab.projgeom import (
     ProjPoint,
     QuadricForm,
+    TooLarge,
     collinear,
     enumerate_space,
     on_quadric,
@@ -74,6 +76,41 @@ def test_build_example_degenerate():
         build_example(5, 2)  # 2N+1 = 5 > p-1 = 4
     with pytest.raises(DegenerateParameters):
         build_example(7, 1)
+
+
+def test_build_example_k_guard(monkeypatch):
+    """A numerator or denominator of k above K_PART_CAP is refused before
+    the root search; the cap itself passes."""
+    monkeypatch.setattr(constructions, "K_PART_CAP", 3)
+    assert build_example(7, 3).N == 1
+    assert build_example(13, Fraction(3, 2)).N == 5
+    for k in (4, Fraction(5, 2), Fraction(5, 4)):
+        with pytest.raises(TooLarge) as exc:
+            build_example(7, k)
+        assert type(exc.value) is TooLarge
+
+
+def test_build_example_point_guard(monkeypatch):
+    """3p(2N+1) points above EXAMPLE_POINT_CAP are refused before any
+    point is built; exactly at the cap the build goes ahead."""
+    monkeypatch.setattr(constructions, "EXAMPLE_POINT_CAP", 3 * 7 * 5)
+    cfg = build_example(7, 2)
+    assert 3 * len(cfg.X1) == 3 * 7 * 5
+    monkeypatch.setattr(constructions, "EXAMPLE_POINT_CAP", 3 * 7 * 5 - 1)
+    with pytest.raises(TooLarge, match="at least 105 points") as exc:
+        build_example(7, 2)
+    assert type(exc.value) is TooLarge
+
+
+def test_root_search_stops_at_the_collision():
+    """The search for N stops once 2N+1 would pass p-1: k = 9999/9998 at
+    p = 7 tries N = 1 and 2 only, where floor(7^(9998/9999)) = 6."""
+    assert constructions._floor_root(7, Fraction(9999, 9998), 2) == 3
+    assert constructions._floor_root(7, Fraction(9999, 9998), 10) == 6
+    with pytest.raises(DegenerateParameters, match="exceeds p-1 = 6"):
+        build_example(7, Fraction(9999, 9998))
+    with pytest.raises(DegenerateParameters, match="odd prime"):
+        build_example(1, 2)
 
 
 def test_family_triples_collinear_and_spot_check():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_group_elements, delta, random_measure
+from oracles import affine_group_elements, delta, indexed_measure, random_measure
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
 from orchardlab.measures import (
@@ -201,6 +201,32 @@ def test_flattening_bounds_random_measures():
             assert b.l2_sq <= a.l2_sq
             # convolution-square bound, re-stated across rows
             assert b.linf <= a.l2_sq
+
+
+@pytest.mark.parametrize("cur,nxt,message", [
+    # ||nxt||_inf = 1 over ||cur||_2^2 = 1/2
+    (([1, 1], 2), ([1], 1), "convolution-square bound violated"),
+    # ||cur||_2^2 = 3/8 >= ||nxt||_inf, but ||nxt||_2^2 = 27/64 > ||cur||_1^2 3/8
+    (([2, 1, 1], 4), ([3, 3, 3], 8), "Young bound violated"),
+    # mass 4 at one atom, then 16: Young holds with equality, the norm grows
+    (([4], 1), ([16], 1), "squared L2 norm increased under convolution"),
+])
+def test_flattening_report_raises_each_bound(monkeypatch, cur, nxt, message):
+    """Each bound check raises MeasureError when the convolution it checks
+    returns a measure that breaks it: symmetrize's convolution gives cur
+    and the squaring gives nxt."""
+    import orchardlab.measures as measures
+
+    results = iter([indexed_measure(G5, *cur), indexed_measure(G5, *nxt)])
+    monkeypatch.setattr(measures, "convolve", lambda f, h: next(results))
+    with pytest.raises(MeasureError, match=message) as exc:
+        flattening_report(uniform(G5, ELS5[:2]), 0)
+    assert type(exc.value) is MeasureError
+
+
+def test_equal_groups_hash_equal():
+    assert AffineGroupOps(F5) == G5 and hash(AffineGroupOps(F5)) == hash(G5)
+    assert len({G5, AffineGroupOps(F5), G7}) == 2
 
 
 def test_measure_file_roundtrip(tmp_path):

@@ -33,7 +33,7 @@ API = {
     "groups": {"reflection_matrix"},
     "incidence": {"free_tuples", "omega_set"},
     "measures": {"coset_mass", "is_symmetric", "load_measure", "lp_norm_sq",
-                 "save_measure", "sym_power", "sym_power_2exp"},
+                 "save_measure", "sym_power", "sym_power_2exp", "uniform"},
 }
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
