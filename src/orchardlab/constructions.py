@@ -6,13 +6,13 @@ classifier for special orthogonal elements acting on the Segre quadric.
 Each CLI job is one fresh process that compiles every module it imports,
 so the names of `groups`, `incidence` and `fractions` are imported inside
 the functions that use them: building the example loads neither `groups`
-nor `incidence`, and the fixed-point classifier loads `incidence` only
-for a fixed set of more than four points.
+nor `incidence`, and the fixed-point classifier never loads `incidence`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OrchardError, VerificationFailure
@@ -23,7 +23,6 @@ from .projgeom import (
     ProjPoint,
     QuadricForm,
     TooLarge,
-    _det4,
     _matrix_logs,
 )
 
@@ -425,18 +424,24 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
     return True, lam, g.ctx.p > 2 and log[g.det().code] == red[2 * log[lam.code]]
 
 
+@lru_cache(maxsize=None)                # the classifier's own form, one per interned field
+def _segre_form(ctx: FieldCtx) -> QuadricForm:
+    return QuadricForm.segre(ctx)
+
+
 def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
-    """Classify Fix(g) on the quadric x1*x4 = x2*x3.
+    """Classify Fix(g) on the quadric x1*x4 = x2*x3, on log codes.
 
-    A point is fixed when its lift is an eigenvector of the matrix M of
-    g, so Fix(g) is the union, over the eigenvalues lambda in F_q of M, of
-    the points of P(ker(M - lambda I)) on the quadric; the points are
-    sorted by key.  The search runs on the log codes of M (see
-    `field.ZechTables`); a ProjPoint is made for each fixed point only.
-
-    Accepts elements preserving the quadric mod scalar; pso_verified
-    records whether the determinant test certifies the special part.
-    For a verified element an OTHER outcome is impossible and raises.
+    The quadric is P^1 x P^1 under `groups.segre`, u (x) w, and its group
+    is (PGL_2 x PGL_2) x| <sigma>, sigma the swap of x2 and x3: the matrix
+    of g is c (A (x) B), fixing Fix(A) x Fix(B), or c (A (x) B) sigma,
+    sending u (x) w to Aw (x) Bu, so fixing (u, Bu) for u in Fix(AB).  A
+    full line is a ruling {u} x P^1 or P^1 x {w} of q + 1 fixed pairs.
+    Points are sorted by key, lines by the keys of their two least points.
+    pso_verified is the determinant test for the special part; an OTHER
+    outcome for such an element raises.  NotOnQuadricGroup is raised when
+    M^T B M = lambda B fails and, as over F_(2^n) that test sees only the
+    polar form, when M factors neither way.
     """
     from .groups import GroupError, IdentityElement, NotOnQuadricGroup
 
@@ -444,111 +449,68 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
         raise GroupError("mixed contexts")
     if g.is_identity():
         raise IdentityElement("fixed points of the identity are everything")
-    Q = QuadricForm.segre(ctx)
-    preserves, lam, special = pso_membership(g, Q)
+    preserves, lam, special = pso_membership(g, _segre_form(ctx))
     if not preserves:
         raise NotOnQuadricGroup("element does not preserve the quadric")
-    t = ctx.zech
-    exp, red, Z = t.exp, t.red, t.Z
-    fixed = []
-    for value in range(ctx.order - 1):  # the log codes of F_q^*; M is invertible
-        shifted = [
-            [t.minus(x, value) if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(g.logs)
-        ]
-        if _det4(ctx, shifted) != Z:
-            continue
-        for v in _span_logs(ctx, _kernel_logs(ctx, shifted)):
-            if red[v[0] + v[3]] == red[v[1] + v[2]]:
-                fixed.append(ProjPoint(ctx, [FieldElem(ctx, exp[x]) for x in t.scaled(v)]))
-    fixed.sort(key=lambda p: p.key)
-    kind, lines = _classify_point_set(ctx, fixed)
-    if kind == "OTHER" and special:
-        raise VerificationFailure(
-            "a verified special element fixed a set that is neither small "
-            "nor a union of at most two lines"
-        )
-    return FixClassification(
-        kind=kind,
-        fixed_points=fixed,
-        lines=lines,
-        pso_verified=special,
-        scalar=lam,
-    )
+    _, exp, red, zech, Z, _ = t = ctx.zech
 
+    def times(A, u):            # the 2x2 matrix A times the vector u
+        return tuple(t.total((red[a0 + u[0]], red[a1 + u[1]])) for a0, a1 in A)
 
-def _kernel_logs(ctx: FieldCtx, M) -> List[List[int]]:
-    """A basis of the kernel of a singular 4x4 matrix of log codes, one
-    vector per free column of its reduced row-echelon form."""
-    t = ctx.zech
-    red, Z, m1 = t.red, t.Z, t.m1
-    rows = [list(r) for r in M]
-    pivots = []
-    for col in range(4):
-        top = len(pivots)
-        hit = next((r for r in range(top, 4) if rows[r][col] != Z), None)
-        if hit is None:
-            continue
-        # rows from top on are zero before col, so the pivot leads its row
-        rows[top], rows[hit] = rows[hit], rows[top]
-        pivot = rows[top] = t.scaled(rows[top])
-        for r in range(4):
-            f = rows[r][col]
-            if r != top and f != Z:     # row r minus f times the pivot row
-                rows[r] = [t.minus(x, red[f + y]) for x, y in zip(rows[r], pivot)]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(4) if c not in pivots):
-        v = [Z] * 4
-        v[free] = 0
-        for row, col in zip(rows, pivots):
-            v[col] = red[row[free] + m1]
-        basis.append(v)
-    return basis
+    def fix(A):                 # [1 : x] when (a + bx) x = c + dx, [0 : 1] when b = 0
+        (a, b), (c, d) = A
+        return [(0, x) for x in [*range(Z >> 1), Z] if red[red[a + zech[red[b + x] - a + Z]] + x]
+                == red[c + zech[red[d + x] - c + Z]]] + [(Z, 0)] * (b == Z)
 
+    def key(u, w):              # the key of u (x) w
+        return tuple(exp[red[a + b]] for a in u for b in w)
 
-def _span_logs(ctx: FieldCtx, basis):
-    """The points of P(span of the independent log-code vectors in
-    basis), each once and unscaled: one for each coefficient vector whose
-    first nonzero entry is 1."""
-    _, _, red, zech, Z, _ = ctx.zech
-    codes = [Z, *range(ctx.order - 1)]
-    for lead in range(len(basis)):
-        for coeffs in itertools.product(codes, repeat=len(basis) - lead - 1):
-            v = basis[lead]
-            for c, u in zip(coeffs, basis[lead + 1:]):
-                v = [red[a + zech[red[c + b] - a + Z]] for a, b in zip(v, u)]
-            yield v
+    def elems(codes):
+        return [FieldElem(ctx, c) for c in codes]
 
-
-def _classify_point_set(ctx, fixed):
-    """FINITE for at most 4 points, ONE_LINE or TWO_LINES when the set is
-    the union of the lines all of whose points it holds (see
-    `_full_lines_within`), OTHER otherwise.  Such a line holds q + 1
-    points of the set and two of them share one point when their four
-    basis rows are dependent, none otherwise, so counting settles it."""
+    factors = _segre_factors(t, g.logs)
+    if factors is not None:
+        pairs = [(u, w) for u in fix(factors[0]) for w in fix(factors[1])]
+    else:
+        factors = _segre_factors(t, [(a, c, b, d) for a, b, c, d in g.logs])
+        if factors is None:
+            raise NotOnQuadricGroup("element preserves the polar form but not the quadric")
+        A, B = factors
+        pairs = [(u, t.scaled(times(B, u))) for u in fix([times(tuple(zip(*B)), r) for r in A])]
+    fixed = sorted((key(u, w), u, w) for u, w in pairs)
+    rulings: Dict[tuple, list] = {}     # (0, u): the keys on {u} x P^1; (1, w): on P^1 x {w}
+    for k, u, w in fixed:
+        for ruling in ((0, u), (1, w)):
+            rulings.setdefault(ruling, []).append(k)
+    size = ctx.order + 1
+    full = sorted((keys[:2], side, f) for (side, f), keys in rulings.items() if len(keys) == size)
+    units = ((0, Z), (Z, 0))            # f (x) e and e (x) f over these are RREF bases
+    lines = [ProjLine(ctx, [elems(key(f, e) if side == 0 else key(e, f)) for e in units])
+             for _, side, f in full]
     if len(fixed) <= 4:
-        return "FINITE", []
-    lines = _full_lines_within(ctx, fixed)
-    if len(lines) == 1 and len(fixed) == ctx.order + 1:
-        return "ONE_LINE", lines
-    if len(lines) == 2:
-        meet = _det4(ctx, _matrix_logs(ctx, lines[0].basis + lines[1].basis)) == ctx.zech.Z
-        if len(fixed) == 2 * (ctx.order + 1) - meet:
-            return "TWO_LINES", lines
-    return "OTHER", lines
+        kind, lines = "FINITE", []
+    elif len(lines) == 1 and len(fixed) == size:
+        kind = "ONE_LINE"
+    elif len(lines) == 2 and len(fixed) == 2 * size - (full[0][1] != full[1][1]):
+        kind = "TWO_LINES"              # lines of the two rulings meet once
+    else:
+        kind = "OTHER"
+    if kind == "OTHER" and special:
+        raise VerificationFailure("a verified special element fixed a set that is neither "
+                                  "small nor a union of at most two lines")
+    return FixClassification(
+        kind, [ProjPoint(ctx, elems(k)) for k, _, _ in fixed], lines, special, lam)
 
 
-def _full_lines_within(ctx, points) -> List[ProjLine]:
-    """Lines all of whose q+1 points belong to the given set, in the order
-    of their first pair with the points sorted by key: those whose first
-    point sees the q others after it (see `_later_points_by_line`)."""
-    from .incidence import _later_points_by_line, _line_from_key
-
-    ordered = PointSet(sorted(points, key=lambda p: p.key))
-    return [
-        _line_from_key(ctx, key)
-        for bucket in _later_points_by_line(ctx, ordered)
-        for key, m in bucket.items()
-        if m == ctx.order
-    ]
+def _segre_factors(t, M) -> Optional[Tuple[list, list]]:
+    """(A, B) with M = c (A (x) B), all log codes over the field of t, or
+    None.  (A (x) B)[2i + k][2j + l] is A[i][j] B[k][l]: with c at the first
+    nonzero entry (2 i0 + k0, 2 j0 + l0), A is the slice M[2i + k0][2j + l0]
+    and B the block M[2 i0 + k][2 j0 + l], checked on all 16 entries."""
+    red, Z = t.red, t.Z
+    r, s = next((r, s) for r in range(4) for s in range(4) if M[r][s] != Z)
+    (i0, k0), (j0, l0), c = divmod(r, 2), divmod(s, 2), M[r][s]
+    A = [[M[2 * i + k0][2 * j + l0] for j in (0, 1)] for i in (0, 1)]
+    B = [M[2 * i0 + k][2 * j0:2 * j0 + 2] for k in (0, 1)]
+    kron = [red[a + b] for row_a in A for row_b in B for a in row_a for b in row_b]
+    return (A, B) if kron == [red[c + x] for row in M for x in row] else None

@@ -29,11 +29,11 @@ through `PointSet.of`, which raises for a set that is not one.
   `map` of that point's line key on X2 is its bucket, the same `map` on
   X3 gives each X3 point's key, and Python steps in only for the X3
   points whose key is in the bucket.  Memory beyond the per-line result
-  is O(|X2| + |X3|).  `line_concentration` and the full-line search use
-  the same per-point `Counter` over the points after each one.
+  is O(|X2| + |X3|).  `line_concentration` uses the same per-point
+  `Counter`, over the points after each one.
 - Lines are reported, and the `line_concentration` witness given, by
   their kernel keys, which are already in canonical RREF: `line_text`
-  writes a key's text and `_line_from_key` builds its checked `ProjLine`.
+  writes a key's text.
 - The pencil statistic reads each point once: the point's values on the
   two base planes name the one plane of the pencil it lies on (or all of
   them, on the base line).  Planes are taken in the order P1, then
@@ -55,7 +55,6 @@ from .projgeom import (
     PAIR_PRODUCT_CAP,
     MixedContexts,
     PointSet,
-    ProjLine,
     ProjPlane,
     ProjPoint,
     TooLarge,
@@ -80,7 +79,7 @@ def line_text(ctx: FieldCtx, key) -> str:
 class TripleCount(NamedTuple):
     total: int
     # per-line counts by line key: the flat RREF 8-tuple of element codes
-    # that `ProjLine.key` is (see `_line_from_key`)
+    # that `ProjLine.key` is
     by_line: Dict[tuple, int]
 
 
@@ -338,13 +337,6 @@ def _keyed(ctx: FieldCtx, *sets: PointSet):
     return partial(_rref_key_log, ctx.zech), [X.logs for X in sets]
 
 
-def _line_from_key(ctx: FieldCtx, key) -> ProjLine:
-    """The line of a line key, the flat 8-tuple of codes of its two basis
-    rows; raises GeometryError when the rows do not have rank 2."""
-    rows = [[FieldElem(ctx, c) for c in key[:4]], [FieldElem(ctx, c) for c in key[4:]]]
-    return ProjLine(ctx, rows)
-
-
 def count_collinear_triples(
     X1: Sequence[ProjPoint],
     X2: Sequence[ProjPoint],
@@ -406,34 +398,27 @@ class ConcentrationReport(NamedTuple):
     witness: Optional[tuple] = None
 
 
-def _later_points_by_line(ctx: FieldCtx, X: PointSet):
-    """For each point of X but the last, a Counter of the line keys (see
-    `_keyed`) it spans with the points after it in X, in the order of
-    their first pair.  A line holding a points of X counts a - 1 in its
-    first point's Counter and less in the later ones."""
-    key_of, [pts] = _keyed(ctx, X)
-    for i in range(len(pts) - 1):
-        yield Counter(map(partial(key_of, pts[i]), pts[i + 1:]))
-
-
 def line_concentration(X: Sequence[ProjPoint]) -> ConcentrationReport:
     """Exact max of |X intersect line| over lines spanned by pairs of X,
     with the largest line key among the lines that reach it as witness.
 
     A line meeting X in at most one point never beats a spanned line once
-    |X| >= 2, so the spanned lines suffice; singletons report 1.  The max
-    is 1 + the largest count in the Counters of `_later_points_by_line`,
-    where keys are compared only in a Counter that reaches the running
-    max.  Raises TooLarge when |X| (|X| - 1) / 2 exceeds PAIR_PRODUCT_CAP,
-    before any pair is keyed, then what `PointSet.of` raises.
+    |X| >= 2, so the spanned lines suffice; singletons report 1.  A line
+    holding a points counts a - 1 in its first point's Counter of the line
+    keys (see `_keyed`) to the later points, and keys are compared only in
+    a Counter that reaches the running max.  Raises TooLarge when
+    |X| (|X| - 1) / 2 exceeds PAIR_PRODUCT_CAP, before any pair is keyed,
+    then what `PointSet.of` raises.
     """
     if len(X) * (len(X) - 1) // 2 > PAIR_PRODUCT_CAP:
         raise TooLarge("pair count exceeds the counting guard")
     X = PointSet.of(X)
     if len(X) < 2:
         return ConcentrationReport(len(X))
+    key_of, [pts] = _keyed(X.ctx, X)
     best = (0, None)
-    for bucket in _later_points_by_line(X.ctx, X):
+    for i in range(len(pts) - 1):
+        bucket = Counter(map(partial(key_of, pts[i]), pts[i + 1:]))
         m = max(bucket.values())
         if m >= best[0]:
             best = max(best, (m, max(k for k, c in bucket.items() if c == m)))

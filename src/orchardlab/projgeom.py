@@ -304,7 +304,10 @@ def _require_p3(*points: ProjPoint) -> None:
 
 
 def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
-    """Whether p lies on Q, by the form on log codes (see `_entry_logs`)."""
+    """Whether p lies on Q, by the form on log codes (see `_entry_logs`).
+    Over F_(2^n) v^T B v sees only the diagonal of a symmetric B, so
+    `on_quadric(p, QuadricForm.segre(F2))` holds for all 15 points of
+    P^3(F_2), against the 9 on x1*x4 = x2*x3."""
     if p.ctx is not Q.ctx:
         raise MixedContexts("point from a different field")
     _require_p3(p)

@@ -25,7 +25,8 @@ check that path (see test_oracles.py):
 - `line_concentration_by_lines`: the points of X on each `line_through`
   line, for `incidence.line_concentration`;
 - `full_lines_by_scan`: every `line_through` line of a point set checked
-  point by point, for `constructions._full_lines_within`;
+  point by point, for the ruling lines of
+  `constructions.classify_fixed_points`;
 - `dense_bilinear`: the 16-term sum of a quadric's bilinear form, for
   the sparse `QuadricForm.bilinear`;
 - `involution_images`: `groups.gamma_x` and `projgeom.collinear` on
@@ -48,7 +49,8 @@ closure), `segre_quadric_points`, `pencil_planes` (in the order
 `incidence.pencil_plane_concentration` takes them), `family_triple` (one
 triple of the extremal example), `random_measure`, `random_smooth_form`,
 `on_line` (the rank test of a point against a line's basis),
-`line_points` (the q + 1 points of a line), `indexed_measure` (weights
+`line_points` (the q + 1 points of a line), `line_from_key` (the
+checked `ProjLine` of a kernel's line key), `indexed_measure` (weights
 on the first elements in key order) and `delta` (a point mass).
 """
 
@@ -180,6 +182,13 @@ def line_points(line: ProjLine) -> List[ProjPoint]:
     return [ProjPoint(ctx, u)] + [
         ProjPoint(ctx, [a * t + b for a, b in zip(u, v)]) for t in ctx.elements()
     ]
+
+
+def line_from_key(ctx: FieldCtx, key) -> ProjLine:
+    """The line of a line key, the flat 8-tuple of codes of its two basis
+    rows; raises GeometryError when the rows do not have rank 2."""
+    rows = [[FieldElem(ctx, c) for c in key[:4]], [FieldElem(ctx, c) for c in key[4:]]]
+    return ProjLine(ctx, rows)
 
 
 def random_smooth_form(ctx, rng):

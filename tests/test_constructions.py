@@ -368,6 +368,19 @@ def test_swap_of_factors_is_not_special_in_characteristic_two(ctx):
     assert len(cls.fixed_points) == ctx.order + 1
 
 
+def test_classify_rejects_a_polar_form_element_off_the_quadric():
+    # over F_2 the doubled Segre matrix is only the alternating polar form
+    # of x1*x4 - x2*x3: this element preserves it, so it passes the
+    # congruence test, yet it moves a point of the quadric off it and
+    # factors neither as A (x) B nor as (A (x) B) sigma
+    F2 = FieldCtx(2)
+    g = PGLElem(F2, [[0, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+    assert pso_membership(g, QuadricForm.segre(F2)) == (True, F2.one(), False)
+    assert g.act(ProjPoint(F2, [0, 0, 0, 1])) == ProjPoint(F2, [1, 0, 1, 1])
+    with pytest.raises(NotOnQuadricGroup):
+        classify_fixed_points(g, F2)
+
+
 @pytest.mark.parametrize("ctx", [F5, F9], ids=str)
 def test_classify_builds_no_field_arithmetic(ctx, monkeypatch):
     """Reflection lifts, their products and the classifier run on log

@@ -15,7 +15,7 @@ import pytest
 
 import orchardlab
 from orchardlab import cli
-from orchardlab.constructions import NoSqrtMinusOne, SingularForm, _full_lines_within
+from orchardlab.constructions import NoSqrtMinusOne, SingularForm
 from orchardlab.errors import OrchardError, VerificationFailure
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
@@ -90,7 +90,6 @@ POINT_KERNELS = {
     "census": stabilizer_census_affine,
     "involutions-x": lambda X: check_quadric_involutions(SEGRE, OFF_SEGRE, X),
     "involutions-s": lambda X: check_quadric_involutions(SEGRE, X, PLANE[:2]),
-    "full-lines": lambda X: _full_lines_within(F5, X),
     "free-tuples": lambda X: free_tuples(X, [AffElem.identity(F5)], 1, aff_act),
 }
 

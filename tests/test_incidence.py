@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     affine_group_elements,
     line_concentration_by_lines,
+    line_from_key,
     line_points,
     mulclose,
     on_line,
@@ -27,7 +28,6 @@ from orchardlab.incidence import (
     CensusReport,
     _inv_table,
     _keyed,
-    _line_from_key,
     count_collinear_triples,
     free_tuples,
     line_concentration,
@@ -196,14 +196,14 @@ def test_line_concentration_builds_no_element_or_line(monkeypatch):
     assert built == []
     for X, rep in zip(sets, reports):
         assert rep.max_count >= 2 and len(rep.witness) == 8
-        line = _line_from_key(X.ctx, rep.witness)
+        line = line_from_key(X.ctx, rep.witness)
         assert sum(on_line(line, x) for x in X) == rep.max_count
 
 
 def test_line_from_key_checks_rank():
     with pytest.raises(GeometryError, match="rank 2"):
-        _line_from_key(F5, (1, 0, 0, 0, 1, 0, 0, 0))
-    line = _line_from_key(F5, (1, 0, 2, 3, 1, 1, 0, 0))
+        line_from_key(F5, (1, 0, 0, 0, 1, 0, 0, 0))
+    line = line_from_key(F5, (1, 0, 2, 3, 1, 1, 0, 0))
     assert line.key == (1, 0, 2, 3, 0, 1, 3, 2)
 
 
@@ -233,7 +233,7 @@ def test_line_text_is_the_basis_text(ctx):
     for i, a in enumerate(codes):
         for b in codes[i + 1:]:
             key = key_of(a, b)
-            line = _line_from_key(ctx, key)
+            line = line_from_key(ctx, key)
             text = "|".join(":".join(e.text() for e in row) for row in line.basis)
             assert line_text(ctx, key) == text
 
@@ -267,7 +267,7 @@ def test_counted_triples_reverify():
     out = count_collinear_triples(X1, X2, X3, "hash")
     rebuilt = 0
     for key, contribution in out.by_line.items():
-        line = _line_from_key(F5, key)
+        line = line_from_key(F5, key)
         on1 = [p for p in X1 if on_line(line, p)]
         on2 = [p for p in X2 if on_line(line, p)]
         on3 = [p for p in X3 if on_line(line, p)]
@@ -340,7 +340,7 @@ def test_line_concentration_examples():
     rep = line_concentration(pts)
     assert rep.max_count == 3
     assert rep.witness is not None
-    assert sum(1 for p in pts if on_line(_line_from_key(F5, rep.witness), p)) == 3
+    assert sum(1 for p in pts if on_line(line_from_key(F5, rep.witness), p)) == 3
     line = line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]))
     assert line_concentration(line_points(line)).max_count == 6
     assert line_concentration(pts[:1]).max_count == 1

@@ -16,13 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_concentration_by_lines, line_points, pencil_scan
+from oracles import (
+    line_concentration_by_lines,
+    line_from_key,
+    line_points,
+    pencil_scan,
+)
 from orchardlab.constructions import build_example
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.incidence import (
     EqualPlanes,
     _keyed,
-    _line_from_key,
     count_collinear_triples,
     line_concentration,
     pencil_plane_concentration,
@@ -155,7 +159,7 @@ def test_hash_matches_brute_on_shared_points(sets):
     # the lines are built from raw keys without reduction: already canonical
     ctx = X1[0].ctx
     for key in hashed.by_line:
-        line = _line_from_key(ctx, key)
+        line = line_from_key(ctx, key)
         assert ProjLine(ctx, line.basis).key == key
     both = count_collinear_triples(X1, X2, X3, "both")
     assert (both.total, both.by_line) == (hashed.total, hashed.by_line)

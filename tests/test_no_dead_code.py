@@ -5,7 +5,8 @@ must be referenced by name or attribute somewhere in `src/` outside its
 own definition (imports do not count). Dunder methods are exempt, and so
 is the library API the README lists, which no subcommand calls. Oracles
 and helpers that only tests call belong in `tests/oracles.py`.  Outside
-`field.py`, no module reads the private state of a field context.
+`field.py`, no module reads the private state of a field context, and
+no module imports a private name of `incidence`.
 
 A top-level function or class is used when its name is read (loaded)
 outside its definition, either in its own module or, under the name it
@@ -153,3 +154,17 @@ def test_only_field_reads_private_field_state():
         if isinstance(n, ast.Attribute) and n.attr in PRIVATE_FIELD_NAMES
     ]
     assert not reads, "private field attributes read outside field.py: " + ", ".join(reads)
+
+
+def test_no_module_imports_private_incidence_names():
+    """The triple kernels' private helpers stay inside `incidence`: no
+    other module of `src/` imports an underscore name from it, so the
+    rest of the package depends on its public functions only."""
+    imports = [
+        f"{module}.py:{n.lineno} {a.name}"
+        for module, tree in TREES.items() if module != "incidence"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "incidence" and n.level == 1
+        for a in n.names if a.name.startswith("_")
+    ]
+    assert not imports, "private incidence names imported: " + ", ".join(imports)

@@ -1,6 +1,6 @@
 """The closed forms and int paths against their oracles in oracles.py:
 the O(1) pair-stabilizer test, the closed-form family check, the
-eigenspace fixed points and the full lines of a fixed set, the
+fixed points and full lines from the Segre factors, the
 two-product orthogonality test, the 2x2-minor determinant, the sparse
 quadric forms, the log-code triple kernels, line key and line
 concentration of F_{p^n}, the prime-field brute kernel's first-minor
@@ -35,9 +35,9 @@ from oracles import (
     zech_powers_by_matrix,
 )
 
+from orchardlab import constructions
 from orchardlab.constructions import (
     _collinear_mod_p,
-    _full_lines_within,
     _same_point_mod_p,
     build_example,
     classify_fixed_points,
@@ -163,19 +163,34 @@ def test_collinear_mod_p_each_minor(omit):
 
 # -- fixed points on the Segre quadric -------------------------------------
 
-def _kron(ctx, A, B):
-    """A (x) B, which sends segre(u, w) to segre(Au, Bw)."""
-    return PGLElem(ctx, [[A[i // 2][j // 2] * B[i % 2][j % 2] for j in range(4)]
-                         for i in range(4)])
+def _kron(ctx, A, B, twin=False):
+    """A (x) B, which sends segre(u, w) to segre(Au, Bw), or with twin its
+    sigma-twin (A (x) B) sigma, columns 1 and 2 swapped, which sends
+    segre(u, w) to segre(Aw, Bu)."""
+    rows = [[A[i // 2][j // 2] * B[i % 2][j % 2] for j in range(4)] for i in range(4)]
+    return PGLElem(ctx, [[r[0], r[2], r[1], r[3]] for r in rows] if twin else rows)
 
 
 def _assert_matches_enumeration(g, ctx):
+    """The classification against the oracles: the enumerated fixed
+    points, their scanned full lines, the kind these make, the scalar of
+    M^T B M by triple sums and the det test on the Laplace determinant."""
     cls = classify_fixed_points(g, ctx)
-    assert cls.fixed_points == fixed_points_by_enumeration(g, ctx)
-    lines = _full_lines_within(ctx, cls.fixed_points)
-    assert lines == full_lines_by_scan(cls.fixed_points)
-    if len(cls.fixed_points) > 4:
-        assert cls.lines == lines
+    points = fixed_points_by_enumeration(g, ctx)
+    lines = full_lines_by_scan(points)
+    assert cls.fixed_points == points
+    assert cls.lines == (lines if len(points) > 4 else [])
+    union = {p for line in lines for p in line_points(line)} == set(points)
+    if len(points) <= 4:
+        kind = "FINITE"
+    elif union and len(lines) in (1, 2):
+        kind = ["ONE_LINE", "TWO_LINES"][len(lines) - 1]
+    else:
+        kind = "OTHER"
+    assert cls.kind == kind
+    ok, lam = orthogonal_by_triple_sums(g, QuadricForm.segre(ctx))
+    assert ok and cls.scalar == lam
+    assert cls.pso_verified == (ctx.p > 2 and det_laplace(ctx, g.rows) == lam * lam)
     return cls
 
 
@@ -209,18 +224,15 @@ def test_full_lines_of_a_large_fixed_set():
     cls = classify_fixed_points(g, F31)
     assert cls.kind == "TWO_LINES" and len(cls.fixed_points) == 64
     assert cls.lines == full_lines_by_scan(cls.fixed_points)
-    # a line and a lone point: one full line, and order by first pair
-    pts = line_points(cls.lines[1]) + [ProjPoint(F31, [0, 1, 0, 0])]
-    assert _full_lines_within(F31, pts) == full_lines_by_scan(pts) == [cls.lines[1]]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([F3, F5, F7, F9]), st.data())
-def test_fixed_points_segre_products(ctx, data):
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F3, F4, F5, F7, F8, F9, F25]), st.booleans(), st.data())
+def test_fixed_points_segre_products(ctx, twin, data):
     entry = st.sampled_from(ctx.elements_sorted())
     A, B = ([[data.draw(entry) for _ in range(2)] for _ in range(2)] for _ in range(2))
     try:
-        g = _kron(ctx, A, B)
+        g = _kron(ctx, A, B, twin)
     except GroupError:          # A or B singular
         return
     if not g.is_identity():
@@ -228,7 +240,7 @@ def test_fixed_points_segre_products(ctx, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([F3, F5, F7, F9]), st.data())
+@given(st.sampled_from([F3, F5, F7, F9, F25]), st.data())
 def test_fixed_points_reflections(ctx, data):
     QS = QuadricForm.segre(ctx)
     x1 = data.draw(st.sampled_from(off_segre(ctx)))
@@ -237,6 +249,31 @@ def test_fixed_points_reflections(ctx, data):
         g = g * reflection_lift(data.draw(st.sampled_from(off_segre(ctx))), QS)
     if not g.is_identity():
         _assert_matches_enumeration(g, ctx)
+
+
+@pytest.mark.parametrize("ctx", [F4, F5, F8, F9, F25], ids=str)
+def test_sigma_twin_of_a_scalar_fixes_a_conic(ctx):
+    """(A (x) B) sigma with AB scalar fixes the q + 1 points (u, Bu): a
+    conic, with no full line, so OTHER; and no sigma-coset element is
+    special, the determinant test reading det = -lambda^2."""
+    one, zero = ctx.one(), ctx.zero()
+    B = [[zero, one], [one, one]]
+    A = [[-one, one], [one, zero]]          # B^-1, so AB = I
+    cls = _assert_matches_enumeration(_kron(ctx, A, B, twin=True), ctx)
+    assert cls.kind == "OTHER" and len(cls.fixed_points) == ctx.order + 1
+    assert not cls.pso_verified and cls.lines == []
+
+
+def test_verified_other_raises(monkeypatch):
+    """The cross-check behind pso_verified: a sigma-twin fixing a conic,
+    reported special by a patched determinant test, raises."""
+    one, zero = F5.one(), F5.zero()
+    ident = [[one, zero], [zero, one]]
+    swap = _kron(F5, ident, ident, twin=True)
+    assert classify_fixed_points(swap, F5).kind == "OTHER"
+    monkeypatch.setattr(constructions, "pso_membership", lambda g, Q: (True, one, True))
+    with pytest.raises(VerificationFailure, match="verified special element"):
+        classify_fixed_points(swap, F5)
 
 
 # -- orthogonality and determinants --------------------------------------

@@ -8,7 +8,9 @@ digests were taken from the plane-by-plane pencil scan and the set-based
 line buckets that the one-pass pencil count and the list buckets replaced.
 The example-verify and fixed-point digests were taken from the
 `ProjPoint` family check and the Segre-point enumeration of Fix(g) that
-the int-coded check and the eigenspace fixed points replaced.  The F_8
+the int-coded check and the eigenspace fixed points replaced; the
+fixed points from the Segre factors, which replaced the eigenspaces,
+keep them.  The F_8
 threeplanes and F_9 quadric digests were taken from the `FieldElem`
 brute kernel and the `line_through` line keys that the log-code kernels
 replaced.
