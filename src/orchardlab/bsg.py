@@ -164,6 +164,10 @@ def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
     squared-norm variant is also reported as `hyp_sq`): the structured
     self-convolution lower bound, the lower half of the |A| sandwich and
     the pointwise upper bound.
+
+    nu*nu is computed once: when no atom is heavy or diffuse, nu_str is
+    nu, and the structured self-convolution row reads the squared norm of
+    nu*nu that the hypothesis rows use.
     """
     dec = decompose(nu, K)
     K, l2 = dec.K, dec.l2_sq
@@ -190,8 +194,11 @@ def verify_decomposition(nu: GroupMeasure, K) -> List[InequalityCheck]:
             ("pointwise_upper", Fraction(nu.den, size * min(on_a)), "<=",
              2**18 * K**6, hyp_lin),
         ]
-    rows.append(("str_conv_lower", l2_norm_sq(convolve(dec.nu_str, dec.nu_str)), ">=",
-                 l2 / (4 * K * K), hyp_lin))
+    # with no heavy and no diffuse atom nu_str is nu, squared above
+    str_conv_l2 = conv_l2
+    if dec.nu_str != nu:
+        str_conv_l2 = l2_norm_sq(convolve(dec.nu_str, dec.nu_str))
+    rows.append(("str_conv_lower", str_conv_l2, ">=", l2 / (4 * K * K), hyp_lin))
     return [InequalityCheck.compare(*row) for row in rows]
 
 

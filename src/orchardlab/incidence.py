@@ -578,9 +578,14 @@ def free_tuples(
     """Ordered k-tuples of X whose pointwise stabilizer within G_set (group
     elements with `is_identity()`, such as `AffElem` or `PGLElem`) is
     trivial.  With a truncated closure the result is only relative to
-    G_set, and the flag says so.  A bad X raises the `PointSet` errors."""
+    G_set, and the flag says so.  Raises TooLarge when |X|^k exceeds
+    PAIR_PRODUCT_CAP, before any tuple, then the `PointSet` errors of X,
+    then ValueError when G_set lacks the identity."""
     from itertools import product
 
+    # |X|^k, with k clipped where 2^k alone passes the cap
+    if len(X) ** min(k, PAIR_PRODUCT_CAP.bit_length()) > PAIR_PRODUCT_CAP:
+        raise TooLarge(f"{len(X)}^{k} tuples exceed the counting guard")
     X = PointSet.of(X)
     elements = list(G_set)
     if not any(g.is_identity() for g in elements):

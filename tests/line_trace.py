@@ -5,9 +5,16 @@ Runs pytest in this process under a line tracer (`sys.settrace` and
 files, with hypothesis derandomized and its example database off, so
 that one tree always gives the same lines.  Then prints each executable
 line (a line the compiled code maps an instruction to) that never ran,
-as `path:line: source`, and a one-line summary.  Lines that only the
-suite's child processes run (such as `sys.exit(main())` under
-`__main__`) are listed too: the children are not traced.
+as `path:line: source`, and a one-line summary that names the tests that
+failed under tracing.  Lines that only the suite's child processes run
+(such as `sys.exit(main())` under `__main__`) are listed too: the
+children are not traced.
+
+Tracing slows each kernel by its own factor, so a test that gates a
+ratio of wall-clock times can fail here and pass untraced: criterion
+9's brute/hash speed gate is one (its hash kernel spends more of its
+time on traced Python lines).  Such a failure says nothing about the
+lines; the summary names it so that it can be told from a real one.
 
 Stdlib only, besides pytest and hypothesis, which the suite needs
 anyway.  pytest does not collect this file (its name does not start with
@@ -41,8 +48,20 @@ def executable_lines(path: Path) -> set:
     return lines
 
 
+class FailedTests:
+    """A pytest plugin that keeps the node ids of the failed tests."""
+
+    def __init__(self):
+        self.nodeids = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.nodeids:
+            self.nodeids.append(report.nodeid)
+
+
 def traced_run(pytest_args) -> tuple:
-    """(pytest's exit code, the set of (file name, line) that ran in src/)."""
+    """(pytest's exit code, the set of (file name, line) that ran in src/,
+    the node ids of the tests that failed)."""
     import pytest
     from hypothesis import settings
 
@@ -64,19 +83,20 @@ def traced_run(pytest_args) -> tuple:
             inside = watched[name] = os.path.dirname(os.path.realpath(name)) == src
         return on_line if inside else None
 
+    failed = FailedTests()
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        code = pytest.main(list(pytest_args))
+        code = pytest.main(list(pytest_args), plugins=[failed])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return code, {(os.path.realpath(name), line) for name, line in ran}
+    return code, {(os.path.realpath(name), line) for name, line in ran}, failed.nodeids
 
 
 def main(argv) -> int:
-    code, ran = traced_run(argv or TIER1)
+    code, ran, failed = traced_run(argv or TIER1)
     total = missed = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8").splitlines()
@@ -87,7 +107,8 @@ def main(argv) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
     print(f"{missed} of {total} executable lines in src/orchardlab never ran "
-          f"(pytest exit code {int(code)})")
+          f"(pytest exit code {int(code)}; failed under tracing: "
+          f"{', '.join(failed) or 'none'})")
     return 0
 
 

@@ -17,7 +17,7 @@ from orchardlab.bsg import (
 )
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
-from orchardlab.measures import AffineGroupOps, GroupMeasure, l2_norm_sq, uniform
+from orchardlab.measures import AffineGroupOps, GroupMeasure, MeasureError, l2_norm_sq, uniform
 
 F5 = FieldCtx(5)
 G = AffineGroupOps(F5)
@@ -209,6 +209,42 @@ def test_check_serialization():
         }
         num, den = doc["lhs"].split("/")
         assert int(den) != 0
+
+
+def test_str_conv_row_reuses_the_square_when_nu_str_is_nu(monkeypatch):
+    """nu*nu is convolved once when no atom is heavy or diffuse; otherwise
+    the structured row squares nu_str itself."""
+    calls = []
+    convolve = bsg.convolve
+    monkeypatch.setattr(bsg, "convolve", lambda f, h: calls.append((f, h)) or convolve(f, h))
+    nu = uniform(G, [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)])
+    named = {c.name: c for c in verify_decomposition(nu, 1)}
+    assert [(f is nu, h is nu) for f, h in calls] == [(True, True)]
+    assert named["str_conv_lower"].lhs == named["hyp_lin"].lhs == l2_norm_sq(convolve(nu, nu))
+
+    calls.clear()
+    K = Fraction(17, 16)
+    nu = indexed_measure(G, [301, 12, 1], 314)      # one diffuse atom
+    nu_str = decompose(nu, K).nu_str
+    assert nu_str != nu
+    named = {c.name: c for c in verify_decomposition(nu, K)}
+    assert [(f == nu, h == nu) for f, h in calls] == [(True, True), (False, False)]
+    assert calls[1] == (nu_str, nu_str)
+    assert named["str_conv_lower"].lhs == l2_norm_sq(convolve(nu_str, nu_str))
+    assert named["str_conv_lower"].lhs != named["hyp_lin"].lhs
+
+
+def test_decompose_refuses_a_measure_of_other_mass():
+    nu = GroupMeasure(G, {AffElem.identity(F5): Fraction(1, 2)})
+    with pytest.raises(MeasureError) as exc:
+        decompose(nu, 1)
+    assert type(exc.value) is MeasureError
+
+
+def test_covering_by_an_empty_set_is_refused():
+    with pytest.raises(ValueError) as exc:
+        covering_number(ELS[:3], [])
+    assert type(exc.value) is ValueError
 
 
 def test_k_must_be_at_least_one():

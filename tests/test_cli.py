@@ -668,6 +668,13 @@ def test_flatten_negative_m_max_is_usage_error(tmp_path, capsys):
     _one_line_error(capsys, ["flatten", "--field", 5, "--m-max", -1, "--out", tmp_path / "f.csv"])
 
 
+def test_flatten_other_group_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    err = _one_line_error(capsys, ["flatten", "--group", "pgl", "--field", 5, "--out", out])
+    assert err == "error: only the affine group is wired to the runner\n"
+    assert not out.exists()
+
+
 def test_bsg_verify_negative_count_is_usage_error(tmp_path, capsys):
     out = tmp_path / "bsg.json"
     _one_line_error(capsys, ["bsg-verify", "--field", 5, "--count", -1, "--out", out])

@@ -557,6 +557,31 @@ def test_free_tuples_globally_fixed_point():
     assert len(ft.tuples) == 0 and ft.complement_size == 1
 
 
+def test_free_tuples_guard(monkeypatch):
+    """More than PAIR_PRODUCT_CAP tuples, |X|^k, raise TooLarge before the
+    points are checked and before any element acts."""
+    pts = [p for p in enumerate_space(F3, 3) if p.coords[0].is_zero()][:3]
+    group = affine_group_elements(F3)
+
+    def acted(*a):
+        raise AssertionError("an element acted")
+
+    with monkeypatch.context() as m:
+        m.setattr(incidence, "PAIR_PRODUCT_CAP", 8)
+        with pytest.raises(TooLarge) as exc:
+            free_tuples(pts, group, 2, acted)                   # 9 tuples
+        assert type(exc.value) is TooLarge
+        with pytest.raises(TooLarge):
+            free_tuples(pts[:2] + pts[:1], group, 2, acted)     # before the repeat
+        with pytest.raises(TooLarge):
+            free_tuples(pts[:2], group, 10**9, acted)           # 2^(10^9), at once
+    monkeypatch.setattr(incidence, "PAIR_PRODUCT_CAP", 9)
+    assert len(free_tuples(pts, [AffElem.identity(F3)], 2, aff_act).tuples) == 9
+    with pytest.raises(ValueError) as exc:
+        free_tuples(pts, [g for g in group if not g.is_identity()], 2, aff_act)
+    assert type(exc.value) is ValueError
+
+
 def test_free_tuples_matches_per_tuple_scan():
     rng = random.Random(23)
     frame = StdThreePlaneFrame(F5)

@@ -24,6 +24,7 @@ from oracles import (
     oracle_l2_sq,
     oracle_reverse,
 )
+from orchardlab import measures
 from orchardlab.bsg import decompose, restrict_open_band, verify_decomposition
 from orchardlab.field import FieldCtx, FieldElem
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
@@ -120,8 +121,8 @@ def masses(draw, ctx, max_support=8, max_weight=20):
 
 
 @st.composite
-def field_and_masses(draw, count=2, **kwargs):
-    ctx = draw(st.sampled_from(FIELDS))
+def field_and_masses(draw, count=2, fields=FIELDS, **kwargs):
+    ctx = draw(st.sampled_from(fields))
     return (ctx, *(draw(masses(ctx, **kwargs)) for _ in range(count)))
 
 
@@ -208,6 +209,105 @@ def test_flattening_report_two_levels_match_oracle(ctx):
     group = AffineGroupOps(ctx)
     f = {g: Fraction(1, 3) for g in rng.sample(ELEMENTS[ctx], 3)}
     rows = flattening_report(GroupMeasure(group, f), 1)
+    got = [(r.support, r.l2_sq, r.linf, r.ratio_sq) for r in rows]
+    assert got == oracle_flattening(f, 1)
+
+
+# -- squares of symmetric measures --------------------------------------------
+
+SQUARE_FIELDS = [FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5), FieldCtx(7),
+                 FieldCtx(3, 2)]
+# the elements g != e with g = g^-1 (every one of them, over F_2), and the
+# elements with g != g^-1 (none over F_2)
+INVOLUTIONS = {
+    ctx: [g for g in ELEMENTS[ctx] if not g.is_identity() and aff_inverse(g) == g]
+    for ctx in SQUARE_FIELDS
+}
+NON_INVOLUTIONS = {
+    ctx: [g for g in ELEMENTS[ctx] if aff_inverse(g) != g] for ctx in SQUARE_FIELDS
+}
+
+
+@st.composite
+def symmetric_weights(draw, ctx, max_pairs=5, max_weight=20):
+    """Int weights with w(g) = w(g^-1): inverse pairs, often with an atom on
+    the identity and on an involution."""
+    elements = ELEMENTS[ctx]
+    weights = {}
+    picks = draw(st.lists(st.integers(0, len(elements) - 1), min_size=1,
+                          max_size=max_pairs, unique=True))
+    for i in picks:
+        g = elements[i]
+        weights[g] = weights[aff_inverse(g)] = draw(st.integers(1, max_weight))
+    if draw(st.booleans()):
+        weights[AffElem.identity(ctx)] = draw(st.integers(1, max_weight))
+    if draw(st.booleans()):
+        weights[draw(st.sampled_from(INVOLUTIONS[ctx]))] = draw(st.integers(1, max_weight))
+    return weights
+
+
+def _probability(weights):
+    total = sum(weights.values())
+    return {g: Fraction(w, total) for g, w in weights.items()}
+
+
+def _copy(mu):
+    return GroupMeasure.from_numerators(mu.group, dict(mu.nums), mu.den)
+
+
+@given(st.sampled_from(SQUARE_FIELDS).flatmap(
+    lambda ctx: st.tuples(st.just(ctx), symmetric_weights(ctx))))
+@settings(max_examples=80, deadline=None)
+def test_symmetric_square_matches_oracle(case):
+    """convolve(f, f) of a symmetric f takes the half-pair path and gives
+    the oracle's f*f, as convolve(f, copy of f) does on every pair."""
+    ctx, weights = case
+    f = _probability(weights)
+    mu = GroupMeasure(AffineGroupOps(ctx), f)
+    assert is_symmetric(mu)
+    assert measures._symmetric_square(mu) is not None
+    square = convolve(mu, mu)
+    assert dict(square.masses) == oracle_convolve(f, f)
+    assert convolve(mu, _copy(mu)) == square
+
+
+@given(field_and_masses(count=1, fields=SQUARE_FIELDS, max_support=6))
+@settings(max_examples=60, deadline=None)
+def test_square_of_symmetrized_measure_matches_oracle(case):
+    ctx, f = case
+    sigma = symmetrize(GroupMeasure(AffineGroupOps(ctx), f))
+    want = oracle_convolve(oracle_reverse(f), f)
+    assert dict(sigma.masses) == want
+    assert measures._symmetric_square(sigma) is not None
+    square = convolve(sigma, sigma)
+    assert dict(square.masses) == oracle_convolve(want, want)
+    assert convolve(sigma, _copy(sigma)) == square
+
+
+@given(st.sampled_from(SQUARE_FIELDS[1:]).flatmap(lambda ctx: st.tuples(
+    st.just(ctx), symmetric_weights(ctx), st.sampled_from(NON_INVOLUTIONS[ctx]),
+    st.integers(1, 20))))
+@settings(max_examples=60, deadline=None)
+def test_nearly_symmetric_square_takes_every_pair(case):
+    """One numerator of an inverse pair changed: f is not symmetric, and
+    f*f is the oracle's all the same."""
+    ctx, weights, g, step = case
+    # w(g) = w(g^-1) = w (w = step when g was not drawn), then w(g^-1) = w + step
+    weights[aff_inverse(g)] = weights.setdefault(g, step) + step
+    f = _probability(weights)
+    mu = GroupMeasure(AffineGroupOps(ctx), f)
+    assert not is_symmetric(mu)
+    assert measures._symmetric_square(mu) is None
+    square = convolve(mu, mu)
+    assert dict(square.masses) == oracle_convolve(f, f)
+    assert convolve(mu, _copy(mu)) == square
+
+
+@given(field_and_masses(count=1, fields=SQUARE_FIELDS, max_support=3))
+@settings(max_examples=40, deadline=None)
+def test_flattening_report_two_squarings_match_oracle(case):
+    ctx, f = case
+    rows = flattening_report(GroupMeasure(AffineGroupOps(ctx), f), 1)
     got = [(r.support, r.l2_sq, r.linf, r.ratio_sq) for r in rows]
     assert got == oracle_flattening(f, 1)
 

@@ -127,6 +127,8 @@ def test_support_blowup_guard():
         mu = uniform(G5, ELS5[:20])
         with pytest.raises(SupportBlowup):
             convolve(mu, mu)
+        with pytest.raises(SupportBlowup):      # every pair: h is not f
+            convolve(mu, uniform(G5, ELS5[:20]))
     finally:
         measures.SUPPORT_CAP = old_cap
 
@@ -256,3 +258,113 @@ def test_probability_validation():
     assert not nonprob.is_probability
     with pytest.raises(MeasureError):
         sym_power(nonprob, 1)
+
+
+# -- squares of symmetric measures: the support guards ----------------------
+
+def _sigma7():
+    """A symmetric measure over F_7 whose square has an involution and
+    more atoms than the half sums (sigma = mu~ * mu)."""
+    return symmetrize(uniform(G7, [ELS7[13], ELS7[101], ELS7[200]]))
+
+
+def test_symmetric_square_support_guard_is_exact(monkeypatch):
+    """The square of a symmetric measure raises SupportBlowup exactly when
+    its support passes SUPPORT_CAP."""
+    import orchardlab.measures as measures
+
+    sigma = _sigma7()
+    assert is_symmetric(sigma)
+    size = len(convolve(sigma, sigma))
+    for cap in (1, size - 1):       # the half sums pass 1 in some row
+        monkeypatch.setattr(measures, "SUPPORT_CAP", cap)
+        with pytest.raises(SupportBlowup) as exc:
+            convolve(sigma, sigma)
+        assert type(exc.value) is SupportBlowup
+    monkeypatch.setattr(measures, "SUPPORT_CAP", size)
+    assert len(convolve(sigma, sigma)) == size
+
+
+def test_symmetric_square_checks_the_folded_support(monkeypatch):
+    """Half sums that fit under the cap raise when the folded support,
+    which adds their inverses and the identity, does not."""
+    import orchardlab.measures as measures
+
+    sigma = _sigma7()
+    atoms = list(sigma.masses)
+    half = {
+        aff_compose(y, z) for y in atoms for z in atoms
+        if G7.key(aff_inverse(z)) > G7.key(y)
+    }
+    size = len(convolve(sigma, sigma))
+    assert len(half) < size
+    monkeypatch.setattr(measures, "SUPPORT_CAP", len(half))
+    with pytest.raises(SupportBlowup) as exc:
+        convolve(sigma, sigma)
+    assert type(exc.value) is SupportBlowup
+
+
+def test_terms_guard_refuses_a_symmetric_square_before_the_first_term(monkeypatch):
+    import orchardlab.measures as measures
+
+    sigma = _sigma7()
+    n = len(sigma)
+    monkeypatch.setattr(measures, "TERMS_CAP", n * n - 1)
+    monkeypatch.setattr(measures, "SUPPORT_CAP", 0)
+    with pytest.raises(SupportBlowup, match=f"{n} x {n} exceeds the terms guard") as exc:
+        convolve(sigma, sigma)
+    assert type(exc.value) is SupportBlowup
+    monkeypatch.setattr(measures, "TERMS_CAP", n * n)
+    monkeypatch.setattr(measures, "SUPPORT_CAP", 10**6)
+    assert convolve(sigma, sigma).is_probability
+
+
+# -- documented errors and the rest of the API --------------------------------
+
+def _raises_exactly(cls, fn, *args):
+    with pytest.raises(cls) as exc:
+        fn(*args)
+    assert type(exc.value) is cls
+
+
+def test_negative_mass_is_refused():
+    _raises_exactly(MeasureError, GroupMeasure, G5, {AffElem.identity(F5): -1})
+
+
+def test_measure_repr():
+    mu = GroupMeasure(G5, {AffElem.identity(F5): Fraction(1, 3), ELS5[7]: Fraction(1, 6)})
+    assert repr(mu) == "GroupMeasure(2 atoms, mass 1/2)"
+
+
+def test_lp_norm_sq_each_p():
+    mu = GroupMeasure(G5, {AffElem.identity(F5): Fraction(1, 3), ELS5[7]: Fraction(2, 3)})
+    assert lp_norm_sq(mu, 1) == 1
+    assert lp_norm_sq(mu, 2) == Fraction(5, 9)
+    assert lp_norm_sq(mu, float("inf")) == lp_norm_sq(mu, "inf") == Fraction(2, 3)
+    _raises_exactly(ValueError, lp_norm_sq, mu, 3)
+
+
+def test_power_bounds_are_value_errors():
+    mu = uniform(G5, ELS5[:3])
+    _raises_exactly(ValueError, sym_power, mu, 0)
+    _raises_exactly(ValueError, sym_power_2exp, mu, -1)
+    _raises_exactly(ValueError, flattening_report, mu, -1)
+
+
+def test_verify_subgroup_errors():
+    H = [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)]
+    mu = uniform(G5, H)
+    e = AffElem.identity(F5)
+    _raises_exactly(DuplicateElements, coset_mass, mu, e, H + H[:1])
+    # 2 is in H[:3] but its inverse 3 is not
+    with pytest.raises(NotASubgroup, match="inverse") as exc:
+        coset_mass(mu, e, H[:2] + [AffElem(F5, 0, 0, 4)])
+    assert type(exc.value) is NotASubgroup
+
+
+def test_load_measure_refuses_a_repeated_atom(tmp_path):
+    path = tmp_path / "twice.measure"
+    path.write_text("0;0;1 1/2\n1;0;1 1/4\n0;0;1 1/4\n")
+    with pytest.raises(DuplicateElements, match="^" + re.escape(f"{path}:3: ")) as exc:
+        load_measure(path, G5)
+    assert type(exc.value) is DuplicateElements
