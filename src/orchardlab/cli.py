@@ -11,6 +11,10 @@ failed (this indicates a bug or a genuine counterexample).  Either comes
 with one stderr line and no traceback; a failed `bsg-verify` instance or
 `lemma-suite` suite writes its report first, then the line.
 
+A `lemma-suite` suite is a generator of checks, one case each: True, or
+the failed case's detail.  `_judge` stops at the first case that is not
+exactly True; a passing suite reports its summary, the tuples it walked.
+
 Each job is one fresh process that compiles every module it imports, so
 each subcommand imports the modules it runs inside its own function, and
 the library does the same below it: a triple count never loads the
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -377,6 +382,22 @@ def cmd_bsg_verify(args) -> int:
     return 0
 
 
+def _judge(suite):
+    """The suite as LEMMA_SUITES calls it: (False, its first case not exactly
+    True), resumed no further, or (True, the summary the generator returns)."""
+    def run():
+        cases = suite()
+        try:
+            case = next(cases)
+            while case is True:
+                case = next(cases)
+        except StopIteration as done:
+            return True, done.value
+        return False, case
+    return run
+
+
+@_judge
 def _suite_projection_agreement():
     from .groups import aff_act, eta_composed, gamma_xy
     from .projgeom import StdThreePlaneFrame, enumerate_space
@@ -386,63 +407,47 @@ def _suite_projection_agreement():
     space = enumerate_space(ctx, 3)
     off = [p for p in space if frame.off_both(p)]
     plane_points = [p for p in space if frame.P1.contains(p)]
-    checked = 0
-    for x in off:
-        for y in off:
-            g = gamma_xy(x, y)
-            for a in plane_points:
-                if aff_act(g, a) != eta_composed(x, y, a):
-                    return False, f"disagreement at ({x}, {y}, {a})"
-                checked += 1
-    return True, f"{checked} exhaustive checks over F3"
+    for x, y in itertools.product(off, off):
+        g = gamma_xy(x, y)
+        for a in plane_points:
+            yield aff_act(g, a) == eta_composed(x, y, a) or f"disagreement at ({x}, {y}, {a})"
+    return f"{len(off) ** 2 * len(plane_points)} exhaustive checks over F3"
 
 
+@_judge
 def _suite_commutator():
     from .groups import AffElem, aff_commutator
 
     ctx = FieldCtx(3)
     elems = list(ctx.elements())
     nonzero = [c for c in elems if not c.is_zero()]
-    checked = 0
-    for a in elems:
-        for b in elems:
-            g = AffElem(ctx, a, b, 1)
-            for a2 in elems:
-                for b2 in elems:
-                    for c2 in nonzero:
-                        h = AffElem(ctx, a2, b2, c2)
-                        want = AffElem(ctx, g.a * (h.c - 1), g.b * (h.c - 1), 1)
-                        if aff_commutator(g, h) != want:
-                            return False, f"mismatch at ({g}, {h})"
-                        checked += 1
-    return True, f"{checked} exhaustive checks over F3"
+    for a, b in itertools.product(elems, elems):
+        g = AffElem(ctx, a, b, 1)
+        for a2, b2, c2 in itertools.product(elems, elems, nonzero):
+            h = AffElem(ctx, a2, b2, c2)
+            want = AffElem(ctx, g.a * (h.c - 1), g.b * (h.c - 1), 1)
+            yield aff_commutator(g, h) == want or f"mismatch at ({g}, {h})"
+    return f"{len(elems) ** 4 * len(nonzero)} exhaustive checks over F3"
 
 
+@_judge
 def _suite_centralizer():
     from .groups import AffElem, aff_centralizer_member, aff_compose
 
     ctx = FieldCtx(5)
     elems = list(ctx.elements())
     nonzero = [c for c in elems if not c.is_zero()]
-    checked = 0
-    for a in elems:
-        for b in elems:
-            for m in nonzero:
-                if m.is_one():
-                    continue
-                g = AffElem(ctx, a, b, m)
-                for x in elems:
-                    for y in elems:
-                        for z in nonzero:
-                            h = AffElem(ctx, x, y, z)
-                            formula = aff_centralizer_member(h, g)
-                            commutes = aff_compose(h, g) == aff_compose(g, h)
-                            if formula != commutes:
-                                return False, f"mismatch at ({h}, {g})"
-                            checked += 1
-    return True, f"{checked} exhaustive checks over F5"
+    nonunit = [m for m in nonzero if not m.is_one()]
+    for a, b, m in itertools.product(elems, elems, nonunit):
+        g = AffElem(ctx, a, b, m)
+        for x, y, z in itertools.product(elems, elems, nonzero):
+            h = AffElem(ctx, x, y, z)
+            commutes = aff_compose(h, g) == aff_compose(g, h)
+            yield aff_centralizer_member(h, g) == commutes or f"mismatch at ({h}, {g})"
+    return f"{len(elems) ** 4 * len(nonunit) * len(nonzero)} exhaustive checks over F5"
 
 
+@_judge
 def _suite_reflection():
     from .groups import gamma_x, is_orthogonal_mod_scalar, reflection_lift
     from .projgeom import QuadricForm, collinear, enumerate_space, on_quadric
@@ -452,28 +457,20 @@ def _suite_reflection():
     space = enumerate_space(ctx, 3)
     on_q = [p for p in space if on_quadric(p, Q)]
     off_q = [p for p in space if not on_quadric(p, Q)]
-    checked = 0
     for x in off_q:
         lift = reflection_lift(x, Q)
-        if not (lift * lift).is_identity():
-            return False, f"lift at {x} is not an involution"
-        ok, lam = is_orthogonal_mod_scalar(lift, Q)
-        if not ok:
-            return False, f"lift at {x} is not orthogonal"
+        yield (lift * lift).is_identity() or f"lift at {x} is not an involution"
+        yield is_orthogonal_mod_scalar(lift, Q)[0] or f"lift at {x} is not orthogonal"
         for y in on_q:
             z = gamma_x(x, y, Q)
-            if not on_quadric(z, Q):
-                return False, f"image off the quadric at ({x}, {y})"
-            if not collinear(x, y, z):
-                return False, f"collinearity failed at ({x}, {y})"
-            if gamma_x(x, z, Q) != y:
-                return False, f"involution failed at ({x}, {y})"
-            if lift.act(y) != z:
-                return False, f"lift disagrees with the involution at ({x}, {y})"
-            checked += 1
-    return True, f"{checked} exhaustive checks over F5, B = I"
+            yield on_quadric(z, Q) or f"image off the quadric at ({x}, {y})"
+            yield collinear(x, y, z) or f"collinearity failed at ({x}, {y})"
+            yield gamma_x(x, z, Q) == y or f"involution failed at ({x}, {y})"
+            yield lift.act(y) == z or f"lift disagrees with the involution at ({x}, {y})"
+    return f"{len(off_q) * len(on_q)} exhaustive checks over F5, B = I"
 
 
+@_judge
 def _suite_segre():
     from .groups import segre, segre_inverse
     from .projgeom import QuadricForm, enumerate_space, on_quadric
@@ -481,18 +478,14 @@ def _suite_segre():
     ctx = FieldCtx(3)
     line = enumerate_space(ctx, 1)
     seg_quadric = QuadricForm.segre(ctx)
-    checked = 0
-    for u in line:
-        for w in line:
-            image = segre(u, w)
-            if not on_quadric(image, seg_quadric):
-                return False, f"image off the quadric at ({u}, {w})"
-            if segre_inverse(image) != (u, w):
-                return False, f"roundtrip failed at ({u}, {w})"
-            checked += 1
-    return True, f"{checked} exhaustive checks over F3"
+    for u, w in itertools.product(line, line):
+        image = segre(u, w)
+        yield on_quadric(image, seg_quadric) or f"image off the quadric at ({u}, {w})"
+        yield segre_inverse(image) == (u, w) or f"roundtrip failed at ({u}, {w})"
+    return f"{len(line) ** 2} exhaustive checks over F3"
 
 
+@_judge
 def _suite_fixed_points():
     import random
 
@@ -506,20 +499,14 @@ def _suite_fixed_points():
         Q = QuadricForm.segre(ctx)
         space = enumerate_space(ctx, 3)
         off_q = [p for p in space if not on_quadric(p, Q)]
-        produced = 0
-        while produced < 50:
+        for _ in range(50):
             x1, x2 = rng.sample(off_q, 2)
             g = reflection_lift(x1, Q) * reflection_lift(x2, Q)
-            if g.is_identity():
-                continue
-            produced += 1
             cls = classify_fixed_points(g, ctx)
-            if not cls.pso_verified:
-                return False, "reflection pair failed the determinant test"
-            if cls.kind == "OTHER":
-                return False, f"OTHER outcome for {g}"
+            yield cls.pso_verified or "reflection pair failed the determinant test"
+            yield cls.kind != "OTHER" or f"OTHER outcome for {g}"
             outcomes[cls.kind] = outcomes.get(cls.kind, 0) + 1
-    return True, f"outcomes {outcomes}"
+    return f"outcomes {outcomes}"
 
 
 LEMMA_SUITES = {

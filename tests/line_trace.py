@@ -6,9 +6,11 @@ files, with hypothesis derandomized and its example database off, so
 that one tree always gives the same lines.  Then prints each executable
 line (a line the compiled code maps an instruction to) that never ran,
 as `path:line: source`, and a one-line summary that names the tests that
-failed under tracing.  Lines that only the suite's child processes run
-(such as `sys.exit(main())` under `__main__`) are listed too: the
-children are not traced.
+failed under tracing.  The lines under `if TYPE_CHECKING:` (read by type
+checkers only) and under `if __name__ == "__main__":` (run only when the
+module is a script, which the suite does in child processes, and those
+are not traced) are not run by design: they are listed apart, each with
+its reason, and the summary's miss count leaves them out.
 
 Tracing slows each kernel by its own factor, so a test that gates a
 ratio of wall-clock times can fail here and pass untraced: criterion
@@ -27,6 +29,7 @@ tier-1's):
     python3 tests/line_trace.py [pytest arguments]
 """
 
+import ast
 import os
 import sys
 import threading
@@ -35,6 +38,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "orchardlab"
 TIER1 = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", str(ROOT / "tests")]
+
+
+# the test of an `if` statement, as `ast.unparse` writes it -> why the
+# lines of its body never run in the traced process
+BY_DESIGN = {
+    "TYPE_CHECKING": "read by type checkers only",
+    "__name__ == '__main__'": "run only when the module is a script",
+}
+
+
+def not_run_by_design(source: str) -> dict:
+    """{line: reason} for each line of a source text in the body of an
+    `if` whose test is in BY_DESIGN (its `else` branch is not)."""
+    lines = {}
+    for node in ast.walk(ast.parse(source)):
+        reason = isinstance(node, ast.If) and BY_DESIGN.get(ast.unparse(node.test))
+        if reason:
+            lines.update(dict.fromkeys(
+                range(node.body[0].lineno, node.body[-1].end_lineno + 1), reason))
+    return lines
 
 
 def executable_lines(path: Path) -> set:
@@ -97,16 +120,26 @@ def traced_run(pytest_args) -> tuple:
 
 def main(argv) -> int:
     code, ran, failed = traced_run(argv or TIER1)
-    total = missed = 0
+    total, missed, by_design = 0, [], []
     for path in sorted(SRC.glob("*.py")):
-        text = path.read_text(encoding="utf-8").splitlines()
+        source = path.read_text(encoding="utf-8")
+        text, design = source.splitlines(), not_run_by_design(source)
         lines = executable_lines(path)
         total += len(lines)
         for line in sorted(lines):
             if (str(path), line) not in ran:
-                missed += 1
-                print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    print(f"{missed} of {total} executable lines in src/orchardlab never ran "
+                entry = f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}"
+                if line in design:
+                    by_design.append(f"{entry}  ({design[line]})")
+                else:
+                    missed.append(entry)
+    for entry in missed:
+        print(entry)
+    print(f"not run by design ({len(by_design)} lines):")
+    for entry in by_design:
+        print(f"  {entry}")
+    print(f"{len(missed)} of {total} executable lines in src/orchardlab never ran, "
+          f"besides {len(by_design)} not run by design "
           f"(pytest exit code {int(code)}; failed under tracing: "
           f"{', '.join(failed) or 'none'})")
     return 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orchardlab import cli
+from orchardlab import cli, constructions, groups, projgeom
 
 
 def run(args):
@@ -374,6 +375,87 @@ def test_lemma_suite_runs_every_suite(tmp_path):
             "fixed-point-classification": "outcomes {'FINITE': 100}",
         }.items()
     }
+
+
+def _fail_second_gamma_x(monkeypatch):
+    # gamma_x(x, y) stays right; the involution check's gamma_x(x, z) gets x
+    real, calls = groups.gamma_x, itertools.count()
+    monkeypatch.setattr(groups, "gamma_x",
+                        lambda x, y, Q: real(x, y, Q) if next(calls) % 2 == 0 else x)
+
+
+def _replace_classification(**fields):
+    def patch(monkeypatch):
+        real = constructions.classify_fixed_points
+        monkeypatch.setattr(constructions, "classify_fixed_points",
+                            lambda g, ctx: real(g, ctx)._replace(**fields))
+    return patch
+
+
+def _patch(target, name, value):
+    return lambda monkeypatch: monkeypatch.setattr(target, name, value)
+
+
+@pytest.mark.parametrize("suite, patch, detail", [
+    ("projection-vs-algebra", _patch(groups, "eta_composed", lambda x, y, a: None),
+     "disagreement at ([1:1:0:0], [1:1:0:0], [0:0:0:1])"),
+    ("commutator-formula", _patch(groups, "aff_commutator", lambda g, h: None),
+     "mismatch at ((0,0,1), (0,0,1))"),
+    ("centralizer-formula", _patch(groups, "aff_centralizer_member", lambda h, g: None),
+     "mismatch at ((0,0,1), (0,0,2))"),
+    ("quadric-reflection", _patch(groups.PGLElem, "is_identity", lambda self: False),
+     "lift at [0:0:0:1] is not an involution"),
+    ("quadric-reflection",
+     _patch(groups, "is_orthogonal_mod_scalar", lambda M, Q: (False, None)),
+     "lift at [0:0:0:1] is not orthogonal"),
+    ("quadric-reflection", _patch(groups, "gamma_x", lambda x, y, Q: x),
+     "image off the quadric at ([0:0:0:1], [0:0:1:2])"),
+    ("quadric-reflection", _patch(projgeom, "collinear", lambda p, q, r: False),
+     "collinearity failed at ([0:0:0:1], [0:0:1:2])"),
+    ("quadric-reflection", _fail_second_gamma_x,
+     "involution failed at ([0:0:0:1], [0:0:1:2])"),
+    ("quadric-reflection", _patch(groups.PGLElem, "act", lambda self, p: p),
+     "lift disagrees with the involution at ([0:0:0:1], [0:0:1:2])"),
+    ("segre-roundtrip", _patch(projgeom, "on_quadric", lambda p, Q: False),
+     "image off the quadric at ([0:1], [0:1])"),
+    ("segre-roundtrip", _patch(groups, "segre_inverse", lambda image: None),
+     "roundtrip failed at ([0:1], [0:1])"),
+    ("fixed-point-classification", _replace_classification(pso_verified=False),
+     "reflection pair failed the determinant test"),
+    ("fixed-point-classification", _replace_classification(kind="OTHER"),
+     "OTHER outcome for PGL((1, 0, 1, 0), (1, 3, 1, 3), (4, 0, 1, 0), (4, 2, 1, 3))"),
+])
+def test_lemma_suite_failure_details(monkeypatch, suite, patch, detail):
+    patch(monkeypatch)
+    assert cli.LEMMA_SUITES[suite]() == (False, detail)
+
+
+def test_failed_lemma_suite_from_the_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(groups, "segre_inverse", lambda image: None)
+    out = tmp_path / "ls.json"
+    assert run(["lemma-suite", "--only", "segre-roundtrip", "commutator-formula",
+                "--out", out]) == 2
+    assert capsys.readouterr().err == "verification failure: suites failed: segre-roundtrip\n"
+    assert json.loads(out.read_text())["suites"] == {
+        "commutator-formula": {"pass": True, "detail": "162 exhaustive checks over F3"},
+        "segre-roundtrip": {"pass": False, "detail": "roundtrip failed at ([0:1], [0:1])"},
+    }
+
+
+def test_judge_fails_closed_and_stops_at_the_first_failure():
+    @cli._judge
+    def truthy():
+        yield True
+        yield 1
+        raise AssertionError("resumed after a failure")
+
+    @cli._judge
+    def passing():
+        yield True
+        return "summary"
+
+    assert truthy() == (False, 1)
+    assert passing() == (True, "summary")
 
 
 def test_failed_lemma_suite_writes_its_report_then_one_line(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,13 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import family_triple, line_points, mat_mul, random_smooth_form
-from orchardlab import constructions
+from orchardlab import constructions, groups, incidence
 from orchardlab.constructions import (
     DegenerateParameters,
     NoSqrtMinusOne,
@@ -173,6 +175,23 @@ def test_verify_example_raises_on_a_failed_minor(monkeypatch):
         verify_example(build_example(7, 2))
 
 
+def test_verify_example_raises_on_a_repeated_point(monkeypatch):
+    monkeypatch.setattr(constructions, "_same_point_mod_p", lambda p, a, b: True)
+    with pytest.raises(VerificationFailure) as exc:
+        verify_example(build_example(7, 2))
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == "family triple (-2, -2, 0, 0) has repeated points"
+
+
+def test_verify_example_raises_on_a_concentrated_line(monkeypatch):
+    # p = 7, N = 2: a line of one set may hold max(2N+1, p) = 7 points
+    monkeypatch.setattr(incidence, "line_concentration", lambda X: SimpleNamespace(max_count=8))
+    with pytest.raises(VerificationFailure) as exc:
+        verify_example(build_example(7, 2))
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == "line concentration exceeds max(2N+1, p) = 7"
+
+
 def test_verify_example_p11_in_set_structure():
     cfg = build_example(11, 2)
     report = verify_example(cfg)
@@ -234,6 +253,10 @@ def test_to_segre_form_examples():
     assert ProjPoint(F5, image) == ProjPoint(F5, [1, 2, 1, 2])
     with pytest.raises(NoSqrtMinusOne):
         to_segre_form(F7)
+    for ctx in (FieldCtx(2), FieldCtx(2, 2)):
+        with pytest.raises(CharTwo) as exc:
+            to_segre_form(ctx)
+        assert exc.type is CharTwo
 
 
 def test_to_segre_identity_exhaustive_f5():
@@ -248,6 +271,24 @@ def test_to_segre_identity_exhaustive_f5():
         squares = sum((x * x for x in image), F5.zero())
         x, y, w, z = v
         assert squares == four * (x * z - y * w)
+
+
+@pytest.mark.parametrize("normalize, failing_call, message", [
+    (lambda: diagonalize_quadric(QuadricForm.identity(F5)), 0,
+     "diagonalization product is not the identity"),
+    (lambda: to_segre_form(F5), 0, "substitution identity failed"),
+    # the diagonalization and the substitution pass their checks first
+    (lambda: normalize_to_segre(QuadricForm.identity(F5)), 2, "composite normalization failed"),
+], ids=["diagonalize", "to-segre", "normalize"])
+def test_normalization_raises_on_a_failed_congruence(monkeypatch, normalize, failing_call,
+                                                     message):
+    real, calls = groups._congruence_ratio, itertools.count()
+    monkeypatch.setattr(groups, "_congruence_ratio",
+                        lambda *args: None if next(calls) == failing_call else real(*args))
+    with pytest.raises(VerificationFailure) as exc:
+        normalize()
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == message
 
 
 def test_normalize_to_segre_random():

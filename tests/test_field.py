@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copy
+import operator
 import pickle
 
+from orchardlab import field
 from orchardlab.field import (
     _INTERNED,
     CompositeModulus,
@@ -156,6 +158,57 @@ def test_ctx_validation():
         FieldCtx(5, 2, (4, 0, 1))  # t^2 + 4 = (t+1)(t+4)
     with pytest.raises(FieldError):
         FieldCtx(2, 1, (1, 1))
+
+
+def _nonsquare(ctx):
+    return next(e for e in ctx.elements() if ctx.try_sqrt(e) is None)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FieldCtx(1), "1 is not prime"),
+    (lambda: FieldCtx(101, 4), "field order 101^4 exceeds desk cap"),
+    (lambda: FieldCtx(3, 2, (1, 0, 2)), "modulus must be monic of degree n"),
+    (lambda: FieldCtx(3, 2, (1, 1)), "modulus must be monic of degree n"),
+    (lambda: FieldCtx.from_descriptor("5^two"), "malformed field descriptor '5^two'"),
+    (lambda: adjoin_sqrt(FieldCtx(3, 3), _nonsquare(FieldCtx(3, 3))),
+     "extensions supported from degree 1 or 2 only"),
+], ids=["one", "order-cap", "non-monic", "short-modulus", "descriptor", "degree-3-extension"])
+def test_field_construction_errors(make, message):
+    with pytest.raises(FieldError) as exc:
+        make()
+    assert exc.type is FieldError and str(exc.value) == message
+
+
+# safety checks that no input reaches: irreducibles of every degree exist,
+# a quadratic extension holds a root of each base element, and F_p^* is cyclic
+@pytest.mark.parametrize("target, name, fake, call, error, message", [
+    (field, "_is_irreducible", lambda m, p: False,
+     lambda: field._least_irreducible.__wrapped__(3, 2),
+     CompositeModulus, "no irreducible of degree 2 over F_3"),
+    (FieldCtx, "try_sqrt", lambda self, a: None, lambda: adjoin_sqrt(F5, F5.elem(2)),
+     CompositeModulus, "extension failed to contain the required root"),
+    (field, "_prime_factors", lambda m: {1}, lambda: least_primitive_root(7),
+     FieldError, "no primitive root found mod 7"),
+], ids=["least-irreducible", "adjoin-sqrt", "primitive-root"])
+def test_unreachable_field_failures_raise(monkeypatch, target, name, fake, call, error, message):
+    monkeypatch.setattr(target, name, fake)
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("ctx", [F7, F9], ids=str)
+def test_int_operands_on_either_side(ctx):
+    e, four = ctx.elem(2), ctx.elem(4)
+    assert 4 * e == e * 4 == four * e
+    assert 4 + e == e + 4 == four + e
+    assert 4 - e == four - e and e - 4 == e - four
+    assert 4 / e == four * inv(e) and e / 4 == e * inv(four)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(e, "x")
+        with pytest.raises(TypeError):
+            op("x", e)
 
 
 def test_descriptor_roundtrip():

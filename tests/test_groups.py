@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import affine_group_elements, mulclose, segre_quadric_points
 from orchardlab.constructions import classify_fixed_points
@@ -192,6 +195,24 @@ def test_reflection_raw_lift_is_orthogonal_involution():
                 assert acc == B[i][j]
         lift = reflection_lift(x, QI)
         assert (lift * lift).is_identity()
+
+
+@lru_cache(maxsize=None)
+def _off_quadric(p, n, form):
+    ctx = FieldCtx(p, n)
+    Q = getattr(QuadricForm, form)(ctx)
+    return Q, [x for x in enumerate_space(ctx, 3) if not on_quadric(x, Q)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]),
+       st.sampled_from(["segre", "identity"]), st.data())
+def test_reflections_in_distinct_centres_never_multiply_to_the_identity(field, form, data):
+    # a reflection determines its centre: the lift negates x and fixes the
+    # hyperplane orthogonal to it
+    Q, off_q = _off_quadric(*field, form)
+    x1, x2 = data.draw(st.lists(st.sampled_from(off_q), min_size=2, max_size=2, unique=True))
+    assert not (reflection_lift(x1, Q) * reflection_lift(x2, Q)).is_identity()
 
 
 def test_gamma_x_matches_reflection_and_involutes():

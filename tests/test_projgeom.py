@@ -7,6 +7,7 @@ from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, PGLElem, aff_compose
 from orchardlab.projgeom import (
     EqualPoints,
+    GeometryError,
     LineInPlane,
     MixedContexts,
     PointSetFormatError,
@@ -174,6 +175,31 @@ def test_quadric_validation_and_det():
     assert not QuadricForm(F5, rows).is_smooth()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ProjPlane(F5, [1, 0, 0, 0]).contains(ProjPoint(F7, [1, 0, 0, 0])),
+     MixedContexts, "point from a different field"),
+    (lambda: meet_line_plane(
+        line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0])),
+        ProjPlane(F7, [0, 0, 1, 0])),
+     MixedContexts, "plane from a different field"),
+    (lambda: on_quadric(ProjPoint(F7, [1, 0, 0, 0]), QuadricForm.identity(F5)),
+     MixedContexts, "point from a different field"),
+    (lambda: enumerate_space(F5, 2), GeometryError, "only P^1 and P^3 are supported"),
+    (lambda: QuadricForm(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     GeometryError, "quadric matrix must be 4x4"),
+], ids=["plane-contains", "meet-line-plane", "on-quadric", "enumerate-p2", "quadric-3x3"])
+def test_geometry_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
+
+
+def test_line_and_plane_reprs():
+    line = ProjLine(F5, [_row(F5, [1, 1, 0, 0]), _row(F5, [1, 2, 0, 0])])
+    assert repr(line) == "Line((1, 0, 0, 0), (0, 1, 0, 0))"
+    assert repr(ProjPlane(F5, [0, 2, 4, 2])) == "Plane(0:1:2:1)"
+
+
 def test_point_set_file_roundtrip(tmp_path):
     pts = enumerate_space(F9, 3)[:17]
     path = tmp_path / "pts.pts"
@@ -199,6 +225,16 @@ def test_point_set_file_format(tmp_path):
     bad.write_text("0:1:2:1\n")
     with pytest.raises(PointSetFormatError):
         load_point_set(bad)
+
+    zero = tmp_path / "zero.pts"
+    zero.write_text("field 5\n1:0:0:0\n0:0:0:0\n")
+    blank = tmp_path / "blank.pts"
+    blank.write_text("# no field line\n\n")
+    for path, message in ((zero, f"{zero}:3: all coordinates zero"),
+                          (blank, f"{blank}: missing field declaration")):
+        with pytest.raises(PointSetFormatError) as exc:
+            load_point_set(path)
+        assert exc.type is PointSetFormatError and str(exc.value) == message
 
 
 def _row(ctx, xs, scale=1):
