@@ -30,7 +30,7 @@ import contextlib
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx
@@ -84,6 +84,9 @@ _SCALAR_TEXT = {
     type(None): lambda _: "null",
 }
 
+# a list of dicts by columns, field name -> iterable of JSON scalars, for `write_json`
+Rows = NamedTuple("Rows", [("columns", dict)])
+
 
 def _scalar_text(x):
     """The JSON text of a scalar, or None for a list, tuple or dict."""
@@ -102,7 +105,7 @@ def write_json(path: str | None, doc: dict) -> None:
     """Writes {"schema": SCHEMA_VERSION, **doc} and a newline to path, or
     to stdout for None: the bytes `json.JSONEncoder(indent=2,
     sort_keys=True)` gives, made in one recursive pass and written in
-    pieces of about 512 lines each."""
+    pieces of about 512 lines (or `Rows` rows) each."""
     out = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
     with out as fh:
         parts = []
@@ -111,32 +114,42 @@ def write_json(path: str | None, doc: dict) -> None:
         exact = _SCALAR_TEXT.get
 
         def emit(x, nl):
-            # x, a list, tuple or dict, starts mid-line on a line whose
-            # newline and indent are nl
+            # x, a list, tuple, dict or Rows, starts mid-line on a line
+            # whose newline and indent are nl
             is_dict = isinstance(x, dict)
-            if not x:
-                append("{}" if is_dict else "[]")
-                return
+            brackets = "{}" if is_dict else "[]"
             inner = nl + "  "
-            sep = ("{" if is_dict else "[") + inner
-            for item in sorted(x.items()) if is_dict else x:
-                if is_dict:
-                    key, item = item
-                    sep += escape(key if isinstance(key, str) else _scalar_text(key)) + ": "
-                to_text = exact(type(item))
-                text = to_text(item) if to_text else _scalar_text(item)
-                if text is None:
-                    append(sep)
-                    emit(item, inner)
-                else:
-                    append(sep + text)
-                sep = "," + inner
-                if len(parts) > 512:
-                    # one write a piece: on an unbuffered stdout each is a
-                    # syscall, and larger pieces raise the job's peak RSS
-                    fh.write("".join(parts))
+            comma = "," + inner
+            sep = start = brackets[0] + inner
+            if type(x) is Rows:
+                # one template for every row; one text function a column if its types agree
+                names, columns = zip(*sorted(x.columns.items()))
+                row = (comma + "  ").join(escape(f).replace("%", "%%") + ": %s" for f in names)
+                row = "{" + inner + "  " + row + inner + "}"
+                while (piece := [list(itertools.islice(c, 512)) for c in columns])[0]:
+                    texts = [map(exact(type(c[0]), _scalar_text) if len(set(map(type, c))) == 1
+                                 else _scalar_text, c) for c in piece]
+                    fh.write("".join(parts) + sep + comma.join(map(row.__mod__, zip(*texts))))
                     parts.clear()
-            append(nl + ("}" if is_dict else "]"))
+                    sep = comma
+            else:
+                for item in sorted(x.items()) if is_dict else x:
+                    if is_dict:
+                        key, item = item
+                        sep += escape(key if isinstance(key, str) else _scalar_text(key)) + ": "
+                    text = exact(type(item), _scalar_text)(item)
+                    if text is None:
+                        append(sep)
+                        emit(item, inner)
+                    else:
+                        append(sep + text)
+                    sep = comma
+                    if len(parts) > 512:
+                        # one write a piece: on an unbuffered stdout each is a
+                        # syscall, and larger pieces raise the job's peak RSS
+                        fh.write("".join(parts))
+                        parts.clear()
+            append(brackets if sep is start else nl + brackets[1])
 
         emit({"schema": SCHEMA_VERSION, **doc}, "\n")
         append("\n")
@@ -181,6 +194,7 @@ def cmd_orchard_threeplanes(args) -> int:
     from .incidence import (
         count_collinear_triples,
         line_concentration,
+        line_keys_by_text,
         line_text,
         pencil_plane_concentration,
         stabilizer_census_affine,
@@ -212,12 +226,13 @@ def cmd_orchard_threeplanes(args) -> int:
         max_line[name] = rep.max_count
         witness[name] = line_text(ctx1, rep.witness) if rep.witness else None
     pencil = pencil_plane_concentration(X3, frame.P1, frame.P2)
-    by_line = sorted((line_text(ctx1, key), n) for key, n in count.by_line.items())
+    keys = line_keys_by_text(ctx1, count.by_line)
     write_json(
         args.report,
         {
             "total": count.total,
-            "by_line": [{"line": text, "count": n} for text, n in by_line],
+            "by_line": Rows({"count": map(count.by_line.__getitem__, keys),
+                             "line": map(line_text, itertools.repeat(ctx1), keys)}),
             "max_line": max_line,
             "witness": witness,
             "pencil_max": pencil.max_count,

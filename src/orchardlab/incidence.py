@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
 
@@ -74,6 +74,27 @@ def line_text(ctx: FieldCtx, key) -> str:
         return "%d:%d:%d:%d|%d:%d:%d:%d" % key
     text = ctx.code_text
     return ":".join(map(text, key[:4])) + "|" + ":".join(map(text, key[4:]))
+
+
+def line_keys_by_text(ctx: FieldCtx, by_line: Dict[tuple, int]) -> list:
+    """The line keys of `by_line` sorted by their `line_text`, with no
+    text made: each key sorts by one int that packs a rank per entry.
+
+    Only the element codes that occur are ranked, so no table is
+    field-sized.  Entries 0-6 rank by the code's text followed by ":",
+    entry 7 by its bare text.  Entry 3 is followed by "|" in the line text,
+    yet ranks the same: element texts hold only digits and ",", and ":"
+    and "|" both sort above those, so where one entry's text is a prefix
+    of the other's, the shorter sorts last either way."""
+    codes = set(chain.from_iterable(by_line))
+    text = ctx.code_text
+    width = len(codes).bit_length()
+    orders = [sorted(codes, key=lambda c: text(c) + ":")] * 7 + [sorted(codes, key=text)]
+    r0, r1, r2, r3, r4, r5, r6, r7 = ({c: r << width * (7 - i) for r, c in enumerate(order)}
+                                      for i, order in enumerate(orders))
+    # sum adds in a C long while the total fits one, making no interim int
+    return sorted(by_line, key=lambda k: sum((r0[k[0]], r1[k[1]], r2[k[2]], r3[k[3]],
+                                              r4[k[4]], r5[k[5]], r6[k[6]], r7[k[7]])))
 
 
 class TripleCount(NamedTuple):

@@ -15,6 +15,9 @@ from orchardlab.field import (
     FieldError,
     NonResidue,
     ZeroInverse,
+    _is_irreducible,
+    _monic_polys,
+    _poly_mod,
     _poly_mulmod,
     adjoin_sqrt,
     inv,
@@ -195,6 +198,33 @@ def test_unreachable_field_failures_raise(monkeypatch, target, name, fake, call,
     with pytest.raises(error) as exc:
         call()
     assert exc.type is error and str(exc.value) == message
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_poly_mod_is_the_remainder(p, data):
+    """a = q m + r gives r, padded to deg m entries, for any quotient q:
+    the zero quotient with a short r included, where a is shorter than
+    the divisor m."""
+    coeffs = st.integers(0, p - 1)
+    m = data.draw(st.lists(coeffs, min_size=1, max_size=4)) + [1]
+    r = data.draw(st.lists(coeffs, max_size=len(m) - 1))
+    q = data.draw(st.lists(coeffs, max_size=3))
+    a = r + [0] * (len(q) + len(m) - 1 - len(r) if q else 0)
+    for i, x in enumerate(q):
+        for j, y in enumerate(m):
+            a[i + j] += x * y
+    assert _poly_mod(a, m, p) == r + [0] * (len(m) - 1 - len(r))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_counts_match_gauss(p):
+    """The monic irreducibles of degrees 1 to 4 number (1/d) sum over e | d
+    of mu(e) p^(d/e), and no constant polynomial (nor the empty one) is
+    irreducible."""
+    gauss = {1: p, 2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
+    for d, want in gauss.items():
+        assert sum(_is_irreducible(m, p) for m in _monic_polys(d, p)) == want
+    assert not any(_is_irreducible(m, p) for m in ([], [0], [1], [p - 1]))
 
 
 @pytest.mark.parametrize("ctx", [F7, F9], ids=str)

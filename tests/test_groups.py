@@ -318,3 +318,35 @@ MIXED_CONTEXTS = {
 def test_mixed_contexts_raise_group_error(name):
     with pytest.raises(GroupError, match="mixed contexts"):
         MIXED_CONTEXTS[name]()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: gamma_xy(ProjPoint(F5, [1, 1, 0, 0]), ProjPoint(F5, [1, 0, 2, 3])),
+     OnExcludedPlane, "[1:0:2:3] lies on an excluded plane"),
+    (lambda: PGLElem(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), GroupError, "matrix must be 4x4"),
+    (lambda: PGLElem(F5, [[1, 0, 0, 0]] * 3 + [[0, 0, 0, 1, 0]]), GroupError,
+     "matrix must be 4x4"),
+    (lambda: segre(ProjPoint(F5, [1, 0]), ProjPoint(F5, [1, 0, 0, 0])), GroupError,
+     "both factors must be points of P^1"),
+], ids=["gamma-xy-y-excluded", "pgl-3x3", "pgl-ragged", "segre-p3-factor"])
+def test_group_argument_checks_raise(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
+
+
+def test_involution_check_fails_on_a_zero_image(monkeypatch):
+    """A reflection vector w with w . v = -1 sends v to v - v = 0, which no
+    point is: the check fails at that pair.  No true reflection does this,
+    as one is invertible, so w is patched in, with the centre s = x on Q
+    to make the image v + (w . v) s zero."""
+    from orchardlab import groups
+    from orchardlab.incidence import VerificationFailure
+
+    x = ProjPoint(F5, [1, 0, 0, 0])                    # on x1*x4 = x2*x3
+    t = F5.zech
+    monkeypatch.setattr(groups, "_reflection_vector", lambda Q, s, v: [t.m1, t.Z, t.Z, t.Z])
+    with pytest.raises(VerificationFailure) as exc:
+        groups.check_quadric_involutions(QuadricForm.segre(F5), [x], [x])
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == f"quadric involution failed at ({x}, {x})"

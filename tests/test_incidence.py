@@ -1,8 +1,11 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     affine_group_elements,
@@ -31,6 +34,7 @@ from orchardlab.incidence import (
     count_collinear_triples,
     free_tuples,
     line_concentration,
+    line_keys_by_text,
     line_text,
     omega_set,
     pencil_plane_concentration,
@@ -236,6 +240,53 @@ def test_line_text_is_the_basis_text(ctx):
             line = line_from_key(ctx, key)
             text = "|".join(":".join(e.text() for e in row) for row in line.basis)
             assert line_text(ctx, key) == text
+
+
+# prime fields with one-, two- and three-digit codes, and F_(p^n) whose code
+# texts are coefficient lists with one- and two-digit entries
+ORDER_FIELDS = [FieldCtx(p, n) for p, n in ((2, 1), (3, 1), (5, 1), (11, 1), (101, 1), (2, 2),
+                                             (2, 3), (3, 2), (5, 2), (3, 3), (11, 2))]
+PIVOTS = list(itertools.combinations(range(4), 2))   # the six RREF shapes of a line
+
+
+@given(st.sampled_from(ORDER_FIELDS), st.randoms(use_true_random=False), st.integers(0, 40))
+def test_line_keys_by_text_is_the_text_order(ctx, rng, n):
+    """The rank order is the order of the line texts, on the keys of
+    `line_through` for random point pairs of each of the six RREF shapes."""
+    by_line = {}
+    for index in range(n):
+        i, j = PIVOTS[index % 6]
+        # u leads at i and v at j, with random entries after their leads
+        u, v = ([0] * lead + [1] + [rng.randrange(ctx.order) for _ in range(3 - lead)]
+                for lead in (i, j))
+        a = FieldElem(ctx, rng.randrange(ctx.order))
+        p = ProjPoint(ctx, [FieldElem(ctx, x) + a * FieldElem(ctx, y) for x, y in zip(u, v)])
+        key = line_through(p, ProjPoint(ctx, v)).key
+        leads = [next(c for c, e in enumerate(row) if e) for row in (key[:4], key[4:])]
+        assert leads == [i, j]
+        by_line[key] = index
+    assert line_keys_by_text(ctx, by_line) == sorted(by_line, key=lambda k: line_text(ctx, k))
+
+
+@pytest.mark.parametrize("ctx, codes", [(FieldCtx(101), [9, 1, 100, 10]),
+                                        (FieldCtx(11, 2), [99, 12, 21, 111])])
+def test_line_keys_by_text_orders_codes_as_text(ctx, codes):
+    """Codes of one, two and three digits (over F_121, texts 9,0 1,1 1,10
+    and 10,1) sort as text, not as numbers: a text sorts after its
+    extensions in entries 0-6, where ":" or "|" follows it, and before
+    them in entry 7, the last."""
+    one = ctx.one().code
+    middle = {(one, 0, 0, c, 0, one, 0, 0): 1 for c in codes}
+    last = {(one, 0, 0, 0, 0, one, 0, c): 1 for c in codes}
+    texts = [ctx.code_text(c) for c in codes]
+    middle_order = [c for _, c in sorted((t + ":", c) for t, c in zip(texts, codes))]
+    last_order = [c for _, c in sorted(zip(texts, codes))]
+    assert middle_order != last_order != sorted(codes) != middle_order
+    assert [k[3] for k in line_keys_by_text(ctx, middle)] == middle_order
+    assert [k[7] for k in line_keys_by_text(ctx, last)] == last_order
+    for by_line in (middle, last):
+        assert line_keys_by_text(ctx, by_line) == sorted(by_line, key=lambda k: line_text(ctx, k))
+    assert line_keys_by_text(ctx, {}) == []
 
 
 def test_triple_count_excludes_repeats():
@@ -489,6 +540,17 @@ def test_census_examples():
     assert rep.nontrivial_count == 2
 
 
+def test_census_raises_when_the_case_split_misses_a_pair(monkeypatch):
+    """A case split that flags no pair misses the stabilized diagonal pair
+    (p, p): the census raises at it."""
+    p = ProjPoint(F5, [0, 1, 2, 3])
+    monkeypatch.setattr(incidence, "_closed_form_pair", lambda p, q: False)
+    with pytest.raises(VerificationFailure) as exc:
+        stabilizer_census_affine([p])
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == f"case split missed a stabilized pair ({p}, {p})"
+
+
 def test_census_of_no_points():
     assert stabilizer_census_affine([]) == CensusReport(0, 0)
 
@@ -654,6 +716,44 @@ def test_omega_bounds_random_instances():
                     if tuple(aff_act(g, x) for x in tup) in ft.tuples
                 )
                 assert (2 * overlap) ** v > n ** (v - u)
+
+
+def _free_one_tuples(n):
+    """A free tuple set of n 1-tuples, with its closure verified."""
+    pts = [ProjPoint(F5, [0, 1, i, 1]) for i in range(n)]
+    return incidence.FreeTupleSet(1, {(x,) for x in pts}, 0, False)
+
+
+def test_omega_counts_a_repeated_candidate_once():
+    ft = _free_one_tuples(3)
+    identity = AffElem.identity(F5)
+    once = omega_set(ft, [identity], Fraction(1, 2), aff_act)
+    assert omega_set(ft, [identity, identity, identity], Fraction(1, 2), aff_act) == once
+    assert once.elements == {identity} and once.mass == 3
+
+
+def test_omega_rejects_an_empty_free_tuple_set():
+    with pytest.raises(ValueError) as exc:
+        omega_set(incidence.FreeTupleSet(1, set(), 0, False), [], Fraction(1, 2), aff_act)
+    assert exc.type is ValueError and str(exc.value) == "free tuple set is empty"
+
+
+def test_omega_bounds_catch_an_action_that_is_no_group_action():
+    """Under an "action" where every g fixes every tuple, each of n + 1
+    distinct candidates overlaps all n tuples, so the mass (n + 1) n
+    passes n^2: the verified free action raises; a truncated closure
+    only reports it."""
+    ft = _free_one_tuples(3)
+
+    def fixed(g, x):
+        return x
+
+    with pytest.raises(VerificationFailure) as exc:
+        omega_set(ft, range(4), Fraction(1, 2), fixed)
+    assert exc.type is VerificationFailure
+    assert str(exc.value) == "almost-invariance bounds violated on a verified free action"
+    report = omega_set(ft._replace(closure_truncated=True), range(4), Fraction(1, 2), fixed)
+    assert report.mass == 12 and not report.mass_bound_ok
 
 
 def test_omega_rejects_bad_t():
