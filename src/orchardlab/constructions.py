@@ -12,7 +12,6 @@ nor `incidence`, and the fixed-point classifier never loads `incidence`.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OrchardError, VerificationFailure
@@ -424,11 +423,6 @@ def pso_membership(g: PGLElem, Q: QuadricForm) -> Tuple[bool, Optional[FieldElem
     return True, lam, g.ctx.p > 2 and log[g.det().code] == red[2 * log[lam.code]]
 
 
-@lru_cache(maxsize=None)                # the classifier's own form, one per interned field
-def _segre_form(ctx: FieldCtx) -> QuadricForm:
-    return QuadricForm.segre(ctx)
-
-
 def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
     """Classify Fix(g) on the quadric x1*x4 = x2*x3, on log codes.
 
@@ -449,7 +443,7 @@ def classify_fixed_points(g: PGLElem, ctx: FieldCtx) -> FixClassification:
         raise GroupError("mixed contexts")
     if g.is_identity():
         raise IdentityElement("fixed points of the identity are everything")
-    preserves, lam, special = pso_membership(g, _segre_form(ctx))
+    preserves, lam, special = pso_membership(g, QuadricForm.segre(ctx))
     if not preserves:
         raise NotOnQuadricGroup("element does not preserve the quadric")
     _, exp, red, zech, Z, _ = t = ctx.zech

@@ -15,12 +15,13 @@ splits each atom's key into its codes once and groups the right factor's
 atoms by their G_m code, so each of its terms and each key inverse is a
 few lookups in arrays of length O(q).
 
-The squares of symmetric measures, which are every squaring of
-`sym_power_2exp` and `flattening_report`, take half the pairs: (y, z)
-and (z^-1, y^-1) add the same term to x and to x^-1, so `convolve(f, f)`
-computes one pair of each such couple and folds the half sums onto
-both x and x^-1.  Any other product, `convolve(f, g)` with g a copy of
-f included, takes every pair.
+One loop computes every product.  A square `convolve(f, f)` of a
+symmetric f, which is every squaring of `sym_power_2exp` and
+`flattening_report`, sorts each G_m class by inverse key, starts each
+row after a bisection, and so takes one pair of each mirror couple
+(y, z), (z^-1, y^-1); the half sums are then folded onto x and x^-1.
+Any other product, `convolve(f, g)` with g a copy of f included, takes
+every pair.
 
 The CLI's measure jobs draw and convolve keys only, so `groups` (and
 `projgeom` below it), which each job would compile, is imported only by
@@ -256,9 +257,16 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     term when |supp f| |supp h| exceeds TERMS_CAP, and as soon as the
     support of f*h exceeds SUPPORT_CAP.
 
+    h's atoms are grouped by their G_m code, and row y walks each class.
     A square f*f of a symmetric f (h is f, the same object) takes half
-    the pairs (see `_symmetric_square`); every other product takes every
-    pair (y, z) of supp f x supp h."""
+    the pairs: (y, z) and its mirror (z^-1, y^-1) add f(y) f(z) to
+    x = yz and to x^-1.  So each class is sorted by inverse key, row y
+    starts after a bisection, at the first z with key(z^-1) > key(y), and
+    the half sums s fold into f*f(x) = s(x) + s(x^-1); the pairs that are
+    their own mirror, z = y^-1, land on the identity, which gets
+    sum f(y)^2.  The support guard checks each row's half sums, a lower
+    bound on the support, and the folded result.  Every other product
+    takes every pair (y, z) of supp f x supp h."""
     if f.group != h.group:
         raise MixedGroups("convolution across different groups")
     if len(f.nums) * len(h.nums) > TERMS_CAP:
@@ -267,10 +275,8 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
             f"terms guard of {TERMS_CAP} terms"
         )
     group = f.group
-    if h is f:
-        square = _symmetric_square(f)
-        if square is not None:
-            return GroupMeasure.from_numerators(group, square, f.den * f.den)
+    inverse = group.key_inverse
+    half = h is f and is_symmetric(f)
     # (a, b, c)(a', b', c') = (a' + a c', b' + b c', c c'): products of
     # log codes are red[x + y], sums red[x + zech[y - x + Z]]
     _, _, red, zech, Z, _ = group.ctx.zech
@@ -281,79 +287,37 @@ def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
     classes: Dict = {}
     for z, hz in h.nums.items():
         hab, hc = divmod(z, R)
-        classes.setdefault(hc, []).append((*divmod(hab, Q), hz))
-    h_classes = list(classes.items())
+        atom = (*divmod(hab, Q), hz)
+        classes.setdefault(hc, []).append((inverse(z), atom) if half else atom)
+    # (c', inverse keys, atoms), a half square's classes sorted by inverse key
+    h_classes = [(hc, *zip(*sorted(atoms))) if half else (hc, None, atoms)
+                 for hc, atoms in classes.items()]
     out: Dict = {}
     get = out.get
     for y, fy in f.nums.items():
         gab, gc = divmod(y, R)
         ga, gb = divmod(gab, Q)
-        for hc, atoms in h_classes:
+        for hc, inverse_keys, atoms in h_classes:
             ac = red[ga + hc] + Z
             bc = red[gb + hc] + Z
             c = red[gc + hc]
-            for ha, hb, hz in atoms:
+            for ha, hb, hz in atoms[bisect_right(inverse_keys, y):] if half else atoms:
                 x = (red[ha + zech[ac - ha]] * Q + red[hb + zech[bc - hb]]) * R + c
                 out[x] = get(x, 0) + fy * hz
         # the support only grows, so checking once per row raises exactly
         # when checking every term would
         if len(out) > SUPPORT_CAP:
             raise SupportBlowup("convolution support exceeds the cap")
-    return GroupMeasure.from_numerators(group, out, f.den * h.den)
-
-
-def _symmetric_square(f: GroupMeasure) -> Optional[Dict]:
-    """The numerators of f*f over f.den^2 from half the pairs when f is
-    symmetric, or None, at its first atom y with f(y^-1) != f(y).
-
-    The pair (y, z) and its mirror (z^-1, y^-1) add the same term
-    f(y) f(z) to x = yz and to x^-1.  Row y walks only the z with
-    key(z^-1) > key(y), one pair of each mirror couple (a bisection into
-    each G_m class, sorted by inverse key), and the half sums s fold into
-    f*f(x) = s(x) + s(x^-1), so an involution x gets 2 s(x).  The pairs
-    that are their own mirror, z = y^-1, are the ones that land on the
-    identity, which gets sum f(y)^2.  The support guard checks each row's
-    half sums, a lower bound on the support, and the folded result."""
-    nums = f.nums
-    inverse = f.group.key_inverse
-    _, _, red, zech, Z, _ = f.group.ctx.zech
-    R = Z >> 1
-    Q = Z + 1
-    classes: Dict = {}
-    for z, fz in nums.items():
-        z_inv = inverse(z)
-        if nums.get(z_inv) != fz:
-            return None
-        ab, c = divmod(z, R)
-        classes.setdefault(c, []).append((z_inv, *divmod(ab, Q), fz))
-    z_classes = []
-    for c, atoms in classes.items():
-        atoms.sort()
-        z_classes.append((c, [atom[0] for atom in atoms], [atom[1:] for atom in atoms]))
-    half: Dict = {}
-    get = half.get
-    for y, fy in nums.items():
-        gab, gc = divmod(y, R)
-        ga, gb = divmod(gab, Q)
-        for hc, inverse_keys, atoms in z_classes:
-            ac = red[ga + hc] + Z
-            bc = red[gb + hc] + Z
-            c = red[gc + hc]
-            for ha, hb, hz in atoms[bisect_right(inverse_keys, y):]:
-                x = (red[ha + zech[ac - ha]] * Q + red[hb + zech[bc - hb]]) * R + c
-                half[x] = get(x, 0) + fy * hz
-        if len(half) > SUPPORT_CAP:
+    if half:
+        sums, out = out, {(Z * Q + Z) * R: _sum_sq(f)}      # the identity (0, 0, 1)
+        get = out.get
+        for x, s in sums.items():
+            out[x] = get(x, 0) + s
+            x_inv = inverse(x)
+            out[x_inv] = get(x_inv, 0) + s
+        if len(out) > SUPPORT_CAP:
             raise SupportBlowup("convolution support exceeds the cap")
-    identity = (Z * Q + Z) * R          # (0, 0, 1)
-    out = {identity: sum(n * n for n in nums.values())}
-    get = out.get
-    for x, s in half.items():
-        out[x] = get(x, 0) + s
-        x_inv = inverse(x)
-        out[x_inv] = get(x_inv, 0) + s
-    if len(out) > SUPPORT_CAP:
-        raise SupportBlowup("convolution support exceeds the cap")
-    return out
+    return GroupMeasure.from_numerators(group, out, f.den * h.den)
 
 
 def reverse(mu: GroupMeasure) -> GroupMeasure:

@@ -12,7 +12,7 @@ subclass.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, List, Sequence, Tuple
 
@@ -245,7 +245,9 @@ def enumerate_space(ctx: FieldCtx, dim: int) -> List[ProjPoint]:
 class QuadricForm:
     """A quadric in P^3 via its symmetric 4x4 matrix B.  The nonzero
     entries of B, as (i, j, B[i][j]) in row order, are kept once, so the
-    forms sum over them alone (the Segre form has 4 of 16)."""
+    forms sum over them alone (the Segre form has 4 of 16).  A form is
+    immutable, so `identity` and `segre` make one form per field that
+    every caller shares."""
 
     __slots__ = ("ctx", "B", "entries")
 
@@ -257,12 +259,19 @@ class QuadricForm:
             for j in range(4):
                 if B[i][j] != B[j][i]:
                     raise GeometryError("quadric matrix must be symmetric")
-        self.ctx = ctx
-        self.B = B
-        self.entries = tuple(
+        entries = tuple(
             (i, j, b) for i, row in enumerate(B) for j, b in enumerate(row)
             if not b.is_zero()
         )
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadricForm is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadricForm is immutable: cannot delete {name!r}")
 
     def bilinear(self, u, v) -> FieldElem:
         acc = self.ctx.zero()
@@ -278,6 +287,7 @@ class QuadricForm:
         return not self.det().is_zero()
 
     @staticmethod
+    @lru_cache(maxsize=None)            # one form per interned field
     def identity(ctx: FieldCtx) -> "QuadricForm":
         one = ctx.one()
         zero = ctx.zero()
@@ -286,6 +296,7 @@ class QuadricForm:
         )
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def segre(ctx: FieldCtx) -> "QuadricForm":
         """Symmetric matrix of 2*(x1*x4 - x2*x3); doubling avoids halves."""
         z = ctx.zero()

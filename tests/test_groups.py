@@ -178,6 +178,14 @@ def test_reflection_examples():
         reflection_lift(ProjPoint(FieldCtx(2), [1, 0, 0, 0]), QuadricForm.identity(FieldCtx(2)))
 
 
+@pytest.mark.parametrize("ctx", [FieldCtx(2), FieldCtx(2, 2)], ids=repr)
+def test_gamma_x_in_char_two_raises_char_two(ctx):
+    x, y = ProjPoint(ctx, [1, 0, 0, 1]), ProjPoint(ctx, [1, 0, 0, 0])
+    with pytest.raises(CharTwo) as exc:
+        gamma_x(x, y, QuadricForm.segre(ctx))
+    assert type(exc.value) is CharTwo
+
+
 def test_reflection_raw_lift_is_orthogonal_involution():
     QI = QuadricForm.identity(F5)
     B = QI.B

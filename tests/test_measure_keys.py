@@ -9,6 +9,7 @@ over one denominator; every result must agree exactly.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,25 @@ def _copy(mu):
     return GroupMeasure.from_numerators(mu.group, dict(mu.nums), mu.den)
 
 
+def _bisections(f, h):
+    """convolve(f, h) and the number of row bisections it made: a half
+    square makes one per atom of f and G_m class of h, a full product none."""
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_right(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "bisect_right", counting)
+        return convolve(f, h), calls
+
+
+def _classes(mu):
+    return len({g.c for g in mu.masses})
+
+
 @given(st.sampled_from(SQUARE_FIELDS).flatmap(
     lambda ctx: st.tuples(st.just(ctx), symmetric_weights(ctx))))
 @settings(max_examples=80, deadline=None)
@@ -265,10 +285,10 @@ def test_symmetric_square_matches_oracle(case):
     f = _probability(weights)
     mu = GroupMeasure(AffineGroupOps(ctx), f)
     assert is_symmetric(mu)
-    assert measures._symmetric_square(mu) is not None
-    square = convolve(mu, mu)
+    square, calls = _bisections(mu, mu)
+    assert calls == len(mu) * _classes(mu)
     assert dict(square.masses) == oracle_convolve(f, f)
-    assert convolve(mu, _copy(mu)) == square
+    assert _bisections(mu, _copy(mu)) == (square, 0)
 
 
 @given(field_and_masses(count=1, fields=SQUARE_FIELDS, max_support=6))
@@ -278,10 +298,10 @@ def test_square_of_symmetrized_measure_matches_oracle(case):
     sigma = symmetrize(GroupMeasure(AffineGroupOps(ctx), f))
     want = oracle_convolve(oracle_reverse(f), f)
     assert dict(sigma.masses) == want
-    assert measures._symmetric_square(sigma) is not None
-    square = convolve(sigma, sigma)
+    square, calls = _bisections(sigma, sigma)
+    assert calls == len(sigma) * _classes(sigma)
     assert dict(square.masses) == oracle_convolve(want, want)
-    assert convolve(sigma, _copy(sigma)) == square
+    assert _bisections(sigma, _copy(sigma)) == (square, 0)
 
 
 @given(st.sampled_from(SQUARE_FIELDS[1:]).flatmap(lambda ctx: st.tuples(
@@ -297,10 +317,10 @@ def test_nearly_symmetric_square_takes_every_pair(case):
     f = _probability(weights)
     mu = GroupMeasure(AffineGroupOps(ctx), f)
     assert not is_symmetric(mu)
-    assert measures._symmetric_square(mu) is None
-    square = convolve(mu, mu)
+    square, calls = _bisections(mu, mu)
+    assert calls == 0
     assert dict(square.masses) == oracle_convolve(f, f)
-    assert convolve(mu, _copy(mu)) == square
+    assert _bisections(mu, _copy(mu)) == (square, 0)
 
 
 @given(field_and_masses(count=1, fields=SQUARE_FIELDS, max_support=3))

@@ -11,6 +11,7 @@ generator powers of the Zech arrays.
 import random
 import re
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -608,7 +609,9 @@ def test_involution_count_on_the_whole_quadric(ctx, form):
     assert count.triples == count_collinear_triples(X, X, S, "brute").total
 
 
-def test_involution_check_errors():
+def test_involution_check_errors(monkeypatch):
+    from orchardlab import groups
+
     Q = QuadricForm.segre(F5)
     on = ProjPoint(F5, [0, 0, 1, 0])
     off = ProjPoint(F5, [1, 0, 0, 1])
@@ -623,15 +626,35 @@ def test_involution_check_errors():
             check_quadric_involutions(QuadricForm.identity(ctx), [], [])
     assert check_quadric_involutions(Q, [], [on]) == (0, 0)
     # entries 2 x0 x3 - x1 x2 - x2 x1 give the Segre form's values, but
-    # <s, x> read off B s is then not its polar form: y leaves Q, and the
-    # pair fails by name
-    bent = QuadricForm.segre(F5)
-    bent.entries = ((0, 3, F5.elem(2)),) + bent.entries[1:3]
+    # B s read off them is not the polar form: with that reflection vector
+    # for the centre s, y leaves Q, and the pair fails by name
+    bent = SimpleNamespace(ctx=F5, entries=((0, 3, F5.elem(2)),) + Q.entries[1:3])
     x, s = ProjPoint(F5, [1, 1, 1, 1]), ProjPoint(F5, [1, 0, 0, 2])
-    assert bent.bilinear(x.coords, x.coords) == Q.bilinear(x.coords, x.coords) == F5.zero()
-    assert check_quadric_involutions(bent, [off], [on]) == (1, 0)
+    assert Q.bilinear(x.coords, x.coords) == F5.zero()
+    reflection_vector = groups._reflection_vector
+
+    def bent_at_s(form, centre, v):
+        return reflection_vector(bent if centre == s else form, centre, v)
+
+    monkeypatch.setattr(groups, "_reflection_vector", bent_at_s)
+    assert check_quadric_involutions(Q, [off, s], [on]) == (2, 0)
     with pytest.raises(VerificationFailure, match=re.escape(f"failed at ({s}, {x})")):
-        check_quadric_involutions(bent, [off, s], [on, x])
+        check_quadric_involutions(Q, [off, s], [on, x])
+
+
+def test_shared_quadric_forms_are_immutable():
+    """identity and segre make one form per field, and it cannot change."""
+    for ctx in (F2, F5, F9):
+        for make in (QuadricForm.identity, QuadricForm.segre):
+            Q = make(ctx)
+            assert make(ctx) is Q and Q.ctx is ctx
+            for name in ("ctx", "B", "entries"):
+                with pytest.raises(AttributeError):
+                    setattr(Q, name, getattr(Q, name))
+                with pytest.raises(AttributeError):
+                    delattr(Q, name)
+    assert QuadricForm.segre(F5) is not QuadricForm.identity(F5)
+    assert QuadricForm.segre(F5) is not QuadricForm.segre(F7)
 
 
 def test_involution_check_guard(monkeypatch):
