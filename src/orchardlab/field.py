@@ -5,8 +5,10 @@ modulo a monic irreducible polynomial (absent for prime fields), read as
 base-p digits with coeffs[0] the most significant.  Code order is thus
 the lexicographic order of the coefficient tuples, the order of
 `elements_sorted()`.  Everything is kept at desk scale: n <= 4 and
-p^n <= 10**6, which lets irreducibility and generator searches be
-settled by direct enumeration.
+p^n <= 10**6, so enumeration settles both searches: irreducibility is
+trial division by the monic polynomials of degree at most n/2, and one
+prime-factor search (`FieldCtx._primitive_element`) finds every field's
+generator, reading F_p as F_p[x]/(x).
 
 Each field has exactly one `FieldCtx`: the constructor interns contexts
 by their normalized (p, n, modulus), so elements of the same field share
@@ -53,21 +55,7 @@ class CompositeModulus(FieldError):
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+    return m > 1 and _prime_factors(m) == {m}
 
 
 def _poly_mod(a, m, p):
@@ -127,13 +115,6 @@ def _prime_factors(m: int) -> set:
     return factors
 
 
-def _poly_eval(c, x, p):
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * x + coef) % p
-    return acc
-
-
 def _monic_polys(degree: int, p: int) -> Iterator[list]:
     """All monic polynomials of exact degree, ordered lexicographically
     on coefficients read from the leading term down."""
@@ -142,22 +123,12 @@ def _monic_polys(degree: int, p: int) -> Iterator[list]:
 
 
 def _is_irreducible(m, p) -> bool:
-    """Trial division by all monic factors of degree <= deg/2."""
+    """Trial division of m, of positive degree, by every monic polynomial
+    of degree 1 to deg/2."""
     deg = len(m) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for x in range(p):
-        if _poly_eval(m, x, p) == 0:
-            return False
-    if deg <= 3:
-        return True
-    for d in range(2, deg // 2 + 1):
-        for f in _monic_polys(d, p):
-            if not _poly_trim(_poly_mod(m, f, p)):
-                return False
-    return True
+    return deg > 0 and all(
+        any(_poly_mod(m, f, p)) for d in range(1, deg // 2 + 1) for f in _monic_polys(d, p)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -328,32 +299,36 @@ class FieldCtx:
     # -- Zech-log arrays --------------------------------------------------
 
     def _primitive_element(self) -> list:
-        """The first generator of F_q^* in elements() order, by the
-        prime-factor test on q - 1."""
-        p, q, m = self.p, self.order, list(self.modulus)
-        one = [1] + [0] * (self.n - 1)
-        exponents = [(q - 1) // f for f in _prime_factors(q - 1)]
-        # codes below p are the constants, whose order divides p - 1 < q - 1
-        candidates = (_digits(code, p, self.n) for code in range(p, q))
-        return next(
-            g for g in candidates
-            if all(_poly_powmod(g, e, m, p) != one for e in exponents)
-        )
+        """The first generator g of F_q^* in elements() order, as its
+        coefficients low degree first: the first g with g^((q-1)/r) != 1
+        for each prime r dividing q - 1.  F_p is read as F_p[x]/(x), so
+        one search serves every field."""
+        p, n, q = self.p, self.n, self.order
+        m = list(self.modulus or (0, 1))
+        one = [1] + [0] * (n - 1)
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        # for n > 1 the indices below p are the constants, whose order
+        # divides p - 1 < q - 1
+        for index in range(1 if n == 1 else p, q):
+            g = _digits(index, p, n)
+            if all(_poly_powmod(g, e, m, p) != one for e in exponents):
+                return g
+        # cannot happen: F_q^* is cyclic
+        raise FieldError(f"no primitive element found in {self}")
 
     @cached_property
     def zech(self) -> "ZechTables":
         """The field's Zech-log tables (see `ZechTables`), built on first
-        use with g the least primitive root mod p for n = 1 and
-        `_primitive_element()` for n > 1."""
+        use from g = `_primitive_element()`, the one prime-factor search
+        for every field's generator (F_p read as F_p[x]/(x))."""
         p, n, q = self.p, self.n, self.order
+        g = self._primitive_element()
         if n == 1:
-            g = least_primitive_root(p)
             powers = [1]
             for _ in range(q - 2):
-                powers.append(powers[-1] * g % p)
+                powers.append(powers[-1] * g[0] % p)
         else:
             m = list(self.modulus)
-            g = self._primitive_element()
             # multiplying by g is F_p-linear: row k gives coefficient k
             # of the product from the coefficients of the factor.  Rows,
             # columns and place values past n are 0, so every n <= 4
@@ -633,10 +608,4 @@ def _root_of_quadratic(big: FieldCtx, modulus) -> FieldElem:
 
 def least_primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of F_p."""
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise FieldError(f"no primitive root found mod {p}")
+    return FieldCtx(p)._primitive_element()[0]

@@ -315,16 +315,23 @@ def _require_p3(*points: ProjPoint) -> None:
 
 
 def on_quadric(p: ProjPoint, Q: QuadricForm) -> bool:
-    """Whether p lies on Q, by the form on log codes (see `_entry_logs`).
-    Over F_(2^n) v^T B v sees only the diagonal of a symmetric B, so
-    `on_quadric(p, QuadricForm.segre(F2))` holds for all 15 points of
-    P^3(F_2), against the 9 on x1*x4 = x2*x3."""
+    """Whether p lies on Q, the zero set of Q(p) = sum_{i<j} B_ij p_i p_j
+    + (1/2) sum_i B_ii p_i^2, on log codes (see `_entry_logs`).  In odd
+    characteristic that is the zero set of p^T B p = 2 Q(p).  Over F_(2^n)
+    Q(p) is the sum over i < j, and a form with a nonzero diagonal, which
+    has no half, raises `groups.CharTwo`."""
     if p.ctx is not Q.ctx:
         raise MixedContexts("point from a different field")
     _require_p3(p)
     t = p.ctx.zech
+    entries = _entry_logs(Q)
+    if p.ctx.p == 2:
+        if any(i == j for i, j, _ in entries):
+            from .groups import CharTwo
+            raise CharTwo("a form with a nonzero diagonal divides by 2")
+        entries = [(i, j, b) for i, j, b in entries if i < j]
     v = [t.log[c] for c in p.key]
-    return t.form(_entry_logs(Q), v, v) == t.Z
+    return t.form(entries, v, v) == t.Z
 
 
 # -- 4x4 matrices on Zech log codes ------------------------------------------

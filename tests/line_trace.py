@@ -10,7 +10,8 @@ failed under tracing.  The lines under `if TYPE_CHECKING:` (read by type
 checkers only) and under `if __name__ == "__main__":` (run only when the
 module is a script, which the suite does in child processes, and those
 are not traced) are not run by design: they are listed apart, each with
-its reason, and the summary's miss count leaves them out.
+its reason, and the summary's miss count leaves them out.  The exit
+status is 1 while any other line never ran, else 0.
 
 Tracing slows each kernel by its own factor, so a test that gates a
 ratio of wall-clock times can fail here and pass untraced: criterion
@@ -142,7 +143,7 @@ def main(argv) -> int:
           f"besides {len(by_design)} not run by design "
           f"(pytest exit code {int(code)}; failed under tracing: "
           f"{', '.join(failed) or 'none'})")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -19,8 +19,10 @@ from orchardlab.field import (
     _monic_polys,
     _poly_mod,
     _poly_mulmod,
+    _poly_powmod,
     adjoin_sqrt,
     inv,
+    is_prime,
     least_primitive_root,
 )
 from orchardlab.projgeom import MixedContexts, ProjPoint, line_through
@@ -190,8 +192,8 @@ def test_field_construction_errors(make, message):
      CompositeModulus, "no irreducible of degree 2 over F_3"),
     (FieldCtx, "try_sqrt", lambda self, a: None, lambda: adjoin_sqrt(F5, F5.elem(2)),
      CompositeModulus, "extension failed to contain the required root"),
-    (field, "_prime_factors", lambda m: {1}, lambda: least_primitive_root(7),
-     FieldError, "no primitive root found mod 7"),
+    (field, "_poly_powmod", lambda a, e, m, p: [1] + [0] * (len(m) - 2),
+     lambda: least_primitive_root(7), FieldError, "no primitive element found in F(7)"),
 ], ids=["least-irreducible", "adjoin-sqrt", "primitive-root"])
 def test_unreachable_field_failures_raise(monkeypatch, target, name, fake, call, error, message):
     monkeypatch.setattr(target, name, fake)
@@ -216,14 +218,16 @@ def test_poly_mod_is_the_remainder(p, data):
     assert _poly_mod(a, m, p) == r + [0] * (len(m) - 1 - len(r))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_is_irreducible_counts_match_gauss(p):
-    """The monic irreducibles of degrees 1 to 4 number (1/d) sum over e | d
+    """The monic irreducibles of degrees 1 to 4 (1 to 3 over F_7, whose
+    2,401 quartics would take the most time) number (1/d) sum over e | d
     of mu(e) p^(d/e), and no constant polynomial (nor the empty one) is
     irreducible."""
     gauss = {1: p, 2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}
     for d, want in gauss.items():
-        assert sum(_is_irreducible(m, p) for m in _monic_polys(d, p)) == want
+        if p**d <= 5**4:
+            assert sum(_is_irreducible(m, p) for m in _monic_polys(d, p)) == want
     assert not any(_is_irreducible(m, p) for m in ([], [0], [1], [p - 1]))
 
 
@@ -257,6 +261,35 @@ def test_least_primitive_root():
         g = least_primitive_root(p)
         assert g == expected
         assert {pow(g, e, p) for e in range(p - 1)} == set(range(1, p))
+
+
+def test_is_prime_matches_a_divisor_check():
+    for m in range(3000):
+        assert is_prime(m) == (m > 1 and all(m % d for d in range(2, m)))
+
+
+# every field the desk cap admits with q <= 125 (F_32 and F_64 would need
+# n = 5 and 6)
+SMALL_FIELDS = [FieldCtx(p) for p in range(2, 126) if is_prime(p)] + [
+    FieldCtx(p, n) for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                (5, 2), (5, 3), (7, 2), (11, 2)]]
+
+
+@pytest.mark.parametrize("ctx", SMALL_FIELDS, ids=repr)
+def test_generator_is_the_first_of_full_order(ctx):
+    """The Zech tables run through every nonzero code once, from the first
+    element in elements() order whose powers (by polynomial arithmetic
+    modulo the modulus, or modulo x over F_p) take q - 1 values."""
+    p, q = ctx.p, ctx.order
+    m = list(ctx.modulus or (0, 1))
+    exp = ctx.zech.exp
+    assert sorted(exp[:q - 1]) == list(range(1, q))
+
+    def order(a):
+        return len({tuple(_poly_powmod(list(a.coeffs), e, m, p)) for e in range(q - 1)})
+
+    g = next(a for a in ctx.elements() if not a.is_zero() and order(a) == q - 1)
+    assert exp[1] == g.code and ctx._primitive_element() == list(g.coeffs)
 
 
 def test_char2_sqrt_is_frobenius_inverse():

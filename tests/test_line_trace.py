@@ -2,6 +2,7 @@
 `if TYPE_CHECKING:` and `if __name__ == "__main__":` are not run by
 design, and every other line counts as a miss."""
 
+import line_trace
 from line_trace import BY_DESIGN, not_run_by_design
 
 SOURCE = '''\
@@ -38,3 +39,13 @@ def test_lines_under_type_checking_and_main_are_not_run_by_design():
         12: types,
         17: script, 18: script, 19: script,
     }
+
+
+def test_main_exits_1_while_a_line_never_ran(monkeypatch, capsys):
+    every = {(str(path), line) for path in line_trace.SRC.glob("*.py")
+             for line in line_trace.executable_lines(path)}
+    monkeypatch.setattr(line_trace, "traced_run", lambda args: (0, set(), []))
+    assert line_trace.main([]) == 1
+    monkeypatch.setattr(line_trace, "traced_run", lambda args: (0, every, []))
+    assert line_trace.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("0 of ")

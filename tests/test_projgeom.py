@@ -4,7 +4,7 @@ import pytest
 
 from oracles import line_points, on_line
 from orchardlab.field import FieldCtx
-from orchardlab.groups import AffElem, PGLElem, aff_compose
+from orchardlab.groups import AffElem, CharTwo, PGLElem, aff_compose
 from orchardlab.projgeom import (
     EqualPoints,
     GeometryError,
@@ -165,6 +165,26 @@ def test_on_quadric_examples():
     assert not on_quadric(ProjPoint(F5, [1, 0, 0, 0]), QI)
     QS = QuadricForm.segre(F3)
     assert on_quadric(ProjPoint(F3, [1, 2, 1, 2]), QS)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, FieldCtx(2, 2), F5, F7, FieldCtx(2, 3), F9], ids=repr)
+def test_on_quadric_is_the_zero_set_of_the_form(ctx):
+    """Over every field, the Segre form's points are those of x0 x3 - x1 x2,
+    and in odd characteristic the identity form's are those of the sum of
+    squares."""
+    segre, identity = QuadricForm.segre(ctx), QuadricForm.identity(ctx)
+    for x in enumerate_space(ctx, 3):
+        a, b, c, d = x.coords
+        assert on_quadric(x, segre) == (a * d - b * c).is_zero()
+        if ctx.p > 2:
+            assert on_quadric(x, identity) == (a * a + b * b + c * c + d * d).is_zero()
+
+
+@pytest.mark.parametrize("ctx", [F2, FieldCtx(2, 2)], ids=repr)
+def test_on_quadric_with_a_diagonal_in_char_two_raises_char_two(ctx):
+    with pytest.raises(CharTwo) as exc:
+        on_quadric(ProjPoint(ctx, [1, 0, 0, 0]), QuadricForm.identity(ctx))
+    assert exc.type is CharTwo
 
 
 def test_quadric_validation_and_det():
