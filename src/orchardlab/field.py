@@ -217,11 +217,12 @@ class FieldCtx:
             raise FieldError("extension degree must be in 1..4")
         if p**n > DESK_ORDER_CAP:
             raise FieldError(f"field order {p}^{n} exceeds desk cap")
+        given = modulus is not None
         if n == 1:
-            if modulus is not None:
+            if given:
                 raise FieldError("prime fields carry no modulus")
         else:
-            if modulus is None:
+            if not given:
                 modulus = _least_irreducible(p, n)
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
@@ -229,7 +230,8 @@ class FieldCtx:
         key = (p, n, modulus)
         ctx = _INTERNED.get(key)
         if ctx is None:
-            if n > 1 and not _is_irreducible(list(modulus), p):
+            # the least irreducible was found by the same trial division
+            if given and not _is_irreducible(list(modulus), p):
                 raise CompositeModulus(f"{modulus} is reducible over F_{p}")
             ctx = super().__new__(cls)
             ctx.p = p

@@ -521,8 +521,8 @@ def _pair_stabilizer_nontrivial(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bo
     is trivial over F_2.  Two such families meet only at the identity
     unless the two points are equal.
     """
-    fixes_p = p.coords[1].is_zero()
-    fixes_q = q.coords[1].is_zero()
+    fixes_p = not p.key[1]
+    fixes_q = not q.key[1]
     if fixes_p and fixes_q:
         return True
     if ctx.order == 2:
@@ -530,29 +530,21 @@ def _pair_stabilizer_nontrivial(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bo
     return fixes_p or fixes_q or p == q
 
 
-def _closed_form_pair(p: ProjPoint, q: ProjPoint) -> bool:
-    """Coordinate case split: some coordinate vanishes, or the two
-    slope ratios xi2/xi3 agree."""
-    u = p.coords[1:]
-    v = q.coords[1:]
-    if any(c.is_zero() for c in u) or any(c.is_zero() for c in v):
-        return True
-    return u[1] * v[2] == v[1] * u[2]
-
-
 def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
     """Census of ordered pairs of X (on the plane {x0 = 0}) whose pointwise
     stabilizer in G_a^2 x| G_m is nontrivial.
 
     nontrivial_count is the exact census, one O(1) stabilizer test per
-    ordered pair; closed_form_count applies the coordinate case split,
-    which is a sound over-approximation (it may flag pairs whose
-    stabilizer is in fact trivial, never the reverse; a missed pair
-    raises VerificationFailure), so the two differ by the pairs it flags
-    in excess.  Raises TooLarge when |X|^2 exceeds PAIR_PRODUCT_CAP,
-    before any pair is visited, then what `PointSet.of` raises, then
-    PointOffPlane (a `groups.GroupError`) when a point of X is off
-    {x0 = 0}.
+    ordered pair.  closed_form_count applies the coordinate case split on
+    one class per point, computed once: None when one of x1, x2, x3 is 0,
+    otherwise the int code of x2/x3.  The split flags a pair when a class
+    is None or the two classes agree.  It is a sound over-approximation
+    (it may flag pairs whose stabilizer is in fact trivial, never the
+    reverse; a missed pair raises VerificationFailure), so the two counts
+    differ by the pairs it flags in excess.  Raises TooLarge when |X|^2
+    exceeds PAIR_PRODUCT_CAP, before any pair is visited, then what
+    `PointSet.of` raises, then PointOffPlane (a `groups.GroupError`) when
+    a point of X is off {x0 = 0}.
     """
     if len(X) ** 2 > PAIR_PRODUCT_CAP:
         raise TooLarge("pair count exceeds the census guard")
@@ -561,16 +553,17 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
         return CensusReport(0, 0)
     ctx = X.ctx
     for x in X:
-        if not x.coords[0].is_zero():
+        if x.key[0]:
             from .groups import PointOffPlane   # the census runs without groups
 
             raise PointOffPlane(f"{x} is not on the plane x0 = 0")
+    classes = [None if 0 in x.key[1:] else (x.coords[2] / x.coords[3]).code for x in X]
     exact = 0
     closed = 0
-    for p in X:
-        for q in X:
+    for p, cp in zip(X, classes):
+        for q, cq in zip(X, classes):
             truth = _pair_stabilizer_nontrivial(ctx, p, q)
-            flag = _closed_form_pair(p, q)
+            flag = cp is None or cq is None or cp == cq
             if truth and not flag:
                 raise VerificationFailure(
                     f"case split missed a stabilized pair ({p}, {q})"

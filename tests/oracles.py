@@ -6,6 +6,8 @@ check that path (see test_oracles.py):
 
 - `pair_stabilizer_scan`: the q^3 scan of G_a^2 x| G_m for an element
   fixing two points of {x0 = 0}, for `incidence._pair_stabilizer_nontrivial`;
+- `closed_form_pair`: the coordinate case split on `FieldElem`s per pair,
+  for the per-point class codes of `incidence.stabilizer_census_affine`;
 - `family_membership`: the `ProjPoint` check of every family triple
   through `family_triple`, for the closed form of
   `constructions.verify_example` (collinearity on the 3x3 grid of (t, z),
@@ -222,6 +224,16 @@ def pair_stabilizer_scan(ctx: FieldCtx, p: ProjPoint, q: ProjPoint) -> bool:
                 if aff_act(g, p) == p and aff_act(g, q) == q:
                     return True
     return False
+
+
+def closed_form_pair(p: ProjPoint, q: ProjPoint) -> bool:
+    """Coordinate case split: some coordinate x1, x2, x3 vanishes, or the
+    two slope ratios x2/x3 agree."""
+    u = p.coords[1:]
+    v = q.coords[1:]
+    if any(c.is_zero() for c in u) or any(c.is_zero() for c in v):
+        return True
+    return u[1] * v[2] == v[1] * u[2]
 
 
 def family_membership(cfg):

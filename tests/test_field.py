@@ -439,6 +439,28 @@ def test_reducible_modulus_raises_every_time():
     assert (5, 2, (4, 0, 1)) not in _INTERNED
 
 
+def test_found_modulus_is_trial_divided_once(monkeypatch):
+    """A field made without a modulus trusts the least irreducible it
+    found; a modulus the caller gives is checked."""
+    divided = []
+    is_irreducible = field._is_irreducible
+
+    def counted(m, p):
+        divided.append(tuple(m))
+        return is_irreducible(m, p)
+
+    monkeypatch.setattr(field, "_INTERNED", {})
+    monkeypatch.setattr(field, "_least_irreducible", field._least_irreducible.__wrapped__)
+    monkeypatch.setattr(field, "_is_irreducible", counted)
+    ctx = FieldCtx(7, 3)
+    assert divided.count(ctx.modulus) == 1
+    divided.clear()
+    with pytest.raises(CompositeModulus) as exc:
+        FieldCtx(5, 2, (4, 0, 1))
+    assert exc.type is CompositeModulus
+    assert divided == [(4, 0, 1)]
+
+
 def test_copy_and_pickle_keep_identity():
     for ctx in (F5, F9, F25):
         assert copy.copy(ctx) is ctx

@@ -541,14 +541,35 @@ def test_census_examples():
 
 
 def test_census_raises_when_the_case_split_misses_a_pair(monkeypatch):
-    """A case split that flags no pair misses the stabilized diagonal pair
-    (p, p): the census raises at it."""
-    p = ProjPoint(F5, [0, 1, 2, 3])
-    monkeypatch.setattr(incidence, "_closed_form_pair", lambda p, q: False)
+    """[0:1:1:1] and [0:1:2:3] have classes 1 and 4 (x2/x3 over F5), so the
+    case split does not flag the pair; an exact test that reports it as
+    stabilized makes the census raise at that pair."""
+    a = ProjPoint(F5, [0, 1, 1, 1])
+    b = ProjPoint(F5, [0, 1, 2, 3])
+    monkeypatch.setattr(incidence, "_pair_stabilizer_nontrivial",
+                        lambda ctx, p, q: p == q or (p, q) == (a, b))
     with pytest.raises(VerificationFailure) as exc:
-        stabilizer_census_affine([p])
+        stabilizer_census_affine([a, b])
     assert exc.type is VerificationFailure
-    assert str(exc.value) == f"case split missed a stabilized pair ({p}, {p})"
+    assert str(exc.value) == f"case split missed a stabilized pair ({a}, {b})"
+
+
+def test_census_tests_every_ordered_pair(monkeypatch):
+    """One `_pair_stabilizer_nontrivial` call per ordered pair of X.  The
+    benchmark's tracer counts these calls as `incidence.census_pairs`, so
+    an exact census in O(|X|) has to come with a change to that counter."""
+    calls = []
+    exact = incidence._pair_stabilizer_nontrivial
+
+    def counted(ctx, p, q):
+        calls.append((p, q))
+        return exact(ctx, p, q)
+
+    monkeypatch.setattr(incidence, "_pair_stabilizer_nontrivial", counted)
+    X = [p for p in enumerate_space(F5, 3) if p.coords[0].is_zero()][::3]
+    stabilizer_census_affine(X)
+    assert len(calls) == len(X) ** 2
+    assert set(calls) == {(p, q) for p in X for q in X}
 
 
 def test_census_of_no_points():

@@ -1,6 +1,7 @@
 """The closed forms and int paths against their oracles in oracles.py:
-the O(1) pair-stabilizer test, the closed-form family check, the
-fixed points and full lines from the Segre factors, the
+the O(1) pair-stabilizer test and the census's class codes, the
+closed-form family check, the fixed points and full lines from the
+Segre factors, the
 two-product orthogonality test, the 2x2-minor determinant, the sparse
 quadric forms, the log-code triple kernels, line key and line
 concentration of F_{p^n}, the prime-field brute kernel's first-minor
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_triples_on_points,
+    closed_form_pair,
     dense_bilinear,
     det_laplace,
     family_membership,
@@ -59,10 +61,12 @@ from orchardlab.groups import (
     reflection_matrix,
 )
 from orchardlab.incidence import (
+    CensusReport,
     _keyed,
     _pair_stabilizer_nontrivial,
     count_collinear_triples,
     line_concentration,
+    stabilizer_census_affine,
 )
 from orchardlab.projgeom import (
     MixedContexts,
@@ -111,6 +115,33 @@ def test_pair_stabilizer_matches_scan_random(ctx, data):
     p = data.draw(st.sampled_from(pts))
     q = p if data.draw(st.booleans()) else data.draw(st.sampled_from(pts))
     assert _pair_stabilizer_nontrivial(ctx, p, q) == pair_stabilizer_scan(ctx, p, q)
+
+
+cached_scan = lru_cache(maxsize=None)(pair_stabilizer_scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, F4, F5, F7, F8, F9]), st.data())
+def test_census_is_the_sum_of_the_pair_oracles(ctx, data):
+    """The census's two counts are the per-pair sums of the q^3 scan and
+    the `FieldElem` case split, on random subsets of {x0 = 0} that hold a
+    point with x1 = 0, one with x1 != 0 and x2 or x3 = 0, and (for q > 2)
+    two distinct points with the same ratio x2/x3."""
+    pts = plane_x0(ctx)
+    forced = [
+        data.draw(st.sampled_from([p for p in pts if not p.key[1]])),
+        data.draw(st.sampled_from([p for p in pts if p.key[1] and 0 in p.key[2:]])),
+    ]
+    if ctx.order > 2:
+        units = [e for e in ctx.elements() if not e.is_zero()]
+        r = data.draw(st.sampled_from(units))
+        s, t = data.draw(st.lists(st.sampled_from(units), min_size=2, max_size=2, unique=True))
+        forced += [ProjPoint(ctx, [0, 1, r * s, s]), ProjPoint(ctx, [0, 1, r * t, t])]
+    rest = data.draw(st.lists(st.sampled_from(pts), max_size=6, unique=True))
+    X = data.draw(st.permutations(list(dict.fromkeys(forced + rest))))
+    exact = sum(cached_scan(ctx, p, q) for p in X for q in X)
+    closed = sum(closed_form_pair(p, q) for p in X for q in X)
+    assert stabilizer_census_affine(X) == CensusReport(exact, closed)
 
 
 # -- the family check ----------------------------------------------------
