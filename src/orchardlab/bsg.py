@@ -1,5 +1,4 @@
-"""Constructive measure decomposition with explicit constants, plus
-greedy covering numbers and approximate-group checks.
+"""Constructive measure decomposition with explicit constants.
 
 A probability measure nu splits against the thresholds M ||nu||_2^2 and
 delta ||nu||_2^2, where M = 2^4 K and delta = 1/M^2:
@@ -18,10 +17,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Set
+from typing import Iterable, List, NamedTuple, Optional
 
 from .measures import (
-    AffineGroupOps,
     GroupMeasure,
     MeasureError,
     _sum_sq,
@@ -72,16 +70,6 @@ class BsgDecomposition(NamedTuple):
     nu_str: GroupMeasure
     boundary_keys: List         # keys of the atoms sitting exactly on a threshold
     l2_sq: Fraction             # ||nu||_2^2
-
-    @property
-    def structured_support(self) -> Set:
-        """A = supp(nu_str), as elements."""
-        return set(map(self.nu.group.element, self.nu_str.nums))
-
-    @property
-    def boundary_atoms(self) -> Set:
-        """The atoms sitting exactly on a threshold, as elements."""
-        return set(map(self.nu.group.element, self.boundary_keys))
 
     def reconstruction_exact(self) -> bool:
         # every mass rescaled to numerators over the common denominator L
@@ -210,65 +198,3 @@ def all_pass(checks: Iterable[InequalityCheck]) -> bool:
         for c in checks
         if not c.name.startswith("hyp_") and c.hypothesis_met is not False
     )
-
-
-# -- greedy covering and approximate groups --------------------------------
-
-def covering_number(A: Iterable, B: Iterable) -> int:
-    """Greedy upper bound for the number of left translates of B needed
-    to cover A; candidate centers range over A B^-1 and ties break on the
-    least `AffElem.key`.  Always at least ceil(|A|/|B|)."""
-    from .groups import aff_compose, aff_inverse
-
-    A = set(A)
-    B = list(set(B))
-    if not B:
-        raise ValueError("covering set must be nonempty")
-    if not A:
-        return 0
-    b_inv = [aff_inverse(b) for b in B]
-    centers = sorted(
-        {aff_compose(a, bi) for a in A for bi in b_inv}, key=lambda g: g.key
-    )
-    translates = {
-        x: frozenset(aff_compose(x, b) for b in B) for x in centers
-    }
-    uncovered = set(A)
-    used = 0
-    while uncovered:
-        # the first center of largest gain; a gain is never 0, since the
-        # translate by a b^-1 covers a
-        best = max(centers, key=lambda x: len(uncovered & translates[x]))
-        uncovered -= translates[best]
-        used += 1
-    return used
-
-
-class ApproxGroupReport(NamedTuple):
-    is_approximate: bool
-    reason: str
-    witness: Optional[object]
-    covering: Optional[int]
-
-
-def is_approximate_group(group: AffineGroupOps, H: Iterable, K: int) -> ApproxGroupReport:
-    """Whether H is a K-approximate group: symmetric, contains the
-    identity, and H*H is covered by at most K left translates of H.
-
-    The covering test is the greedy upper bound, so a positive answer is
-    sound while a negative one may be spurious (flagged greedy-fail).
-    """
-    from .groups import AffElem, aff_compose, aff_inverse
-
-    H = list(set(H))
-    hs = set(H)
-    if AffElem.identity(group.ctx) not in hs:
-        return ApproxGroupReport(False, "identity-missing", AffElem.identity(group.ctx), None)
-    for h in H:
-        if aff_inverse(h) not in hs:
-            return ApproxGroupReport(False, "not-symmetric", h, None)
-    HH = {aff_compose(g, h) for g in H for h in H}
-    cover = covering_number(HH, H)
-    if cover <= K:
-        return ApproxGroupReport(True, "covered", None, cover)
-    return ApproxGroupReport(False, "greedy-fail", None, cover)

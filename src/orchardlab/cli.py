@@ -30,7 +30,7 @@ import contextlib
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx

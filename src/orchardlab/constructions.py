@@ -1,7 +1,6 @@
 """Builders for the explicit configurations: the extremal three-plane
-point sets and their lazy index family, quadric diagonalization over
-quadratic extensions, the Segre change of variables, and the fixed-point
-classifier for special orthogonal elements acting on the Segre quadric.
+point sets and their lazy index family, and the fixed-point classifier
+for special orthogonal elements acting on the Segre quadric.
 
 Each CLI job is one fresh process that compiles every module it imports,
 so the names of `groups`, `incidence` and `fractions` are imported inside
@@ -12,17 +11,16 @@ nor `incidence`, and the fixed-point classifier never loads `incidence`.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OrchardError, VerificationFailure
-from .field import FieldCtx, FieldElem, adjoin_sqrt, inv, least_primitive_root
+from .field import FieldCtx, FieldElem, least_primitive_root
 from .projgeom import (
     PointSet,
     ProjLine,
     ProjPoint,
     QuadricForm,
     TooLarge,
-    _matrix_logs,
 )
 
 if TYPE_CHECKING:
@@ -32,14 +30,6 @@ if TYPE_CHECKING:
 
 
 class DegenerateParameters(OrchardError):
-    pass
-
-
-class SingularForm(OrchardError):
-    pass
-
-
-class NoSqrtMinusOne(OrchardError):
     pass
 
 
@@ -242,158 +232,6 @@ def _collinear_mod_p(p: int, a, b, c) -> bool:
         or (a[0] * m23 - a[2] * m03 + a[3] * m02) % p
         or (a[0] * m13 - a[1] * m03 + a[3] * m01) % p
         or (a[0] * m12 - a[1] * m02 + a[2] * m01) % p
-    )
-
-
-# -- quadric normalization ---------------------------------------------------
-
-def _identity(x):
-    return x
-
-
-class QuadricNormalization(NamedTuple):
-    source: QuadricForm
-    target_tag: str                      # "identity" or "segre"
-    ctx: FieldCtx                        # final field, after the extension
-    extensions: List[str]                # the extension's descriptor, if any
-    transform: List[List[FieldElem]]     # M with M^T B M = scalar * target
-    scalar: FieldElem
-    verified: bool
-    embed_source: Callable = _identity   # source field into final field
-
-
-def _embed_matrix(rows, embed):
-    return [[embed(x) for x in row] for row in rows]
-
-
-def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
-    """Produce M with M^T B M = I exactly, adjoining square roots as
-    needed (one quadratic extension suffices: after it, every base-field
-    residue class is a square).  Gram-Schmidt on the columns c_i of M from
-    the identity, by B(c_i, c_j), the entries of M^T B M (`B.bilinear`)."""
-    from .groups import CharTwo, _congruence_ratio
-
-    ctx = B.ctx
-    if ctx.p == 2:
-        raise CharTwo("diagonalization divides by 2")
-    if not B.is_smooth():
-        raise SingularForm("the form is singular")
-    cols = [[ctx.one() if i == j else ctx.zero() for i in range(4)] for j in range(4)]
-    values = []
-    for i in range(4):
-        later = range(i + 1, 4)
-        value = B.bilinear(cols[i], cols[i])
-        if value.is_zero():
-            j = next((j for j in later if not B.bilinear(cols[j], cols[j]).is_zero()), None)
-            if j is not None:
-                cols[i], cols[j] = cols[j], cols[i]
-            else:
-                # smooth B: isotropic c_i, orthogonal to c_0..c_(i-1), pairs with a later c_j
-                j = next(j for j in later if not B.bilinear(cols[i], cols[j]).is_zero())
-                # every later column is isotropic: c_i + c_j has value 2 B(c_i, c_j)
-                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
-            value = B.bilinear(cols[i], cols[i])
-        values.append(value)
-        for j in later:
-            cross = B.bilinear(cols[i], cols[j])
-            if not cross.is_zero():
-                factor = -cross / value
-                cols[j] = [x + factor * y for x, y in zip(cols[j], cols[i])]
-
-    extensions: List[str] = []
-    embed = _identity
-    for i, value in enumerate(values):
-        # the values stay in the source field; the one extension makes
-        # every element of it a square, so none follows
-        entry = embed(value)
-        root = ctx.try_sqrt(entry)
-        if root is None:
-            ctx, embed, root = adjoin_sqrt(ctx, entry)
-            extensions.append(ctx.descriptor())
-            cols = _embed_matrix(cols, embed)
-        scale = inv(root)
-        cols[i] = [x * scale for x in cols[i]]
-    trans = [list(row) for row in zip(*cols)]
-
-    # re-verify on the final field: M^T B M = 1 * I
-    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed))
-    if _congruence_ratio(_matrix_logs(ctx, trans), B_final, QuadricForm.identity(ctx)) != 0:
-        raise VerificationFailure("diagonalization product is not the identity")
-    return QuadricNormalization(
-        source=B,
-        target_tag="identity",
-        ctx=ctx,
-        extensions=extensions,
-        transform=trans,
-        scalar=ctx.one(),
-        verified=True,
-        embed_source=embed,
-    )
-
-
-def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
-    """The substitution x1 = x+z, x2 = ix-iz, x3 = w-y, x4 = iw+iy, which
-    carries the sum of four squares to 4*(xz - yw); needs i = sqrt(-1)."""
-    from .groups import CharTwo, _congruence_ratio
-
-    if ctx.p == 2:
-        raise CharTwo("substitution divides by 2")
-    i_root = ctx.try_sqrt(-ctx.one())
-    if i_root is None:
-        raise NoSqrtMinusOne(f"{ctx} has no square root of -1")
-    one, zero = ctx.one(), ctx.zero()
-    ii = i_root
-    T = [
-        [one, zero, zero, one],
-        [ii, zero, zero, -ii],
-        [zero, -one, one, zero],
-        [zero, ii, ii, zero],
-    ]
-    # T^T T = 4 * (matrix of x1*x4 - x2*x3) = 2 * the doubled QuadricForm.segre
-    ratio = _congruence_ratio(
-        _matrix_logs(ctx, T), QuadricForm.identity(ctx), QuadricForm.segre(ctx))
-    if ratio != ctx.zech.log[ctx.elem(2).code]:
-        raise VerificationFailure("substitution identity failed")
-    return QuadricNormalization(
-        source=QuadricForm.identity(ctx),
-        target_tag="segre",
-        ctx=ctx,
-        extensions=[],
-        transform=T,
-        scalar=ctx.elem(4),   # against the plain form x1*x4 - x2*x3
-        verified=True,
-    )
-
-
-def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
-    """Compose diagonalization with the Segre substitution: M with
-    M^T B M = scalar * (doubled Segre matrix), over at most one
-    quadratic extension."""
-    from .groups import _congruence_ratio, _mat_mul, _matrix_elems
-
-    diag = diagonalize_quadric(B)
-    ctx, trans, embed = diag.ctx, diag.transform, diag.embed_source
-    extensions = list(diag.extensions)
-    # -1 lacks a root only when diagonalization did not extend: after
-    # that extension every element of the source field is a square
-    if ctx.try_sqrt(-ctx.one()) is None:
-        ctx, embed, _ = adjoin_sqrt(ctx, -ctx.one())
-        extensions.append(ctx.descriptor())
-        trans = _embed_matrix(trans, embed)
-    seg = to_segre_form(ctx)
-    M = _mat_mul(ctx, _matrix_logs(ctx, trans), _matrix_logs(ctx, seg.transform))
-    B_final = QuadricForm(ctx, _embed_matrix(B.B, embed))
-    if _congruence_ratio(M, B_final, QuadricForm.segre(ctx)) != ctx.zech.log[ctx.elem(2).code]:
-        raise VerificationFailure("composite normalization failed")
-    return QuadricNormalization(
-        source=B,
-        target_tag="segre",
-        ctx=ctx,
-        extensions=extensions,
-        transform=_matrix_elems(ctx, M),
-        scalar=ctx.elem(4),
-        verified=True,
-        embed_source=embed,
     )
 
 

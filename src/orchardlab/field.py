@@ -21,8 +21,7 @@ inverse.  `ZechTables` is the one owner of the log-code format: the
 linear algebra of `projgeom`, `groups` and `constructions` calls its
 operations, and the hot loops (the triple kernels and line keys of
 `incidence`, `measures.convolve` and the `FieldElem` operators) unpack
-its arrays and inline the lookups.  Every field, prime or not, takes
-square roots from the parity of the log code (`FieldCtx.sqrt`).
+its arrays and inline the lookups.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class FieldError(OrchardError):
 
 class ZeroInverse(FieldError):
     """Inversion of the zero element."""
-
-
-class NonResidue(FieldError):
-    """Square root requested for a non-square."""
 
 
 class CompositeModulus(FieldError):
@@ -374,32 +369,6 @@ class FieldCtx:
         # characteristic 2
         return ZechTables(log, exp, red, zech, Z, (q - 1) // 2 if p > 2 else 0)
 
-    # -- square roots ---------------------------------------------------
-
-    def sqrt(self, a: "FieldElem") -> "FieldElem":
-        """Canonical square root: the least code of {r, -r}, where r =
-        g^(l/2) for a = g^l; raises NonResidue when no root exists.  A
-        nonzero a is a square exactly when l is even, or always in
-        characteristic 2, where q - 1 is odd and l + (q - 1) is even."""
-        if a.ctx is not self:
-            raise FieldError("element from a different field")
-        if a.code == 0:
-            return a
-        log, exp, _, _, _, _ = self.zech
-        l = log[a.code]
-        if l % 2:
-            if self.p > 2:
-                raise NonResidue(f"{a} is not a square in {self}")
-            l += self.order - 1
-        r = FieldElem(self, exp[l // 2])
-        return min(r, -r, key=lambda e: e.code)
-
-    def try_sqrt(self, a: "FieldElem") -> Optional["FieldElem"]:
-        try:
-            return self.sqrt(a)
-        except NonResidue:
-            return None
-
     # -- text form -------------------------------------------------------
 
     def code_text(self, code: int) -> str:
@@ -442,12 +411,6 @@ class FieldElem:
     def __init__(self, ctx: FieldCtx, code: int):
         self.ctx = ctx
         self.code = code
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        """The reduced coefficients over F_p, low degree first."""
-        ctx = self.ctx
-        return tuple(reversed(_digits(self.code, ctx.p, ctx.n)))
 
     def _lift(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -563,49 +526,6 @@ def inv(a: FieldElem) -> FieldElem:
         return FieldElem(ctx, pow(a.code, ctx.p - 2, ctx.p))
     log, exp, _, _, _, _ = ctx.zech
     return FieldElem(ctx, exp[ctx.order - 1 - log[a.code]])
-
-
-def adjoin_sqrt(ctx: FieldCtx, d: FieldElem):
-    """Extend ctx so that d has a square root.
-
-    Returns (new_ctx, embed, root) with embed a ring embedding of ctx
-    into new_ctx and root * root == embed(d).  When d is already a
-    square the context is returned unchanged with the canonical root.
-    """
-    if d.ctx is not ctx:
-        raise FieldError("element from a different field")
-    existing = ctx.try_sqrt(d)
-    if existing is not None:
-        return ctx, (lambda e: e), existing
-    if ctx.n not in (1, 2):
-        raise FieldError("extensions supported from degree 1 or 2 only")
-    big = FieldCtx(ctx.p, 2 * ctx.n)
-    if ctx.n == 1:
-        def embed(e, _big=big):
-            return _big.elem(e.code)
-    else:
-        # send the old generator to a root of the old modulus upstairs
-        gen_image = _root_of_quadratic(big, ctx.modulus)
-        def embed(e, _big=big, _g=gen_image):
-            return _big.elem(e.coeffs[0]) + _big.elem(e.coeffs[1]) * _g
-    root = big.try_sqrt(embed(d))
-    if root is None:
-        # cannot happen: every base-field element is a square upstairs
-        raise CompositeModulus("extension failed to contain the required root")
-    return big, embed, root
-
-
-def _root_of_quadratic(big: FieldCtx, modulus) -> FieldElem:
-    """Canonical root in `big` of a monic quadratic over the prime field."""
-    c0, c1, _ = modulus
-    b = big.elem(c1)
-    c = big.elem(c0)
-    disc = b * b - 4 * c
-    s = big.sqrt(disc)
-    half = inv(big.elem(2))
-    r1 = (-b + s) * half
-    r2 = (-b - s) * half
-    return min(r1, r2, key=lambda e: e.code)
 
 
 def least_primitive_root(p: int) -> int:

@@ -113,16 +113,6 @@ class AffElem(Canonical):
     def is_identity(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.c.is_one()
 
-    def text(self) -> str:
-        return ";".join(e.text() for e in (self.a, self.b, self.c))
-
-    @staticmethod
-    def parse(ctx: FieldCtx, text: str) -> "AffElem":
-        parts = text.split(";")
-        if len(parts) != 3:
-            raise GroupError(f"bad affine element text {text!r}")
-        return AffElem(ctx, *(FieldElem.parse(ctx, s) for s in parts))
-
     @staticmethod
     def identity(ctx: FieldCtx) -> "AffElem":
         return AffElem(ctx, 0, 0, 1)
@@ -225,39 +215,6 @@ def _mat_mul(ctx: FieldCtx, A, B):
     return tuple(tuple(form(_DOT, row, col) for col in cols) for row in A)
 
 
-def _matrix_elems(ctx: FieldCtx, M) -> List[List[FieldElem]]:
-    """The FieldElems of a matrix of log codes over ctx."""
-    exp = ctx.zech.exp
-    return [[FieldElem(ctx, exp[x]) for x in row] for row in M]
-
-
-def _congruence_ratio(M, Q: QuadricForm, target: QuadricForm) -> Optional[int]:
-    """The log code of the lambda != 0 with M^T B M = lambda T, for a 4x4
-    matrix M of log codes, B the matrix of Q and T that of target, over
-    one field; None when there is none.  Each entry of M^T B M sums over
-    the nonzero entries of B alone, and lambda is the ratio at the first
-    nonzero entry of T in row order."""
-    ctx = Q.ctx
-    t = ctx.zech
-    red, Z = t.red, t.Z
-    entries = _entry_logs(Q)
-    cols = tuple(zip(*M))
-    lam = None
-    for ci, trow in zip(cols, _matrix_logs(ctx, target.B)):
-        for cj, tij in zip(cols, trow):
-            acc = t.form(entries, ci, cj)
-            if tij == Z:
-                if acc != Z:
-                    return None
-                continue
-            cand = red[acc + (Z >> 1) - tij]    # acc / tij; Z / 2 is q - 1
-            if lam is None:
-                lam = cand
-            elif cand != lam:
-                return None
-    return None if lam in (None, Z) else lam
-
-
 class PGLElem(Canonical):
     """Invertible 4x4 matrix mod scalars; first nonzero entry scaled to 1.
 
@@ -326,14 +283,31 @@ class PGLElem(Canonical):
 def is_orthogonal_mod_scalar(
     M: PGLElem, Q: QuadricForm
 ) -> Tuple[bool, Optional[FieldElem]]:
-    """Test M^T B M = lambda * B on log codes; returns the witness lambda
-    when true, the ratio at the first nonzero entry of B in row order."""
-    if M.ctx is not Q.ctx:
+    """Test M^T B M = lambda * B, lambda != 0, on log codes; returns the
+    witness lambda when true, the ratio at the first nonzero entry of B
+    in row order.  Each entry of M^T B M sums over the nonzero entries of
+    B alone."""
+    ctx = Q.ctx
+    if M.ctx is not ctx:
         raise GroupError("mixed contexts")
-    lam = _congruence_ratio(M.logs, Q, Q)
-    if lam is None:
-        return False, None
-    return True, FieldElem(M.ctx, M.ctx.zech.exp[lam])
+    t = ctx.zech
+    red, Z = t.red, t.Z
+    entries = _entry_logs(Q)
+    cols = tuple(zip(*M.logs))
+    lam = None
+    for ci, brow in zip(cols, _matrix_logs(ctx, Q.B)):
+        for cj, bij in zip(cols, brow):
+            acc = t.form(entries, ci, cj)
+            if bij == Z:
+                if acc != Z:
+                    return False, None
+                continue
+            cand = red[acc + (Z >> 1) - bij]    # acc / bij; Z / 2 is q - 1
+            if lam is None:
+                lam = cand
+            elif cand != lam:
+                return False, None
+    return (False, None) if lam in (None, Z) else (True, FieldElem(ctx, t.exp[lam]))
 
 
 def _reflection_vector(Q: QuadricForm, x: ProjPoint, v) -> List[int]:
@@ -354,7 +328,10 @@ def _reflection_vector(Q: QuadricForm, x: ProjPoint, v) -> List[int]:
 
 
 def _reflection_logs(x: ProjPoint, Q: QuadricForm):
-    """The log codes of the rows of `reflection_matrix(x, Q)`."""
+    """The log codes of the rows of the exact linear involution
+    v -> v - 2 <v, x>/<x, x> x in the bilinear form of Q; it negates the
+    lift of x, fixes its orthogonal hyperplane and satisfies M^T B M = B
+    on the nose."""
     ctx = x.ctx
     if ctx.p == 2:
         raise CharTwo("reflections need characteristic != 2")
@@ -373,16 +350,10 @@ def _reflection_logs(x: ProjPoint, Q: QuadricForm):
     )
 
 
-def reflection_matrix(x: ProjPoint, Q: QuadricForm):
-    """Rows of the exact linear involution v -> v - 2 <v, x>/<x, x> x in
-    the bilinear form of Q; it negates the lift of x and fixes its
-    orthogonal hyperplane, and satisfies M^T B M = B on the nose."""
-    return _matrix_elems(x.ctx, _reflection_logs(x, Q))
-
-
 def reflection_lift(x: ProjPoint, Q: QuadricForm) -> PGLElem:
-    """reflection_matrix as a canonical projective element, formed on log
-    codes from the point's codes and the nonzero entries of Q."""
+    """The reflection in x (see `_reflection_logs`) as a canonical
+    projective element, formed on log codes from the point's codes and
+    the nonzero entries of Q."""
     return PGLElem._of_logs(x.ctx, _reflection_logs(x, Q))
 
 

@@ -1,6 +1,5 @@
 """Exact counting kernels: collinear triples, line and pencil-plane
-concentration, stabilizer censuses, free tuples and the almost-invariance
-set Omega_t.
+concentration and the stabilizer census.
 
 Two interchangeable triple kernels are provided: a brute-force rank test
 over all ordered triples, and a line-hash kernel that buckets point pairs
@@ -47,7 +46,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, compress
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Set
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from .errors import OrchardError, VerificationFailure
 from .field import FieldCtx, FieldElem, _digits
@@ -60,9 +59,6 @@ from .projgeom import (
     TooLarge,
     line_through,  # not called here; perfbench/tracing.py wraps it here by name
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 # -- collinear triple counting -------------------------------------------
@@ -571,110 +567,3 @@ def stabilizer_census_affine(X: Sequence[ProjPoint]) -> CensusReport:
             exact += truth
             closed += flag
     return CensusReport(exact, closed)
-
-
-# -- free tuples and Omega_t ------------------------------------------------
-
-class FreeTupleSet(NamedTuple):
-    k: int
-    tuples: Set[tuple]
-    complement_size: int
-    closure_truncated: bool
-
-
-def free_tuples(
-    X: Sequence[ProjPoint],
-    G_set: Iterable,
-    k: int,
-    action: Callable,
-    closure_truncated: bool = False,
-) -> FreeTupleSet:
-    """Ordered k-tuples of X whose pointwise stabilizer within G_set (group
-    elements with `is_identity()`, such as `AffElem` or `PGLElem`) is
-    trivial.  With a truncated closure the result is only relative to
-    G_set, and the flag says so.  Raises TooLarge when |X|^k exceeds
-    PAIR_PRODUCT_CAP, before any tuple, then the `PointSet` errors of X,
-    then ValueError when G_set lacks the identity."""
-    from itertools import product
-
-    # |X|^k, with k clipped where 2^k alone passes the cap
-    if len(X) ** min(k, PAIR_PRODUCT_CAP.bit_length()) > PAIR_PRODUCT_CAP:
-        raise TooLarge(f"{len(X)}^{k} tuples exceed the counting guard")
-    X = PointSet.of(X)
-    elements = list(G_set)
-    if not any(g.is_identity() for g in elements):
-        raise ValueError("G_set must contain the identity")
-    fix_sets = []
-    for g in elements:
-        if g.is_identity():
-            continue
-        fixed = frozenset(x for x in X if action(g, x) == x)
-        if len(fixed) > 0:
-            fix_sets.append(fixed)
-    tuples = set()
-    skipped = 0
-    for tup in product(X, repeat=k):
-        members = set(tup)
-        if any(members <= fixed for fixed in fix_sets):
-            skipped += 1
-        else:
-            tuples.add(tup)
-    return FreeTupleSet(k, tuples, skipped, closure_truncated)
-
-
-class OmegaReport(NamedTuple):
-    elements: Set
-    mass: int                  # sum over elements of |g Xt ^ Xt|
-    tuple_count: int           # |Xt|
-    t: Fraction
-    mass_bound_ok: bool        # mass <= |Xt|^2
-    size_bound_ok: bool        # |Omega| <= 2 |Xt|^(1+t), exact comparison
-
-
-def omega_set(
-    ft: FreeTupleSet,
-    candidates: Iterable,
-    t: Fraction,
-    action: Callable,
-) -> OmegaReport:
-    """Candidates g with |g Xt ^ Xt| > (1/2) |Xt|^(1-t).
-
-    Thresholds are compared by cross-multiplied integer powers with
-    t = u/v, so no acceptance decision ever touches floating point.
-    When the free action is verified (closure not truncated), the mass
-    bound mass <= |Xt|^2 and the size bound |Omega_t| <= 2 |Xt|^(1+t)
-    are checked and a violation raises (it would mean a bug).
-    """
-    from fractions import Fraction
-
-    t = Fraction(t)
-    if not (0 < t < 1):
-        raise ValueError("t must lie strictly between 0 and 1")
-    if not ft.tuples:
-        raise ValueError("free tuple set is empty")
-    u, v = t.numerator, t.denominator
-    n = len(ft.tuples)
-    accepted = set()
-    mass = 0
-    seen = set()
-    for g in candidates:
-        if g in seen:
-            continue
-        seen.add(g)
-        overlap = 0
-        for tup in ft.tuples:
-            moved = tuple(action(g, x) for x in tup)
-            if moved in ft.tuples:
-                overlap += 1
-        # |g Xt ^ Xt| > (1/2) n^(1-t)  <=>  (2*overlap)^v > n^(v-u)
-        if (2 * overlap) ** v > n ** (v - u):
-            accepted.add(g)
-            mass += overlap
-    mass_ok = mass <= n * n
-    size_ok = len(accepted) ** v <= (2**v) * n ** (v + u)
-    if not ft.closure_truncated and not (mass_ok and size_ok):
-        raise VerificationFailure(
-            "almost-invariance bounds violated on a verified free action"
-        )
-    return OmegaReport(accepted, mass, n, t, mass_ok, size_ok)
-

@@ -5,7 +5,8 @@ over one shared positive denominator, in lowest terms (no prime divides
 the denominator and every numerator).  Convolution multiplies keys and
 numerators; norms, thresholds and bound checks compare integers.
 `Fraction` appears only at the boundary: constructors take exact masses,
-and `masses`, `mu(g)`, the norms and the report rows give `Fraction`s.
+and `mu(g)`, the norms and the report rows give `Fraction`s, as does
+`masses`, the element view whose size the benchmark's tracer reads.
 L^2 quantities are always handled squared to stay rational.
 
 The group is G_a^2 x| G_m over F_q, which composed plane projections
@@ -16,12 +17,11 @@ atoms by their G_m code, so each of its terms and each key inverse is a
 few lookups in arrays of length O(q).
 
 One loop computes every product.  A square `convolve(f, f)` of a
-symmetric f, which is every squaring of `sym_power_2exp` and
-`flattening_report`, sorts each G_m class by inverse key, starts each
-row after a bisection, and so takes one pair of each mirror couple
-(y, z), (z^-1, y^-1); the half sums are then folded onto x and x^-1.
-Any other product, `convolve(f, g)` with g a copy of f included, takes
-every pair.
+symmetric f, which is every squaring of `flattening_report`, sorts each
+G_m class by inverse key, starts each row after a bisection, and so
+takes one pair of each mirror couple (y, z), (z^-1, y^-1); the half
+sums are then folded onto x and x^-1.  Any other product,
+`convolve(f, g)` with g a copy of f included, takes every pair.
 
 The CLI's measure jobs draw and convolve keys only, so `groups` (and
 `projgeom` below it), which each job would compile, is imported only by
@@ -34,7 +34,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from .errors import OrchardError
 from .field import FieldCtx, FieldElem
@@ -51,23 +51,11 @@ class MeasureError(OrchardError):
     pass
 
 
-class EmptySupport(MeasureError):
-    pass
-
-
-class DuplicateElements(MeasureError):
-    pass
-
-
 class MixedGroups(MeasureError):
     pass
 
 
 class SupportBlowup(MeasureError):
-    pass
-
-
-class NotASubgroup(MeasureError):
     pass
 
 
@@ -205,9 +193,6 @@ class GroupMeasure:
     def __call__(self, g) -> Fraction:
         return Fraction(self.nums.get(self.group.key(g), 0), self.den)
 
-    def support_sorted(self):
-        return sorted(map(self.group.element, self.nums), key=lambda g: g.key)
-
     def total_mass(self) -> Fraction:
         return Fraction(sum(self.nums.values()), self.den)
 
@@ -238,16 +223,6 @@ class Masses(Mapping):
 
     def __contains__(self, g):
         return self._mu.group.key(g) in self._mu.nums
-
-
-def uniform(group: AffineGroupOps, S: Iterable) -> GroupMeasure:
-    """The probability measure with mass 1/|S| on each element of S."""
-    keys = [group.key(g) for g in S]
-    if not keys:
-        raise EmptySupport("uniform measure needs a nonempty set")
-    if len(set(keys)) != len(keys):
-        raise DuplicateElements("set contains duplicate canonical elements")
-    return GroupMeasure.from_numerators(group, dict.fromkeys(keys, 1), len(keys))
 
 
 def convolve(f: GroupMeasure, h: GroupMeasure) -> GroupMeasure:
@@ -345,76 +320,14 @@ def linf_norm(mu: GroupMeasure) -> Fraction:
     return Fraction(max(mu.nums.values(), default=0), mu.den)
 
 
-def lp_norm_sq(mu: GroupMeasure, p) -> Fraction:
-    """L^1 and L^inf as themselves, L^2 as the squared norm."""
-    if p == 1:
-        return l1_norm(mu)
-    if p == 2:
-        return l2_norm_sq(mu)
-    if p in ("inf", float("inf")):
-        return linf_norm(mu)
-    raise ValueError("only p in {1, 2, inf} are supported")
-
-
 def symmetrize(mu: GroupMeasure) -> GroupMeasure:
     """sigma = mu~ * mu; symmetric whenever mu is a measure."""
     return convolve(reverse(mu), mu)
 
 
-def sym_power(mu: GroupMeasure, m: int) -> GroupMeasure:
-    """sigma^(*m) for sigma = mu~ * mu."""
-    if m < 1:
-        raise ValueError("power must be >= 1")
-    if not mu.is_probability:
-        raise MeasureError("symmetric powers are defined for probability measures")
-    sigma = symmetrize(mu)
-    acc = sigma
-    for _ in range(m - 1):
-        acc = convolve(acc, sigma)
-    return acc
-
-
-def sym_power_2exp(mu: GroupMeasure, m: int) -> GroupMeasure:
-    """sigma^(*2^m) by repeated squaring; sigma symmetric makes the
-    doubling recursion agree with plain convolution powers."""
-    if m < 0:
-        raise ValueError("exponent must be >= 0")
-    acc = symmetrize(mu)
-    for _ in range(m):
-        acc = convolve(acc, acc)
-    return acc
-
-
 def is_symmetric(mu: GroupMeasure) -> bool:
     inverse, nums = mu.group.key_inverse, mu.nums
     return all(nums.get(inverse(k)) == n for k, n in nums.items())
-
-
-def verify_subgroup(group: AffineGroupOps, H: Iterable) -> List:
-    """Check closure under product and inverse plus the identity."""
-    from .groups import AffElem, aff_compose, aff_inverse
-
-    elements = list(H)
-    hs = set(elements)
-    if len(hs) != len(elements):
-        raise DuplicateElements("subgroup given with duplicates")
-    if AffElem.identity(group.ctx) not in hs:
-        raise NotASubgroup("identity missing")
-    for g in elements:
-        if aff_inverse(g) not in hs:
-            raise NotASubgroup(f"inverse of {g} missing")
-        for h in elements:
-            if aff_compose(g, h) not in hs:
-                raise NotASubgroup(f"product {g}*{h} missing")
-    return elements
-
-
-def coset_mass(mu: GroupMeasure, g, H: Iterable) -> Fraction:
-    """mu(gH) for an explicitly verified finite subgroup H."""
-    from .groups import aff_compose
-
-    elements = verify_subgroup(mu.group, H)
-    return sum((mu(aff_compose(g, h)) for h in elements), Fraction(0))
 
 
 class FlatteningRow(NamedTuple):
@@ -461,39 +374,3 @@ def flattening_report(mu: GroupMeasure, m_max: int) -> List[FlatteningRow]:
             raise MeasureError("squared L2 norm increased under convolution")
         rows.append(row)
     return rows
-
-
-# -- measure files ----------------------------------------------------------
-
-def save_measure(path, mu: GroupMeasure) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        masses = mu.masses
-        for g in mu.support_sorted():
-            m = masses[g]
-            fh.write(f"{g.text()} {m.numerator}/{m.denominator}\n")
-
-
-def load_measure(path, group: AffineGroupOps) -> GroupMeasure:
-    """The measure of a file `save_measure` writes: one `a;b;c num/den`
-    atom a line, `#` comments.  A malformed, negative or repeated atom
-    raises MeasureError naming `path:line`."""
-    from .groups import AffElem
-
-    masses: Dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                elem_text, mass_text = line.rsplit(" ", 1)
-                g = AffElem.parse(group.ctx, elem_text.strip())
-                m = Fraction(mass_text)
-            except (ValueError, ZeroDivisionError, OrchardError) as exc:
-                raise MeasureError(f"{path}:{lineno}: {exc}") from exc
-            if m < 0:
-                raise MeasureError(f"{path}:{lineno}: masses must be positive")
-            if g in masses:
-                raise DuplicateElements(f"{path}:{lineno}: repeated atom")
-            masses[g] = m
-    return GroupMeasure(group, masses)

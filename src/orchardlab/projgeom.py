@@ -279,13 +279,6 @@ class QuadricForm:
             acc = acc + u[i] * b * v[j]
         return acc
 
-    def det(self) -> FieldElem:
-        ctx = self.ctx
-        return FieldElem(ctx, ctx.zech.exp[_det4(ctx, _matrix_logs(ctx, self.B))])
-
-    def is_smooth(self) -> bool:
-        return not self.det().is_zero()
-
     @staticmethod
     @lru_cache(maxsize=None)            # one form per interned field
     def identity(ctx: FieldCtx) -> "QuadricForm":

@@ -1,5 +1,6 @@
-"""Brute-force oracles for the closed forms and int paths in `src/`, and
-the test helpers that no subcommand runs.
+"""Brute-force oracles for the closed forms and int paths in `src/`, the
+test helpers that no subcommand runs, and the code that only an
+acceptance criterion runs.
 
 Each oracle is the scan or formula its fast path replaced, kept here to
 check that path (see test_oracles.py):
@@ -17,11 +18,11 @@ check that path (see test_oracles.py):
 - `orthogonal_by_triple_sums`: M^T B M by 16 triple products an entry,
   for `groups.is_orthogonal_mod_scalar`;
 - `det_laplace`: the recursive Laplace determinant, for `projgeom._det4`
-  and `PGLElem.det`;
+  and `PGLElem.det` (and `is_smooth`);
 - `mat_mul`, `scaled_key` and `reflection_rows`: the 4x4 product, the
   projective scaling and the reflection v - 2<v, x>/<x, x> x on
   `FieldElem`s, for the log-code `PGLElem.__mul__`, `PGLElem` keys and
-  `groups.reflection_lift`/`reflection_matrix`;
+  `groups.reflection_lift`;
 - `brute_triples_on_points`: the rank test on `FieldElem` lifts with
   `line_through` line keys, for the log-code kernels of F_{p^n};
 - `line_concentration_by_lines`: the points of X on each `line_through`
@@ -36,8 +37,6 @@ check that path (see test_oracles.py):
 - `zech_powers_by_matrix`: the generator powers by one matrix-vector
   product of lists per element, for the unrolled step that builds
   `field.ZechTables`;
-- `least_root_by_scan`: the least code whose square is a, for the
-  log-parity root of `FieldCtx.sqrt`;
 - `pencil_scan`: the count on every plane of the pencil, for
   `incidence.pencil_plane_concentration`;
 - `oracle_convolve`, `oracle_reverse`, `oracle_l2_sq`, `oracle_decompose`
@@ -53,14 +52,26 @@ triple of the extremal example), `random_measure`, `random_smooth_form`,
 `on_line` (the rank test of a point against a line's basis),
 `line_points` (the q + 1 points of a line), `line_from_key` (the
 checked `ProjLine` of a kernel's line key), `indexed_measure` (weights
-on the first elements in key order) and `delta` (a point mass).
+on the first elements in key order), `delta` (a point mass), `uniform`
+(mass 1/|S| on each element of S), `is_smooth` (a quadric's matrix is
+invertible), `coeffs` (an element's coefficients over F_p) and
+`least_root_by_scan` (the least square root, None for a non-square).
+
+What only an acceptance criterion runs is kept here, not in `src/`, and
+takes no guard beyond what the criterion needs: `free_tuples` and
+`omega_set`, with `FreeTupleSet` and `OmegaReport`, for criterion 6;
+`diagonalize_quadric`, `to_segre_form` and `normalize_to_segre`, with
+`QuadricNormalization`, `congruent` (M^T B M = lambda T multiplied out on
+`FieldElem`s, which sets `verified`), `adjoin_sqrt` and
+`_root_of_quadratic`, for criterion 10.
 """
 
 import operator
 from fractions import Fraction
-from typing import Dict, List
+from itertools import product
+from typing import Callable, Dict, List, NamedTuple, Set, Tuple
 
-from orchardlab.field import FieldCtx, FieldElem, _poly_mulmod, inv
+from orchardlab.field import FieldCtx, FieldElem, _digits, _poly_mulmod, inv
 from orchardlab.groups import AffElem, PGLElem, aff_act, aff_compose, aff_inverse, gamma_x, segre
 from orchardlab.incidence import VerificationFailure
 from orchardlab.measures import GroupMeasure
@@ -203,8 +214,197 @@ def random_smooth_form(ctx, rng):
                 rows[i][j] = v
                 rows[j][i] = v
         form = QuadricForm(ctx, rows)
-        if form.is_smooth():
+        if is_smooth(form):
             return form
+
+
+def is_smooth(Q: QuadricForm) -> bool:
+    """Whether the matrix of Q is invertible."""
+    return not det_laplace(Q.ctx, Q.B).is_zero()
+
+
+def coeffs(e: FieldElem) -> Tuple[int, ...]:
+    """The coefficients of e over F_p, low degree first."""
+    ctx = e.ctx
+    return tuple(reversed(_digits(e.code, ctx.p, ctx.n)))
+
+
+def uniform(group, S) -> GroupMeasure:
+    """The probability measure with mass 1/|S| on each element of S,
+    which holds distinct elements."""
+    keys = [group.key(g) for g in S]
+    return GroupMeasure.from_numerators(group, dict.fromkeys(keys, 1), len(keys))
+
+
+# -- free tuples and Omega_t, for criterion 6 ------------------------------
+
+class FreeTupleSet(NamedTuple):
+    tuples: Set[tuple]
+    complement_size: int        # the k-tuples left out
+
+
+def free_tuples(X, G_set, k: int, action: Callable) -> FreeTupleSet:
+    """The ordered k-tuples of X whose pointwise stabilizer within G_set
+    (elements with `is_identity()`, such as `AffElem`) is trivial."""
+    fix_sets = [frozenset(x for x in X if action(g, x) == x)
+                for g in G_set if not g.is_identity()]
+    tuples = set()
+    skipped = 0
+    for tup in product(X, repeat=k):
+        if any(set(tup) <= fixed for fixed in fix_sets):
+            skipped += 1
+        else:
+            tuples.add(tup)
+    return FreeTupleSet(tuples, skipped)
+
+
+class OmegaReport(NamedTuple):
+    elements: Set
+    mass: int                   # sum over elements of |g Xt ^ Xt|
+    tuple_count: int            # |Xt|
+
+
+def omega_set(ft: FreeTupleSet, candidates, t: Fraction, action: Callable) -> OmegaReport:
+    """The distinct candidates g with |g Xt ^ Xt| > (1/2) |Xt|^(1-t) for
+    0 < t < 1 and Xt = ft.tuples, nonempty; with t = u/v the threshold is
+    compared as (2 |g Xt ^ Xt|)^v > |Xt|^(v-u), on ints."""
+    u, v = t.numerator, t.denominator
+    n = len(ft.tuples)
+    accepted = set()
+    mass = 0
+    for g in set(candidates):
+        overlap = sum(tuple(action(g, x) for x in tup) in ft.tuples for tup in ft.tuples)
+        if (2 * overlap) ** v > n ** (v - u):
+            accepted.add(g)
+            mass += overlap
+    return OmegaReport(accepted, mass, n)
+
+
+# -- quadric normalization, for criterion 10 -------------------------------
+
+class QuadricNormalization(NamedTuple):
+    target_tag: str             # "identity" or "segre"
+    ctx: FieldCtx               # the final field, after the extension
+    extensions: List[str]       # the extension's descriptor, if any
+    transform: list             # M, rows of FieldElems over ctx
+    scalar: FieldElem           # M^T B M = scalar * (the target's plain form)
+    verified: bool              # M^T B M, multiplied out, is the target's matrix
+    embed_source: Callable      # the source field into ctx
+
+
+def _same(e):
+    return e
+
+
+def congruent(ctx: FieldCtx, M, B, scalar, T) -> bool:
+    """Whether M^T B M = scalar T, for 4x4 matrices of FieldElems."""
+    MT = [list(col) for col in zip(*M)]
+    return mat_mul(ctx, mat_mul(ctx, MT, B), M) == [[scalar * x for x in row] for row in T]
+
+
+def adjoin_sqrt(ctx: FieldCtx, d: FieldElem):
+    """(big, embed, root): ctx itself, the identity and d's least root
+    when d is a square; else F_(p^2n) for ctx of degree n = 1 or 2, a
+    ring embedding of ctx into it and the least root there of embed(d),
+    every element of ctx being a square in F_(p^2n)."""
+    root = least_root_by_scan(ctx, d)
+    if root is not None:
+        return ctx, _same, root
+    big = FieldCtx(ctx.p, 2 * ctx.n)
+    if ctx.n == 1:
+        def embed(e):
+            return big.elem(e.code)
+    else:
+        # the old generator goes to a root of the old modulus upstairs
+        gen = _root_of_quadratic(big, ctx.modulus)
+
+        def embed(e):
+            c0, c1 = coeffs(e)
+            return big.elem(c0) + big.elem(c1) * gen
+    return big, embed, least_root_by_scan(big, embed(d))
+
+
+def _root_of_quadratic(big: FieldCtx, modulus) -> FieldElem:
+    """A root in `big` of a monic quadratic over the prime field, odd p."""
+    c0, c1, _ = modulus
+    b = big.elem(c1)
+    return (least_root_by_scan(big, b * b - 4 * big.elem(c0)) - b) / 2
+
+
+def diagonalize_quadric(B: QuadricForm) -> QuadricNormalization:
+    """M with M^T B M = I, for a smooth B in odd characteristic, over at
+    most one quadratic extension (after it, every element of the source
+    field is a square).  Gram-Schmidt on the columns c_i of M from the
+    identity, by B(c_i, c_j), the entries of M^T B M (`B.bilinear`)."""
+    ctx = B.ctx
+    cols = [[ctx.one() if i == j else ctx.zero() for i in range(4)] for j in range(4)]
+    values = []
+    for i in range(4):
+        later = range(i + 1, 4)
+        value = B.bilinear(cols[i], cols[i])
+        if value.is_zero():
+            j = next((j for j in later if not B.bilinear(cols[j], cols[j]).is_zero()), None)
+            if j is not None:
+                cols[i], cols[j] = cols[j], cols[i]
+            else:
+                # smooth B: isotropic c_i, orthogonal to c_0..c_(i-1), pairs with a later c_j
+                j = next(j for j in later if not B.bilinear(cols[i], cols[j]).is_zero())
+                # every later column is isotropic: c_i + c_j has value 2 B(c_i, c_j)
+                cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+            value = B.bilinear(cols[i], cols[i])
+        values.append(value)
+        for j in later:
+            cross = B.bilinear(cols[i], cols[j])
+            if not cross.is_zero():
+                factor = -cross / value
+                cols[j] = [x + factor * y for x, y in zip(cols[j], cols[i])]
+    extensions: List[str] = []
+    embed = _same
+    for i, value in enumerate(values):
+        # the values stay in the source field, so the one extension makes
+        # every later one a square
+        root = least_root_by_scan(ctx, embed(value))
+        if root is None:
+            ctx, embed, root = adjoin_sqrt(ctx, value)
+            extensions.append(ctx.descriptor())
+            cols = [[embed(x) for x in col] for col in cols]
+        scale = inv(root)
+        cols[i] = [x * scale for x in cols[i]]
+    M = [list(row) for row in zip(*cols)]
+    source = [[embed(x) for x in row] for row in B.B]
+    verified = congruent(ctx, M, source, ctx.one(), QuadricForm.identity(ctx).B)
+    return QuadricNormalization("identity", ctx, extensions, M, ctx.one(), verified, embed)
+
+
+def to_segre_form(ctx: FieldCtx) -> QuadricNormalization:
+    """The substitution x1 = x+z, x2 = ix-iz, x3 = w-y, x4 = iw+iy, which
+    carries the sum of four squares to 4 (xz - yw), for ctx holding
+    i = sqrt(-1)."""
+    i = least_root_by_scan(ctx, -ctx.one())
+    one, zero = ctx.one(), ctx.zero()
+    T = [[one, zero, zero, one], [i, zero, zero, -i], [zero, -one, one, zero], [zero, i, i, zero]]
+    # T^T T = 4 (matrix of x1 x4 - x2 x3) = 2 (the doubled QuadricForm.segre)
+    verified = congruent(ctx, T, QuadricForm.identity(ctx).B, ctx.elem(2),
+                         QuadricForm.segre(ctx).B)
+    return QuadricNormalization("segre", ctx, [], T, ctx.elem(4), verified, _same)
+
+
+def normalize_to_segre(B: QuadricForm) -> QuadricNormalization:
+    """Diagonalization composed with the Segre substitution: M with
+    M^T B M = 2 (the doubled Segre matrix), over at most one quadratic
+    extension."""
+    diag = diagonalize_quadric(B)
+    ctx, M, embed = diag.ctx, diag.transform, diag.embed_source
+    extensions = list(diag.extensions)
+    # -1 lacks a root only when the diagonalization did not extend
+    if least_root_by_scan(ctx, -ctx.one()) is None:
+        ctx, embed, _ = adjoin_sqrt(ctx, -ctx.one())
+        extensions.append(ctx.descriptor())
+        M = [[embed(x) for x in row] for row in M]
+    M = mat_mul(ctx, M, to_segre_form(ctx).transform)
+    source = [[embed(x) for x in row] for row in B.B]
+    verified = diag.verified and congruent(ctx, M, source, ctx.elem(2), QuadricForm.segre(ctx).B)
+    return QuadricNormalization("segre", ctx, extensions, M, ctx.elem(4), verified, embed)
 
 
 # -- oracles -------------------------------------------------------------

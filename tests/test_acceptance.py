@@ -14,16 +14,20 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import affine_group_elements, mulclose, random_measure, random_smooth_form
-from orchardlab.bsg import all_pass, verify_decomposition
-from orchardlab.constructions import (
-    build_example,
-    classify_fixed_points,
+from oracles import (
+    affine_group_elements,
     diagonalize_quadric,
+    free_tuples,
+    mulclose,
     normalize_to_segre,
+    omega_set,
+    random_measure,
+    random_smooth_form,
+    reflection_rows,
     to_segre_form,
-    verify_example,
 )
+from orchardlab.bsg import all_pass, verify_decomposition
+from orchardlab.constructions import build_example, classify_fixed_points, verify_example
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
     AffElem,
@@ -37,13 +41,8 @@ from orchardlab.groups import (
     gamma_x,
     gamma_xy,
     reflection_lift,
-    reflection_matrix,
 )
-from orchardlab.incidence import (
-    count_collinear_triples,
-    free_tuples,
-    omega_set,
-)
+from orchardlab.incidence import count_collinear_triples
 from orchardlab.measures import (
     AffineGroupOps,
     convolve,
@@ -173,7 +172,7 @@ def test_criterion_04_reflection_lift():
     on_q = [p for p in space if on_quadric(p, Q)]
     off_q = [p for p in space if not on_quadric(p, Q)]
     for x in off_q:
-        raw = reflection_matrix(x, Q)
+        raw = reflection_rows(x, Q)
         for i in range(4):
             for j in range(4):
                 acc = F5.zero()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_group_elements, mulclose, segre_quadric_points
+from oracles import affine_group_elements, mulclose, reflection_rows, segre_quadric_points
 from orchardlab.constructions import classify_fixed_points
 from orchardlab.field import FieldCtx
 from orchardlab.groups import (
@@ -29,7 +29,6 @@ from orchardlab.groups import (
     gamma_xy,
     is_orthogonal_mod_scalar,
     reflection_lift,
-    reflection_matrix,
     segre,
     segre_inverse,
 )
@@ -192,7 +191,7 @@ def test_reflection_raw_lift_is_orthogonal_involution():
     for x in enumerate_space(F5, 3):
         if on_quadric(x, QI):
             continue
-        rows = reflection_matrix(x, QI)
+        rows = reflection_rows(x, QI)
         # M^T B M == B with lambda exactly 1
         for i in range(4):
             for j in range(4):
@@ -296,11 +295,6 @@ def test_mulclose_subgroup_and_cap():
     assert truncated
 
 
-def test_element_text_roundtrips():
-    g = AffElem(F5, 1, 2, 3)
-    assert AffElem.parse(F5, g.text()) == g
-
-
 def _pgl_identity(ctx):
     return PGLElem(ctx, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
@@ -336,7 +330,8 @@ def test_mixed_contexts_raise_group_error(name):
      "matrix must be 4x4"),
     (lambda: segre(ProjPoint(F5, [1, 0]), ProjPoint(F5, [1, 0, 0, 0])), GroupError,
      "both factors must be points of P^1"),
-], ids=["gamma-xy-y-excluded", "pgl-3x3", "pgl-ragged", "segre-p3-factor"])
+    (lambda: AffElem(F5, 1, 2, 0), GroupError, "third component must be invertible"),
+], ids=["gamma-xy-y-excluded", "pgl-3x3", "pgl-ragged", "segre-p3-factor", "affine-zero-c"])
 def test_group_argument_checks_raise(call, error, message):
     with pytest.raises(error) as exc:
         call()

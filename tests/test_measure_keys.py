@@ -162,8 +162,8 @@ def test_decompose_matches_oracle(case, K):
     assert dict(dec.nu1.masses) == heavy
     assert dict(dec.nu2.masses) == diffuse
     assert dict(dec.nu_str.masses) == structured
-    assert dec.structured_support == set(structured)
-    assert dec.boundary_atoms == boundary
+    assert set(map(group.element, dec.nu_str.nums)) == set(structured)
+    assert set(map(group.element, dec.boundary_keys)) == boundary
     assert dec.l2_sq == oracle_l2_sq(f)
     assert dec.reconstruction_exact()
     assert restrict_open_band(nu, K) == dec.nu_str

@@ -1,38 +1,27 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import affine_group_elements, delta, indexed_measure, random_measure
+from oracles import affine_group_elements, delta, indexed_measure, random_measure, uniform
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, aff_compose, aff_inverse
 from orchardlab.measures import (
     AffineGroupOps,
-    DuplicateElements,
-    EmptySupport,
     GroupMeasure,
     MeasureError,
     MixedGroups,
-    NotASubgroup,
     SupportBlowup,
     convolve,
-    coset_mass,
     flattening_report,
     is_symmetric,
     l1_norm,
     l2_norm_sq,
     linf_norm,
-    load_measure,
-    lp_norm_sq,
     reverse,
-    save_measure,
-    sym_power,
-    sym_power_2exp,
     symmetrize,
-    uniform,
 )
 
 F5 = FieldCtx(5)
@@ -48,10 +37,6 @@ def test_uniform_examples():
     assert mu.total_mass() == 1
     assert l2_norm_sq(mu) == Fraction(1, 4)
     assert uniform(G5, [AffElem.identity(F5)]) == delta(G5, AffElem.identity(F5))
-    with pytest.raises(EmptySupport):
-        uniform(G5, [])
-    with pytest.raises(DuplicateElements):
-        uniform(G5, [AffElem.identity(F5), AffElem(F5, 0, 0, 1)])
 
 
 def test_convolution_examples():
@@ -64,6 +49,10 @@ def test_convolution_examples():
     assert sigma(AffElem.identity(F5)) == Fraction(1, 2)
     assert sigma(g2) == Fraction(1, 4)
     assert sigma(aff_inverse(g2)) == Fraction(1, 4)
+    assert is_symmetric(sigma)
+    # a delta measure of any order symmetrizes to the identity atom
+    d = delta(G5, AffElem(F5, 1, 1, 3))
+    assert symmetrize(d) == delta(G5, AffElem.identity(F5))
     with pytest.raises(MixedGroups):
         convolve(mu, uniform(G7, ELS7[:3]))
 
@@ -73,9 +62,16 @@ def test_reverse_and_norms():
     mu = random_measure(G5, ELS5, rng)
     assert reverse(reverse(mu)) == mu
     assert l2_norm_sq(reverse(mu)) == l2_norm_sq(mu)
-    assert lp_norm_sq(mu, 1) == 1
-    assert lp_norm_sq(delta(G5, AffElem.identity(F5)), "inf") == 1
+    assert l1_norm(mu) == 1
+    assert linf_norm(delta(G5, AffElem.identity(F5))) == 1
     assert linf_norm(uniform(G5, ELS5[:4])) == Fraction(1, 4)
+
+
+def test_lp_norm_sq_each_p():
+    mu = GroupMeasure(G5, {AffElem.identity(F5): Fraction(1, 3), ELS5[7]: Fraction(2, 3)})
+    assert l1_norm(mu) == 1
+    assert l2_norm_sq(mu) == Fraction(5, 9)
+    assert linf_norm(mu) == Fraction(2, 3)
 
 
 @given(st.lists(st.integers(1, 50), min_size=1, max_size=6))
@@ -98,24 +94,6 @@ def test_associativity_random():
         g = random_measure(G5, ELS5, rng)
         h = random_measure(G5, ELS5, rng)
         assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
-
-
-def test_sym_power_examples():
-    assert sym_power(delta(G5, AffElem.identity(F5)), 1) == delta(G5, AffElem.identity(F5))
-    g = AffElem(F5, 1, 0, 2)
-    mu = uniform(G5, [g, aff_inverse(g)])
-    sigma = symmetrize(mu)
-    assert is_symmetric(sigma)
-    assert sym_power(mu, 2) == convolve(sigma, sigma)
-    assert sym_power_2exp(mu, 2) == sym_power(mu, 4)
-    s2 = sym_power(mu, 2)
-    assert is_symmetric(s2)
-    support = set(sigma.support_sorted())
-    support_product = {aff_compose(a, b) for a in support for b in support}
-    assert set(s2.support_sorted()) <= support_product
-    # a delta measure of any order symmetrizes to the identity atom
-    d = delta(G5, AffElem(F5, 1, 1, 3))
-    assert symmetrize(d) == delta(G5, AffElem.identity(F5))
 
 
 def test_support_blowup_guard():
@@ -150,20 +128,6 @@ def test_terms_guard_refuses_before_the_first_term(monkeypatch):
         flattening_report(f, 0)
 
 
-def test_coset_mass():
-    H = [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)]
-    muH = uniform(G5, H)
-    assert coset_mass(muH, AffElem.identity(F5), H) == 1
-    assert coset_mass(muH, AffElem(F5, 1, 1, 1), H) == 0
-    S = H[:2] + [AffElem(F5, 1, 0, 1), AffElem(F5, 2, 0, 1)]
-    mu = uniform(G5, S)
-    assert coset_mass(mu, AffElem.identity(F5), H) == Fraction(2, 4)
-    with pytest.raises(NotASubgroup):
-        coset_mass(mu, AffElem.identity(F5), H[:3])
-    with pytest.raises(NotASubgroup):
-        coset_mass(mu, AffElem.identity(F5), [AffElem(F5, 1, 0, 1)])
-
-
 def test_flattening_uniform_subgroup_fixed_point():
     H = [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)]
     muH = uniform(G5, H)
@@ -173,7 +137,7 @@ def test_flattening_uniform_subgroup_fixed_point():
         assert row.ratio_sq == 1
         assert row.l2_sq == Fraction(1, 4)
     # sigma^(*m) stays the uniform measure itself
-    assert sym_power(muH, 5) == muH
+    assert symmetrize(muH) == convolve(muH, muH) == muH
 
 
 def test_flattening_delta_of_finite_order():
@@ -231,33 +195,9 @@ def test_equal_groups_hash_equal():
     assert len({G5, AffineGroupOps(F5), G7}) == 2
 
 
-def test_measure_file_roundtrip(tmp_path):
-    rng = random.Random(9)
-    mu = random_measure(G5, ELS5, rng)
-    path = tmp_path / "m.measure"
-    save_measure(path, mu)
-    assert load_measure(path, G5) == mu
-
-
-@pytest.mark.parametrize("atom", [
-    "0;0;0 1/2",        # third component zero (a GroupError inside)
-    "1,2;0;1 1/2",      # too many coefficients over F_5 (a FieldError)
-    "0;0 1/2",          # two parts
-    "0;0;1 1/0",        # zero denominator
-    "0;0;1 -1/2",       # negative mass
-])
-def test_load_measure_names_file_and_line(tmp_path, atom):
-    path = tmp_path / "bad.measure"
-    path.write_text(f"# header\n1;0;1 1/2\n{atom}\n")
-    with pytest.raises(MeasureError, match="^" + re.escape(f"{path}:3: ")):
-        load_measure(path, G5)
-
-
 def test_probability_validation():
     nonprob = GroupMeasure(G5, {AffElem.identity(F5): Fraction(1, 2)})
     assert not nonprob.is_probability
-    with pytest.raises(MeasureError):
-        sym_power(nonprob, 1)
 
 
 # -- squares of symmetric measures: the support guards ----------------------
@@ -336,35 +276,5 @@ def test_measure_repr():
     assert repr(mu) == "GroupMeasure(2 atoms, mass 1/2)"
 
 
-def test_lp_norm_sq_each_p():
-    mu = GroupMeasure(G5, {AffElem.identity(F5): Fraction(1, 3), ELS5[7]: Fraction(2, 3)})
-    assert lp_norm_sq(mu, 1) == 1
-    assert lp_norm_sq(mu, 2) == Fraction(5, 9)
-    assert lp_norm_sq(mu, float("inf")) == lp_norm_sq(mu, "inf") == Fraction(2, 3)
-    _raises_exactly(ValueError, lp_norm_sq, mu, 3)
-
-
 def test_power_bounds_are_value_errors():
-    mu = uniform(G5, ELS5[:3])
-    _raises_exactly(ValueError, sym_power, mu, 0)
-    _raises_exactly(ValueError, sym_power_2exp, mu, -1)
-    _raises_exactly(ValueError, flattening_report, mu, -1)
-
-
-def test_verify_subgroup_errors():
-    H = [AffElem(F5, 0, 0, c) for c in (1, 2, 3, 4)]
-    mu = uniform(G5, H)
-    e = AffElem.identity(F5)
-    _raises_exactly(DuplicateElements, coset_mass, mu, e, H + H[:1])
-    # 2 is in H[:3] but its inverse 3 is not
-    with pytest.raises(NotASubgroup, match="inverse") as exc:
-        coset_mass(mu, e, H[:2] + [AffElem(F5, 0, 0, 4)])
-    assert type(exc.value) is NotASubgroup
-
-
-def test_load_measure_refuses_a_repeated_atom(tmp_path):
-    path = tmp_path / "twice.measure"
-    path.write_text("0;0;1 1/2\n1;0;1 1/4\n0;0;1 1/4\n")
-    with pytest.raises(DuplicateElements, match="^" + re.escape(f"{path}:3: ")) as exc:
-        load_measure(path, G5)
-    assert type(exc.value) is DuplicateElements
+    _raises_exactly(ValueError, flattening_report, uniform(G5, ELS5[:3]), -1)

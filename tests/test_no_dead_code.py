@@ -1,41 +1,40 @@
-"""Every definition in `src/orchardlab` is used inside the package.
+"""Every definition in `src/orchardlab` is used inside the package: the
+library is what the CLI runs.
 
 Every top-level function and class, and every method of a public class,
-must be referenced by name or attribute somewhere in `src/` outside its
-own definition (imports do not count). Dunder methods are exempt, and so
-is the library API the README lists, which no subcommand calls. Oracles
-and helpers that only tests call belong in `tests/oracles.py`.  Outside
-`field.py`, no module reads the private state of a field context, and
-no module imports a private name of `incidence`.
+must be used somewhere in `src/` outside its own definition (imports do
+not count).  Dunder methods are exempt, and so is `cli.main`, the
+console entry point; nothing else is.  Oracles, helpers and the code
+that only tests or acceptance criteria call belong in `tests/oracles.py`.
+Every backticked `module.name` in the README names a definition of that
+module.  Outside `field.py`, no module reads the private state of a
+field context, and no module imports a private name of `incidence`.
 
 A top-level function or class is used when its name is read (loaded)
 outside its definition, either in its own module or, under the name it
 is imported as, in a module that imports it from there; a read of the
 same spelling in a module that does not import it, or an attribute of
-that spelling, does not count. Methods are still matched by bare name,
-not by owner: a method passes as soon as any name or attribute in `src/`
-spells the same word, so a method that shares its name with a used one
-(say `identity` or `contains`) is not caught when it has no caller of
-its own.
+that spelling, does not count.  A method is used when an attribute of
+its name is read, in `src/` or in the benchmark's tracer,
+`perfbench/tracing.py`, which reads result fields when a span exits (the
+size of `GroupMeasure.masses`); a bare name of the same spelling, such
+as a local variable or a parameter, does not count.  Methods are still
+matched by name, not by owner: a method that shares its name with a
+used attribute (say `identity` or `det`) is not caught when it has no
+caller of its own.
 """
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "orchardlab"
-README = SRC.parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "orchardlab"
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracing.py"
 
-# module -> the README's library API; cli.main is the console entry point
-API = {
-    "bsg": {"covering_number", "is_approximate_group",
-            "BsgDecomposition.structured_support", "BsgDecomposition.boundary_atoms"},
-    "cli": {"main"},
-    "constructions": {"normalize_to_segre"},
-    "groups": {"reflection_matrix"},
-    "incidence": {"free_tuples", "omega_set"},
-    "measures": {"coset_mass", "is_symmetric", "load_measure", "lp_norm_sq",
-                 "save_measure", "sym_power", "sym_power_2exp", "uniform"},
-}
+# module -> the definitions no code of the package calls: the console entry point
+API = {"cli": {"main"}}
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
@@ -82,17 +81,15 @@ def _top_level_uses():
 
 def test_every_definition_is_used():
     top = _top_level_uses()
-    bare = {}
-    for tree in TREES.values():
+    attributes = {}
+    for tree in [*TREES.values(), ast.parse(TRACER.read_text())]:
         for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                bare.setdefault(n.id, set()).add(id(n))
-            elif isinstance(n, ast.Attribute):
-                bare.setdefault(n.attr, set()).add(id(n))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                attributes.setdefault(n.attr, set()).add(id(n))
 
     def uses(module, qualname, node):
-        if "." in qualname:                    # a method: by bare name
-            return bare.get(node.name, set())
+        if "." in qualname:                    # a method: by attribute reads
+            return attributes.get(node.name, set())
         return top.get((module, qualname), set())
 
     dead = [
@@ -104,13 +101,23 @@ def test_every_definition_is_used():
     assert not dead, "defined in src/ but never used there: " + ", ".join(dead)
 
 
-def test_allow_list_is_the_readme_api():
-    defined = {(module, qualname) for module, qualname, _ in _definitions()}
-    readme = README.read_text()
-    for module, names in API.items():
-        for name in names:
-            assert (module, name) in defined, f"{module}.{name} is not defined"
-            assert name == "main" or f"`{name}`" in readme, f"README does not list {name}"
+def test_readme_names_only_definitions():
+    """Each backticked `module.name` of the README, a call's arguments
+    after it or not, names a top-level function, class or assigned name
+    of that module."""
+    defined = set()
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(f"{module}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined.update(f"{module}.{n.id}" for n in ast.walk(node)
+                               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    pattern = r"`(%s)\.(\w+)[^`]*`" % "|".join(TREES)
+    cited = {f"{module}.{name}" for module, name in re.findall(pattern, README.read_text())}
+    assert cited
+    missing = sorted(cited - defined)
+    assert not missing, "README names what src/ does not define: " + ", ".join(missing)
 
 
 def test_every_parameter_is_read():

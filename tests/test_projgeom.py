@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import line_points, on_line
+from oracles import is_smooth, line_points, on_line
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem, CharTwo, PGLElem, aff_compose
 from orchardlab.projgeom import (
@@ -50,7 +50,7 @@ def test_scale_invariance_exhaustive():
 
 def test_line_through_examples():
     l = line_through(ProjPoint(F5, [1, 0, 0, 0]), ProjPoint(F5, [0, 1, 0, 0]))
-    assert [[c.coeffs[0] for c in row] for row in l.basis] == [
+    assert [[c.code for c in row] for row in l.basis] == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ]
@@ -190,9 +190,9 @@ def test_on_quadric_with_a_diagonal_in_char_two_raises_char_two(ctx):
 def test_quadric_validation_and_det():
     with pytest.raises(Exception):
         QuadricForm(F5, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert QuadricForm.identity(F5).is_smooth()
+    assert is_smooth(QuadricForm.identity(F5))
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-    assert not QuadricForm(F5, rows).is_smooth()
+    assert not is_smooth(QuadricForm(F5, rows))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -250,8 +250,11 @@ def test_point_set_file_format(tmp_path):
     zero.write_text("field 5\n1:0:0:0\n0:0:0:0\n")
     blank = tmp_path / "blank.pts"
     blank.write_text("# no field line\n\n")
+    wide = tmp_path / "wide.pts"
+    wide.write_text("field 5\n1,2:0:0:1\n")
     for path, message in ((zero, f"{zero}:3: all coordinates zero"),
-                          (blank, f"{blank}: missing field declaration")):
+                          (blank, f"{blank}: missing field declaration"),
+                          (wide, f"{wide}:2: too many coefficients")):
         with pytest.raises(PointSetFormatError) as exc:
             load_point_set(path)
         assert exc.type is PointSetFormatError and str(exc.value) == message

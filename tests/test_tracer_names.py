@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import uniform
 from orchardlab.constructions import build_example
 from orchardlab.field import FieldCtx
 from orchardlab.groups import AffElem
-from orchardlab.measures import AffineGroupOps, uniform
+from orchardlab.measures import AffineGroupOps
 from orchardlab.projgeom import ProjPoint
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
